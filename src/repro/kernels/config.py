@@ -1,17 +1,13 @@
 """Kernel-tier selection for the subset-DP hot paths.
 
-Three tiers exist for the C-VDPS layered DP, the Section-IV per-worker
+Two tiers exist for the C-VDPS layered DP, the Section-IV per-worker
 validation scan, and the Held-Karp routing DP:
 
 * ``scalar`` — the reference Python dict loops (always retained; the
-  differential suites compare every other tier against it).
+  differential suites compare the vectorized tier against it).
 * ``vectorized`` — numpy array kernels in :mod:`repro.kernels`,
   bit-identical to scalar by construction (same float evaluation order,
   same canonical tie-breaks).  The default.
-* ``numba`` — an optional JIT layer over the vectorized kernels.  Numba
-  is deliberately *not* a dependency: when it cannot be imported the
-  tier silently degrades to ``vectorized`` (counted in
-  ``kernel.numba_fallbacks``), so requesting it is always safe.
 
 The process-wide default comes from the ``REPRO_KERNEL`` environment
 variable and can be overridden per call via the ``kernel=`` parameters on
@@ -27,19 +23,13 @@ from __future__ import annotations
 import os
 from typing import Optional
 
-from repro.obs.metrics import METRICS
-from repro.utils.log import get_logger
-
-logger = get_logger(__name__)
-
 #: Environment variable naming the process-wide default kernel tier.
 KERNEL_ENV_VAR = "REPRO_KERNEL"
 
 #: The accepted tier names.
-VALID_KERNELS = ("scalar", "vectorized", "numba")
+VALID_KERNELS = ("scalar", "vectorized")
 
 _default_kernel: Optional[str] = None
-_warned_numba = False
 
 
 def _check(name: str) -> str:
@@ -70,31 +60,9 @@ def default_kernel() -> str:
     return "vectorized"
 
 
-def numba_available() -> bool:
-    """Whether the optional numba JIT layer can actually be imported."""
-    from repro.kernels import _numba
-
-    return _numba.AVAILABLE
-
-
 def resolve_kernel(kernel: Optional[str] = None) -> str:
     """The effective tier for one call: ``scalar`` or ``vectorized``.
 
-    ``None`` resolves the process default.  ``numba`` resolves to itself
-    only when the import succeeds; otherwise it degrades to ``vectorized``
-    with one warning per process and a ``kernel.numba_fallbacks`` count —
-    the vectorized kernels are the reference implementation the JIT layer
-    compiles, so the degradation never changes results.
+    ``None`` resolves the process default; anything else is validated.
     """
-    global _warned_numba
-    name = default_kernel() if kernel is None else _check(kernel)
-    if name == "numba" and not numba_available():
-        METRICS.counter("kernel.numba_fallbacks").add(1)
-        if not _warned_numba:
-            logger.warning(
-                "REPRO_KERNEL=numba requested but numba is not importable; "
-                "falling back to the pure-numpy vectorized kernels"
-            )
-            _warned_numba = True
-        name = "vectorized"
-    return name
+    return default_kernel() if kernel is None else _check(kernel)

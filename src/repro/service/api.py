@@ -112,8 +112,13 @@ class _Handler(BaseHTTPRequestHandler):
         trace_id = getattr(self, "_trace_id", None)
         if trace_id:
             self.send_header(TRACE_HEADER, trace_id)
-        self.end_headers()
-        self.wfile.write(body)
+        # end_headers() would send the header block in one write and the
+        # body in a second, and a kept-alive client then waits on its
+        # delayed ACK (~40 ms) before the body arrives.  Queue the blank
+        # line and the body behind the headers so the whole response
+        # leaves in one write.
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _send_json(
         self,

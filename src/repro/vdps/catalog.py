@@ -20,8 +20,8 @@ from repro.core.instance import SubProblem
 from repro.core.payoff import worker_payoff
 from repro.core.routing import Route, arrival_times, best_route
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import NullTracer, resolve_tracer
-from repro.vdps.generator import CVdpsEntry, generate_cvdps
+from repro.obs.tracer import NULL_TRACER, NullTracer, resolve_tracer
+from repro.vdps.generator import CVdpsEntry, CvdpsTable, generate_table
 
 #: Sentinel id for the *null* strategy (the worker performs no deliveries).
 NULL_STRATEGY_ID = "<null>"
@@ -268,8 +268,8 @@ def build_catalog(
         Distance-constrained pruning threshold; ``None`` disables pruning.
     kernel:
         Implementation tier for C-VDPS generation and the per-worker
-        validation scan (``"scalar"``, ``"vectorized"``, or ``"numba"``;
-        ``None`` resolves the process default — see
+        validation scan (``"scalar"`` or ``"vectorized"``; ``None``
+        resolves the process default — see
         :mod:`repro.kernels.config`).  Tiers are bit-identical: the same
         strategies, routes, payoffs, and index layout.
     strict_revalidation:
@@ -306,7 +306,6 @@ def build_catalog(
                 strategies=catalog.total_strategy_count,
             )
     METRICS.counter("catalog.builds").add(1)
-    METRICS.counter("catalog.strategies_built").add(catalog.total_strategy_count)
     return catalog
 
 
@@ -403,6 +402,32 @@ def strategy_sort_key(strategy: WorkerStrategy):
     return (-strategy.payoff, tuple(sorted(strategy.point_ids)))
 
 
+def build_with_table(
+    sub: SubProblem,
+    epsilon: Optional[float],
+    strict_revalidation: bool = False,
+    tracer: NullTracer = NULL_TRACER,
+    kernel: Optional[str] = None,
+    layout=None,
+) -> Tuple[VDPSCatalog, CvdpsTable]:
+    """The catalog of ``sub`` plus the C-VDPS table it was validated from.
+
+    The one full-build path: :func:`build_catalog` keeps the catalog, and
+    :class:`~repro.vdps.delta.DeltaCatalog` also keeps the table, deriving
+    its surgery state from it only when a later refresh needs it, and
+    passes its cross-round travel-matrix cache as ``layout``.  Counts
+    ``catalog.strategies_built`` (and, through generation, the
+    ``cvdps.*`` totals) whichever caller asked.
+    """
+    cap = max((w.max_delivery_points for w in sub.online_workers), default=0)
+    table = generate_table(
+        sub.center, sub.travel, epsilon, cap, tracer, kernel, layout
+    )
+    entries = None if table.arrays is not None else table.entries()
+    catalog = _validate_all(sub, epsilon, strict_revalidation, table.arrays, entries)
+    return catalog, table
+
+
 def _build_catalog(
     sub: SubProblem,
     epsilon: Optional[float],
@@ -414,20 +439,38 @@ def _build_catalog(
     from repro.kernels import resolve_kernel
 
     tier = resolve_kernel(kernel)
-    workers = sub.online_workers
-    travel_model = sub.travel
     if cvdps is None:
-        cap = max((w.max_delivery_points for w in workers), default=0)
-        cvdps = generate_cvdps(
-            sub.center, travel_model, epsilon, cap, tracer=tracer, kernel=tier
-        )
-
+        return build_with_table(sub, epsilon, strict_revalidation, tracer, tier)[0]
     arrays = None
-    if tier != "scalar" and cvdps:
-        from repro.kernels.validate import EntryArrays, validate_worker_vectorized
+    if tier != "scalar":
+        from repro.kernels.validate import EntryArrays
 
         arrays = EntryArrays.from_entries(cvdps)
-        METRICS.counter("kernel.validate_vectorized").add(1)
+    return _validate_all(sub, epsilon, strict_revalidation, arrays, cvdps)
+
+
+def _validate_all(
+    sub: SubProblem,
+    epsilon: Optional[float],
+    strict_revalidation: bool,
+    arrays,
+    entries: Optional[List[CVdpsEntry]],
+) -> VDPSCatalog:
+    """Section IV validation of every entry for every online worker.
+
+    ``arrays`` (vectorized tier) selects the array scan; without them the
+    scalar ``validate_entry`` loop runs over ``entries``.
+    """
+    workers = sub.online_workers
+    travel_model = sub.travel
+    if arrays is not None:
+        from repro.kernels.validate import validate_worker_vectorized
+
+        if arrays.n_entries:
+            METRICS.counter("kernel.validate_vectorized").add(1)
+        cvdps_count = arrays.n_entries
+    else:
+        cvdps_count = len(entries)
 
     strategies: Dict[str, Tuple[WorkerStrategy, ...]] = {}
     for worker in workers:
@@ -446,7 +489,7 @@ def _build_catalog(
             )
         else:
             found = []
-            for entry in cvdps:
+            for entry in entries:
                 strategy = validate_entry(
                     entry,
                     worker,
@@ -460,4 +503,6 @@ def _build_catalog(
                     found.append(strategy)
             found.sort(key=strategy_sort_key)
         strategies[worker.worker_id] = tuple(found)
-    return VDPSCatalog(workers, strategies, epsilon, len(cvdps))
+    catalog = VDPSCatalog(workers, strategies, epsilon, cvdps_count)
+    METRICS.counter("catalog.strategies_built").add(catalog.total_strategy_count)
+    return catalog

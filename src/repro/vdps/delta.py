@@ -33,7 +33,11 @@ revalidated only when its own content changed (location → start offset,
 subsets and validate the added entries.  Structural changes no delta can
 express (center moved, travel model swapped) and churn above
 ``rebuild_fraction`` (e.g. a clock advance rewriting every relative
-deadline) fall back to a full rebuild — same output, full price.
+deadline) fall back to a full rebuild — the same array-native build as
+``build_catalog``, at the same price.  A fallback keeps only that build's
+catalog and C-VDPS table; the surgery tables (DP states, entries,
+per-worker strategy maps) are derived from them when a later refresh takes
+the delta path, so a clock-advancing loop never pays for them.
 
 Everything lands on the ``catalog.delta_*`` metrics surface
 (:data:`repro.obs.metrics.CATALOG_DELTA_METRICS`).
@@ -48,26 +52,27 @@ import numpy as np
 
 from repro.core.entities import DeliveryPoint, Worker
 from repro.core.instance import SubProblem
+from repro.kernels.cvdps import LayoutMatrix
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import NULL_TRACER, resolve_tracer
+from repro.obs.tracer import resolve_tracer
 from repro.vdps.catalog import (
     VDPSCatalog,
     WorkerStrategy,
     build_catalog,
+    build_with_table,
     strategy_sort_key,
     validate_entry,
     worker_offset_factor,
 )
 from repro.vdps.generator import (
     CVdpsEntry,
+    CvdpsTable,
     DPStats,
     _StateKey,
     _StateVal,
     best_per_subset,
-    compute_states,
     entry_from_value,
     extend_value,
-    neighbor_id_map,
     relax,
     seed_value,
 )
@@ -104,8 +109,8 @@ class DeltaCatalog:
         harness tests and the bench's ``identical`` flag run on it.
     kernel:
         Implementation tier for the full-rebuild DP and the full-worker
-        validation scans (``"scalar"``, ``"vectorized"``, or ``"numba"``;
-        ``None`` resolves the process default).  The delta surgery itself
+        validation scans (``"scalar"`` or ``"vectorized"``; ``None``
+        resolves the process default).  The delta surgery itself
         stays scalar — it touches few states by construction — and every
         tier lands on the same bit-identical tables, so deltas applied
         over a kernel-built table still match rebuilds exactly.
@@ -130,6 +135,8 @@ class DeltaCatalog:
         self._verify = bool(verify)
         self._kernel = kernel
         self._entry_arrays = None
+        self._layout = LayoutMatrix()
+        self._table: Optional[CvdpsTable] = None
         self._catalog: Optional[VDPSCatalog] = None
         self._last_path = "rebuild"
         tracer = resolve_tracer(False)
@@ -196,7 +203,7 @@ class DeltaCatalog:
                     sub,
                     epsilon=self.epsilon,
                     strict_revalidation=self._strict,
-                    kernel=getattr(self, "_kernel", None),
+                    kernel=self._kernel,
                 ),
             )
             if diffs:
@@ -206,13 +213,16 @@ class DeltaCatalog:
         return catalog
 
     def __getstate__(self):
-        # The materialised catalog (and its numpy index) is cheap to
-        # re-derive and bloats pickles; the persistent store drops it and
-        # the first refresh() after a restore materialises it again.  The
-        # flattened entry arrays are a derived cache too.
+        # The store pickles the surgery tables, so derive them first.  The
+        # materialised catalog (and its numpy index) is cheap to re-derive
+        # and bloats pickles; the persistent store drops it and the first
+        # refresh() after a restore materialises it again.  The flattened
+        # entry arrays and the travel-matrix cache are derived caches too.
+        self._ensure_tables()
         state = self.__dict__.copy()
         state["_catalog"] = None
         state["_entry_arrays"] = None
+        state["_layout"] = LayoutMatrix()
         return state
 
     # -- refresh machinery --------------------------------------------------
@@ -262,6 +272,7 @@ class DeltaCatalog:
 
         METRICS.counter("catalog.delta_applies").add(1)
         self._last_path = "delta"
+        self._ensure_tables()
         METRICS.counter("catalog.delta_points_added").add(len(added) + len(changed))
         METRICS.counter("catalog.delta_points_removed").add(
             len(removed) + len(changed)
@@ -286,48 +297,60 @@ class DeltaCatalog:
         return self._materialize(workers)
 
     def _full_rebuild(self, sub: SubProblem) -> None:
-        """Reset every table from scratch (init and the fallback path)."""
+        """Rebuild from scratch (init and the fallback path).
+
+        Runs the same build as :func:`~repro.vdps.catalog.build_catalog`,
+        with the travel matrix gathered from the center's
+        :class:`~repro.kernels.cvdps.LayoutMatrix`, and keeps its C-VDPS
+        table.  The surgery tables are derived from
+        it only when a later refresh takes the delta path (or the catalog
+        is pickled, see :meth:`_ensure_tables`): under a moving clock
+        every refresh falls back, so none is ever built.
+        """
         METRICS.counter("catalog.delta_rebuilds").add(1)
         self._travel = sub.travel
         self._center_id = sub.center.center_id
         self._center_location = sub.center.location
-        points = sub.center.delivery_points
-        self._points: Dict[str, DeliveryPoint] = {dp.dp_id: dp for dp in points}
-        self._neighbors: Dict[str, List[str]] = {
-            dp_id: list(adj)
-            for dp_id, adj in neighbor_id_map(points, self.epsilon).items()
+        self._points: Dict[str, DeliveryPoint] = {
+            dp.dp_id: dp for dp in sub.center.delivery_points
         }
-        workers = sub.online_workers
-        self._cap_built = max((w.max_delivery_points for w in workers), default=0)
-        stats = DPStats()
-        if self._cap_built and self._points:
-            self._states: Dict[_StateKey, _StateVal] = compute_states(
-                self._points,
-                self._neighbors,
-                self._travel,
-                self._center_location,
-                self._cap_built,
-                stats,
-                NULL_TRACER,
-                self._center_id,
-                kernel=getattr(self, "_kernel", None),
-            )
-        else:
-            self._states = {}
+        self._cap_built = max(
+            (w.max_delivery_points for w in sub.online_workers), default=0
+        )
+        self._catalog, self._table = build_with_table(
+            sub, self.epsilon, self._strict, kernel=self._kernel, layout=self._layout
+        )
+        self._entry_arrays = self._table.arrays
+
+    def _ensure_tables(self) -> None:
+        """Derive the surgery tables from the last rebuild, once.
+
+        The DP states, the entries and the neighbourhoods come from the
+        rebuild's table; the per-worker strategy maps are the rebuilt
+        catalog's own strategies, keyed by subset.
+        """
+        table = self._table
+        if table is None:
+            return
+        self._neighbors: Dict[str, List[str]] = table.neighbors()
+        self._states: Dict[_StateKey, _StateVal] = table.states()
         self._entries: Dict[FrozenSet[str], CVdpsEntry] = {
-            subset: entry_from_value(
-                self._points, subset, value, self._travel, self._center_location
-            )
-            for subset, value in best_per_subset(self._states).items()
+            entry.point_ids: entry for entry in table.entries()
         }
-        self._entry_arrays = None
+        catalog = self._catalog
         self._workers: Dict[str, Worker] = {}
         self._offsets: Dict[str, Tuple[float, float]] = {}
         self._strategies: Dict[str, Dict[FrozenSet[str], WorkerStrategy]] = {}
-        for worker in workers:
-            self._workers[worker.worker_id] = worker
-            self._strategies[worker.worker_id] = self._validate_worker(worker)
-        self._materialize(workers)
+        for worker in catalog.workers:
+            wid = worker.worker_id
+            self._workers[wid] = worker
+            self._offsets[wid] = worker_offset_factor(
+                worker, self._travel, self._center_location
+            )
+            self._strategies[wid] = {
+                strategy.point_ids: strategy for strategy in catalog.strategies(wid)
+            }
+        self._table = None
 
     # -- DP state surgery ---------------------------------------------------
 
@@ -497,7 +520,7 @@ class DeltaCatalog:
         the scalar scan iterates — so the vectorized scan visits the same
         entries in the same sequence.
         """
-        arrays = getattr(self, "_entry_arrays", None)
+        arrays = self._entry_arrays
         if arrays is None:
             from repro.kernels.validate import EntryArrays
 
@@ -518,7 +541,7 @@ class DeltaCatalog:
         self._offsets[worker.worker_id] = (offset, factor)
         from repro.kernels import resolve_kernel
 
-        if resolve_kernel(getattr(self, "_kernel", None)) != "scalar":
+        if resolve_kernel(self._kernel) != "scalar":
             from repro.kernels.validate import validate_worker_vectorized
 
             found = validate_worker_vectorized(
@@ -563,6 +586,7 @@ class DeltaCatalog:
             for subset in sorted(added_entries, key=_subset_sort_key)
         ]
         revalidated = 0
+        built = 0
         for wid, worker in live.items():
             known = self._workers.get(wid)
             if known is None or known != worker:
@@ -572,6 +596,7 @@ class DeltaCatalog:
                 self._workers[wid] = worker
                 self._strategies[wid] = self._validate_worker(worker)
                 revalidated += 1
+                built += len(self._strategies[wid])
                 continue
             strategies = self._strategies[wid]
             for subset in removed_subsets:
@@ -589,6 +614,8 @@ class DeltaCatalog:
                 )
                 if strategy is not None:
                     strategies[entry.point_ids] = strategy
+                    built += 1
+        METRICS.counter("catalog.strategies_built").add(built)
         if revalidated:
             METRICS.counter("catalog.delta_workers_revalidated").add(revalidated)
 

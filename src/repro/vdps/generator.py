@@ -152,39 +152,38 @@ def compute_states(
     tracer: NullTracer,
     center_id: str,
     kernel: Optional[str] = None,
-    matrix=None,
 ) -> Dict[_StateKey, _StateVal]:
     """The full layered DP over ``points_by_id``: every feasible state.
 
-    This is the one expansion loop :func:`generate_cvdps` and the delta
-    layer's rebuild path both run, so their state tables are identical by
-    construction.  ``kernel`` selects the implementation (``"scalar"``,
-    ``"vectorized"``, or ``"numba"``; ``None`` resolves the process
-    default) — every tier produces the same table bit for bit, the same
-    ``stats`` increments, and the same ``cvdps.layer`` events, which the
-    seed-swept differential suite in ``tests/kernels/`` asserts.
-    ``matrix`` optionally shares a prebuilt sorted-id
-    :class:`~repro.geo.travel.TravelMatrix` with the vectorized kernel.
+    ``kernel`` selects the implementation (``"scalar"`` or
+    ``"vectorized"``; ``None`` resolves the process default) — both tiers
+    produce the same table bit for bit, the same ``stats`` increments, and
+    the same ``cvdps.layer`` events, which the seed-swept differential
+    suite in ``tests/kernels/`` asserts.  The vectorized tier computes
+    :func:`repro.kernels.cvdps.compute_layers` and flattens it; catalog
+    builds use the layers directly (:func:`generate_table`).
     """
     from repro.kernels import resolve_kernel
 
-    tier = resolve_kernel(kernel)
-    if tier != "scalar":
-        from repro.kernels.cvdps import compute_states_vectorized
+    if resolve_kernel(kernel) != "scalar":
+        from repro.kernels.cvdps import (
+            center_matrix,
+            compute_layers,
+            states_from_layers,
+        )
 
         METRICS.counter("kernel.cvdps_vectorized").add(1)
-        return compute_states_vectorized(
-            points_by_id,
-            neighbors,
-            travel,
-            center_location,
+        ids, matrix = center_matrix(points_by_id, travel, center_location)
+        layers = compute_layers(
+            [points_by_id[dp_id] for dp_id in ids],
+            _adjacency(ids, neighbors),
+            matrix,
             cap,
             stats,
             tracer,
             center_id,
-            matrix=matrix,
-            use_numba=tier == "numba",
         )
+        return states_from_layers(layers, ids)
     METRICS.counter("kernel.cvdps_scalar").add(1)
     states: Dict[_StateKey, _StateVal] = {}
     frontier: Dict[_StateKey, _StateVal] = {}
@@ -240,6 +239,159 @@ def compute_states(
     return states
 
 
+def _adjacency(
+    ids: Sequence[str], neighbors: Mapping[str, Sequence[str]]
+) -> np.ndarray:
+    """``neighbors`` as a boolean chaining matrix in ``ids`` order."""
+    position = {dp_id: k for k, dp_id in enumerate(ids)}
+    adjacency = np.zeros((len(ids), len(ids)), dtype=bool)
+    for dp_id, adj in neighbors.items():
+        adjacency[position[dp_id], [position[q] for q in adj]] = True
+    return adjacency
+
+
+class CvdpsTable:
+    """One center's full C-VDPS generation, in the form its tier produced.
+
+    The vectorized tier keeps its DP :class:`~repro.kernels.cvdps.Layer`
+    arrays and the :class:`~repro.kernels.validate.EntryArrays` built from
+    them; the scalar tier keeps its state dict and entry list.  Either
+    form derives the others on demand — :meth:`states`, :meth:`entries`,
+    :meth:`neighbors` — which only the delta layer's surgery needs.
+    """
+
+    def __init__(
+        self,
+        points_by_id: Mapping[str, DeliveryPoint],
+        neighbors: Optional[Mapping[str, Sequence[str]]] = None,
+        states: Optional[Dict[_StateKey, _StateVal]] = None,
+        entries: Optional[List[CVdpsEntry]] = None,
+        adjacency: Optional[np.ndarray] = None,
+        layers=None,
+        arrays=None,
+    ) -> None:
+        self.points_by_id = points_by_id
+        self._neighbors = neighbors
+        self._states = states
+        self._entries = entries
+        #: Vectorized tier: ``(n, n)`` chaining matrix in sorted-id order.
+        self.adjacency = adjacency
+        #: Vectorized tier: the DP layers.
+        self.layers = layers
+        #: Vectorized tier: the validation-ready entry arrays.
+        self.arrays = arrays
+
+    def neighbors(self) -> Dict[str, List[str]]:
+        """Pruning neighbourhoods by dp id, as fresh mutable lists."""
+        if self._neighbors is None:
+            ids = sorted(self.points_by_id)
+            self._neighbors = {
+                ids[j]: [ids[q] for q in np.flatnonzero(row).tolist()]
+                for j, row in enumerate(self.adjacency)
+            }
+        return {dp_id: list(adj) for dp_id, adj in self._neighbors.items()}
+
+    def states(self) -> Dict[_StateKey, _StateVal]:
+        """Every feasible DP state, ``{(subset, end): (time, path)}``."""
+        if self._states is None:
+            from repro.kernels.cvdps import states_from_layers
+
+            self._states = states_from_layers(self.layers, sorted(self.points_by_id))
+        return self._states
+
+    def entries(self) -> List[CVdpsEntry]:
+        """Every C-VDPS, sorted by (size, point ids)."""
+        if self._entries is None:
+            self._entries = [] if self.arrays is None else self.arrays.entries
+        return self._entries
+
+
+def generate_table(
+    center: DistributionCenter,
+    travel: TravelModel,
+    epsilon: Optional[float],
+    cap: int,
+    tracer: NullTracer,
+    kernel: Optional[str] = None,
+    layout=None,
+) -> CvdpsTable:
+    """Algorithm 1 over ``center`` up to ``cap`` points, as a :class:`CvdpsTable`.
+
+    The one generation path behind :func:`generate_cvdps`,
+    :func:`repro.vdps.catalog.build_catalog` and the delta layer's
+    rebuild.  The vectorized tier builds the center's travel matrix once
+    (from ``layout``, a :class:`~repro.kernels.cvdps.LayoutMatrix`, when
+    the caller keeps one across rounds), takes the pruning neighbourhood
+    from its (Euclidean-metric) distances, and keeps the DP in arrays from
+    the layers through validation.  Expansion totals land in the
+    ``cvdps.*`` metrics on every tier.
+    """
+    from repro.kernels import resolve_kernel
+
+    points = center.delivery_points
+    n = len(points)
+    points_by_id = {dp.dp_id: dp for dp in points}
+    if n == 0 or cap <= 0:
+        # No DP runs, so no state ever chains through a neighbourhood.
+        return CvdpsTable(points_by_id, {dp_id: () for dp_id in points_by_id}, {}, [])
+    stats = DPStats()
+    if resolve_kernel(kernel) == "scalar":
+        neighbors = neighbor_id_map(points, epsilon)
+        states = compute_states(
+            points_by_id,
+            neighbors,
+            travel,
+            center.location,
+            cap,
+            stats,
+            tracer,
+            center.center_id,
+            kernel="scalar",
+        )
+        table = CvdpsTable(
+            points_by_id,
+            neighbors,
+            states,
+            collect_entries(points_by_id, states, travel, center.location),
+        )
+        pairs = sum(len(adj) for adj in neighbors.values())
+    else:
+        from repro.kernels.cvdps import center_matrix, compute_layers
+        from repro.kernels.validate import EntryArrays
+
+        METRICS.counter("kernel.cvdps_vectorized").add(1)
+        ids, matrix = center_matrix(points_by_id, travel, center.location, layout)
+        if epsilon is None:
+            adjacency = ~np.eye(n, dtype=bool)
+        elif travel.distance_fn is euclidean and epsilon >= 0:
+            # Pruning distances are Euclidean; under the default metric
+            # the kernel matrix already holds them — the same test
+            # neighbor_lists applies to a precomputed matrix.
+            adjacency = matrix.distances <= epsilon
+            np.fill_diagonal(adjacency, False)
+        else:
+            adjacency = _adjacency(ids, neighbor_id_map(points, epsilon))
+        sorted_points = [points_by_id[dp_id] for dp_id in ids]
+        layers = compute_layers(
+            sorted_points, adjacency, matrix, cap, stats, tracer, center.center_id
+        )
+        table = CvdpsTable(
+            points_by_id,
+            adjacency=adjacency,
+            layers=layers,
+            arrays=EntryArrays.from_layers(layers, sorted_points),
+        )
+        pairs = int(np.count_nonzero(adjacency))
+    if epsilon is not None:
+        # Ordered point pairs the epsilon neighbourhood excludes up front:
+        # the state space the distance-constrained pruning never visits.
+        METRICS.counter("cvdps.pruned_pairs").add(n * (n - 1) - pairs)
+    METRICS.counter("cvdps.states_expanded").add(stats.states_expanded)
+    METRICS.counter("cvdps.candidates_tried").add(stats.candidates_tried)
+    METRICS.counter("cvdps.deadline_rejections").add(stats.deadline_rejections)
+    return table
+
+
 def generate_cvdps(
     center: DistributionCenter,
     travel: TravelModel,
@@ -267,76 +419,21 @@ def generate_cvdps(
         (``REPRO_TRACE`` / :func:`repro.obs.set_tracing`), so a live tracer
         receives one ``cvdps.layer`` event per DP layer.  Expansion and
         rejection totals always land in the :mod:`repro.obs` metrics
-        registry — the DP loop accumulates plain local integers, so the
-        per-state overhead is a few increments either way.
+        registry.
     kernel:
-        DP implementation tier (``"scalar"``, ``"vectorized"``, or
-        ``"numba"``); ``None`` resolves the process default
-        (:mod:`repro.kernels.config`).  All tiers return bit-identical
-        entries.  The vectorized tiers additionally build the center's
-        travel matrix once and reuse its (Euclidean-metric) distances for
-        the pruning neighbourhoods.
+        DP implementation tier (``"scalar"`` or ``"vectorized"``); ``None``
+        resolves the process default (:mod:`repro.kernels.config`).  Both
+        tiers return bit-identical entries.
 
     Returns
     -------
     list of :class:`CVdpsEntry`, sorted by (size, point ids) so output
     order is deterministic.
     """
-    from repro.kernels import resolve_kernel
-
     tracer = resolve_tracer(False) if tracer is None else tracer
-    points = center.delivery_points
-    n = len(points)
-    if n == 0:
-        return []
+    n = len(center.delivery_points)
     cap = n if max_size is None else max(0, min(max_size, n))
-    if cap == 0:
-        return []
-    points_by_id = {dp.dp_id: dp for dp in points}
-    tier = resolve_kernel(kernel)
-    matrix = None
-    distances = None
-    if tier != "scalar":
-        from repro.kernels.cvdps import center_matrix
-
-        ids, matrix = center_matrix(points_by_id, travel, center.location)
-        if epsilon is not None and travel.distance_fn is euclidean:
-            # Pruning distances are Euclidean; under the default metric
-            # the kernel matrix already holds them (sorted-id order, so
-            # permute back into the point-sequence order the
-            # neighbourhood lists index by).
-            position = {dp_id: k for k, dp_id in enumerate(ids)}
-            perm = np.asarray([position[dp.dp_id] for dp in points])
-            distances = matrix.distances[np.ix_(perm, perm)]
-    neighbors = neighbor_id_map(points, epsilon, distances)
-    if epsilon is not None:
-        # Ordered point pairs the epsilon neighbourhood excludes up front:
-        # the state space the distance-constrained pruning never visits.
-        METRICS.counter("cvdps.pruned_pairs").add(
-            n * (n - 1) - sum(len(adj) for adj in neighbors.values())
-        )
-
-    stats = DPStats()
-    states = compute_states(
-        points_by_id,
-        neighbors,
-        travel,
-        center.location,
-        cap,
-        stats,
-        tracer,
-        center.center_id,
-        kernel=tier,
-        matrix=matrix,
-    )
-    METRICS.counter("cvdps.states_expanded").add(stats.states_expanded)
-    METRICS.counter("cvdps.candidates_tried").add(stats.candidates_tried)
-    METRICS.counter("cvdps.deadline_rejections").add(stats.deadline_rejections)
-    if matrix is not None:
-        from repro.kernels.cvdps import collect_entries_vectorized
-
-        return collect_entries_vectorized(points_by_id, states, matrix)
-    return collect_entries(points_by_id, states, travel, center.location)
+    return generate_table(center, travel, epsilon, cap, tracer, kernel).entries()
 
 
 def neighbor_id_map(

@@ -13,7 +13,11 @@ different code paths: epsilon pruning on/off, ``service_hours > 0``
 caps, and degenerate empty/singleton centers.
 """
 
+import dataclasses
+import pickle
+
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -31,10 +35,10 @@ from repro.geo.travel import TravelModel
 from repro.kernels import (
     KERNEL_ENV_VAR,
     default_kernel,
-    numba_available,
     resolve_kernel,
     set_default_kernel,
 )
+from repro.kernels.cvdps import LayoutMatrix
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.vdps.catalog import build_catalog
@@ -328,6 +332,142 @@ class TestDeltaOverVectorizedBase:
             )
 
 
+# -- The array-native catalog build vs the scalar reference ---------------
+
+
+def _assert_array_native_matches_scalar(sub, epsilon, strict=False):
+    """Both array-native builds ≡ ``build_catalog(kernel="scalar")``.
+
+    The array-native path serves ``build_catalog``'s vectorized tier and
+    ``DeltaCatalog``'s rebuild; the latter is also checked after a
+    persist/restore round trip, which derives its surgery tables.
+    """
+    options = dict(epsilon=epsilon, strict_revalidation=strict)
+    expected = build_catalog(sub, kernel="scalar", **options)
+    delta = DeltaCatalog(sub, kernel="vectorized", **options)
+    fallback = delta.catalog
+    restored = pickle.loads(pickle.dumps(delta))
+    for catalog in (
+        build_catalog(sub, kernel="vectorized", **options),
+        fallback,
+        restored.refresh(sub),
+    ):
+        diffs = catalog_diff(catalog, expected, check_index=True)
+        assert not diffs, diffs
+    return expected
+
+
+def _with_service_hours(sub, seed):
+    """Handover times at every point, and uneven task rewards.
+
+    Uneven rewards make a route's reward depend on summation order, so a
+    reward summed in any order other than ``Route.total_reward``'s shows.
+    """
+    rng = np.random.default_rng(seed)
+    points = tuple(
+        dataclasses.replace(
+            dp,
+            service_hours=float(rng.uniform(0.0, 0.02)),
+            tasks=tuple(
+                dataclasses.replace(t, reward=float(rng.uniform(0.1, 3.0)))
+                for t in dp.tasks
+            ),
+        )
+        for dp in sub.center.delivery_points
+    )
+    center = DistributionCenter(sub.center.center_id, sub.center.location, points)
+    return SubProblem(center, sub.workers, sub.travel)
+
+
+def _with_speeds(sub, seed):
+    """Every other worker moves at its own speed (factor != 1)."""
+    rng = np.random.default_rng(seed)
+    workers = tuple(
+        dataclasses.replace(w, speed_kmh=float(rng.uniform(2.0, 9.0)))
+        if k % 2 else w
+        for k, w in enumerate(sub.workers)
+    )
+    return SubProblem(sub.center, workers, sub.travel)
+
+
+class TestArrayNativeBuild:
+    """Seed-swept: the array-native build is the scalar build, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_gm_centers(self, seed, epsilon):
+        expected = _assert_array_native_matches_scalar(_gm_sub(seed), epsilon)
+        assert expected.total_strategy_count > 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("epsilon", EPSILONS)
+    def test_service_hours(self, seed, epsilon):
+        sub = _with_service_hours(_gm_sub(seed), seed)
+        expected = _assert_array_native_matches_scalar(sub, epsilon)
+        # Unpruned, chains form, so (t + service) + travel really runs.
+        assert epsilon is not None or expected.max_vdps_size > 1
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_speed_scaled_workers(self, seed):
+        sub = _with_speeds(_with_service_hours(_gm_sub(seed), seed), seed)
+        _assert_array_native_matches_scalar(sub, 0.8)
+        _assert_array_native_matches_scalar(_with_speeds(_gm_sub(seed), seed), None)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_strict_revalidation(self, seed):
+        sub = _gm_sub(seed)
+        _assert_array_native_matches_scalar(sub, 0.8, strict=True)
+        _assert_array_native_matches_scalar(_with_speeds(sub, seed), None, strict=True)
+
+    def test_empty_center(self):
+        center = DistributionCenter("dc", Point(0.0, 0.0), ())
+        sub = SubProblem(center, (_worker(0), _worker(1)), _TRAVEL)
+        expected = _assert_array_native_matches_scalar(sub, 0.8)
+        assert expected.cvdps_count == 0
+
+    def test_cap_zero(self):
+        # No online worker: maxDP over an empty pool is 0, so no C-VDPS
+        # is generated even though the center has points.
+        sub = _gm_sub(0)
+        offline = tuple(dataclasses.replace(w, online=False) for w in sub.workers)
+        sub = SubProblem(sub.center, offline, sub.travel)
+        expected = _assert_array_native_matches_scalar(sub, 0.8)
+        assert expected.cvdps_count == 0 and not expected.workers
+
+
+def _lopsided(a, b):
+    """An asymmetric metric: the pair order a cache uses shows in its bits."""
+    return abs(a.x - b.x) + 2.0 * max(a.y - b.y, 0.0) + 0.7 * max(b.y - a.y, 0.0)
+
+
+class TestLayoutMatrix:
+    """The cross-round travel-matrix cache ≡ a fresh ``TravelModel.matrix``."""
+
+    @pytest.mark.parametrize("metric", ["euclidean", _lopsided])
+    def test_gathers_equal_fresh_matrices(self, metric):
+        travel = TravelModel(speed_kmh=4.0, metric=metric)
+        rng = np.random.default_rng(3)
+        pool = {
+            f"dp{i:02d}": Point(*map(float, rng.uniform(-3.0, 3.0, 2)))
+            for i in range(30)
+        }
+        pool["dp07"] = pool["dp03"]  # co-located points are 0.0 apart
+        origin = Point(0.1, -0.2)
+        layout = LayoutMatrix()
+        for step in range(14):
+            if step == 6:
+                pool["dp03"] = Point(2.5, 2.5)  # a point moved: start over
+            if step == 10:
+                origin = Point(-1.0, 0.4)  # another origin: start over
+            size = int(rng.integers(1, 20))
+            ids = sorted(rng.choice(sorted(pool), size=size, replace=False))
+            locations = [pool[dp_id] for dp_id in ids]
+            got = layout.matrix(ids, locations, travel, origin)
+            want = travel.matrix(locations, origin=origin)
+            for name in ("distances", "times", "origin_times"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+
 class TestKernelConfig:
     def test_env_var_selects_tier(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
@@ -351,15 +491,10 @@ class TestKernelConfig:
         with pytest.raises(ValueError, match="kernel"):
             set_default_kernel("simd")
 
-    def test_numba_request_is_always_safe(self):
-        before = METRICS.snapshot()
-        tier = resolve_kernel("numba")
-        if numba_available():
-            assert tier == "numba"
-        else:
-            # Degrades to the bit-identical vectorized kernels, counted.
-            assert tier == "vectorized"
-            assert METRICS.delta(before).get("kernel.numba_fallbacks") == 1
+    def test_numba_tier_is_rejected(self):
+        # Only scalar and vectorized exist; numba is an unknown tier.
+        with pytest.raises(ValueError, match="kernel"):
+            resolve_kernel("numba")
 
     def test_build_counters_name_the_serving_tier(self):
         sub = _gm_sub(0)

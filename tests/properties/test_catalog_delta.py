@@ -4,12 +4,19 @@ The incremental catalog's correctness claim is *exact* equality — same
 strategies, same payoffs, same :class:`CatalogIndex` bit layout — with a
 ``build_catalog`` rebuild after **every** churn step, not just at the end.
 The state machine below interleaves task arrivals, expiries, deadline
-moves, delivery-point removal/re-insertion, and worker churn (join, leave,
-move, capacity change), and asserts that invariant after each rule via
-:func:`catalog_diff`.  ``rebuild_fraction=10`` forces the delta path even
-when a rule churns a large fraction of a tiny center, so the surgery code
-(not the rebuild fallback) is what gets exercised.
+moves, delivery-point removal/re-insertion, worker churn (join, leave,
+move, capacity change) and clock advances, and asserts that invariant
+after each rule via :func:`catalog_diff`.  Two catalogs follow the same
+world.  ``delta`` uses ``rebuild_fraction=10``, which forces the delta
+path even when a rule churns a large fraction of a tiny center, so the
+surgery code (not the rebuild fallback) is what gets exercised.
+``clocked`` keeps the service default: a clock advance shifts every
+relative deadline and sends it to the rebuild fallback, whose surgery
+tables are derived lazily when a later sparse rule takes the delta path
+— or at once, when the fallback is persisted and restored.
 """
+
+import pickle
 
 import hypothesis.strategies as st
 from hypothesis.stateful import (
@@ -23,6 +30,7 @@ from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, 
 from repro.core.instance import SubProblem
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
+from repro.obs.metrics import METRICS
 from repro.vdps.catalog import build_catalog
 from repro.vdps.delta import DeltaCatalog, catalog_diff
 
@@ -44,6 +52,7 @@ class CatalogChurnMachine(RuleBasedStateMachine):
         self.next_task = 0
         self.next_worker = 0
         self.delta = None
+        self.clocked = None
 
     # -- world assembly ----------------------------------------------------
 
@@ -77,6 +86,7 @@ class CatalogChurnMachine(RuleBasedStateMachine):
         self.delta = DeltaCatalog(
             self._sub(), epsilon=EPSILON, rebuild_fraction=10.0
         )
+        self.clocked = DeltaCatalog(self._sub(), epsilon=EPSILON)
 
     # -- delivery-point churn ----------------------------------------------
 
@@ -139,6 +149,31 @@ class CatalogChurnMachine(RuleBasedStateMachine):
             dp_id, Point(x, y), (self._task(dp_id, exp),)
         )
 
+    @rule(hours=st.floats(min_value=0.01, max_value=2.0), restore=st.booleans())
+    def clock_advances(self, hours, restore):
+        """Every relative deadline shrinks; tasks that run out drop.
+
+        ``clocked`` refreshes at once.  When that fell back to a rebuild,
+        ``restore`` persists and restores it right away, so the pickle
+        carries the tables derived from the rebuild.
+        """
+        for dp_id, dp in self.points.items():
+            self.points[dp_id] = dp.with_tasks(
+                tuple(
+                    SpatialTask(t.task_id, dp_id, t.expiry - hours, t.reward)
+                    for t in dp.tasks
+                    if t.expiry - hours > 0
+                )
+            )
+        fallbacks = METRICS.counter("catalog.delta_fallbacks").value
+        sub = self._sub()
+        diffs = catalog_diff(
+            self.clocked.refresh(sub), build_catalog(sub, epsilon=EPSILON)
+        )
+        assert not diffs, "; ".join(diffs)
+        if restore and METRICS.counter("catalog.delta_fallbacks").value > fallbacks:
+            self.clocked = pickle.loads(pickle.dumps(self.clocked))
+
     # -- worker churn ------------------------------------------------------
 
     @rule(x=coordinate, y=coordinate, cap=st.integers(1, 4))
@@ -183,10 +218,10 @@ class CatalogChurnMachine(RuleBasedStateMachine):
         if self.delta is None:
             return
         sub = self._sub()
-        refreshed = self.delta.refresh(sub)
         rebuilt = build_catalog(sub, epsilon=EPSILON)
-        diffs = catalog_diff(refreshed, rebuilt)
-        assert not diffs, "; ".join(diffs)
+        for catalog in (self.delta, self.clocked):
+            diffs = catalog_diff(catalog.refresh(sub), rebuilt)
+            assert not diffs, "; ".join(diffs)
 
 
 # Budget comes from the active Hypothesis profile (tests/conftest.py):

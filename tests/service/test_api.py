@@ -1,5 +1,6 @@
 """End-to-end tests for the HTTP API (server on an ephemeral port)."""
 
+import http.client
 import json
 import urllib.request
 
@@ -7,6 +8,7 @@ import pytest
 
 from repro.games.fgt import FGTSolver
 from repro.service import DispatchClient, DispatchEngine, DispatchServer, ServiceError
+from repro.service.api import _Handler
 
 from tests.service.conftest import make_world, task
 
@@ -128,6 +130,59 @@ class TestErrorHandling:
         with pytest.raises(ServiceError):
             client._json("GET", "/nope")
         assert client.health()["status"] == "ok"
+
+
+class _CountingWriter:
+    """Wraps a handler's socket writer and records every write."""
+
+    def __init__(self, raw, writes):
+        self._raw = raw
+        self._writes = writes
+
+    def write(self, data):
+        self._writes.append(bytes(data))
+        return self._raw.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+class TestKeepAlive:
+    def test_one_socket_write_per_response(self, server, monkeypatch):
+        """Headers and body leave together, so a kept-alive client never
+        waits on a delayed ACK between them."""
+        writes = []
+        setup = _Handler.setup
+
+        def counting_setup(handler):
+            setup(handler)
+            handler.wfile = _CountingWriter(handler.wfile, writes)
+
+        monkeypatch.setattr(_Handler, "setup", counting_setup)
+        host, port = server.url.split("//", 1)[1].split(":")
+        conn = http.client.HTTPConnection(host, int(port), timeout=5.0)
+        requests = [
+            ("GET", "/healthz", None),
+            ("POST", "/tasks", {"tasks": [task("ka1", "a1", 2.0)]}),
+            ("POST", "/dispatch", {"commit": False}),
+            ("GET", "/metrics", None),
+            ("GET", "/nowhere", None),
+        ]
+        try:
+            for method, path, payload in requests:
+                body = None if payload is None else json.dumps(payload)
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                response.read()
+                assert response.getheader("Content-Length") is not None
+            sock = conn.sock
+            conn.request("GET", "/healthz")
+            conn.getresponse().read()
+            assert conn.sock is sock  # the one connection stayed open
+        finally:
+            conn.close()
+        assert len(writes) == len(requests) + 1
+        assert all(w.startswith(b"HTTP/1.1 ") for w in writes)
 
 
 class TestLifecycle:

@@ -83,6 +83,49 @@ class TestDeltaBitIdentity:
         assert warm_rounds == cold_rounds
 
 
+#: The catalog work counters every build path must report alike.
+_WORK_COUNTERS = (
+    "cvdps.states_expanded",
+    "cvdps.candidates_tried",
+    "cvdps.deadline_rejections",
+    "catalog.strategies_built",
+)
+
+
+def _clock_loop_counts(delta):
+    """Work counters of one clock-advancing loop, plus the catalog paths."""
+    # No pruning, so the DP chains points; the short-lived task at a2
+    # makes some chains miss its deadline.
+    engine = _engine(seed=3, delta_catalog=delta, epsilon=None)
+    before = METRICS.snapshot()
+    for i in range(6):
+        now = engine.state.now
+        engine.state.add_tasks(
+            [task(f"c{i}a", "a2", now + 0.5), task(f"c{i}b", "b1", now + 1.1)]
+        )
+        engine.dispatch(advance_hours=0.05, commit=False)
+    moved = METRICS.delta(before)
+    counts = {name: moved.get(name, 0) for name in _WORK_COUNTERS}
+    paths = {
+        name: moved.get(name, 0)
+        for name in ("catalog.delta_fallbacks", "catalog.delta_applies")
+    }
+    return counts, paths
+
+
+class TestWorkCounters:
+    def test_clock_loop_counts_match_with_and_without_delta(self):
+        """A moving clock sends every delta refresh to the rebuild
+        fallback, which must count the same DP and strategy work as the
+        plain rebuild-per-miss engine."""
+        delta_counts, delta_paths = _clock_loop_counts(delta=True)
+        plain_counts, _ = _clock_loop_counts(delta=False)
+        assert delta_paths["catalog.delta_fallbacks"] > 0
+        assert delta_paths["catalog.delta_applies"] == 0
+        assert all(delta_counts[name] > 0 for name in _WORK_COUNTERS), delta_counts
+        assert delta_counts == plain_counts
+
+
 class TestCrashRecoverWarmStart:
     def _journaled_engine(self, journal_path, store, delta=True, seed=5):
         state = make_world(with_tasks=False)
