@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from operator import attrgetter
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -62,6 +64,9 @@ NULL_STRATEGY = WorkerStrategy(frozenset(), Route((), ()), 0.0)
 #: Bits per mask word (the conflict index packs point ids into uint64 words).
 _WORD_BITS = 64
 
+_POINT_IDS = attrgetter("point_ids")
+_PAYOFF = attrgetter("payoff")
+
 
 @dataclass(frozen=True)
 class WorkerIndex:
@@ -104,42 +109,69 @@ class CatalogIndex:
     then test availability with ``masks & claimed == 0`` over whole strategy
     lists instead of Python-level set intersections — the backbone of the
     vectorized best-response engine.
+
+    Workers share most of their point sets (every worker validates the
+    same C-VDPS subsets), so each distinct set is packed once into a
+    table row; the catalog's rows are one gather from that table, and
+    each worker's arrays are slices of the gathered arrays.
     """
 
     def __init__(self, strategies: Mapping[str, Tuple[WorkerStrategy, ...]]) -> None:
-        point_ids = sorted(
-            {
-                dp_id
-                for worker_strategies in strategies.values()
-                for strategy in worker_strategies
-                for dp_id in strategy.point_ids
-            }
-        )
+        bounds = [0, *accumulate(map(len, strategies.values()))]
+        flat = list(chain.from_iterable(strategies.values()))
+        point_sets = list(map(_POINT_IDS, flat))
+        # Distinct point sets in first-seen order, numbered, and the row of
+        # every strategy in that table.  (C-level map/dict passes feeding
+        # ``np.array``: they beat comprehensions and ``np.fromiter`` at
+        # every catalog size.)
+        row_of: Dict[FrozenSet[str], int] = dict.fromkeys(point_sets)
+        for row, subset in enumerate(row_of):
+            row_of[subset] = row
+        rows = np.array(list(map(row_of.__getitem__, point_sets)), dtype=np.intp)
+        point_ids = sorted(set().union(*row_of))
         self.point_bits: Dict[str, int] = {
             dp_id: bit for bit, dp_id in enumerate(point_ids)
         }
         self.n_words: int = max(
             1, -(-len(point_ids) // _WORD_BITS)
         )  # ceil, at least one word so masks never degenerate to width 0
+        masks = self._pack(row_of)[rows]
+        payoffs = np.array(list(map(_PAYOFF, flat)), dtype=np.float64)
+        single = np.array(list(map(len, row_of)), dtype=np.intp) == 1
+        # Size-1 positions of the whole catalog; each worker's share is
+        # made relative to the start of its segment.  (Method calls, not
+        # ``np.`` functions: this runs once per catalog per round, and on
+        # small centers numpy's dispatch overhead is most of the cost.)
+        singles = single[rows].nonzero()[0]
+        cuts = singles.searchsorted(bounds).tolist()
+        # Workers without strategies (common on small centers) share one
+        # all-empty view.
+        empty = WorkerIndex(masks=masks[:0], payoffs=payoffs[:0], size1=singles[:0])
         self._workers: Dict[str, WorkerIndex] = {}
-        for worker_id, worker_strategies in strategies.items():
-            n = len(worker_strategies)
-            masks = np.zeros((n, self.n_words), dtype=np.uint64)
-            payoffs = np.empty(n, dtype=np.float64)
-            size1: List[int] = []
-            for row, strategy in enumerate(worker_strategies):
-                payoffs[row] = strategy.payoff
-                for dp_id in strategy.point_ids:
-                    bit = self.point_bits[dp_id]
-                    word = bit // _WORD_BITS
-                    masks[row, word] |= np.uint64(1 << (bit % _WORD_BITS))
-                if strategy.size == 1:
-                    size1.append(row)
+        for k, worker_id in enumerate(strategies):
+            a, b = bounds[k], bounds[k + 1]
+            if a == b:
+                self._workers[worker_id] = empty
+                continue
+            size1 = singles[cuts[k] : cuts[k + 1]]
+            if a and size1.size:
+                size1 = size1 - a
             self._workers[worker_id] = WorkerIndex(
-                masks=masks,
-                payoffs=payoffs,
-                size1=np.asarray(size1, dtype=np.intp),
+                masks=masks[a:b], payoffs=payoffs[a:b], size1=size1
             )
+
+    def _pack(self, subsets: Iterable[FrozenSet[str]]) -> np.ndarray:
+        """``(len(subsets), n_words)`` uint64 masks, one row per subset.
+
+        Each subset becomes one Python integer (the sum of its points'
+        distinct bit values), split into 64-bit words, lowest word first.
+        """
+        value = {dp_id: 1 << bit for dp_id, bit in self.point_bits.items()}
+        ints = [sum(map(value.__getitem__, subset)) for subset in subsets]
+        shifts = range(0, self.n_words * _WORD_BITS, _WORD_BITS)
+        full = (1 << _WORD_BITS) - 1
+        words = [(m >> shift) & full for m in ints for shift in shifts]
+        return np.array(words, dtype=np.uint64).reshape(len(ints), self.n_words)
 
     def worker(self, worker_id: str) -> WorkerIndex:
         """The per-worker arrays; raises KeyError for unknown workers."""
@@ -183,11 +215,7 @@ class VDPSCatalog:
         # Both aggregates are O(total strategies) and read on hot paths
         # (solve_start trace events, reports), so they are computed once.
         self._max_vdps_size = max(
-            (
-                len(s.point_ids)
-                for worker_strategies in self._strategies.values()
-                for s in worker_strategies
-            ),
+            map(len, map(_POINT_IDS, chain.from_iterable(self._strategies.values()))),
             default=0,
         )
         self._total_strategy_count = sum(

@@ -30,13 +30,16 @@ step of randomised churn.
 Worker-level revalidation is restricted the same way: a worker is fully
 revalidated only when its own content changed (location → start offset,
 ``maxDP``, speed); untouched workers just drop strategies of removed
-subsets and validate the added entries.  Structural changes no delta can
+subsets and validate the added entries — flattened once per refresh into
+:class:`~repro.kernels.validate.EntryArrays` and scanned per worker by the
+same validation a full revalidation uses — then merge the two canonically
+ordered lists.  Structural changes no delta can
 express (center moved, travel model swapped) and churn above
 ``rebuild_fraction`` (e.g. a clock advance rewriting every relative
 deadline) fall back to a full rebuild — the same array-native build as
 ``build_catalog``, at the same price.  A fallback keeps only that build's
 catalog and C-VDPS table; the surgery tables (DP states, entries,
-per-worker strategy maps) are derived from them when a later refresh takes
+per-worker strategy tuples) are derived from them when a later refresh takes
 the delta path, so a clock-advancing loop never pays for them.
 
 Everything lands on the ``catalog.delta_*`` metrics surface
@@ -45,8 +48,9 @@ Everything lands on the ``catalog.delta_*`` metrics surface
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -108,12 +112,14 @@ class DeltaCatalog:
         (:func:`catalog_diff`).  Defeats the purpose in production; the
         harness tests and the bench's ``identical`` flag run on it.
     kernel:
-        Implementation tier for the full-rebuild DP and the full-worker
-        validation scans (``"scalar"`` or ``"vectorized"``; ``None``
-        resolves the process default).  The delta surgery itself
-        stays scalar — it touches few states by construction — and every
-        tier lands on the same bit-identical tables, so deltas applied
-        over a kernel-built table still match rebuilds exactly.
+        Implementation tier for the full-rebuild DP and every validation
+        scan — full revalidation of a changed worker and the added-entry
+        scan of an unchanged one (``"scalar"`` or ``"vectorized"``;
+        ``None`` resolves the process default).  The DP state surgery
+        runs in Python on either tier (it touches few states by
+        construction), and every tier lands on the same bit-identical
+        tables, so deltas applied over a kernel-built table still match
+        rebuilds exactly.
     """
 
     def __init__(
@@ -340,16 +346,14 @@ class DeltaCatalog:
         catalog = self._catalog
         self._workers: Dict[str, Worker] = {}
         self._offsets: Dict[str, Tuple[float, float]] = {}
-        self._strategies: Dict[str, Dict[FrozenSet[str], WorkerStrategy]] = {}
+        self._strategies: Dict[str, Tuple[WorkerStrategy, ...]] = {}
         for worker in catalog.workers:
             wid = worker.worker_id
             self._workers[wid] = worker
             self._offsets[wid] = worker_offset_factor(
                 worker, self._travel, self._center_location
             )
-            self._strategies[wid] = {
-                strategy.point_ids: strategy for strategy in catalog.strategies(wid)
-            }
+            self._strategies[wid] = catalog.strategies(wid)
         self._table = None
 
     # -- DP state surgery ---------------------------------------------------
@@ -522,30 +526,24 @@ class DeltaCatalog:
         """
         arrays = self._entry_arrays
         if arrays is None:
-            from repro.kernels.validate import EntryArrays
-
-            arrays = EntryArrays.from_entries(
-                [
-                    self._entries[subset]
-                    for subset in sorted(self._entries, key=_subset_sort_key)
-                ]
-            )
+            arrays = _flatten(self._entries)
             self._entry_arrays = arrays
         return arrays
 
-    def _validate_worker(self, worker: Worker) -> Dict[FrozenSet[str], WorkerStrategy]:
-        """Full Section IV validation of one worker against every entry."""
-        offset, factor = worker_offset_factor(
-            worker, self._travel, self._center_location
-        )
-        self._offsets[worker.worker_id] = (offset, factor)
-        from repro.kernels import resolve_kernel
+    def _scan(self, worker: Worker, arrays, scalar: bool) -> List[WorkerStrategy]:
+        """Section IV validation of one worker against ``arrays``' entries.
 
-        if resolve_kernel(self._kernel) != "scalar":
+        Returns the valid strategies in canonical catalog order.  The
+        vectorized tier is :func:`validate_worker_vectorized` (scalar
+        itself for speed-scaled workers and strict revalidation); the
+        ``scalar`` tier is the reference ``validate_entry`` loop.
+        """
+        offset, factor = self._offsets[worker.worker_id]
+        if not scalar:
             from repro.kernels.validate import validate_worker_vectorized
 
-            found = validate_worker_vectorized(
-                self._get_entry_arrays(),
+            return validate_worker_vectorized(
+                arrays,
                 worker,
                 offset,
                 factor,
@@ -553,11 +551,10 @@ class DeltaCatalog:
                 self._center_location,
                 self._strict,
             )
-            return {strategy.point_ids: strategy for strategy in found}
-        out: Dict[FrozenSet[str], WorkerStrategy] = {}
-        for subset in sorted(self._entries, key=_subset_sort_key):
+        found = []
+        for entry in arrays.entries:
             strategy = validate_entry(
-                self._entries[subset],
+                entry,
                 worker,
                 offset,
                 factor,
@@ -566,8 +563,9 @@ class DeltaCatalog:
                 self._strict,
             )
             if strategy is not None:
-                out[subset] = strategy
-        return out
+                found.append(strategy)
+        found.sort(key=strategy_sort_key)
+        return found
 
     def _apply_worker_churn(
         self,
@@ -575,16 +573,22 @@ class DeltaCatalog:
         removed_subsets: Set[FrozenSet[str]],
         added_entries: Dict[FrozenSet[str], CVdpsEntry],
     ) -> None:
-        """Revalidate changed workers fully; patch unchanged ones by delta."""
+        """Revalidate changed workers fully; patch unchanged ones by delta.
+
+        An unchanged worker keeps its strategies of surviving subsets and
+        validates only the added entries, flattened once per refresh and
+        scanned per worker like a full revalidation.  Both lists are in
+        canonical order, so one merge restores the catalog order.
+        """
+        from repro.kernels import resolve_kernel
+
+        scalar = resolve_kernel(self._kernel) == "scalar"
         live = {worker.worker_id: worker for worker in workers}
         for wid in [wid for wid in self._strategies if wid not in live]:
             del self._strategies[wid]
             self._offsets.pop(wid, None)
             self._workers.pop(wid, None)
-        ordered_added = [
-            added_entries[subset]
-            for subset in sorted(added_entries, key=_subset_sort_key)
-        ]
+        added = _flatten(added_entries) if added_entries else None
         revalidated = 0
         built = 0
         for wid, worker in live.items():
@@ -594,27 +598,20 @@ class DeltaCatalog:
                 # offset, maxDP the size filter, speed the scale factor):
                 # nothing incremental survives, validate from scratch.
                 self._workers[wid] = worker
-                self._strategies[wid] = self._validate_worker(worker)
-                revalidated += 1
-                built += len(self._strategies[wid])
-                continue
-            strategies = self._strategies[wid]
-            for subset in removed_subsets:
-                strategies.pop(subset, None)
-            offset, factor = self._offsets[wid]
-            for entry in ordered_added:
-                strategy = validate_entry(
-                    entry,
-                    worker,
-                    offset,
-                    factor,
-                    self._travel,
-                    self._center_location,
-                    self._strict,
+                self._offsets[wid] = worker_offset_factor(
+                    worker, self._travel, self._center_location
                 )
-                if strategy is not None:
-                    strategies[entry.point_ids] = strategy
-                    built += 1
+                found = self._scan(worker, self._get_entry_arrays(), scalar)
+                self._strategies[wid] = tuple(found)
+                revalidated += 1
+                built += len(found)
+                continue
+            kept = self._strategies[wid]
+            if removed_subsets:
+                kept = [s for s in kept if s.point_ids not in removed_subsets]
+            found = self._scan(worker, added, scalar) if added is not None else []
+            self._strategies[wid] = _merge(kept, found)
+            built += len(found)
         METRICS.counter("catalog.strategies_built").add(built)
         if revalidated:
             METRICS.counter("catalog.delta_workers_revalidated").add(revalidated)
@@ -624,25 +621,71 @@ class DeltaCatalog:
     def _materialize(self, workers: Tuple[Worker, ...]) -> VDPSCatalog:
         """Assemble the :class:`VDPSCatalog` a from-scratch build would return.
 
-        Per-worker strategy dicts sort into the canonical catalog order
-        (the sort key is a total order, so insertion history is erased);
+        Per-worker strategy tuples are kept in the canonical catalog order
+        (:func:`_merge`), so they are the catalog's tuples as they stand;
         ``cvdps_count`` filters the entry table by the *current* cap so a
         shrunk worker pool reports what its own build would generate.  The
         conflict index stays lazy, exactly like ``build_catalog``: equal
         strategy mappings build equal indexes on demand.
         """
         cap_now = max((w.max_delivery_points for w in workers), default=0)
-        strategies: Dict[str, Tuple[WorkerStrategy, ...]] = {}
-        for worker in workers:
-            found = sorted(
-                self._strategies[worker.worker_id].values(), key=strategy_sort_key
-            )
-            strategies[worker.worker_id] = tuple(found)
+        strategies = {
+            worker.worker_id: self._strategies[worker.worker_id] for worker in workers
+        }
         cvdps_count = sum(
             1 for subset in self._entries if len(subset) <= cap_now
         )
         self._catalog = VDPSCatalog(workers, strategies, self.epsilon, cvdps_count)
         return self._catalog
+
+
+def _flatten(entries: Dict[FrozenSet[str], CVdpsEntry]):
+    """``entries`` as :class:`~repro.kernels.validate.EntryArrays`.
+
+    Flattened in the canonical ``(size, ids)`` order, the order a full
+    build generates and validates entries in.
+    """
+    from repro.kernels.validate import EntryArrays
+
+    return EntryArrays.from_entries(
+        [entries[subset] for subset in sorted(entries, key=_subset_sort_key)]
+    )
+
+
+def _merge(
+    kept: Sequence[WorkerStrategy], new: List[WorkerStrategy]
+) -> Tuple[WorkerStrategy, ...]:
+    """Merge two strategy lists that are each in canonical catalog order.
+
+    The order is :func:`~repro.vdps.catalog.strategy_sort_key`: payoff
+    descending, ties by sorted point ids.  Each new strategy is placed by
+    bisecting the kept payoffs; the id tuples are built only on an exact
+    payoff tie, walking forward from the previous insertion point, so the
+    walks of one merge cover each kept position about once.  Keys are
+    unique per worker, so the result is the order a full sort would
+    produce.
+    """
+    if not new:
+        return tuple(kept)
+    keys = [-s.payoff for s in kept]
+    out: List[WorkerStrategy] = []
+    lo = 0
+    for strategy in new:
+        key = -strategy.payoff
+        hi = bisect_left(keys, key, lo)
+        if hi < len(keys) and keys[hi] == key:
+            own = strategy_sort_key(strategy)
+            while (
+                hi < len(keys)
+                and keys[hi] == key
+                and strategy_sort_key(kept[hi]) < own
+            ):
+                hi += 1
+        out.extend(kept[lo:hi])
+        out.append(strategy)
+        lo = hi
+    out.extend(kept[lo:])
+    return tuple(out)
 
 
 def catalog_diff(

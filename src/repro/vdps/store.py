@@ -28,7 +28,7 @@ from repro.obs.metrics import METRICS
 from repro.vdps.delta import DeltaCatalog
 
 #: Bump on any incompatible change to the pickled payload layout.
-STORE_FORMAT = 2
+STORE_FORMAT = 3
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 

@@ -340,7 +340,9 @@ def _assert_array_native_matches_scalar(sub, epsilon, strict=False):
 
     The array-native path serves ``build_catalog``'s vectorized tier and
     ``DeltaCatalog``'s rebuild; the latter is also checked after a
-    persist/restore round trip, which derives its surgery tables.
+    persist/restore round trip, which derives its surgery tables, and
+    under seeded churn through the surgery path
+    (:func:`_assert_delta_churn_matches_scalar`).
     """
     options = dict(epsilon=epsilon, strict_revalidation=strict)
     expected = build_catalog(sub, kernel="scalar", **options)
@@ -354,7 +356,69 @@ def _assert_array_native_matches_scalar(sub, epsilon, strict=False):
     ):
         diffs = catalog_diff(catalog, expected, check_index=True)
         assert not diffs, diffs
+    _assert_delta_churn_matches_scalar(sub, epsilon, strict)
     return expected
+
+
+def _churn_step(sub, rng, step):
+    """``sub`` with one or two delivery points' tasks churned.
+
+    Each picked point gains a task, has its first deadline moved, or
+    loses its first task.  Workers, service times and the layout stay as
+    they are, so every unchanged worker (speed-scaled ones included) is
+    patched by surgery rather than revalidated.
+    """
+    points = list(sub.center.delivery_points)
+    expiries = [t.expiry for dp in points for t in dp.tasks] or [1.0]
+    low, high = min(expiries), max(expiries)
+    for k in rng.choice(len(points), size=min(2, len(points)), replace=False):
+        dp = points[k]
+        op = int(rng.integers(3))
+        if op == 0 or not dp.tasks:
+            task = SpatialTask(
+                f"churn{step}_{k}",
+                dp.dp_id,
+                float(rng.uniform(low, high)),
+                float(rng.uniform(0.5, 2.0)),
+            )
+            points[k] = dp.with_tasks(dp.tasks + (task,))
+        elif op == 1:
+            moved = dataclasses.replace(
+                dp.tasks[0], expiry=float(rng.uniform(low, high))
+            )
+            points[k] = dp.with_tasks((moved,) + dp.tasks[1:])
+        else:
+            points[k] = dp.with_tasks(dp.tasks[1:])
+    center = DistributionCenter(
+        sub.center.center_id, sub.center.location, tuple(points)
+    )
+    return SubProblem(center, sub.workers, sub.travel)
+
+
+def _assert_delta_churn_matches_scalar(sub, epsilon, strict, steps=4):
+    """Surgery refreshes, under both tiers, ≡ scalar rebuilds at every step.
+
+    ``rebuild_fraction=10`` keeps every churned refresh on the delta path,
+    so the added entries of each step go through the unchanged workers'
+    scan — vectorized, its speed-scaled and strict fallbacks, or scalar.
+    """
+    if not sub.center.delivery_points:
+        return
+    options = dict(epsilon=epsilon, strict_revalidation=strict)
+    for tier in ("scalar", "vectorized"):
+        rng = np.random.default_rng(len(sub.center.delivery_points))
+        delta = DeltaCatalog(sub, rebuild_fraction=10, kernel=tier, **options)
+        current = sub
+        for step in range(steps):
+            current = _churn_step(current, rng, step)
+            refreshed = delta.refresh(current)
+            assert delta._last_path == "delta"
+            diffs = catalog_diff(
+                refreshed,
+                build_catalog(current, kernel="scalar", **options),
+                check_index=True,
+            )
+            assert not diffs, (tier, step, diffs)
 
 
 def _with_service_hours(sub, seed):

@@ -237,10 +237,33 @@ class TestCatalogStore:
         # ...and one refresh restores bit-identity, churn included.
         churned = _sub(
             [_dp("a", 1.0, 0.0, 5.0), _dp("c", 0.5, 0.5, 3.0)],
-            [_worker("w0", 0.0, 0.0)],
+            [_worker("w0", 0.0, 0.0), _worker("w1", 0.5, 0.0, cap=2)],
         )
         refreshed = restored.refresh(churned)
         assert not catalog_diff(refreshed, build_catalog(churned, epsilon=2.0))
+        # Persist straight after a delta-path refresh: the derived caches
+        # (flattened entry arrays, built for the joining worker; the
+        # catalog and its index) stay out of the pickle, and the restored
+        # tables keep applying churn exactly.
+        assert restored._last_path == "delta"
+        assert restored._entry_arrays is not None
+        restored.catalog.index
+        assert store.save("dc", "fp2", restored)
+        blob = store.path_for("dc").read_bytes()
+        assert b"EntryArrays" not in blob and b"CatalogIndex" not in blob
+        _, again = store.load("dc", 2.0)
+        assert again._catalog is None and again._entry_arrays is None
+        more = _sub(
+            [
+                _dp("b", 0.0, 1.0, 6.0),
+                _dp("c", 0.5, 0.5, 4.0),
+                _dp("d", 1.0, 1.0, 7.0),
+            ],
+            [_worker("w0", 0.0, 0.0), _worker("w1", 0.2, 0.3, cap=3)],
+        )
+        refreshed = again.refresh(more)
+        assert again._last_path == "delta"
+        assert not catalog_diff(refreshed, build_catalog(more, epsilon=2.0))
 
     def test_epsilon_and_center_mismatch_are_misses(self, tmp_path):
         _, delta = self._delta()

@@ -12,6 +12,7 @@ from repro.vdps.catalog import (
     WorkerStrategy,
     build_catalog,
 )
+from repro.vdps.delta import DeltaCatalog
 
 from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
 
@@ -39,6 +40,43 @@ def catalog(sub):
     return build_catalog(sub)
 
 
+def _oracle_catalogs(catalog):
+    """``catalog`` plus the shapes the packed index must also get right.
+
+    * 70 points in a row, so strategies reach bits past 63 (two words);
+    * a worker too far away to meet any deadline (zero strategies)
+      between workers that share every subset;
+    * the catalog a ``DeltaCatalog`` refresh returns after churn.
+    """
+    points = [make_dp(f"p{i:02d}", 0.1 * (i + 1), 0.0) for i in range(70)]
+    row_workers = (
+        make_worker("near", 0, 0),
+        make_worker("far", 500, 0),
+        make_worker("twin", 0, 0),
+    )
+    row = SubProblem(make_center(points), row_workers, unit_speed_travel())
+    wide = build_catalog(row, epsilon=0.15)
+    assert wide.index.n_words >= 2
+    assert not wide.strategies("far") and wide.strategies("near")
+    assert {s.point_ids for s in wide.strategies("near")} == {
+        s.point_ids for s in wide.strategies("twin")
+    }
+    base = [
+        make_dp(c, 1 + i, 0.5 * i, n_tasks=1 + i % 2) for i, c in enumerate("abcd")
+    ]
+    workers = (make_worker("w1", 0, 0), make_worker("w2", 1, 1, max_dp=2))
+    delta = DeltaCatalog(
+        SubProblem(make_center(base), workers, unit_speed_travel()),
+        rebuild_fraction=10,
+    )
+    churned = base[1:] + [make_dp("e", 2.5, 0.5), make_dp("a", 1, 0, n_tasks=3)]
+    refreshed = delta.refresh(
+        SubProblem(make_center(churned), workers, unit_speed_travel())
+    )
+    assert delta._last_path == "delta"
+    return [catalog, wide, refreshed]
+
+
 class TestCatalogIndex:
     def test_bits_assigned_in_sorted_id_order(self):
         index = CatalogIndex(
@@ -54,26 +92,32 @@ class TestCatalogIndex:
         assert index.worker("w").n_strategies == 0
 
     def test_masks_align_with_strategy_positions(self, catalog):
-        index = catalog.index
-        for wid in ("w1", "w2"):
-            wi = index.worker(wid)
-            strategies = catalog.strategies(wid)
-            assert wi.n_strategies == len(strategies)
-            for row, strategy in enumerate(strategies):
-                assert np.array_equal(
-                    wi.masks[row], index.mask_of(strategy.point_ids)
-                )
-                assert wi.payoffs[row] == strategy.payoff
+        for each in _oracle_catalogs(catalog):
+            index = each.index
+            for worker in each.workers:
+                wi = index.worker(worker.worker_id)
+                strategies = each.strategies(worker.worker_id)
+                assert wi.n_strategies == len(strategies)
+                assert wi.masks.dtype == np.uint64
+                assert wi.masks.shape == (len(strategies), index.n_words)
+                assert wi.payoffs.dtype == np.float64
+                for row, strategy in enumerate(strategies):
+                    assert np.array_equal(
+                        wi.masks[row], index.mask_of(strategy.point_ids)
+                    )
+                    assert wi.payoffs[row] == strategy.payoff
 
     def test_size1_positions_in_catalog_order(self, catalog):
-        for wid in ("w1", "w2"):
-            wi = catalog.index.worker(wid)
-            expected = [
-                row
-                for row, s in enumerate(catalog.strategies(wid))
-                if s.size == 1
-            ]
-            assert wi.size1.tolist() == expected
+        for each in _oracle_catalogs(catalog):
+            for worker in each.workers:
+                wi = each.index.worker(worker.worker_id)
+                expected = [
+                    row
+                    for row, s in enumerate(each.strategies(worker.worker_id))
+                    if s.size == 1
+                ]
+                assert wi.size1.dtype == np.intp
+                assert wi.size1.tolist() == expected
 
     def test_unknown_worker_raises(self, catalog):
         with pytest.raises(KeyError, match="nope"):
