@@ -265,12 +265,6 @@ def _build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--epsilon", type=float, default=None, help="pruning radius (km)")
     srv.add_argument("--seed", type=int, default=0)
     srv.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="per-center solve parallelism within each dispatch round",
-    )
-    srv.add_argument(
         "--verify",
         action="store_true",
         help="run the Def. 8 / Eq. 1-2 invariant checkers on every round",
@@ -319,8 +313,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--solve-deadline-s",
         type=float,
         default=None,
-        help="per-center solve budget in seconds; enables the degradation "
-        "ladder (primary -> scalar -> greedy -> skip)",
+        help="per-center solve budget in seconds for each rung of the "
+        "degradation ladder (primary -> greedy -> skip)",
     )
     srv.add_argument(
         "--solve-retries",
@@ -978,7 +972,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         state,
         solver,
         epsilon=args.epsilon,
-        n_jobs=args.n_jobs,
         verify=args.verify,
         seed=args.seed,
         **equity_kwargs,
@@ -1004,7 +997,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"dispatch service listening on {server.url}")
     print(
         f"  algorithm={engine.solver_name} epsilon={args.epsilon} "
-        f"n_jobs={args.n_jobs} verify={args.verify} seed={args.seed}"
+        f"verify={args.verify} seed={args.seed}"
     )
     print(
         f"  centers={len(state.centers)} workers={state.worker_count} "
@@ -1022,7 +1015,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"decay={ledger.decay} window={ledger.window} "
             f"ledger_rounds={ledger.rounds}"
         )
-    if engine.fault_tolerant:
+    if args.solve_deadline_s is not None or engine.faults is not None:
         print(
             f"  fault-tolerant: solve_deadline_s={args.solve_deadline_s} "
             f"retries={args.solve_retries} "
@@ -1104,7 +1097,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
         travel=instance.travel,
         epsilon=args.epsilon,
         shards=args.shards,
-        n_jobs=args.n_jobs,
         verify=args.verify,
         seed=args.seed,
         solve_deadline_s=args.solve_deadline_s,
@@ -1142,7 +1134,7 @@ def _serve_sharded(args: argparse.Namespace) -> int:
     print(f"dispatch service listening on {server.url}")
     print(
         f"  algorithm={engine.solver_name} epsilon={args.epsilon} "
-        f"n_jobs={args.n_jobs} verify={args.verify} seed={args.seed}"
+        f"verify={args.verify} seed={args.seed}"
     )
     print(
         f"  shards={args.shards} queue_bound={args.queue_bound} "

@@ -36,10 +36,10 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 _PROM_INVALID = re.compile(r"[^a-zA-Z0-9_:]")
 
 #: One lock shared by every instrument and the registry's get-or-create
-#: tables.  The dispatch engine's fault-tolerant path records from a thread
-#: pool, so increments and lazy creation must be race-free; recording is
-#: rare enough (hot loops batch locally and flush once) that a single
-#: uncontended lock costs nothing measurable.
+#: tables.  The dispatch engine records from solve-deadline threads, some
+#: abandoned and still running, so increments and lazy creation must be
+#: race-free; recording is rare enough (hot loops batch locally and flush
+#: once) that a single uncontended lock costs nothing measurable.
 _LOCK = threading.Lock()
 
 

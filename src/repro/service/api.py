@@ -240,7 +240,6 @@ class _Handler(BaseHTTPRequestHandler):
             "algorithm": engine.solver_name,
             "epsilon": engine.epsilon,
             "uptime_seconds": time.perf_counter() - self.server.started,
-            "fault_tolerant": engine.fault_tolerant,
             "breakers": engine.breakers.snapshot(),
         }
         if shards is not None:

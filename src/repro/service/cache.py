@@ -103,7 +103,7 @@ class SnapshotCatalogCache:
     ) -> Tuple[VDPSCatalog, bool]:
         """Like :meth:`get`, also reporting whether it was a hit.
 
-        The fault-tolerant engine needs the distinction: injected
+        The dispatch engine needs the distinction: injected
         cache-corruption only makes sense on a *hit* (a cold build is by
         definition fresh), and a corrupt entry must be invalidated so the
         retry's rebuild is clean.
@@ -182,7 +182,7 @@ class SnapshotCatalogCache:
     def invalidate(self, center_id: str) -> bool:
         """Drop one center's entry *and* its delta state; True if either existed.
 
-        The fault-tolerant engine calls this when a solve fails: the
+        The dispatch engine calls this when a solve fails: the
         failure may stem from a rotten cached catalog, and in delta mode
         the delta's internal tables are part of that state — the next miss
         pays one full rebuild and is guaranteed clean.

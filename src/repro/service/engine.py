@@ -8,8 +8,8 @@ the ROADMAP's production system must:
    freeze a :class:`~repro.service.state.WorldSnapshot` (solving happens
    outside the state lock, so churn keeps landing during a solve and is
    picked up next round).
-2. **Shard** — hand the snapshot's per-center sub-problems to
-   :func:`repro.parallel.solve_instance` (serial or process-pool), with
+2. **Solve** — walk each of the snapshot's per-center sub-problems down
+   the degradation ladder (Section VII-A: centers are independent), with
    catalogs served by the :class:`~repro.service.cache.SnapshotCatalogCache`
    so unchanged centers skip the C-VDPS rebuild.
 3. **Commit** — apply routes exactly like
@@ -23,23 +23,22 @@ and per-center streams ``"<solver.name>:<center_id>"`` — the exact streams
 :func:`repro.experiments.runner.run_algorithms` derives — so an offline
 ``run_algorithms(snapshot.instance(), ..., seed=engine.round_seed(i))``
 reproduces the service's committed routes, payoffs, and Equation 2
-``P_dif`` bit-for-bit.
+``P_dif`` bit-for-bit whenever every center's primary rung succeeds.
 
 With ``verify=True`` every per-center assignment passes the Definition 8 /
-Equations 1-2 checkers of :mod:`repro.verify` before it is committed.
-Every round emits a ``service.round`` tracer event and feeds the
-``service.dispatch_seconds`` latency histogram.
+Equations 1-2 checkers of :mod:`repro.verify` (catalog membership
+included) before it is committed.  Every round emits a ``service.round``
+tracer event and feeds the ``service.dispatch_seconds`` latency histogram.
 
-Fault tolerance (``docs/fault_tolerance.md``): passing ``solve_deadline_s``
-or a :class:`~repro.service.faults.FaultPlan` switches per-center solving
-to the degradation ladder — primary solver with retries + seeded-jitter
-backoff, then a deadline-capped scalar variant, then GTA greedy, then
-skip-the-center (tasks carry to the next round) — with a per-center
-circuit breaker that routes repeatedly-failing centers straight to the
-greedy rung.  Every rung's output is re-verified against the snapshot
-before use, so a corrupted cached catalog can only cost a rebuild, never a
-bad commit.  Without those knobs the engine runs the exact legacy path and
-stays bit-identical to it.
+Fault tolerance (``docs/fault_tolerance.md``): the ladder is the primary
+solver with retries + seeded-jitter backoff, then GTA greedy, then
+skip-the-center (tasks carry to the next round), with a per-center circuit
+breaker that routes repeatedly-failing centers straight to the greedy
+rung.  Without a ``solve_deadline_s`` the primary rung runs inline on the
+dispatch thread; with one, each attempt runs on a budgeted thread.  When a
+deadline or a :class:`~repro.service.faults.FaultPlan` is set, every
+rung's output is re-verified against the snapshot before use, so a
+corrupted cached catalog can only cost a rebuild, never a bad commit.
 """
 
 from __future__ import annotations
@@ -70,7 +69,9 @@ from repro.obs.tracer import (
     resolve_tracer,
     start_trace,
 )
-from repro.parallel import InstanceSolution, solve_instance, solve_subproblem
+from repro.parallel import InstanceSolution, solve_subproblem
+# Unused here; perfbench/launcher.py still wraps this name as a span boundary.
+from repro.parallel import solve_instance  # noqa: F401
 from repro.service.breaker import BreakerBoard, BreakerConfig
 from repro.service.cache import SnapshotCatalogCache
 from repro.vdps.store import CatalogStore
@@ -115,6 +116,11 @@ class SolveTimeout(RuntimeError):
 #: :class:`SolveTimeout` and the ladder degrades as usual.
 MAX_ABANDONED_SOLVES = 3
 
+#: The degradation ladder, most faithful rung first: the configured solver,
+#: the always-fast fairness-blind GTA greedy, then the null assignment that
+#: carries the center's tasks to the next round.
+LADDER = ("primary", "greedy", "skip")
+
 
 @dataclass(frozen=True)
 class RoundResult:
@@ -142,9 +148,8 @@ class RoundResult:
     cache_misses: int = 0
     verified_centers: int = 0
     duration_seconds: float = 0.0
-    #: ``center_id -> ladder rung`` that produced its assignment; empty on
-    #: the legacy (non-fault-tolerant) path.  Rung names: ``primary``,
-    #: ``scalar``, ``greedy``, ``skip``.
+    #: ``center_id -> ladder rung`` (one of :data:`LADDER`) that produced
+    #: the assignment of every solved center.
     degraded: Mapping[str, str] = field(default_factory=dict)
     #: Whether the round solved with ledger-weighted equity utilities.
     equity_mode: bool = False
@@ -197,30 +202,22 @@ class DispatchEngine:
         Any one-shot solver from the library (GTA/MPTA/FGT/IEGT/...).
     epsilon:
         VDPS pruning threshold for every center's catalog.
-    n_jobs:
-        Per-center solve parallelism: forwarded to
-        :func:`repro.parallel.solve_instance` on the legacy path, and the
-        size of the thread pool centers fan out across on the
-        fault-tolerant path.
     verify:
-        Run the assignment-level invariant checkers on every round.
+        Run the assignment-level invariant checkers (catalog membership
+        included) on every center of every round.
     seed:
         Root seed of the engine's per-round streams.
     trace:
         ``False``/``True``/tracer instance, resolved like the solvers'
         ``trace=`` field.
     solve_deadline_s:
-        Per-center wall-clock budget for each solve attempt.  Setting it
-        (or ``faults``) switches per-center solving to the fault-tolerant
-        degradation ladder; ``None`` with no faults runs the legacy
-        bit-identical path.
+        Per-center wall-clock budget for each solve attempt, run on its
+        own thread; ``None`` runs every attempt inline.
     solve_retries:
         Extra attempts of the *primary* rung after its first failure,
         separated by exponential backoff with seeded jitter.
     backoff_base_s:
         Base of the retry backoff (doubled per retry, jittered ×[0.5, 1.5)).
-    scalar_round_cap:
-        ``max_rounds`` cap of the degraded scalar rung.
     breaker:
         Per-center circuit-breaker tuning (``None`` = defaults); centers
         whose breaker is open skip straight to the greedy rung.
@@ -258,7 +255,6 @@ class DispatchEngine:
         state: WorldState,
         solver,
         epsilon: Optional[float] = None,
-        n_jobs: int = 1,
         verify: bool = False,
         seed: SeedLike = None,
         trace: object = False,
@@ -266,7 +262,6 @@ class DispatchEngine:
         solve_deadline_s: Optional[float] = None,
         solve_retries: int = 1,
         backoff_base_s: float = 0.05,
-        scalar_round_cap: int = 50,
         breaker: Optional[BreakerConfig] = None,
         breaker_clock=time.monotonic,
         faults: Optional[FaultPlan] = None,
@@ -275,8 +270,6 @@ class DispatchEngine:
         equity_mode: bool = False,
         equity_strength: float = DEFAULT_EQUITY_STRENGTH,
     ) -> None:
-        if n_jobs < 1:
-            raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
         if history_limit < 1:
             raise ValueError(f"history_limit must be >= 1, got {history_limit}")
         if solve_deadline_s is not None and not solve_deadline_s > 0:
@@ -287,8 +280,6 @@ class DispatchEngine:
             raise ValueError(f"solve_retries must be >= 0, got {solve_retries}")
         if backoff_base_s < 0:
             raise ValueError(f"backoff_base_s must be >= 0, got {backoff_base_s}")
-        if scalar_round_cap < 1:
-            raise ValueError(f"scalar_round_cap must be >= 1, got {scalar_round_cap}")
         if not equity_strength > 0:
             raise ValueError(
                 f"equity_strength must be > 0, got {equity_strength!r}"
@@ -297,7 +288,6 @@ class DispatchEngine:
         self._solver = solver
         self._name = str(getattr(solver, "name", type(solver).__name__))
         self._epsilon = epsilon
-        self._n_jobs = n_jobs
         self._verify = verify
         self._trace = trace
         self._rng = RngFactory(seed)
@@ -312,16 +302,21 @@ class DispatchEngine:
         self._solve_deadline_s = solve_deadline_s
         self._solve_retries = solve_retries
         self._backoff_base_s = backoff_base_s
-        self._scalar_round_cap = scalar_round_cap
         self._faults = resolve_faults(faults)
         self._breakers = BreakerBoard(breaker, breaker_clock)
-        # Timed-out solves that are still running, per center (each center
-        # is handled by one thread per round, so no extra locking needed).
+        # Timed-out solves that are still running, per center (centers are
+        # solved one at a time on the dispatch thread, so no extra locking).
         self._abandoned: Dict[str, List[Future]] = {}
-        self._fault_tolerant = (
-            solve_deadline_s is not None or self._faults is not None
+        self._greedy = GTASolver(epsilon=epsilon)
+        # Which accepted rungs are re-verified.  Two hazards make a rung's
+        # output untrustworthy: a timed-out attempt is abandoned, not
+        # killed, and keeps running against the center's DeltaCatalog while
+        # the retry refreshes it; and injected faults tamper with cache
+        # hits.  An inline solve without faults has neither, so it pays
+        # for verification only when ``verify=True`` asks for it.
+        self._verify_rungs = (
+            verify or solve_deadline_s is not None or self._faults is not None
         )
-        self._ladder = self._build_ladder() if self._fault_tolerant else ()
         self._equity_mode = bool(equity_mode)
         self._equity_strength = float(equity_strength)
         if self._equity_mode:
@@ -365,11 +360,6 @@ class DispatchEngine:
     @property
     def faults(self) -> Optional[FaultPlan]:
         return self._faults
-
-    @property
-    def fault_tolerant(self) -> bool:
-        """Whether per-center solves run on the degradation ladder."""
-        return self._fault_tolerant
 
     @property
     def equity_mode(self) -> bool:
@@ -475,41 +465,9 @@ class DispatchEngine:
         p_dif = 0.0
         avg_p = 0.0
         if snapshot.subproblems:
-            if self._fault_tolerant:
-                solution, degraded, verified = self._solve_fault_tolerant(
-                    snapshot, index, tracer, baselines
-                )
-            else:
-                catalogs = {
-                    sub.center.center_id: self._cache.get(
-                        sub,
-                        snapshot.fingerprints[sub.center.center_id],
-                        self._epsilon,
-                    )
-                    for sub in snapshot.subproblems
-                }
-                METRICS.counter("dispatch.center_solves").add(
-                    len(snapshot.subproblems)
-                )
-                solution = solve_instance(
-                    snapshot.instance(),
-                    self._with_equity(self._solver, baselines),
-                    epsilon=self._epsilon,
-                    seed=self.round_seed(index),
-                    n_jobs=self._n_jobs,
-                    seed_stream=self._name,
-                    catalogs=catalogs,
-                )
-                if self._verify:
-                    for sub in snapshot.subproblems:
-                        center_id = sub.center.center_id
-                        verify_assignment(
-                            solution.assignments[center_id],
-                            sub=sub,
-                            catalog=catalogs[center_id],
-                            solver=self._name,
-                        )
-                        verified += 1
+            solution, degraded, verified = self._solve_centers(
+                snapshot, index, tracer, baselines
+            )
             for center_id, assignment in solution.assignments.items():
                 assignments[center_id] = dict(assignment.as_mapping())
                 for pair in assignment:
@@ -605,49 +563,6 @@ class DispatchEngine:
 
     # -- the degradation ladder ---------------------------------------------
 
-    def _build_ladder(self) -> Tuple[Tuple[str, object], ...]:
-        """``(rung_name, solver)`` pairs, most faithful first.
-
-        ``primary`` is the configured solver; ``scalar`` is its
-        deadline-capped scalar variant when the solver supports one (FGT /
-        IEGT dataclasses); ``greedy`` is the always-fast fairness-blind
-        GTA; ``skip`` (solver ``None``) assigns every worker the null
-        strategy so the center's tasks carry to the next round.
-        """
-        rungs: List[Tuple[str, object]] = [("primary", self._solver)]
-        scalar = self._scalar_variant()
-        if scalar is not None:
-            rungs.append(("scalar", scalar))
-        rungs.append(("greedy", GTASolver(epsilon=self._epsilon)))
-        rungs.append(("skip", None))
-        return tuple(rungs)
-
-    def _scalar_variant(self):
-        """A capped scalar copy of the primary solver, or ``None``."""
-        if getattr(self._solver, "engine", None) != "vectorized":
-            return None
-        max_rounds = getattr(self._solver, "max_rounds", self._scalar_round_cap)
-        changes: Dict[str, object] = {
-            "engine": "scalar",
-            "max_rounds": min(max_rounds, self._scalar_round_cap),
-        }
-        try:
-            return dataclasses.replace(
-                self._solver, deadline_s=self._solve_deadline_s, **changes
-            )
-        except TypeError:
-            pass  # solver has no deadline_s field (e.g. IEGT)
-        try:
-            return dataclasses.replace(self._solver, **changes)
-        except TypeError:
-            return None
-
-    def _greedy_rung_index(self) -> int:
-        for i, (name, _) in enumerate(self._ladder):
-            if name == "greedy":
-                return i
-        return len(self._ladder) - 1
-
     def _with_equity(self, solver, baselines):
         """An equity-mode copy of ``solver``, or ``solver`` unchanged.
 
@@ -672,79 +587,49 @@ class DispatchEngine:
             changes["equity_strength"] = self._equity_strength
         return dataclasses.replace(solver, **changes)
 
-    def _solve_fault_tolerant(
+    def _solve_centers(
         self,
         snapshot: WorldSnapshot,
         index: int,
         tracer: NullTracer,
         baselines: Optional[Mapping[str, float]] = None,
     ) -> Tuple[InstanceSolution, Dict[str, str], int]:
-        """Solve each center down the ladder; never raises.
+        """Solve each center down the ladder, one after another; never raises.
 
         Seeds are derived exactly like :func:`repro.parallel.solve_instance`
         (``RngFactory(round_seed).seed_for(f"{name}:{center}")``), so a
-        center whose primary rung succeeds is bit-identical to the legacy
-        path.  Centers fan out across an ``n_jobs``-bounded thread pool
-        (the thread analogue of the legacy path's sharding — process pools
-        cannot carry the breaker/cache state); seeds are derived up front
-        and each center's walk is independent, so results are
-        bit-identical regardless of scheduling.
+        center whose primary rung succeeds is bit-identical to the offline
+        solve of the snapshot.
 
         Returns ``(solution, center -> rung, centers actually verified)``.
         """
         round_rng = RngFactory(self.round_seed(index))
         subs = snapshot.subproblems
-        seeds = {
-            sub.center.center_id: round_rng.seed_for(
-                f"{self._name}:{sub.center.center_id}"
-            )
-            for sub in subs
-        }
-
-        # contextvars stay on their thread: capture the round's context here
-        # and re-attach it inside each pool worker so per-center spans hang
-        # off the round span instead of becoming orphans.
-        ctx = current_context()
-
-        def solve(sub: SubProblem) -> Tuple[Assignment, str, bool]:
+        METRICS.counter("dispatch.center_solves").add(len(subs))
+        assignments: Dict[str, Assignment] = {}
+        degraded: Dict[str, str] = {}
+        for sub in subs:
             cid = sub.center.center_id
-            METRICS.counter("dispatch.center_solves").add(1)
-            if not tracer.enabled:
-                return self._solve_center(
-                    sub, snapshot, index, cid, seeds[cid], tracer, baselines
-                )
-            with attach_context(ctx):
+            seed = round_rng.seed_for(f"{self._name}:{cid}")
+            if tracer.enabled:
                 with tracer.span(
                     "service.center_solve", round=index, center=cid
                 ) as span:
-                    outcome = self._solve_center(
-                        sub, snapshot, index, cid, seeds[cid], tracer,
-                        baselines,
+                    assignment, rung = self._solve_center(
+                        sub, snapshot, index, cid, seed, tracer, baselines
                     )
-                    span.add(rung=outcome[1])
-            return outcome
-
-        if self._n_jobs > 1 and len(subs) > 1:
-            with ThreadPoolExecutor(
-                max_workers=min(self._n_jobs, len(subs)),
-                thread_name_prefix="dispatch-center",
-            ) as pool:
-                outcomes = list(pool.map(solve, subs))
-        else:
-            outcomes = [solve(sub) for sub in subs]
-
-        assignments: Dict[str, Assignment] = {}
-        degraded: Dict[str, str] = {}
-        verified = 0
-        for sub, (assignment, rung, checked) in zip(subs, outcomes):
-            cid = sub.center.center_id
+                    span.add(rung=rung)
+            else:
+                assignment, rung = self._solve_center(
+                    sub, snapshot, index, cid, seed, tracer, baselines
+                )
             assignments[cid] = assignment
             degraded[cid] = rung
-            verified += int(checked)
             if rung != "primary" and tracer.enabled:
                 tracer.event(
                     "service.degraded", round=index, center=cid, rung=rung
                 )
+        verified = len(subs) if self._verify_rungs else 0
         return InstanceSolution(assignments), degraded, verified
 
     def _solve_center(
@@ -756,25 +641,25 @@ class DispatchEngine:
         seed: int,
         tracer: NullTracer,
         baselines: Optional[Mapping[str, float]] = None,
-    ) -> Tuple[Assignment, str, bool]:
-        """One center's walk down the ladder.
+    ) -> Tuple[Assignment, str]:
+        """One center's walk down the ladder: ``(assignment, rung)``.
 
-        Returns ``(assignment, rung, verified)``; ``verified`` reports
-        whether the accepted assignment actually passed
-        :func:`~repro.verify.checkers.verify_assignment` (every rung,
-        including skip, currently does — the flag keeps the round's
-        ``verified_centers`` honest by construction).
+        Every rung, skip included, verifies what it accepts exactly when
+        ``_verify_rungs`` is set, so ``verified_centers`` stays honest.
         """
         breaker = self._breakers.for_center(cid)
         start = 0
         if not breaker.allow_primary():
-            start = self._greedy_rung_index()
+            start = LADDER.index("greedy")
             METRICS.counter("dispatch.breaker_shortcuts").add(1)
-        for rung_index in range(start, len(self._ladder)):
-            rung_name, solver = self._ladder[rung_index]
+        for rung_index in range(start, len(LADDER)):
+            rung_name = LADDER[rung_index]
             if rung_name == "skip":
                 METRICS.counter("dispatch.centers_skipped").add(1)
-                return self._skip_assignment(sub), rung_name, True
+                return self._skip_assignment(sub), rung_name
+            # Read per attempt, not captured at construction: a solver
+            # swapped on a live engine is the one that runs.
+            solver = self._solver if rung_name == "primary" else self._greedy
             attempts = 1 + (self._solve_retries if rung_name == "primary" else 0)
             for attempt in range(attempts):
                 if attempt:
@@ -816,7 +701,7 @@ class DispatchEngine:
                     continue
                 if rung_name == "primary":
                     breaker.record_success()
-                return assignment, rung_name, True
+                return assignment, rung_name
             if rung_name == "primary":
                 breaker.record_failure()
         raise AssertionError("degradation ladder must end with the skip rung")
@@ -835,24 +720,19 @@ class DispatchEngine:
         """One solve attempt under the deadline, fault hooks, and verify gate.
 
         The catalog fetch runs *inside* the budgeted thread (a cold C-VDPS
-        build is usually the slow part).  The returned assignment is always
-        re-verified against the snapshot's sub-problem, so a tampered
-        catalog cannot smuggle an infeasible route past the ladder.
+        build is usually the slow part).  Whenever rungs are verified (see
+        ``_verify_rungs``) the returned assignment is re-checked against
+        the snapshot's sub-problem, so a tampered catalog cannot smuggle an
+        infeasible route past the ladder; ``verify=True`` also checks it
+        against the attempt's catalog.
         """
         action = (
             self._faults.solver_action(round_index, cid, rung_index, attempt)
             if self._faults is not None
             else None
         )
-        # The deadline path runs the solve on a fresh thread; carry the rung
-        # span's context over so catalog spans nest under it.
-        ctx = current_context()
 
-        def run() -> Assignment:
-            with attach_context(ctx):
-                return _run_body()
-
-        def _run_body() -> Assignment:
+        def run() -> Tuple[Assignment, object]:
             if action is not None:
                 kind, seconds = action
                 if kind == "error":
@@ -873,13 +753,14 @@ class DispatchEngine:
             ):
                 METRICS.counter("dispatch.injected_corruptions").add(1)
                 catalog = FaultPlan.tamper(catalog)
-            return solve_subproblem(
+            assignment = solve_subproblem(
                 sub, solver, epsilon=self._epsilon, seed=seed, catalog=catalog
             )
+            return assignment, catalog
 
         deadline = self._solve_deadline_s
         if deadline is None:
-            assignment = run()
+            assignment, catalog = run()
         else:
             abandoned = self._abandoned.setdefault(cid, [])
             abandoned[:] = [f for f in abandoned if not f.done()]
@@ -893,10 +774,18 @@ class DispatchEngine:
             pool = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix=f"solve-{cid}"
             )
+            # The solve runs on a fresh thread; carry the rung span's
+            # context over so catalog spans nest under it.
+            ctx = current_context()
+
+            def run_in_context() -> Tuple[Assignment, object]:
+                with attach_context(ctx):
+                    return run()
+
             try:
-                future = pool.submit(run)
+                future = pool.submit(run_in_context)
                 try:
-                    assignment = future.result(timeout=deadline)
+                    assignment, catalog = future.result(timeout=deadline)
                 except _FutureTimeout:
                     # The timed-out solve finishes (and is discarded) in
                     # the background; remember it so a persistently hung
@@ -909,7 +798,13 @@ class DispatchEngine:
             finally:
                 # wait=False keeps the round's budget honest.
                 pool.shutdown(wait=False)
-        verify_assignment(assignment, sub=sub, solver=self._name)
+        if self._verify_rungs:
+            verify_assignment(
+                assignment,
+                sub=sub,
+                catalog=catalog if self._verify else None,
+                solver=self._name,
+            )
         return assignment
 
     def _backoff(self, round_index: int, cid: str, attempt: int) -> None:
@@ -930,7 +825,8 @@ class DispatchEngine:
         the ladder's never-raises contract.
         """
         assignment = Assignment(tuple(WorkerAssignment(w) for w in sub.workers))
-        verify_assignment(assignment, sub=sub, solver=self._name)
+        if self._verify_rungs:
+            verify_assignment(assignment, sub=sub, solver=self._name)
         return assignment
 
     # -- internals ----------------------------------------------------------
@@ -957,10 +853,7 @@ class DispatchEngine:
             if rung != "primary":
                 METRICS.counter("dispatch.degraded_total").add(1)
                 METRICS.counter(f"dispatch.degraded_{rung}").add(1)
-        if self._fault_tolerant:
-            METRICS.gauge("service.breaker.open").set(
-                self._breakers.open_count()
-            )
+        METRICS.gauge("service.breaker.open").set(self._breakers.open_count())
 
     def _record_fairness(self, result: RoundResult) -> None:
         """Rolling per-round fairness telemetry (the temporal-fairness hook).

@@ -334,14 +334,12 @@ class ShardedDispatchEngine:
         travel: Optional[TravelModel] = None,
         epsilon: Optional[float] = None,
         shards: int = 2,
-        n_jobs: int = 1,
         verify: bool = False,
         seed: Optional[int] = None,
         history_limit: int = 256,
         solve_deadline_s: Optional[float] = None,
         solve_retries: int = 1,
         backoff_base_s: float = 0.05,
-        scalar_round_cap: int = 50,
         faults: Optional[FaultPlan] = None,
         delta_catalog: bool = True,
         journal_dir=None,
@@ -370,9 +368,6 @@ class ShardedDispatchEngine:
         self._name = getattr(solver, "name", type(solver).__name__)
         self._epsilon = epsilon
         self._faults = resolve_faults(faults)
-        self._fault_tolerant = (
-            solve_deadline_s is not None or self._faults is not None
-        )
         self._history_limit = int(history_limit)
         self._history: List[RoundResult] = []
         self._last_committed: Optional[RoundResult] = None
@@ -419,12 +414,10 @@ class ShardedDispatchEngine:
                     solver=solver,
                     epsilon=epsilon,
                     seed=seed,
-                    n_jobs=n_jobs,
                     verify=verify,
                     solve_deadline_s=solve_deadline_s,
                     solve_retries=solve_retries,
                     backoff_base_s=backoff_base_s,
-                    scalar_round_cap=scalar_round_cap,
                     faults=worker_faults,
                     delta_catalog=delta_catalog,
                     journal_path=segment,
@@ -554,10 +547,6 @@ class ShardedDispatchEngine:
     @property
     def faults(self) -> Optional[FaultPlan]:
         return self._faults
-
-    @property
-    def fault_tolerant(self) -> bool:
-        return self._fault_tolerant
 
     @property
     def equity_mode(self) -> bool:

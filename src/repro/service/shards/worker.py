@@ -58,12 +58,10 @@ class ShardSpec:
     solver: object = None
     epsilon: Optional[float] = None
     seed: SeedLike = None
-    n_jobs: int = 1
     verify: bool = False
     solve_deadline_s: Optional[float] = None
     solve_retries: int = 1
     backoff_base_s: float = 0.05
-    scalar_round_cap: int = 50
     faults: Optional[FaultPlan] = None
     delta_catalog: bool = True
     journal_path: Optional[str] = None
@@ -107,13 +105,11 @@ class _ShardService:
             self.state,
             spec.solver,
             epsilon=spec.epsilon,
-            n_jobs=spec.n_jobs,
             verify=spec.verify,
             seed=spec.seed,
             solve_deadline_s=spec.solve_deadline_s,
             solve_retries=spec.solve_retries,
             backoff_base_s=spec.backoff_base_s,
-            scalar_round_cap=spec.scalar_round_cap,
             faults=spec.faults,
             delta_catalog=spec.delta_catalog,
         )

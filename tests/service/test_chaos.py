@@ -5,8 +5,8 @@ The ISSUE's robustness acceptance criteria live here:
 * with seeded ``FaultPlan`` chaos, every committed round still yields
   pairwise-disjoint, deadline-feasible (Definition 6 valid) assignments —
   the engine degrades, it never corrupts;
-* the fault-tolerant path with **no** faults is bit-identical to the
-  legacy engine (the differential guarantee);
+* a deadline or an inactive fault plan, with **no** faults firing, is
+  bit-identical to the plain engine (the differential guarantee);
 * round wall-clock stays bounded by
   ``solve_deadline_s x ladder length x attempts x centers + epsilon``.
 """
@@ -75,46 +75,34 @@ def _assert_round_valid(result):
 
 
 class TestDifferentialNoFault:
-    """Acceptance: the FT path without faults is bit-identical to legacy."""
+    """Acceptance: with no fault firing, every engine setup is bit-identical."""
 
     def test_ft_engine_matches_legacy_bit_for_bit(self):
-        legacy = _engine(seed=11)
-        ft = _engine(seed=11, solve_deadline_s=60.0)
-        assert not legacy.fault_tolerant and ft.fault_tolerant
+        # The deadline moves each attempt onto a budgeted thread and turns
+        # on rung verification; neither may change a single route.
+        plain = _engine(seed=11)
+        deadline = _engine(seed=11, solve_deadline_s=60.0)
         for _ in range(3):
-            a = legacy.dispatch(advance_hours=0.05)
-            b = ft.dispatch(advance_hours=0.05)
+            a = plain.dispatch(advance_hours=0.05)
+            b = deadline.dispatch(advance_hours=0.05)
             assert a.assignments == b.assignments
             assert a.payoffs == b.payoffs
             assert a.payoff_difference == b.payoff_difference
             assert a.average_payoff == b.average_payoff
             assert a.assigned_tasks == b.assigned_tasks
             # Rounds with no pending work have no centers to degrade.
-            assert set(b.degraded.values()) <= {"primary"}
-        assert legacy.state.fingerprint() == ft.state.fingerprint()
-
-    def test_ft_thread_fanout_matches_serial(self):
-        # The fault-tolerant path honours n_jobs by fanning centers out
-        # across a thread pool; seeds are derived per center up front, so
-        # the result is bit-identical to the serial walk.
-        serial = _engine(seed=11, solve_deadline_s=60.0)
-        threaded = _engine(seed=11, solve_deadline_s=60.0, n_jobs=4)
-        for _ in range(2):
-            a = serial.dispatch(advance_hours=0.05)
-            b = threaded.dispatch(advance_hours=0.05)
-            assert a.assignments == b.assignments
-            assert a.payoffs == b.payoffs
+            assert set(a.degraded.values()) <= {"primary"}
             assert a.degraded == b.degraded
-            assert a.verified_centers == b.verified_centers
-        assert serial.state.fingerprint() == threaded.state.fingerprint()
+        assert plain.state.fingerprint() == deadline.state.fingerprint()
 
     def test_inactive_fault_plan_is_still_bit_identical(self):
-        legacy = _engine(seed=11)
-        ft = _engine(seed=11, faults=FaultPlan(seed=1))  # all rates zero
-        a = legacy.dispatch()
-        b = ft.dispatch()
+        plain = _engine(seed=11)
+        inactive = _engine(seed=11, faults=FaultPlan(seed=1))  # all rates zero
+        a = plain.dispatch()
+        b = inactive.dispatch()
         assert a.assignments == b.assignments
         assert a.payoffs == b.payoffs
+        assert a.degraded == b.degraded
 
 
 class TestDegradationLadder:
@@ -222,7 +210,7 @@ class TestDeadlines:
         # at the deadline and the center must fall through to skip.
         assert set(result.degraded.values()) == {"skip"}
         centers = len(result.center_ids)
-        ladder = 4  # primary, scalar, greedy, skip
+        ladder = 3  # primary, greedy, skip
         bound = deadline * ladder * (1 + retries) * centers + 1.0
         assert elapsed <= bound, f"round took {elapsed:.2f}s > bound {bound:.2f}s"
         assert METRICS.counter("dispatch.solve_timeouts").value > 0

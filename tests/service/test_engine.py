@@ -15,6 +15,7 @@ from repro.games.fgt import FGTSolver
 from repro.parallel import solve_instance
 from repro.service.engine import DispatchEngine
 
+from tests.conftest import make_worker
 from tests.service.conftest import make_world, task
 
 
@@ -42,19 +43,43 @@ class TestOfflineFidelity:
         assert result.average_payoff == offline.average_payoff
         assert sorted(result.payoffs.values()) == sorted(offline.payoffs)
 
-    def test_round_routes_match_solve_instance(self):
-        engine = _engine(seed=11)
-        snapshot = engine.state.snapshot()
-        solution = solve_instance(
-            snapshot.instance(),
-            FGTSolver(epsilon=0.8),
-            epsilon=0.8,
-            seed=engine.round_seed(0),
-            seed_stream="FGT",  # the engine passes solver.name
-        )
-        result = engine.dispatch()
-        for center_id, assignment in solution.assignments.items():
-            assert result.assignments[center_id] == dict(assignment.as_mapping())
+    @pytest.mark.parametrize(
+        "solve_deadline_s", [None, 60.0], ids=["inline", "deadline"]
+    )
+    def test_round_routes_match_solve_instance(self, solve_deadline_s):
+        # Every committed round replays offline, not just the first: fresh
+        # workers and tasks arrive before rounds 1 and 2 (the clock stays
+        # put), so each round solves against the previous commits.
+        engine = _engine(seed=11, solve_deadline_s=solve_deadline_s)
+        for i in range(3):
+            if i:
+                engine.state.add_workers(
+                    [
+                        make_worker(f"wa-{i}", 0.0, 0.2, max_dp=2, center_id="A"),
+                        make_worker(f"wb-{i}", 10.0, 0.2, max_dp=2, center_id="B"),
+                    ]
+                )
+                engine.state.add_tasks(
+                    [task(f"ta-{i}", "a2", 1.3), task(f"tb-{i}", "b1", 1.3)]
+                )
+            snapshot = engine.state.snapshot()
+            solution = solve_instance(
+                snapshot.instance(),
+                FGTSolver(epsilon=0.8),
+                epsilon=0.8,
+                seed=engine.round_seed(i),
+                seed_stream="FGT",  # the engine passes solver.name
+            )
+            result = engine.dispatch()
+            assert result.committed and result.round_index == i
+            assert result.assigned_tasks > 0
+            assert set(result.center_ids) == set(solution.assignments)
+            for center_id, assignment in solution.assignments.items():
+                assert result.assignments[center_id] == dict(
+                    assignment.as_mapping()
+                )
+            assert result.payoff_difference == solution.payoff_difference
+            assert result.average_payoff == solution.average_payoff
 
     def test_round_seed_is_reproducible(self):
         assert _engine(seed=3).round_seed(5) == _engine(seed=3).round_seed(5)
@@ -153,6 +178,29 @@ class TestDispatchRounds:
         result = engine.dispatch()
         assert result.verified_centers == len(result.center_ids) > 0
 
+    @pytest.mark.parametrize("solve_deadline_s", [None, 60.0])
+    def test_verify_checks_catalog_membership(self, monkeypatch, solve_deadline_s):
+        # verify=True must check every accepted route against the catalog
+        # the attempt solved with, with or without a solve deadline.
+        import repro.service.engine as engine_module
+
+        calls = []
+        real = engine_module.verify_assignment
+
+        def spy(assignment, **kwargs):
+            calls.append(kwargs)
+            return real(assignment, **kwargs)
+
+        monkeypatch.setattr(engine_module, "verify_assignment", spy)
+        engine = _engine(seed=2, verify=True, solve_deadline_s=solve_deadline_s)
+        result = engine.dispatch()
+        assert result.verified_centers == len(result.center_ids) == len(calls) > 0
+        assert all(call.get("catalog") is not None for call in calls)
+
+    def test_unverified_rounds_count_no_verified_centers(self):
+        result = _engine(seed=2).dispatch()
+        assert result.center_ids and result.verified_centers == 0
+
     def test_failing_round_propagates_not_swallowed(self):
         # The engine surfaces round failures (the API layer maps them to
         # HTTP 500); nothing may be committed from a failed round.
@@ -163,12 +211,6 @@ class TestDispatchRounds:
         with pytest.raises(InvariantViolation):
             engine.dispatch()
         assert engine.last_committed is None
-
-    def test_n_jobs_matches_serial(self):
-        serial = _engine(seed=9, n_jobs=1).dispatch()
-        parallel = _engine(seed=9, n_jobs=2).dispatch()
-        assert serial.payoffs == parallel.payoffs
-        assert serial.assignments == parallel.assignments
 
     def test_history_is_bounded_and_ordered(self):
         engine = DispatchEngine(
@@ -189,8 +231,8 @@ class TestDispatchRounds:
         assert isinstance(payload["assignments"], dict)
 
     def test_constructor_validation(self):
-        with pytest.raises(ValueError, match="n_jobs"):
-            DispatchEngine(make_world(), GTASolver(), n_jobs=0)
+        with pytest.raises(ValueError, match="solve_deadline_s"):
+            DispatchEngine(make_world(), GTASolver(), solve_deadline_s=0.0)
         with pytest.raises(ValueError, match="history_limit"):
             DispatchEngine(make_world(), GTASolver(), history_limit=0)
 

@@ -55,10 +55,10 @@ class TestSpanTreeCompleteness:
         assert len(round_roots) == 1
 
     def test_fault_tolerant_parallel_round_has_no_orphans(self):
-        # The thread pool must not break causality: every center span and
-        # rung span reconnects to its round even with n_jobs > 1.
+        # The deadline thread must not break causality: every center span
+        # and rung span reconnects to its round across the thread hop.
         tracer = MemoryTracer()
-        engine = _engine(trace=tracer, solve_deadline_s=30.0, n_jobs=2)
+        engine = _engine(trace=tracer, solve_deadline_s=30.0)
         engine.dispatch()
         forest = build_span_trees([self._parse(r) for r in tracer.records])
         assert forest.orphans == []
@@ -132,7 +132,7 @@ class TestTracingDeterminism:
 
     def test_fault_tolerant_path_is_trace_invariant(self):
         def run(trace):
-            engine = _engine(trace=trace, solve_deadline_s=30.0, n_jobs=2)
+            engine = _engine(trace=trace, solve_deadline_s=30.0)
             return _fingerprint(engine.dispatch())
 
         assert run(False) == run(MemoryTracer())
