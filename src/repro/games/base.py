@@ -10,7 +10,7 @@ solvers stay small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -55,11 +55,20 @@ class GameState:
         """The strategy ``worker_id`` currently plays (null if none)."""
         return self._strategy[worker_id]
 
-    def set_strategy(self, worker_id: str, strategy: WorkerStrategy) -> None:
+    def set_strategy(
+        self,
+        worker_id: str,
+        strategy: WorkerStrategy,
+        position: Optional[int] = None,
+    ) -> None:
         """Switch ``worker_id`` to ``strategy``, updating claimed points.
 
-        Raises :class:`ValueError` if the strategy overlaps points claimed
-        by another worker — solvers must only offer available strategies.
+        ``position`` is the strategy's position in
+        ``catalog.strategies(worker_id)`` when the caller knows it; the
+        conflict mask is then read from that index row instead of being
+        packed point by point.  Raises :class:`ValueError` if the strategy
+        overlaps points claimed by another worker — solvers must only offer
+        available strategies.
         """
         for dp_id in strategy.point_ids:
             owner = self._claimed_by.get(dp_id)
@@ -73,11 +82,14 @@ class GameState:
             self._claimed_by[dp_id] = worker_id
         self._strategy[worker_id] = strategy
         if self._masks_exact:
-            try:
-                new_words = self.catalog.index.mask_of(strategy.point_ids)
-            except KeyError:
-                self._masks_exact = False
-                return
+            if position is not None:
+                new_words = self.catalog.index.worker(worker_id).masks[position]
+            else:
+                try:
+                    new_words = self.catalog.index.mask_of(strategy.point_ids)
+                except KeyError:
+                    self._masks_exact = False
+                    return
             # Disjointness (checked above) makes XOR an exact release of the
             # worker's previous bits; OR then claims the new ones.
             self._claimed_words ^= self._worker_words[worker_id]
@@ -166,7 +178,7 @@ def random_initial_state(
         candidates = wi.size1[~conflict]
         if candidates.size:
             pick = int(candidates[int(rng.integers(0, candidates.size))])
-            state.set_strategy(wid, catalog.strategies(wid)[pick])
+            state.set_strategy(wid, catalog.strategies(wid)[pick], pick)
     return state
 
 

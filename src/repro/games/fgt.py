@@ -454,7 +454,9 @@ class FGTSolver:
             others[idx:] = scaled[idx + 1 :]
             evaluator = IAUEvaluator(others, model)
             current = state.strategy_of(wid)
-            best_strategy = NULL_STRATEGY
+            # Position of the best available strategy; -1 is null.  The
+            # strategy object is built only if the worker switches to it.
+            best_pos = -1
             null_value = (
                 NULL_STRATEGY.payoff
                 if base is None
@@ -476,7 +478,7 @@ class FGTSolver:
                     ties = np.flatnonzero(utilities == accepted)
                     if ties.size > 1:
                         pos = int(ties[int(rng.integers(ties.size))])
-                    best_strategy = catalog.strategies(wid)[int(available[pos])]
+                    best_pos = int(available[pos])
             current_value = current.payoff * scales[idx]
             if base is not None:
                 current_value = current_value + base[idx]
@@ -484,6 +486,12 @@ class FGTSolver:
             switched = 0
             if best_utility > current_utility + self.tol:
                 verifier.on_switch(wid, round_index, current_utility, best_utility)
+                if best_pos < 0:
+                    best_strategy = NULL_STRATEGY
+                    state.set_strategy(wid, best_strategy)
+                else:
+                    best_strategy = catalog.strategies(wid)[best_pos]
+                    state.set_strategy(wid, best_strategy, best_pos)
                 if tracer.enabled:
                     tracer.event(
                         "fgt.switch",
@@ -493,7 +501,6 @@ class FGTSolver:
                         utility_after=best_utility,
                         payoff=best_strategy.payoff,
                     )
-                state.set_strategy(wid, best_strategy)
                 payoffs[idx] = best_strategy.payoff
                 value = best_strategy.payoff * scales[idx]
                 scaled[idx] = value if base is None else value + base[idx]

@@ -357,5 +357,7 @@ class IEGTSolver:
         if not better.size:
             return False
         pick = int(better[int(rng.integers(0, better.size))])
-        state.set_strategy(worker_id, state.catalog.strategies(worker_id)[pick])
+        state.set_strategy(
+            worker_id, state.catalog.strategies(worker_id)[pick], pick
+        )
         return True

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.utils.rng import RngFactory
-from repro.vdps.catalog import VDPSCatalog, WorkerStrategy
+from repro.vdps.catalog import VDPSCatalog, WorkerStrategies
 from repro.core.routing import Route
 
 #: Environment variable carrying a process-wide fault-plan spec.
@@ -157,11 +157,14 @@ class FaultPlan:
         route's stored arrival times are shifted ~1000 h into the future:
         assignment validation (Definition 8 deadline feasibility) or the
         engine's per-rung :func:`repro.verify` payoff re-derivation must
-        reject any solve that picks it.
+        reject any solve that picks it.  The copy shares the catalog's
+        columns and conflict index; only its cache differs, pre-filled
+        with the shifted strategy at position 0.
         """
-        tampered: Dict[str, Tuple[WorkerStrategy, ...]] = {}
+        tampered: Dict[str, WorkerStrategies] = {}
         for worker in catalog.workers:
             strategies = catalog.strategies(worker.worker_id)
+            broken = {}
             if strategies:
                 first = strategies[0]
                 broken_route = Route(
@@ -170,12 +173,16 @@ class FaultPlan:
                         t + _CORRUPTION_SHIFT_HOURS for t in first.route.arrival_times
                     ),
                 )
-                strategies = (
-                    dataclasses.replace(first, route=broken_route),
-                ) + strategies[1:]
-            tampered[worker.worker_id] = strategies
+                broken[0] = dataclasses.replace(first, route=broken_route)
+            tampered[worker.worker_id] = strategies.replaced(broken)
+        # Point sets and payoffs are untouched, so the index is shared.
         return VDPSCatalog(
-            catalog.workers, tampered, catalog.epsilon, catalog.cvdps_count
+            catalog.workers,
+            catalog.arrays,
+            tampered,
+            catalog.epsilon,
+            catalog.cvdps_count,
+            index=catalog.index,
         )
 
     # -- parsing ------------------------------------------------------------

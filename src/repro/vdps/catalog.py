@@ -5,15 +5,35 @@ worker's travel time to the distribution center and the task expiration
 times.  The result — every VDPS of every worker, with its minimal-time route
 and precomputed payoff — is the strategy space of both games, so it is built
 once per sub-problem and shared by all solvers.
+
+The catalog is columnar.  Validation keeps, per worker, the rows of the
+center's shared :class:`~repro.kernels.validate.EntryArrays` that pass and
+their payoffs, in canonical catalog order (:class:`WorkerStrategies`); the
+conflict index (:class:`CatalogIndex`) gathers the entries' packed point
+masks by row.  FGT's best response reads only those payoffs and masks, so
+``Route`` and :class:`WorkerStrategy` objects exist only for the strategies
+a solver picks: ``catalog.strategies(wid)[pos]`` builds one on first access
+and caches it.  Solvers that walk whole strategy spaces (GTA, MPTA,
+exhaustive search) get every object of a worker in one batched pass.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from operator import attrgetter
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from itertools import accumulate
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+)
 
 import numpy as np
 
@@ -64,8 +84,120 @@ NULL_STRATEGY = WorkerStrategy(frozenset(), Route((), ()), 0.0)
 #: Bits per mask word (the conflict index packs point ids into uint64 words).
 _WORD_BITS = 64
 
-_POINT_IDS = attrgetter("point_ids")
-_PAYOFF = attrgetter("payoff")
+
+class WorkerStrategies(Sequence):
+    """One worker's strategies as columns: entry rows and payoffs.
+
+    Position ``r`` is the strategy of entry ``rows[r]`` of the catalog's
+    :class:`~repro.kernels.validate.EntryArrays` with payoff
+    ``payoffs[r]``, in canonical catalog order.  ``self[r]`` builds the
+    :class:`WorkerStrategy` on first access and caches it, so repeated
+    (and concurrent) reads return the same object; iterating builds every
+    missing position in one batched pass.  ``objects``, when given, are
+    the column's strategies, one per position (the scalar validation path
+    keeps its exact objects: it re-times routes a row cannot describe),
+    and nothing is ever built from the rows.  Compares equal to a tuple
+    of the same strategies.
+    """
+
+    __slots__ = ("arrays", "rows", "payoffs", "offset", "_cache", "_all")
+
+    def __init__(
+        self,
+        arrays,
+        rows: np.ndarray,
+        payoffs: np.ndarray,
+        offset: float,
+        objects: Optional[Sequence[WorkerStrategy]] = None,
+    ) -> None:
+        #: The shared entry table the rows index.
+        self.arrays = arrays
+        #: ``(n,)`` intp — entry row of each position.
+        self.rows = rows
+        #: ``(n,)`` float64 — Equation-1 payoff of each position.
+        self.payoffs = payoffs
+        #: The worker's start offset (hours), added to every arrival time.
+        self.offset = offset
+        self._cache: Dict[int, WorkerStrategy] = {}
+        self._all: Optional[Tuple[WorkerStrategy, ...]] = None
+        if objects is not None:
+            if len(objects) != rows.size:
+                raise ValueError(
+                    f"{len(objects)} strategy objects for {rows.size} rows"
+                )
+            self._all = tuple(objects)
+
+    def __len__(self) -> int:
+        return self.rows.size
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return self._tuple()[pos]
+        pos = operator.index(pos)
+        if self._all is not None:
+            return self._all[pos]
+        strategy = self._cache.get(pos)
+        if strategy is not None:
+            return strategy
+        n = self.rows.size
+        if pos < 0:
+            pos += n
+        if not 0 <= pos < n:
+            raise IndexError("strategy position out of range")
+        built = self.arrays.strategy_objects(
+            self.rows[pos : pos + 1], self.payoffs[pos : pos + 1], self.offset
+        )[0]
+        strategy = self._cache.setdefault(pos, built)
+        if strategy is built:
+            METRICS.counter("catalog.strategies_materialised").add(1)
+        return strategy
+
+    def __iter__(self) -> Iterator[WorkerStrategy]:
+        return iter(self._tuple())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, WorkerStrategies):
+            return self._tuple() == other._tuple()
+        if isinstance(other, (tuple, list)):
+            return self._tuple() == tuple(other)
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return f"WorkerStrategies({self._tuple()!r})"
+
+    def replaced(self, objects: Mapping[int, WorkerStrategy]) -> "WorkerStrategies":
+        """A copy over the same columns whose cache holds ``objects``."""
+        if self._all is not None:
+            merged = list(self._all)
+            for pos, strategy in objects.items():
+                merged[pos] = strategy
+            return WorkerStrategies(
+                self.arrays, self.rows, self.payoffs, self.offset, merged
+            )
+        copy = WorkerStrategies(self.arrays, self.rows, self.payoffs, self.offset)
+        copy._cache.update(self._cache)
+        copy._cache.update(objects)
+        return copy
+
+    def _tuple(self) -> Tuple[WorkerStrategy, ...]:
+        """Every strategy, the missing ones built in one batched pass."""
+        if self._all is None:
+            cache = self._cache
+            missing = [pos for pos in range(self.rows.size) if pos not in cache]
+            if missing:
+                idx = np.array(missing, dtype=np.intp)
+                built = self.arrays.strategy_objects(
+                    self.rows[idx], self.payoffs[idx], self.offset
+                )
+                # setdefault: a racing first build of a position wins.
+                fresh = sum(
+                    cache.setdefault(pos, s) is s for pos, s in zip(missing, built)
+                )
+                METRICS.counter("catalog.strategies_materialised").add(fresh)
+            self._all = tuple(map(cache.__getitem__, range(self.rows.size)))
+        return self._all
 
 
 @dataclass(frozen=True)
@@ -99,56 +231,66 @@ class WorkerIndex:
         conflict = (self.masks & claimed_words).any(axis=1)
         return np.flatnonzero(~conflict)
 
+    def position_of(self, mask: np.ndarray) -> int:
+        """The position whose point set is exactly ``mask``, or ``-1``."""
+        hits = np.flatnonzero((self.masks == mask).all(axis=1))
+        return int(hits[0]) if hits.size else -1
+
 
 class CatalogIndex:
     """Bitmask conflict index over a catalog's delivery points.
 
-    Every delivery point referenced by any strategy gets a bit position
-    (assigned in sorted-id order, so the index is deterministic); each
-    strategy becomes a packed uint64 bitmask over those positions.  Solvers
-    then test availability with ``masks & claimed == 0`` over whole strategy
+    Every delivery point some strategy uses gets a bit position (assigned
+    in sorted-id order, so the index is deterministic); each strategy
+    becomes a packed uint64 bitmask over those positions.  Solvers then
+    test availability with ``masks & claimed == 0`` over whole strategy
     lists instead of Python-level set intersections — the backbone of the
     vectorized best-response engine.
 
-    Workers share most of their point sets (every worker validates the
-    same C-VDPS subsets), so each distinct set is packed once into a
-    table row; the catalog's rows are one gather from that table, and
-    each worker's arrays are slices of the gathered arrays.
+    The masks are not packed here: each entry of the catalog's
+    :class:`~repro.kernels.validate.EntryArrays` carries its packed point
+    set (the DP's own subset mask on a full build).  The index gathers the
+    distinct kept entries' masks, compacts their bits to the points some
+    strategy uses, and gathers each worker's rows from that table.
     """
 
-    def __init__(self, strategies: Mapping[str, Tuple[WorkerStrategy, ...]]) -> None:
-        bounds = [0, *accumulate(map(len, strategies.values()))]
-        flat = list(chain.from_iterable(strategies.values()))
-        point_sets = list(map(_POINT_IDS, flat))
-        # Distinct point sets in first-seen order, numbered, and the row of
-        # every strategy in that table.  (C-level map/dict passes feeding
-        # ``np.array``: they beat comprehensions and ``np.fromiter`` at
-        # every catalog size.)
-        row_of: Dict[FrozenSet[str], int] = dict.fromkeys(point_sets)
-        for row, subset in enumerate(row_of):
-            row_of[subset] = row
-        rows = np.array(list(map(row_of.__getitem__, point_sets)), dtype=np.intp)
-        point_ids = sorted(set().union(*row_of))
+    def __init__(self, arrays, columns: Mapping[str, WorkerStrategies]) -> None:
+        row_parts = [c.rows for c in columns.values()]
+        bounds = [0, *accumulate(map(len, row_parts))]
+        rows = (
+            np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.intp)
+        )
+        # The distinct kept entries, each packed once, and their union.
+        kept = np.zeros(arrays.n_entries, dtype=bool)
+        kept[rows] = True
+        distinct = kept.nonzero()[0]
+        table = arrays.masks[distinct]
+        union = np.bitwise_or.reduce(table, axis=0) if distinct.size else table[:0]
+        used = np.unpackbits(union.view(np.uint8), bitorder="little").nonzero()[0]
+        points = arrays.points
         self.point_bits: Dict[str, int] = {
-            dp_id: bit for bit, dp_id in enumerate(point_ids)
+            points[i].dp_id: bit for bit, i in enumerate(used.tolist())
         }
         self.n_words: int = max(
-            1, -(-len(point_ids) // _WORD_BITS)
+            1, -(-used.size // _WORD_BITS)
         )  # ceil, at least one word so masks never degenerate to width 0
-        masks = self._pack(row_of)[rows]
-        payoffs = np.array(list(map(_PAYOFF, flat)), dtype=np.float64)
-        single = np.array(list(map(len, row_of)), dtype=np.intp) == 1
+        table = _compact(table, used, self.n_words)
+        slot = np.zeros(arrays.n_entries, dtype=np.intp)
+        slot[distinct] = np.arange(distinct.size)
+        masks = table[slot[rows]]
         # Size-1 positions of the whole catalog; each worker's share is
         # made relative to the start of its segment.  (Method calls, not
         # ``np.`` functions: this runs once per catalog per round, and on
         # small centers numpy's dispatch overhead is most of the cost.)
-        singles = single[rows].nonzero()[0]
+        singles = (arrays.sizes[rows] == 1).nonzero()[0]
         cuts = singles.searchsorted(bounds).tolist()
         # Workers without strategies (common on small centers) share one
         # all-empty view.
-        empty = WorkerIndex(masks=masks[:0], payoffs=payoffs[:0], size1=singles[:0])
+        empty = WorkerIndex(
+            masks=masks[:0], payoffs=np.empty(0, dtype=np.float64), size1=singles[:0]
+        )
         self._workers: Dict[str, WorkerIndex] = {}
-        for k, worker_id in enumerate(strategies):
+        for k, (worker_id, column) in enumerate(columns.items()):
             a, b = bounds[k], bounds[k + 1]
             if a == b:
                 self._workers[worker_id] = empty
@@ -157,21 +299,8 @@ class CatalogIndex:
             if a and size1.size:
                 size1 = size1 - a
             self._workers[worker_id] = WorkerIndex(
-                masks=masks[a:b], payoffs=payoffs[a:b], size1=size1
+                masks=masks[a:b], payoffs=column.payoffs, size1=size1
             )
-
-    def _pack(self, subsets: Iterable[FrozenSet[str]]) -> np.ndarray:
-        """``(len(subsets), n_words)`` uint64 masks, one row per subset.
-
-        Each subset becomes one Python integer (the sum of its points'
-        distinct bit values), split into 64-bit words, lowest word first.
-        """
-        value = {dp_id: 1 << bit for dp_id, bit in self.point_bits.items()}
-        ints = [sum(map(value.__getitem__, subset)) for subset in subsets]
-        shifts = range(0, self.n_words * _WORD_BITS, _WORD_BITS)
-        full = (1 << _WORD_BITS) - 1
-        words = [(m >> shift) & full for m in ints for shift in shifts]
-        return np.array(words, dtype=np.uint64).reshape(len(ints), self.n_words)
 
     def worker(self, worker_id: str) -> WorkerIndex:
         """The per-worker arrays; raises KeyError for unknown workers."""
@@ -193,50 +322,64 @@ class CatalogIndex:
         return mask
 
 
+def _compact(table: np.ndarray, used: np.ndarray, n_words: int) -> np.ndarray:
+    """``table``'s masks re-packed onto bit positions ``used`` only.
+
+    Bit ``used[k]`` of the input becomes bit ``k``.  When ``used`` is a
+    prefix of the bit positions the words are kept as they are.
+    """
+    if not used.size or used[-1] == used.size - 1:
+        return np.ascontiguousarray(table[:, :n_words], dtype=np.uint64)
+    member = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")[:, used]
+    packed = np.zeros((table.shape[0], n_words * 8), dtype=np.uint8)
+    packed[:, : -(-used.size // 8)] = np.packbits(member, axis=1, bitorder="little")
+    return packed.view(np.uint64)
+
+
 class VDPSCatalog:
     """Strategy spaces ``ST_i = VDPS(w_i) ∪ {null}`` for a sub-problem.
 
     Strategies are sorted by descending payoff (ties broken by point ids) so
     iteration order — and therefore every solver's tie-breaking — is
-    deterministic.
+    deterministic.  The catalog is columnar: one shared
+    :class:`~repro.kernels.validate.EntryArrays` plus, per worker, a
+    :class:`WorkerStrategies` of entry rows and payoffs.  Objects exist
+    only for the strategies somebody reads.
     """
 
     def __init__(
         self,
         workers: Tuple[Worker, ...],
-        strategies: Mapping[str, Tuple[WorkerStrategy, ...]],
+        arrays,
+        columns: Mapping[str, WorkerStrategies],
         epsilon: Optional[float],
         cvdps_count: int,
+        index: Optional[CatalogIndex] = None,
     ) -> None:
         self._workers = workers
-        self._strategies: Dict[str, Tuple[WorkerStrategy, ...]] = dict(strategies)
+        #: The shared entry table every worker's rows index.
+        self.arrays = arrays
+        self._columns: Dict[str, WorkerStrategies] = dict(columns)
         self.epsilon = epsilon
         self.cvdps_count = cvdps_count
-        # Both aggregates are O(total strategies) and read on hot paths
-        # (solve_start trace events, reports), so they are computed once.
-        self._max_vdps_size = max(
-            map(len, map(_POINT_IDS, chain.from_iterable(self._strategies.values()))),
-            default=0,
-        )
-        self._total_strategy_count = sum(
-            len(v) for v in self._strategies.values()
-        )
-        self._index: Optional[CatalogIndex] = None
+        self._total_strategy_count = sum(map(len, self._columns.values()))
+        self._max_vdps_size: Optional[int] = None
+        self._index = index
 
     @property
     def workers(self) -> Tuple[Worker, ...]:
         return self._workers
 
-    def strategies(self, worker_id: str) -> Tuple[WorkerStrategy, ...]:
+    def strategies(self, worker_id: str) -> WorkerStrategies:
         """The worker's non-null strategies, best payoff first."""
         try:
-            return self._strategies[worker_id]
+            return self._columns[worker_id]
         except KeyError:
             raise KeyError(f"no worker {worker_id!r} in catalog") from None
 
     def has_strategies(self, worker_id: str) -> bool:
         """Whether the worker has at least one non-null VDPS."""
-        return bool(self._strategies.get(worker_id))
+        return bool(self._columns.get(worker_id))
 
     def available(
         self, worker_id: str, claimed: Iterable[str]
@@ -252,6 +395,12 @@ class VDPSCatalog:
     @property
     def max_vdps_size(self) -> int:
         """``|maxVDPS|``: the largest VDPS size across all workers."""
+        if self._max_vdps_size is None:
+            sizes = self.arrays.sizes
+            self._max_vdps_size = max(
+                (int(sizes[c.rows].max()) for c in self._columns.values() if len(c)),
+                default=0,
+            )
         return self._max_vdps_size
 
     @property
@@ -263,11 +412,11 @@ class VDPSCatalog:
     def index(self) -> CatalogIndex:
         """The bitmask conflict index, built on first access and cached.
 
-        One-shot solvers (GTA, MPTA) never touch it, so the packing cost is
-        only paid by the game solvers that actually vectorize over it.
+        One-shot solvers (GTA, MPTA) never touch it, so the gather is only
+        paid by the game solvers that actually vectorize over it.
         """
         if self._index is None:
-            self._index = CatalogIndex(self._strategies)
+            self._index = CatalogIndex(self.arrays, self._columns)
         return self._index
 
     def describe(self) -> str:
@@ -469,11 +618,9 @@ def _build_catalog(
     tier = resolve_kernel(kernel)
     if cvdps is None:
         return build_with_table(sub, epsilon, strict_revalidation, tracer, tier)[0]
-    arrays = None
-    if tier != "scalar":
-        from repro.kernels.validate import EntryArrays
+    from repro.kernels.validate import EntryArrays
 
-        arrays = EntryArrays.from_entries(cvdps)
+    arrays = None if tier == "scalar" else EntryArrays.from_entries(cvdps)
     return _validate_all(sub, epsilon, strict_revalidation, arrays, cvdps)
 
 
@@ -487,50 +634,36 @@ def _validate_all(
     """Section IV validation of every entry for every online worker.
 
     ``arrays`` (vectorized tier) selects the array scan; without them the
-    scalar ``validate_entry`` loop runs over ``entries``.
+    scalar ``validate_entry`` loop runs over ``entries``, and the catalog's
+    columns index an entry table flattened from them.
     """
-    workers = sub.online_workers
-    travel_model = sub.travel
-    if arrays is not None:
-        from repro.kernels.validate import validate_worker_vectorized
+    from repro.kernels.validate import EntryArrays, validate_worker
 
-        if arrays.n_entries:
-            METRICS.counter("kernel.validate_vectorized").add(1)
-        cvdps_count = arrays.n_entries
-    else:
-        cvdps_count = len(entries)
-
-    strategies: Dict[str, Tuple[WorkerStrategy, ...]] = {}
-    for worker in workers:
-        offset, factor = worker_offset_factor(worker, travel_model, sub.center.location)
-        if arrays is not None:
-            # Already in canonical catalog order (the kernel lexsorts by
-            # payoff and precomputed id ranks), so no key-function sort.
-            found = validate_worker_vectorized(
-                arrays,
-                worker,
-                offset,
-                factor,
-                travel_model,
-                sub.center.location,
-                strict_revalidation,
-            )
-        else:
-            found = []
-            for entry in entries:
-                strategy = validate_entry(
-                    entry,
-                    worker,
-                    offset,
-                    factor,
-                    travel_model,
-                    sub.center.location,
-                    strict_revalidation,
-                )
-                if strategy is not None:
-                    found.append(strategy)
-            found.sort(key=strategy_sort_key)
-        strategies[worker.worker_id] = tuple(found)
-    catalog = VDPSCatalog(workers, strategies, epsilon, cvdps_count)
+    scalar = arrays is None
+    if scalar:
+        arrays = EntryArrays.from_entries(entries)
+    elif arrays.n_entries:
+        METRICS.counter("kernel.validate_vectorized").add(1)
+    columns: Dict[str, WorkerStrategies] = {}
+    for worker in sub.online_workers:
+        offset, factor = worker_offset_factor(
+            worker, sub.travel, sub.center.location
+        )
+        rows, payoffs, objects = validate_worker(
+            arrays,
+            worker,
+            offset,
+            factor,
+            sub.travel,
+            sub.center.location,
+            strict_revalidation,
+            scalar,
+        )
+        columns[worker.worker_id] = WorkerStrategies(
+            arrays, rows, payoffs, offset, objects
+        )
+    catalog = VDPSCatalog(
+        sub.online_workers, arrays, columns, epsilon, arrays.n_entries
+    )
     METRICS.counter("catalog.strategies_built").add(catalog.total_strategy_count)
     return catalog

@@ -27,19 +27,22 @@ differential suites (``tests/vdps/test_delta_differential.py``,
 ``tests/properties/test_catalog_delta.py``) assert exactly that after every
 step of randomised churn.
 
-Worker-level revalidation is restricted the same way: a worker is fully
-revalidated only when its own content changed (location → start offset,
-``maxDP``, speed); untouched workers just drop strategies of removed
-subsets and validate the added entries — flattened once per refresh into
-:class:`~repro.kernels.validate.EntryArrays` and scanned per worker by the
-same validation a full revalidation uses — then merge the two canonically
-ordered lists.  Structural changes no delta can
-express (center moved, travel model swapped) and churn above
-``rebuild_fraction`` (e.g. a clock advance rewriting every relative
-deadline) fall back to a full rebuild — the same array-native build as
-``build_catalog``, at the same price.  A fallback keeps only that build's
-catalog and C-VDPS table; the surgery tables (DP states, entries,
-per-worker strategy tuples) are derived from them when a later refresh takes
+The entry table is the catalog's own columnar
+:class:`~repro.kernels.validate.EntryArrays`.  A refresh splices it: the
+rows whose point set meets a removed point are dropped (one mask test) and
+the added entries are appended (:meth:`EntryArrays.splice`), which yields
+an old→new row map.  Worker-level revalidation is restricted the same way:
+a worker is fully revalidated only when its own content changed (location
+→ start offset, ``maxDP``, speed); an untouched worker's rows are remapped
+through the row map, the added entries are scanned for it by the same
+validation a full revalidation uses, and one ``lexsort`` on ``(ids_rank,
+-payoff)`` restores the canonical order.  No strategy object is built.
+Structural changes no delta can express (center moved, travel model
+swapped) and churn above ``rebuild_fraction`` (e.g. a clock advance
+rewriting every relative deadline) fall back to a full rebuild — the same
+array-native build as ``build_catalog``, at the same price.  A fallback
+keeps only that build's catalog and C-VDPS table; the surgery tables (DP
+states, per-worker rows) are derived from them when a later refresh takes
 the delta path, so a clock-advancing loop never pays for them.
 
 Everything lands on the ``catalog.delta_*`` metrics surface
@@ -48,9 +51,8 @@ Everything lands on the ``catalog.delta_*`` metrics surface
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import defaultdict
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -61,11 +63,9 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import resolve_tracer
 from repro.vdps.catalog import (
     VDPSCatalog,
-    WorkerStrategy,
+    WorkerStrategies,
     build_catalog,
     build_with_table,
-    strategy_sort_key,
-    validate_entry,
     worker_offset_factor,
 )
 from repro.vdps.generator import (
@@ -80,6 +80,9 @@ from repro.vdps.generator import (
     relax,
     seed_value,
 )
+
+if TYPE_CHECKING:
+    from repro.kernels.validate import Columns
 
 
 def _subset_sort_key(subset: FrozenSet[str]) -> Tuple[int, Tuple[str, ...]]:
@@ -222,12 +225,12 @@ class DeltaCatalog:
         # The store pickles the surgery tables, so derive them first.  The
         # materialised catalog (and its numpy index) is cheap to re-derive
         # and bloats pickles; the persistent store drops it and the first
-        # refresh() after a restore materialises it again.  The flattened
-        # entry arrays and the travel-matrix cache are derived caches too.
+        # refresh() after a restore materialises it again.  The entry table
+        # pickles as its raw columns (see EntryArrays.__reduce__); the
+        # travel-matrix cache is a derived cache too.
         self._ensure_tables()
         state = self.__dict__.copy()
         state["_catalog"] = None
-        state["_entry_arrays"] = None
         state["_layout"] = LayoutMatrix()
         return state
 
@@ -285,10 +288,9 @@ class DeltaCatalog:
         )
 
         stats = DPStats()
-        removed_subsets: Set[FrozenSet[str]] = set()
         added_entries: Dict[FrozenSet[str], CVdpsEntry] = {}
         for p in sorted(removed) + sorted(changed):
-            self._remove_point(p, removed_subsets, added_entries)
+            self._remove_point(p)
         for p in sorted(changed) + sorted(added):
             self._add_point(p, new_points[p], added_entries, stats)
         if new_cap > self._cap_built:
@@ -297,9 +299,10 @@ class DeltaCatalog:
         METRICS.counter("cvdps.candidates_tried").add(stats.candidates_tried)
         METRICS.counter("cvdps.deadline_rejections").add(stats.deadline_rejections)
         METRICS.counter("catalog.delta_entries_added").add(len(added_entries))
-        METRICS.counter("catalog.delta_entries_removed").add(len(removed_subsets))
 
-        self._apply_worker_churn(workers, removed_subsets, added_entries)
+        self._apply_worker_churn(
+            workers, set(removed) | set(changed), added_entries
+        )
         return self._materialize(workers)
 
     def _full_rebuild(self, sub: SubProblem) -> None:
@@ -326,45 +329,49 @@ class DeltaCatalog:
         self._catalog, self._table = build_with_table(
             sub, self.epsilon, self._strict, kernel=self._kernel, layout=self._layout
         )
-        self._entry_arrays = self._table.arrays
+        self._entry_arrays = None
 
     def _ensure_tables(self) -> None:
         """Derive the surgery tables from the last rebuild, once.
 
-        The DP states, the entries and the neighbourhoods come from the
-        rebuild's table; the per-worker strategy maps are the rebuilt
-        catalog's own strategies, keyed by subset.
+        The DP states and the neighbourhoods come from the rebuild's
+        table; the entry table and the per-worker columns are the rebuilt
+        catalog's own.
         """
         table = self._table
         if table is None:
             return
+        from repro.kernels import resolve_kernel
+
+        scalar = resolve_kernel(self._kernel) == "scalar"
         self._neighbors: Dict[str, List[str]] = table.neighbors()
         self._states: Dict[_StateKey, _StateVal] = table.states()
-        self._entries: Dict[FrozenSet[str], CVdpsEntry] = {
-            entry.point_ids: entry for entry in table.entries()
-        }
         catalog = self._catalog
+        self._entry_arrays = catalog.arrays
         self._workers: Dict[str, Worker] = {}
         self._offsets: Dict[str, Tuple[float, float]] = {}
-        self._strategies: Dict[str, Tuple[WorkerStrategy, ...]] = {}
+        self._columns: Dict[str, Columns] = {}
         for worker in catalog.workers:
             wid = worker.worker_id
             self._workers[wid] = worker
             self._offsets[wid] = worker_offset_factor(
                 worker, self._travel, self._center_location
             )
-            self._strategies[wid] = catalog.strategies(wid)
+            column = catalog.strategies(wid)
+            # Scalar-path columns carry their exact objects (the column
+            # holds them, so reading them builds nothing).
+            objects = list(column) if self._exact(wid, scalar) else None
+            self._columns[wid] = (column.rows, column.payoffs, objects)
         self._table = None
 
     # -- DP state surgery ---------------------------------------------------
 
-    def _remove_point(
-        self,
-        p: str,
-        removed_subsets: Set[FrozenSet[str]],
-        added_entries: Dict[FrozenSet[str], CVdpsEntry],
-    ) -> None:
-        """Retract every state and entry whose subset contains ``p``."""
+    def _remove_point(self, p: str) -> None:
+        """Retract every state whose subset contains ``p``.
+
+        The entries of those subsets leave the entry table in
+        :meth:`_apply_worker_churn`, all removed points at once.
+        """
         del self._points[p]
         for q in self._neighbors.pop(p, []):
             adjacency = self._neighbors.get(q)
@@ -372,11 +379,6 @@ class DeltaCatalog:
                 adjacency.remove(p)
         for key in [key for key in self._states if p in key[0]]:
             del self._states[key]
-        for subset in [subset for subset in self._entries if p in subset]:
-            del self._entries[subset]
-            removed_subsets.add(subset)
-            added_entries.pop(subset, None)
-        self._entry_arrays = None
 
     def _add_point(
         self,
@@ -403,12 +405,9 @@ class DeltaCatalog:
         new_states = self._states_with_point(p, stats)
         self._states.update(new_states)
         for subset, value in best_per_subset(new_states).items():
-            entry = entry_from_value(
+            added_entries[subset] = entry_from_value(
                 self._points, subset, value, self._travel, self._center_location
             )
-            self._entries[subset] = entry
-            added_entries[subset] = entry
-        self._entry_arrays = None
 
     def _states_with_point(self, p: str, stats: DPStats) -> Dict[_StateKey, _StateVal]:
         """All feasible DP states containing ``p`` over the current points.
@@ -508,87 +507,72 @@ class DeltaCatalog:
             stats.states_expanded += len(next_frontier)
         self._cap_built = new_cap
         for subset, value in best_per_subset(new_states).items():
-            entry = entry_from_value(
+            added_entries[subset] = entry_from_value(
                 self._points, subset, value, self._travel, self._center_location
             )
-            self._entries[subset] = entry
-            added_entries[subset] = entry
-        self._entry_arrays = None
 
     # -- worker-level revalidation ------------------------------------------
 
-    def _get_entry_arrays(self):
-        """The flattened entry arrays, rebuilt lazily after entry churn.
+    def _exact(self, wid: str, scalar: bool) -> bool:
+        """Whether the worker's strategies come from the scalar loop.
 
-        Entries flatten in the canonical ``(size, ids)`` order — the order
-        the scalar scan iterates — so the vectorized scan visits the same
-        entries in the same sequence.
+        Those columns carry the loop's objects (see
+        :func:`~repro.kernels.validate.validate_worker`).
         """
-        arrays = self._entry_arrays
-        if arrays is None:
-            arrays = _flatten(self._entries)
-            self._entry_arrays = arrays
-        return arrays
+        return scalar or self._strict or self._offsets[wid][1] != 1.0
 
-    def _scan(self, worker: Worker, arrays, scalar: bool) -> List[WorkerStrategy]:
+    def _scan(self, worker: Worker, arrays, scalar: bool) -> Columns:
         """Section IV validation of one worker against ``arrays``' entries.
 
-        Returns the valid strategies in canonical catalog order.  The
-        vectorized tier is :func:`validate_worker_vectorized` (scalar
-        itself for speed-scaled workers and strict revalidation); the
-        ``scalar`` tier is the reference ``validate_entry`` loop.
+        Returns canonical-order columns; the ``scalar`` tier (and the
+        scalar fallbacks of the vectorized one) also return objects.
         """
-        offset, factor = self._offsets[worker.worker_id]
-        if not scalar:
-            from repro.kernels.validate import validate_worker_vectorized
+        from repro.kernels.validate import validate_worker
 
-            return validate_worker_vectorized(
-                arrays,
-                worker,
-                offset,
-                factor,
-                self._travel,
-                self._center_location,
-                self._strict,
-            )
-        found = []
-        for entry in arrays.entries:
-            strategy = validate_entry(
-                entry,
-                worker,
-                offset,
-                factor,
-                self._travel,
-                self._center_location,
-                self._strict,
-            )
-            if strategy is not None:
-                found.append(strategy)
-        found.sort(key=strategy_sort_key)
-        return found
+        offset, factor = self._offsets[worker.worker_id]
+        return validate_worker(
+            arrays,
+            worker,
+            offset,
+            factor,
+            self._travel,
+            self._center_location,
+            self._strict,
+            scalar,
+        )
 
     def _apply_worker_churn(
         self,
         workers: Tuple[Worker, ...],
-        removed_subsets: Set[FrozenSet[str]],
+        removed_points: Set[str],
         added_entries: Dict[FrozenSet[str], CVdpsEntry],
     ) -> None:
-        """Revalidate changed workers fully; patch unchanged ones by delta.
+        """Splice the entry table; revalidate changed workers, remap the rest.
 
-        An unchanged worker keeps its strategies of surviving subsets and
-        validates only the added entries, flattened once per refresh and
-        scanned per worker like a full revalidation.  Both lists are in
-        canonical order, so one merge restores the catalog order.
+        The table drops every entry over a removed point and appends the
+        added entries (flattened once per refresh).  An unchanged worker's
+        rows go through the old→new row map, the added entries are scanned
+        for it like a full revalidation, and one lexsort restores the
+        canonical order.
         """
         from repro.kernels import resolve_kernel
 
         scalar = resolve_kernel(self._kernel) == "scalar"
         live = {worker.worker_id: worker for worker in workers}
-        for wid in [wid for wid in self._strategies if wid not in live]:
-            del self._strategies[wid]
+        for wid in [wid for wid in self._columns if wid not in live]:
+            del self._columns[wid]
             self._offsets.pop(wid, None)
             self._workers.pop(wid, None)
+        arrays = self._entry_arrays
+        keep = ~arrays.touching(removed_points)
+        dropped = arrays.n_entries - int(np.count_nonzero(keep))
+        METRICS.counter("catalog.delta_entries_removed").add(dropped)
         added = _flatten(added_entries) if added_entries else None
+        old_to_new = None
+        if dropped or added is not None:
+            base = arrays.n_entries - dropped
+            arrays, old_to_new = arrays.splice(keep, added)
+            self._entry_arrays = arrays
         revalidated = 0
         built = 0
         for wid, worker in live.items():
@@ -601,17 +585,33 @@ class DeltaCatalog:
                 self._offsets[wid] = worker_offset_factor(
                     worker, self._travel, self._center_location
                 )
-                found = self._scan(worker, self._get_entry_arrays(), scalar)
-                self._strategies[wid] = tuple(found)
+                self._columns[wid] = self._scan(worker, arrays, scalar)
                 revalidated += 1
-                built += len(found)
+                built += self._columns[wid][0].size
                 continue
-            kept = self._strategies[wid]
-            if removed_subsets:
-                kept = [s for s in kept if s.point_ids not in removed_subsets]
-            found = self._scan(worker, added, scalar) if added is not None else []
-            self._strategies[wid] = _merge(kept, found)
-            built += len(found)
+            if old_to_new is None:
+                continue
+            rows, payoffs, objects = self._columns[wid]
+            rows = old_to_new[rows]
+            alive = rows >= 0
+            if not alive.all():
+                rows, payoffs = rows[alive], payoffs[alive]
+                if objects is not None:
+                    objects = [s for s, ok in zip(objects, alive.tolist()) if ok]
+            if added is not None:
+                new_rows, new_payoffs, new_objects = self._scan(worker, added, scalar)
+                built += new_rows.size
+                if new_rows.size:
+                    rows = np.concatenate((rows, new_rows + base))
+                    payoffs = np.concatenate((payoffs, new_payoffs))
+                    # Keys are unique per worker: this is the canonical
+                    # (payoff descending, point ids) order.
+                    order = np.lexsort((arrays.ids_rank[rows], -payoffs))
+                    rows, payoffs = rows[order], payoffs[order]
+                    if objects is not None:
+                        merged = objects + new_objects
+                        objects = [merged[k] for k in order.tolist()]
+            self._columns[wid] = (rows, payoffs, objects)
         METRICS.counter("catalog.strategies_built").add(built)
         if revalidated:
             METRICS.counter("catalog.delta_workers_revalidated").add(revalidated)
@@ -621,21 +621,26 @@ class DeltaCatalog:
     def _materialize(self, workers: Tuple[Worker, ...]) -> VDPSCatalog:
         """Assemble the :class:`VDPSCatalog` a from-scratch build would return.
 
-        Per-worker strategy tuples are kept in the canonical catalog order
-        (:func:`_merge`), so they are the catalog's tuples as they stand;
-        ``cvdps_count`` filters the entry table by the *current* cap so a
-        shrunk worker pool reports what its own build would generate.  The
-        conflict index stays lazy, exactly like ``build_catalog``: equal
-        strategy mappings build equal indexes on demand.
+        Per-worker columns are kept in the canonical catalog order, so they
+        are the catalog's columns as they stand; ``cvdps_count`` filters
+        the entry table by the *current* cap so a shrunk worker pool
+        reports what its own build would generate.  The conflict index
+        stays lazy, exactly like ``build_catalog``: equal columns build
+        equal indexes on demand.
         """
+        arrays = self._entry_arrays
         cap_now = max((w.max_delivery_points for w in workers), default=0)
-        strategies = {
-            worker.worker_id: self._strategies[worker.worker_id] for worker in workers
-        }
-        cvdps_count = sum(
-            1 for subset in self._entries if len(subset) <= cap_now
+        columns = {}
+        for worker in workers:
+            wid = worker.worker_id
+            rows, payoffs, objects = self._columns[wid]
+            columns[wid] = WorkerStrategies(
+                arrays, rows, payoffs, self._offsets[wid][0], objects
+            )
+        cvdps_count = int(np.count_nonzero(arrays.sizes <= cap_now))
+        self._catalog = VDPSCatalog(
+            workers, arrays, columns, self.epsilon, cvdps_count
         )
-        self._catalog = VDPSCatalog(workers, strategies, self.epsilon, cvdps_count)
         return self._catalog
 
 
@@ -650,42 +655,6 @@ def _flatten(entries: Dict[FrozenSet[str], CVdpsEntry]):
     return EntryArrays.from_entries(
         [entries[subset] for subset in sorted(entries, key=_subset_sort_key)]
     )
-
-
-def _merge(
-    kept: Sequence[WorkerStrategy], new: List[WorkerStrategy]
-) -> Tuple[WorkerStrategy, ...]:
-    """Merge two strategy lists that are each in canonical catalog order.
-
-    The order is :func:`~repro.vdps.catalog.strategy_sort_key`: payoff
-    descending, ties by sorted point ids.  Each new strategy is placed by
-    bisecting the kept payoffs; the id tuples are built only on an exact
-    payoff tie, walking forward from the previous insertion point, so the
-    walks of one merge cover each kept position about once.  Keys are
-    unique per worker, so the result is the order a full sort would
-    produce.
-    """
-    if not new:
-        return tuple(kept)
-    keys = [-s.payoff for s in kept]
-    out: List[WorkerStrategy] = []
-    lo = 0
-    for strategy in new:
-        key = -strategy.payoff
-        hi = bisect_left(keys, key, lo)
-        if hi < len(keys) and keys[hi] == key:
-            own = strategy_sort_key(strategy)
-            while (
-                hi < len(keys)
-                and keys[hi] == key
-                and strategy_sort_key(kept[hi]) < own
-            ):
-                hi += 1
-        out.extend(kept[lo:hi])
-        out.append(strategy)
-        lo = hi
-    out.extend(kept[lo:])
-    return tuple(out)
 
 
 def catalog_diff(

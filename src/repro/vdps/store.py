@@ -2,11 +2,12 @@
 
 A restarted dispatch service pays a cold C-VDPS build per center — the exact
 cost the delta layer exists to avoid.  The store pickles each center's
-:class:`DeltaCatalog` (its DP state table, entries, and per-worker strategy
-maps) to one file under a root directory; on restart the cache loads it and
-runs one ``refresh`` against the live snapshot, which replays only whatever
-churned while the service was down.  Pickle round-trips floats exactly, so a
-warmed catalog stays bit-identical to a rebuild.
+:class:`DeltaCatalog` (its DP state table, entry-table columns, and
+per-worker entry rows and payoffs) to one file under a root directory; on
+restart the cache loads it and runs one ``refresh`` against the live
+snapshot, which replays only whatever churned while the service was down.
+Pickle round-trips floats exactly, so a warmed catalog stays bit-identical
+to a rebuild.
 
 Files are an internal cache, not an interchange format: a header records the
 format version, the pruning threshold, and the world fingerprint at save
@@ -28,7 +29,7 @@ from repro.obs.metrics import METRICS
 from repro.vdps.delta import DeltaCatalog
 
 #: Bump on any incompatible change to the pickled payload layout.
-STORE_FORMAT = 3
+STORE_FORMAT = 4
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 

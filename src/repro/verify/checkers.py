@@ -127,14 +127,20 @@ def check_deadlines(assignment: Assignment, sub: SubProblem, solver: str = "") -
 def check_catalog_membership(
     assignment: Assignment, catalog: VDPSCatalog, solver: str = ""
 ) -> None:
-    """Every non-null choice is a strategy of that worker's own catalog."""
+    """Every non-null choice is a strategy of that worker's own catalog.
+
+    Looked up through the catalog's conflict index: the chosen point set's
+    mask must equal one of the worker's strategy masks exactly, and a
+    point the index does not know is no member.  No strategy object is
+    built.
+    """
+    index = catalog.index
     for pair in assignment:
         if pair.route is None or len(pair.route) == 0:
             continue
         wid = pair.worker.worker_id
-        chosen = frozenset(pair.delivery_point_ids)
         try:
-            strategies = catalog.strategies(wid)
+            worker_index = index.worker(wid)
         except KeyError:
             raise InvariantViolation(
                 "assignment.catalog-membership",
@@ -143,11 +149,16 @@ def check_catalog_membership(
                 worker_id=wid,
                 strategy=pair.delivery_point_ids,
             ) from None
-        if not any(s.point_ids == chosen for s in strategies):
+        try:
+            mask = index.mask_of(pair.delivery_point_ids)
+        except KeyError:  # a point no strategy of the catalog uses
+            mask = None
+        position = -1 if mask is None else worker_index.position_of(mask)
+        if position < 0:
             raise InvariantViolation(
                 "assignment.catalog-membership",
                 f"chosen delivery point set is not one of the worker's "
-                f"{len(strategies)} valid VDPSs",
+                f"{worker_index.n_strategies} valid VDPSs",
                 solver=solver,
                 worker_id=wid,
                 strategy=pair.delivery_point_ids,

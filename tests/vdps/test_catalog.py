@@ -1,9 +1,16 @@
 """Tests for repro.vdps.catalog (per-worker strategy spaces)."""
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.instance import SubProblem
+from repro.datasets.gmission import GMissionConfig, generate_gmission_like
+from repro.games.base import random_initial_state
+from repro.games.fgt import FGTSolver
 from repro.geo.travel import TravelModel
+from repro.obs.metrics import METRICS
 from repro.vdps.catalog import NULL_STRATEGY, WorkerStrategy, build_catalog
 from repro.vdps.generator import generate_cvdps
 
@@ -135,3 +142,132 @@ class TestCatalogQueries:
             _line_subproblem([make_worker("w", 0, 0)]), epsilon=2.5
         )
         assert "eps=2.5" in catalog.describe()
+
+
+def _gmission_sub(seed=1):
+    inst = generate_gmission_like(
+        GMissionConfig(n_tasks=120, n_workers=12, n_delivery_points=80), seed=seed
+    )
+    return inst.subproblems()[0]
+
+
+class TestLazyStrategies:
+    """Columnar catalogs build objects only for what is read."""
+
+    def test_fgt_materialises_only_initial_picks_and_switches(self):
+        sub = _gmission_sub()
+        built = METRICS.counter("catalog.strategies_built")
+        materialised = METRICS.counter("catalog.strategies_materialised")
+        switches = METRICS.counter("fgt.switches")
+        before_built = built.value
+        catalog = build_catalog(sub, epsilon=0.8, kernel="vectorized")
+        n_built = built.value - before_built
+        initial = random_initial_state(
+            build_catalog(sub, epsilon=0.8, kernel="vectorized"), seed=7
+        )
+        picks = sum(
+            not initial.strategy_of(w.worker_id).is_null for w in catalog.workers
+        )
+        before_materialised, before_switches = materialised.value, switches.value
+        FGTSolver(epsilon=0.8).solve(sub, catalog=catalog, seed=7)
+        n_materialised = materialised.value - before_materialised
+        n_switches = switches.value - before_switches
+        assert picks and n_switches
+        assert n_materialised <= picks + n_switches
+        assert n_materialised < catalog.total_strategy_count
+        # strategies_built counts validated strategies, not objects.
+        walk = sum(len(tuple(catalog.strategies(w.worker_id))) for w in catalog.workers)
+        assert n_built == walk == catalog.total_strategy_count
+
+    def test_positions_are_cached_and_equal_the_scalar_tier(self):
+        sub = _gmission_sub()
+        lazy = build_catalog(sub, epsilon=0.8, kernel="vectorized")
+        exact = build_catalog(sub, epsilon=0.8, kernel="scalar")
+        for worker in sub.online_workers:
+            wid = worker.worker_id
+            strategies = lazy.strategies(wid)
+            for pos in range(len(strategies) - 1, -1, -7):
+                first = strategies[pos]
+                assert strategies[pos] is first
+                assert first == exact.strategies(wid)[pos]
+            # The batched walk reuses the objects built one at a time.
+            assert all(
+                strategies[pos] is s for pos, s in enumerate(tuple(strategies))
+            )
+            assert strategies == exact.strategies(wid)
+
+    def test_concurrent_reads_return_identical_objects(self):
+        # More threads than cores, a short switch interval, and each
+        # thread walking the positions in its own order: a racing first
+        # build must still leave one object per position, counted once.
+        sub = _gmission_sub()
+        catalog = build_catalog(sub, epsilon=0.8, kernel="vectorized")
+        wid = max(
+            (w.worker_id for w in catalog.workers),
+            key=lambda w: len(catalog.strategies(w)),
+        )
+        n = len(catalog.strategies(wid))
+        assert n > 10
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        seen = [None] * n_threads
+        materialised = METRICS.counter("catalog.strategies_materialised")
+        before = materialised.value
+
+        def read(k):
+            barrier.wait()
+            order = list(range(n))[k % 2 :: 2] + list(range(n))[1 - k % 2 :: 2]
+            if k >= 2:
+                order.reverse()
+            got = {pos: catalog.strategies(wid)[pos] for pos in order}
+            seen[k] = [got[pos] for pos in range(n)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=read, args=(k,)) for k in range(n_threads)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert materialised.value - before == n
+        for other in seen[1:]:
+            assert other == seen[0]
+            assert all(a is b for a, b in zip(seen[0], other))
+        assert all(a is b for a, b in zip(seen[0], catalog.strategies(wid)))
+
+    def test_scalar_columns_never_build_from_rows(self):
+        # The scalar loop (this tier, speed-scaled workers, strict
+        # revalidation) re-times routes a row's unit-speed times cannot
+        # describe, so its columns hold the loop's objects and every read
+        # returns one of those.
+        sub = _gmission_sub()
+        catalog = build_catalog(sub, epsilon=0.8, kernel="scalar")
+        wid = max(
+            (w.worker_id for w in catalog.workers),
+            key=lambda w: len(catalog.strategies(w)),
+        )
+        strategies = catalog.strategies(wid)
+        objects = tuple(strategies)
+        materialised = METRICS.counter("catalog.strategies_materialised")
+        before = materialised.value
+        assert strategies[-1] is objects[-1]
+        assert all(strategies[pos] is s for pos, s in enumerate(objects))
+        assert materialised.value == before
+        copy = strategies.replaced({0: objects[1]})
+        assert copy[0] is objects[1] and tuple(copy)[1:] == objects[1:]
+        with pytest.raises(IndexError):
+            strategies[len(objects)]
+        with pytest.raises(ValueError, match="strategy objects"):
+            type(strategies)(
+                strategies.arrays,
+                strategies.rows,
+                strategies.payoffs,
+                strategies.offset,
+                objects[1:],
+            )

@@ -170,6 +170,54 @@ class TestFallbacks:
 class TestRandomTraces:
     """Longer seeded walks with verify=True (the internal oracle)."""
 
+    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_scalar_path_columns_survive_churn(self, kernel, strict):
+        # A speed-scaled worker (with strict revalidation, every worker)
+        # is validated by the scalar loop; its column carries that loop's
+        # objects through the row remap and the merge of every refresh.
+        rng = random.Random(5)
+        points = {
+            f"p{i}": _dp(
+                f"p{i}", rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(1, 6)
+            )
+            for i in range(6)
+        }
+        workers = [
+            _worker("w0", 0.2, -0.1),
+            Worker("slow", Point(-0.4, 0.3), 3, "dc", speed_kmh=0.6),
+            _worker("w2", 0.5, 0.5, cap=2),
+        ]
+        delta = DeltaCatalog(
+            _sub(points.values(), workers),
+            epsilon=2.5,
+            strict_revalidation=strict,
+            rebuild_fraction=10.0,
+            kernel=kernel,
+        )
+        for step in range(12):
+            victim = rng.choice(sorted(points))
+            if step % 3 == 0:
+                del points[victim]
+            else:
+                old = points[victim]
+                points[victim] = _dp(
+                    victim, old.location.x, old.location.y, rng.uniform(1, 6)
+                )
+            dp_id = f"q{step}"
+            points[dp_id] = _dp(
+                dp_id, rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(1, 6)
+            )
+            sub = _sub(points.values(), workers)
+            refreshed = delta.refresh(sub)
+            assert delta._last_path == "delta"
+            rebuilt = build_catalog(
+                sub, epsilon=2.5, strict_revalidation=strict, kernel="scalar"
+            )
+            diffs = catalog_diff(refreshed, rebuilt)
+            assert not diffs, "; ".join(diffs)
+            assert refreshed.has_strategies("slow")
+
     @pytest.mark.parametrize("seed", [0, 1, 7, 13])
     def test_seeded_churn_walk(self, seed):
         rng = random.Random(seed)
@@ -242,17 +290,21 @@ class TestCatalogStore:
         refreshed = restored.refresh(churned)
         assert not catalog_diff(refreshed, build_catalog(churned, epsilon=2.0))
         # Persist straight after a delta-path refresh: the derived caches
-        # (flattened entry arrays, built for the joining worker; the
-        # catalog and its index) stay out of the pickle, and the restored
-        # tables keep applying churn exactly.
+        # (the entry table's masks, ranks and built objects; the catalog
+        # and its index) stay out of the pickle, and the restored tables
+        # keep applying churn exactly.
         assert restored._last_path == "delta"
         assert restored._entry_arrays is not None
         restored.catalog.index
+        list(restored.catalog.strategies("w0"))
+        assert restored._entry_arrays._built.any()
         assert store.save("dc", "fp2", restored)
         blob = store.path_for("dc").read_bytes()
-        assert b"EntryArrays" not in blob and b"CatalogIndex" not in blob
+        assert b"CatalogIndex" not in blob
         _, again = store.load("dc", 2.0)
-        assert again._catalog is None and again._entry_arrays is None
+        assert again._catalog is None
+        table = again._entry_arrays
+        assert table._entries is None and not table._built.any()
         more = _sub(
             [
                 _dp("b", 0.0, 1.0, 6.0),

@@ -6,12 +6,9 @@ import pytest
 
 from repro.core.instance import SubProblem
 from repro.core.routing import Route
+from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.games.base import GameState
-from repro.vdps.catalog import (
-    CatalogIndex,
-    WorkerStrategy,
-    build_catalog,
-)
+from repro.vdps.catalog import WorkerStrategy, build_catalog
 from repro.vdps.delta import DeltaCatalog
 
 from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
@@ -40,6 +37,47 @@ def catalog(sub):
     return build_catalog(sub)
 
 
+def _reference_index(catalog):
+    """The conflict index packed from frozensets, independently of the
+    entry masks the catalog gathers: ``(point_bits, n_words, masks)``.
+
+    Every point some strategy uses gets a bit in sorted-id order; each
+    strategy's point set becomes one Python integer (the sum of its
+    points' bit values), split into 64-bit words, lowest word first.
+    """
+    strategies = {
+        w.worker_id: tuple(catalog.strategies(w.worker_id)) for w in catalog.workers
+    }
+    point_ids = sorted(
+        set().union(*(s.point_ids for each in strategies.values() for s in each))
+    )
+    point_bits = {dp_id: bit for bit, dp_id in enumerate(point_ids)}
+    n_words = max(1, -(-len(point_ids) // 64))
+    value = {dp_id: 1 << bit for dp_id, bit in point_bits.items()}
+    full = (1 << 64) - 1
+    masks = {}
+    for wid, each in strategies.items():
+        ints = [sum(map(value.__getitem__, s.point_ids)) for s in each]
+        words = [(m >> shift) & full for m in ints for shift in range(0, 64 * n_words, 64)]
+        masks[wid] = np.array(words, dtype=np.uint64).reshape(len(ints), n_words)
+    return point_bits, n_words, masks
+
+
+def _line_catalog(epsilon=0.15):
+    """70 points in a row (bits past 63), a worker too far away for any
+    deadline between two that share every subset."""
+    points = [make_dp(f"p{i:02d}", 0.1 * (i + 1), 0.0) for i in range(70)]
+    row_workers = (
+        make_worker("near", 0, 0),
+        make_worker("far", 500, 0),
+        make_worker("twin", 0, 0),
+    )
+    return build_catalog(
+        SubProblem(make_center(points), row_workers, unit_speed_travel()),
+        epsilon=epsilon,
+    )
+
+
 def _oracle_catalogs(catalog):
     """``catalog`` plus the shapes the packed index must also get right.
 
@@ -48,14 +86,7 @@ def _oracle_catalogs(catalog):
       between workers that share every subset;
     * the catalog a ``DeltaCatalog`` refresh returns after churn.
     """
-    points = [make_dp(f"p{i:02d}", 0.1 * (i + 1), 0.0) for i in range(70)]
-    row_workers = (
-        make_worker("near", 0, 0),
-        make_worker("far", 500, 0),
-        make_worker("twin", 0, 0),
-    )
-    row = SubProblem(make_center(points), row_workers, unit_speed_travel())
-    wide = build_catalog(row, epsilon=0.15)
+    wide = _line_catalog()
     assert wide.index.n_words >= 2
     assert not wide.strategies("far") and wide.strategies("near")
     assert {s.point_ids for s in wide.strategies("near")} == {
@@ -79,17 +110,31 @@ def _oracle_catalogs(catalog):
 
 class TestCatalogIndex:
     def test_bits_assigned_in_sorted_id_order(self):
-        index = CatalogIndex(
-            {"w": (_strategy({"z"}), _strategy({"a", "m"}))}
+        center = make_center(
+            [make_dp("z", 1, 0), make_dp("a", 0, 1), make_dp("m", 1, 1)]
         )
+        catalog = build_catalog(
+            SubProblem(center, (make_worker("w", 0, 0),), unit_speed_travel())
+        )
+        index = catalog.index
         assert index.point_bits == {"a": 0, "m": 1, "z": 2}
         assert index.n_words == 1
+        for row, s in enumerate(catalog.strategies("w")):
+            expected = sum(1 << index.point_bits[p] for p in s.point_ids)
+            assert int(index.worker("w").masks[row, 0]) == expected
 
     def test_empty_catalog_still_has_one_word(self):
-        index = CatalogIndex({"w": ()})
+        center = make_center([make_dp("a", 1, 0)])
+        catalog = build_catalog(
+            SubProblem(center, (make_worker("w", 500, 0),), unit_speed_travel())
+        )
+        assert not catalog.strategies("w")
+        index = catalog.index
+        assert index.point_bits == {}
         assert index.n_words == 1
         assert index.empty_mask().shape == (1,)
         assert index.worker("w").n_strategies == 0
+        assert index.worker("w").masks.shape == (0, 1)
 
     def test_masks_align_with_strategy_positions(self, catalog):
         for each in _oracle_catalogs(catalog):
@@ -135,25 +180,108 @@ class TestCatalogIndex:
     def test_multiword_masks_beyond_64_points(self):
         # 70 points force a second uint64 word; conflicts crossing the
         # word boundary must still be detected.
-        ids = [f"dp{i:03d}" for i in range(70)]
-        index = CatalogIndex(
-            {
-                "w": (
-                    _strategy(ids[:40]),  # bits 0-39, word 0
-                    _strategy(ids[40:]),  # bits 40-69, spans both words
-                    _strategy(ids[68:69]),  # bit 68, word 1 only
-                )
-            }
-        )
+        catalog = _line_catalog()
+        index = catalog.index
         assert index.n_words == 2
-        wi = index.worker("w")
-        # Claim the high points: the two strategies touching them conflict.
-        claimed = index.mask_of(ids[65:])
-        assert wi.available(claimed).tolist() == [0]
-        # Claim a low point: only the first strategy conflicts.
-        claimed = index.mask_of(ids[:1])
-        assert wi.available(claimed).tolist() == [1, 2]
-        assert wi.available(index.empty_mask()).tolist() == [0, 1, 2]
+        ids = sorted(index.point_bits)
+        strategies = catalog.strategies("near")
+        wi = index.worker("near")
+        for claimed_ids in (ids[65:], ids[63:65], ids[:1]):
+            expected = [
+                row
+                for row, s in enumerate(strategies)
+                if not s.conflicts_with(claimed_ids)
+            ]
+            assert 0 < len(expected) < len(strategies)
+            assert wi.available(index.mask_of(claimed_ids)).tolist() == expected
+        # A strategy straddling the word boundary conflicts through either word.
+        straddle = next(
+            row
+            for row, s in enumerate(strategies)
+            if {ids[63], ids[64]} <= s.point_ids
+        )
+        for claimed_ids in (ids[63:64], ids[64:65]):
+            available = wi.available(index.mask_of(claimed_ids)).tolist()
+            assert straddle not in available
+        assert wi.available(index.empty_mask()).tolist() == list(
+            range(len(strategies))
+        )
+
+
+class TestReferenceIndex:
+    """The gathered, compacted index equals the frozenset packer."""
+
+    @staticmethod
+    def _assert_matches_reference(catalog):
+        point_bits, n_words, masks = _reference_index(catalog)
+        index = catalog.index
+        assert index.point_bits == point_bits
+        assert index.n_words == n_words
+        for worker in catalog.workers:
+            wid = worker.worker_id
+            wi = index.worker(wid)
+            assert wi.masks.dtype == np.uint64
+            assert np.array_equal(wi.masks, masks[wid])
+            strategies = catalog.strategies(wid)
+            assert wi.size1.tolist() == [
+                row for row, s in enumerate(strategies) if s.size == 1
+            ]
+            assert wi.payoffs.tolist() == [s.payoff for s in strategies]
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_gmission_centers_match_reference(self, kernel, seed):
+        # 80 C-VDPS points (two entry words) of which only some are used:
+        # the index compacts onto one word.
+        inst = generate_gmission_like(
+            GMissionConfig(n_tasks=120, n_workers=12, n_delivery_points=80),
+            seed=seed,
+        )
+        catalog = build_catalog(inst.subproblems()[0], epsilon=0.8, kernel=kernel)
+        assert catalog.total_strategy_count
+        self._assert_matches_reference(catalog)
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+    def test_multiword_gmission_center_matches_reference(self, kernel):
+        inst = generate_gmission_like(
+            GMissionConfig(
+                n_tasks=200,
+                n_workers=20,
+                n_delivery_points=100,
+                space_km=3.0,
+                expiry_min_hours=0.8,
+                expiry_max_hours=1.5,
+                max_delivery_points=2,
+            ),
+            seed=0,
+        )
+        catalog = build_catalog(inst.subproblems()[0], epsilon=0.5, kernel=kernel)
+        assert catalog.index.n_words >= 2
+        self._assert_matches_reference(catalog)
+
+    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+    def test_points_without_a_kept_strategy_are_compacted_out(self, kernel):
+        # "a" is a C-VDPS on its own (reachable from the center in time),
+        # but no worker, all starting 1 km out, meets its deadline: its bit
+        # precedes every used bit, so the index must compact it away.
+        center = make_center(
+            [
+                make_dp("a", 1, 0, expiry=1.5),
+                make_dp("b", 0, 1),
+                make_dp("c", 0, 2),
+            ]
+        )
+        workers = (make_worker("w1", -1, 0), make_worker("w2", 0, -1))
+        catalog = build_catalog(
+            SubProblem(center, workers, unit_speed_travel()), kernel=kernel
+        )
+        assert any("a" in entry.point_ids for entry in catalog.arrays.entries)
+        assert catalog.index.point_bits == {"b": 0, "c": 1}
+        self._assert_matches_reference(catalog)
+
+    def test_oracle_catalogs_match_reference(self, catalog):
+        for each in _oracle_catalogs(catalog):
+            self._assert_matches_reference(each)
 
 
 class TestAvailabilityEquivalence:

@@ -146,6 +146,26 @@ def test_route_outside_catalog_is_caught(sub):
     assert exc.value.invariant == "assignment.catalog-membership"
 
 
+def test_foreign_point_set_is_caught_without_materialising(sub):
+    # A route through a delivery point the catalog has never seen: its
+    # point is unknown to the index, so the set is no member.  The check
+    # reads masks only and builds no strategy object.
+    from repro.obs.metrics import METRICS
+
+    catalog = build_catalog(sub)
+    ghost = make_dp("ghost", 5, 5)
+    foreign = Assignment(
+        [WorkerAssignment(sub.workers[0], Route((ghost,), (7.1,)))], validate=False
+    )
+    materialised = METRICS.counter("catalog.strategies_materialised")
+    before = materialised.value
+    with pytest.raises(InvariantViolation) as exc:
+        check_catalog_membership(foreign, catalog)
+    assert exc.value.invariant == "assignment.catalog-membership"
+    assert "valid VDPSs" in str(exc.value)
+    assert materialised.value == before
+
+
 def test_nonpositive_completion_time_is_caught(sub):
     catalog = build_catalog(sub)
     route = _top_strategy(catalog, "w1").route
