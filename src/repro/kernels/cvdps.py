@@ -64,9 +64,11 @@ _StateVal = Tuple[float, Tuple[str, ...]]
 class Layer:
     """Every feasible DP state with ``size`` points, in path-lex order.
 
-    Points are indexed by position in the sorted-id order.  Row ``r`` is
-    the state whose visit order is ``paths[r]``; its value is
-    ``times[r, -1]``.
+    Points are indexed by position in their center's sorted-id order.
+    Row ``r`` is the state whose visit order is ``paths[r]``; its value is
+    ``times[r, -1]``.  A batched DP (:func:`compute_layers` over several
+    centers) keeps each center's states as one contiguous block, blocks in
+    batch order, path-lex within a block.
     """
 
     #: ``(S, size)`` intp — visit order of each state.
@@ -75,14 +77,34 @@ class Layer:
     times: np.ndarray
     #: ``(S, n_words)`` uint64 — packed subset bitmask of each state.
     masks: np.ndarray
-    #: ``(S,)`` int64 — dense id of each state's subset within the layer.
+    #: ``(S,)`` int64 — dense id of each state's ``(center, subset)``
+    #: within the layer, ascending by center.
     sid: np.ndarray
     #: ``(n_subsets,)`` intp — the canonical state's row, indexed by ``sid``.
     best: np.ndarray
+    #: ``(S,)`` intp — batch position of each state's center (ascending).
+    center: np.ndarray
 
     @property
     def size(self) -> int:
         return self.paths.shape[1]
+
+
+@dataclass(frozen=True)
+class CenterDP:
+    """One center's share of a batched DP (:func:`compute_layers`)."""
+
+    center_id: str
+    #: The center's delivery points in sorted-id order (the index space).
+    points: Sequence[object]
+    #: ``(n, n)`` bool — ``adjacency[j, q]``: the DP may chain ``j -> q``.
+    adjacency: np.ndarray
+    #: The sorted-id :func:`center_matrix` of ``points``.
+    matrix: TravelMatrix
+    #: ``maxDP``: the largest subset size this center's DP expands to.
+    cap: int
+    #: The center's ``DPStats``; :func:`compute_layers` adds its counts.
+    stats: object
 
 
 def center_matrix(
@@ -204,120 +226,142 @@ _WORD = np.dtype("<u8")
 
 
 def _make_layer(
-    paths: np.ndarray, times: np.ndarray, masks: np.ndarray
+    paths: np.ndarray, times: np.ndarray, masks: np.ndarray, center: np.ndarray
 ) -> Layer:
-    """Group a layer's states by subset and pick each subset's best row."""
-    # One stable sort by (subset words, time): among equal (subset, time)
-    # the lower row — the smaller path — stays first, so the first row of
-    # each subset group is the canonical minimum by (time, path).
-    order = np.lexsort((times[:, -1],) + tuple(masks.T))
+    """Group a layer's states by (center, subset); pick each group's best row."""
+    # One stable sort by (center, subset words, time): among equal
+    # (center, subset, time) the lower row — the smaller path — stays
+    # first, so the first row of each group is the canonical minimum by
+    # (time, path).
+    order = np.lexsort((times[:, -1],) + tuple(masks.T) + (center,))
     ranked = masks[order]
+    ranked_center = center[order]
     starts = np.empty(order.size, dtype=bool)
     starts[:1] = True
     np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    starts[1:] |= ranked_center[1:] != ranked_center[:-1]
     sid = np.empty(order.size, dtype=np.int64)
     sid[order] = np.cumsum(starts) - 1
-    return Layer(paths, times, masks, sid, order[starts])
+    return Layer(paths, times, masks, sid, order[starts], center)
 
 
-def compute_layers(
-    points: Sequence[object],
-    adjacency: np.ndarray,
-    matrix: TravelMatrix,
-    cap: int,
-    stats,
-    tracer,
-    center_id: str,
-) -> List[Layer]:
-    """The full layered DP as array passes; see the module doc.
+def compute_layers(centers: Sequence[CenterDP], tracer) -> List[Layer]:
+    """The layered DP of every center in ``centers`` as one set of array passes.
 
-    ``points`` are the center's delivery points in sorted-id order,
-    ``adjacency[j, q]`` says the DP may chain ``j -> q`` (the pruning
-    neighbourhood), and ``matrix`` is the sorted-id :func:`center_matrix`.
-    Produces the same states as the scalar
-    :func:`repro.vdps.generator.compute_states`, the same ``DPStats``
-    increments and the same ``cvdps.layer`` tracer events.
+    Each center keeps its own sorted-id point space, padded to the
+    batch's widest center: travel times and chaining flags form
+    ``(C, P, P)`` stacks, and every state carries its center's batch
+    position (:attr:`Layer.center`).  Relaxation keys are
+    ``(center, subset, endpoint)``, so centers never interact and each
+    center's states stay a contiguous path-lex block; a center stops
+    expanding at its own ``cap``.  Per center this produces exactly the
+    states, ``stats`` increments and ``cvdps.layer`` events (emitted
+    center by center, in batch order) that the scalar
+    :func:`repro.vdps.generator.compute_states` does.  Every center needs
+    at least one point and ``cap >= 1``.
     """
-    n = len(points)
-    service = np.array([dp.service_hours for dp in points], dtype=np.float64)
-    deadline = np.array([dp.earliest_expiry for dp in points], dtype=np.float64)
-    times = matrix.times
-    n_words = max(1, -(-n // 64))
+    n_centers = len(centers)
+    sizes = [len(job.points) for job in centers]
+    width = max(sizes)
+    n_words = max(1, -(-width // 64))
+    # Padding points are unreachable: no seed (infinite center leg, -inf
+    # deadline) and no chaining flag into or out of them.
+    service_list: List[float] = []
+    deadline_list: List[float] = []
+    for job, n in zip(centers, sizes):
+        service_list.extend([dp.service_hours for dp in job.points])
+        deadline_list.extend([dp.earliest_expiry for dp in job.points])
+        service_list.extend([0.0] * (width - n))
+        deadline_list.extend([-np.inf] * (width - n))
+    service = np.array(service_list, dtype=np.float64).reshape(n_centers, width)
+    deadline = np.array(deadline_list, dtype=np.float64).reshape(n_centers, width)
+    origin = np.full((n_centers, width), np.inf)
+    times = np.zeros((n_centers, width, width), dtype=np.float64)
+    adjacency = np.zeros((n_centers, width, width), dtype=bool)
+    for c, (job, n) in enumerate(zip(centers, sizes)):
+        origin[c, :n] = job.matrix.origin_times
+        times[c, :n, :n] = job.matrix.times
+        adjacency[c, :n, :n] = job.adjacency
+    caps = np.array([job.cap for job in centers], dtype=np.int64)
+    counts = np.array(sizes, dtype=np.int64)
 
     # Layer 1: seed every singleton whose center leg meets its deadline.
-    # flatnonzero ascends, so the layer starts in path-lex order.
-    seed_times = matrix.origin_times
-    seed_idx = np.flatnonzero(seed_times <= deadline)
-    stats.deadline_rejections += n - seed_idx.size
+    # nonzero walks row-major, so the layer starts in (center, path-lex)
+    # order.
+    seed_center, seed_idx = np.nonzero(origin <= deadline)
+    seeds = np.bincount(seed_center, minlength=n_centers)
     masks = np.zeros((seed_idx.size, n_words), dtype=_WORD)
     _set_bits(masks, seed_idx)
     layer = Layer(
-        paths=seed_idx.astype(np.intp).reshape(-1, 1),
-        times=seed_times[seed_idx].reshape(-1, 1),
+        paths=seed_idx.reshape(-1, 1),
+        times=origin[seed_center, seed_idx].reshape(-1, 1),
         masks=masks,
         sid=np.arange(seed_idx.size, dtype=np.int64),
         best=np.arange(seed_idx.size, dtype=np.intp),
+        center=seed_center,
     )
     layers = [layer] if seed_idx.size else []
-    stats.states_expanded += seed_idx.size
-    if tracer.enabled:
-        tracer.event(
-            "cvdps.layer",
-            center=center_id,
-            size=1,
-            states=int(seed_idx.size),
-            candidates=n,
-            deadline_rejections=stats.deadline_rejections,
-        )
+    expanded = seeds.copy()
+    tried = np.zeros(n_centers, dtype=np.int64)
+    rejected = counts - seeds
+    # Per expansion: (size, expanding centers, states, candidates,
+    # rejections), for the per-center tracer events.
+    history = []
 
     size = 1
-    while layer.paths.shape[0] and size < cap:
-        f_ends = layer.paths[:, -1]
-        base = layer.times[:, -1] + service[f_ends]
-        member_bytes = layer.masks.view(np.uint8)
-        chunk = max(1, _CHUNK_CELLS // max(n, 1))
+    chunk = max(1, _CHUNK_CELLS // width)
+    while layer.paths.shape[0]:
+        rows = np.flatnonzero(caps[layer.center] > size)
+        if not rows.size:
+            break
+        f_ends = layer.paths[rows, -1]
+        f_center = layer.center[rows]
+        base = layer.times[rows, -1] + service[f_center, f_ends]
+        member_bytes = layer.masks[rows].view(np.uint8)
         parents_parts: List[np.ndarray] = []
         qs_parts: List[np.ndarray] = []
         ts_parts: List[np.ndarray] = []
-        layer_candidates = 0
-        layer_rejections = 0
-        for lo in range(0, f_ends.size, chunk):
-            hi = min(lo + chunk, f_ends.size)
+        tried_parts: List[np.ndarray] = []
+        rejected_parts: List[np.ndarray] = []
+        for lo in range(0, rows.size, chunk):
+            hi = min(lo + chunk, rows.size)
             member = np.unpackbits(
-                member_bytes[lo:hi], axis=1, count=n, bitorder="little"
+                member_bytes[lo:hi], axis=1, count=width, bitorder="little"
             ).astype(bool)
-            allowed = adjacency[f_ends[lo:hi]] & ~member
+            allowed = adjacency[f_center[lo:hi], f_ends[lo:hi]] & ~member
             rows_c, qs_c = np.nonzero(allowed)
-            layer_candidates += rows_c.size
             if not rows_c.size:
                 continue
-            rows_g = rows_c + lo
-            t_new = base[rows_g] + times[f_ends[rows_g], qs_c]
-            feasible = t_new <= deadline[qs_c]
-            kept = int(np.count_nonzero(feasible))
-            layer_rejections += rows_c.size - kept
-            if kept:
-                parents_parts.append(rows_g[feasible])
-                qs_parts.append(qs_c[feasible])
-                ts_parts.append(t_new[feasible])
+            local = rows_c + lo
+            cand_center = f_center[local]
+            t_new = base[local] + times[cand_center, f_ends[local], qs_c]
+            feasible = t_new <= deadline[cand_center, qs_c]
+            tried_parts.append(cand_center)
+            rejected_parts.append(cand_center[~feasible])
+            parents_parts.append(rows[local[feasible]])
+            qs_parts.append(qs_c[feasible])
+            ts_parts.append(t_new[feasible])
 
         size += 1
-        states = 0
-        if parents_parts:
-            parents = np.concatenate(parents_parts)
+        layer_tried = _count(tried_parts, n_centers)
+        layer_rejected = _count(rejected_parts, n_centers)
+        parents = np.concatenate(parents_parts) if parents_parts else rows[:0]
+        if parents.size:
             qs = np.concatenate(qs_parts)
             ts = np.concatenate(ts_parts)
             # Canonical relaxation: stable-sort candidates by (target,
-            # time, parent rank) and keep the first per (subset, endpoint)
-            # target.
-            key = layer.sid[parents] * np.int64(n) + qs
+            # time, parent rank) and keep the first per (center, subset,
+            # endpoint) target.  Subset ids are unique across centers, and
+            # parent rows are ranked center-major, path-lex within a center.
+            key = layer.sid[parents] * np.int64(width) + qs
             order = np.lexsort((parents, ts, key))
             ranked = key[order]
             first = np.empty(order.size, dtype=bool)
             first[:1] = True
             np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
             win = order[first]
-            # Path-lex invariant: (parent rank, endpoint) order.
+            # Path-lex invariant: (parent rank, endpoint) order, which
+            # also keeps every center's block contiguous.
             win = win[np.lexsort((qs[win], parents[win]))]
             wparents, wqs = parents[win], qs[win]
             new_masks = layer.masks[wparents]
@@ -326,25 +370,61 @@ def compute_layers(
                 np.column_stack((layer.paths[wparents], wqs)),
                 np.column_stack((layer.times[wparents], ts[win])),
                 new_masks,
+                layer.center[wparents],
             )
             layers.append(layer)
-            states = win.size
+            states = np.bincount(layer.center, minlength=n_centers)
+        else:
+            states = np.zeros(n_centers, dtype=np.int64)
+        expanded += states
+        tried += layer_tried
+        rejected += layer_rejected
+        history.append(
+            (
+                size,
+                np.bincount(f_center, minlength=n_centers) > 0,
+                states,
+                layer_tried,
+                layer_rejected,
+            )
+        )
+        if not parents.size:
+            break
 
-        stats.states_expanded += states
-        stats.candidates_tried += layer_candidates
-        stats.deadline_rejections += layer_rejections
+    for c, job in enumerate(centers):
+        stats = job.stats
         if tracer.enabled:
             tracer.event(
                 "cvdps.layer",
-                center=center_id,
-                size=size,
-                states=states,
-                candidates=layer_candidates,
-                deadline_rejections=layer_rejections,
+                center=job.center_id,
+                size=1,
+                states=int(seeds[c]),
+                candidates=sizes[c],
+                deadline_rejections=stats.deadline_rejections
+                + sizes[c]
+                - int(seeds[c]),
             )
-        if not states:
-            break
+            for layer_size, expanding, states, layer_tried, layer_rejected in history:
+                if expanding[c]:
+                    tracer.event(
+                        "cvdps.layer",
+                        center=job.center_id,
+                        size=layer_size,
+                        states=int(states[c]),
+                        candidates=int(layer_tried[c]),
+                        deadline_rejections=int(layer_rejected[c]),
+                    )
+        stats.states_expanded += int(expanded[c])
+        stats.candidates_tried += int(tried[c])
+        stats.deadline_rejections += int(rejected[c])
     return layers
+
+
+def _count(parts: List[np.ndarray], n_centers: int) -> np.ndarray:
+    """``(C,)`` int64 — how many entries of ``parts`` name each center."""
+    if not parts:
+        return np.zeros(n_centers, dtype=np.int64)
+    return np.bincount(np.concatenate(parts), minlength=n_centers)
 
 
 def _set_bits(masks: np.ndarray, idx: np.ndarray) -> None:
@@ -355,13 +435,37 @@ def _set_bits(masks: np.ndarray, idx: np.ndarray) -> None:
         )
 
 
-def states_from_layers(
-    layers: Sequence[Layer], ids: Sequence[str]
-) -> Dict[_StateKey, _StateVal]:
-    """The scalar-shaped state table ``{(subset, end): (time, path)}``."""
-    states: Dict[_StateKey, _StateVal] = {}
+def split_layers(
+    layers: Sequence[Layer], n_centers: int
+) -> List[List[Tuple[np.ndarray, np.ndarray]]]:
+    """Each center's states out of a batched DP, in arrays of its own.
+
+    Returns, per center in batch order, one ``(paths, times)`` pair per
+    layer the center reaches: its block's visit orders and final arrival
+    times.  They are copies, so a center's share keeps nothing of the
+    batch alive.
+    """
+    blocks: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in range(n_centers)]
     for layer in layers:
-        for row, t in zip(layer.paths.tolist(), layer.times[:, -1].tolist()):
+        cuts = np.searchsorted(layer.center, np.arange(n_centers + 1)).tolist()
+        for c in range(n_centers):
+            a, b = cuts[c], cuts[c + 1]
+            if a < b:
+                blocks[c].append((layer.paths[a:b].copy(), layer.times[a:b, -1].copy()))
+    return blocks
+
+
+def states_from_layers(
+    blocks: Sequence[Tuple[np.ndarray, np.ndarray]], ids: Sequence[str]
+) -> Dict[_StateKey, _StateVal]:
+    """The scalar-shaped state table ``{(subset, end): (time, path)}``.
+
+    ``blocks`` is one center's :func:`split_layers` share; ``ids`` are
+    that center's sorted dp ids.
+    """
+    states: Dict[_StateKey, _StateVal] = {}
+    for paths, times in blocks:
+        for row, t in zip(paths.tolist(), times.tolist()):
             path = tuple(map(ids.__getitem__, row))
             states[(frozenset(path), path[-1])] = (t, path)
     return states

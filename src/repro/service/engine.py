@@ -212,7 +212,12 @@ class DispatchEngine:
         ``trace=`` field.
     solve_deadline_s:
         Per-center wall-clock budget for each solve attempt, run on its
-        own thread; ``None`` runs every attempt inline.
+        own thread; ``None`` runs every attempt inline.  With
+        ``delta_catalog``, the round's first catalog miss refreshes every
+        stale center in one batch, so that attempt's budget covers the
+        whole batch.  If it times out, a center the abandoned batch still
+        holds builds its catalog on the side within its own budget, so a
+        slow batch degrades only the center whose attempt ran it.
     solve_retries:
         Extra attempts of the *primary* rung after its first failure,
         separated by exponential backoff with seeded jitter.
@@ -608,27 +613,32 @@ class DispatchEngine:
         METRICS.counter("dispatch.center_solves").add(len(subs))
         assignments: Dict[str, Assignment] = {}
         degraded: Dict[str, str] = {}
-        for sub in subs:
-            cid = sub.center.center_id
-            seed = round_rng.seed_for(f"{self._name}:{cid}")
-            if tracer.enabled:
-                with tracer.span(
-                    "service.center_solve", round=index, center=cid
-                ) as span:
+        # The round's first catalog miss builds every stale center at once.
+        self._cache.stage(snapshot)
+        try:
+            for sub in subs:
+                cid = sub.center.center_id
+                seed = round_rng.seed_for(f"{self._name}:{cid}")
+                if tracer.enabled:
+                    with tracer.span(
+                        "service.center_solve", round=index, center=cid
+                    ) as span:
+                        assignment, rung = self._solve_center(
+                            sub, snapshot, index, cid, seed, tracer, baselines
+                        )
+                        span.add(rung=rung)
+                else:
                     assignment, rung = self._solve_center(
                         sub, snapshot, index, cid, seed, tracer, baselines
                     )
-                    span.add(rung=rung)
-            else:
-                assignment, rung = self._solve_center(
-                    sub, snapshot, index, cid, seed, tracer, baselines
-                )
-            assignments[cid] = assignment
-            degraded[cid] = rung
-            if rung != "primary" and tracer.enabled:
-                tracer.event(
-                    "service.degraded", round=index, center=cid, rung=rung
-                )
+                assignments[cid] = assignment
+                degraded[cid] = rung
+                if rung != "primary" and tracer.enabled:
+                    tracer.event(
+                        "service.degraded", round=index, center=cid, rung=rung
+                    )
+        finally:
+            self._cache.stage(None)
         verified = len(subs) if self._verify_rungs else 0
         return InstanceSolution(assignments), degraded, verified
 

@@ -159,6 +159,9 @@ class WorldState:
         self._centers: Dict[str, DistributionCenter] = {}
         self._layout: Dict[str, DeliveryPoint] = {}  # dp_id -> bare point
         self._dp_center: Dict[str, str] = {}  # dp_id -> center_id
+        # dp_id -> travel time from its center; the layout and the travel
+        # model are fixed, so each leg is computed once, on first use.
+        self._center_leg: Dict[str, float] = {}
         for center in centers:
             if center.center_id in self._centers:
                 raise ValueError(f"duplicate center id {center.center_id!r}")
@@ -459,9 +462,13 @@ class WorldState:
                 if remaining <= 0:
                     continue
                 center_id = self._dp_center[arrival.dp_id]
-                dp = self._layout[arrival.dp_id]
-                center = self._centers[center_id]
-                if remaining <= self._travel.time(center.location, dp.location):
+                leg = self._center_leg.get(arrival.dp_id)
+                if leg is None:
+                    leg = self._center_leg[arrival.dp_id] = self._travel.time(
+                        self._centers[center_id].location,
+                        self._layout[arrival.dp_id].location,
+                    )
+                if remaining <= leg:
                     continue  # hopeless even from the center (Definition 6)
                 by_center.setdefault(center_id, {}).setdefault(
                     arrival.dp_id, []
@@ -475,16 +482,22 @@ class WorldState:
                 )
                 ids_by_center.setdefault(center_id, []).append(arrival.task_id)
 
+            # One pass buckets the available workers of every center with
+            # pending work, each bucket in worker-id order.
+            available_by_center: Dict[str, List[Worker]] = {}
+            for wid in sorted(self._workers):
+                center_id = self._worker_center[wid]
+                worker = self._workers[wid]
+                if center_id in by_center and worker.is_available(now):
+                    available_by_center.setdefault(center_id, []).append(
+                        worker.snapshot()
+                    )
+
             subs: List[SubProblem] = []
             fingerprints: Dict[str, str] = {}
             task_ids: Dict[str, Tuple[str, ...]] = {}
             for center_id in sorted(by_center):
-                available = [
-                    self._workers[wid].snapshot()
-                    for wid in sorted(self._workers)
-                    if self._worker_center[wid] == center_id
-                    and self._workers[wid].is_available(now)
-                ]
+                available = available_by_center.get(center_id)
                 if not available:
                     continue
                 points = tuple(

@@ -43,7 +43,7 @@ from repro.core.payoff import worker_payoff
 from repro.core.routing import Route, arrival_times, best_route
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER, NullTracer, resolve_tracer
-from repro.vdps.generator import CVdpsEntry, CvdpsTable, generate_table
+from repro.vdps.generator import CVdpsEntry, CvdpsTable, generate_tables
 
 #: Sentinel id for the *null* strategy (the worker performs no deliveries).
 NULL_STRATEGY_ID = "<null>"
@@ -579,30 +579,53 @@ def strategy_sort_key(strategy: WorkerStrategy):
     return (-strategy.payoff, tuple(sorted(strategy.point_ids)))
 
 
-def build_with_table(
-    sub: SubProblem,
+def build_batch(
+    subs: Sequence[SubProblem],
     epsilon: Optional[float],
     strict_revalidation: bool = False,
     tracer: NullTracer = NULL_TRACER,
     kernel: Optional[str] = None,
-    layout=None,
-) -> Tuple[VDPSCatalog, CvdpsTable]:
-    """The catalog of ``sub`` plus the C-VDPS table it was validated from.
+    layouts: Optional[Sequence] = None,
+) -> List[Tuple[VDPSCatalog, CvdpsTable]]:
+    """The catalog of every sub-problem in ``subs``, each with its C-VDPS table.
 
-    The one full-build path: :func:`build_catalog` keeps the catalog, and
-    :class:`~repro.vdps.delta.DeltaCatalog` also keeps the table, deriving
-    its surgery state from it only when a later refresh needs it, and
-    passes its cross-round travel-matrix cache as ``layout``.  Counts
+    The one full-build path: :func:`build_catalog` is the batch of one
+    and keeps the catalog; :class:`~repro.vdps.delta.DeltaCatalog` also
+    keeps the table, deriving its surgery state from it only when a later
+    refresh needs it; the dispatch service's catalog cache builds every
+    stale center of a round in one call.  ``layouts[c]`` is center ``c``'s
+    cross-round travel-matrix cache.  The vectorized tier runs one stacked
+    DP, one entry layout and one validation scan for the whole batch
+    (see :func:`~repro.vdps.generator.generate_tables` and
+    :func:`~repro.kernels.validate.validate_all`); each center's catalog
+    is bit-identical to its own one-center build.  Counts
     ``catalog.strategies_built`` (and, through generation, the
     ``cvdps.*`` totals) whichever caller asked.
     """
-    cap = max((w.max_delivery_points for w in sub.online_workers), default=0)
-    table = generate_table(
-        sub.center, sub.travel, epsilon, cap, tracer, kernel, layout
+    from repro.kernels.validate import EntryArrays
+
+    caps = [
+        max((w.max_delivery_points for w in sub.online_workers), default=0)
+        for sub in subs
+    ]
+    tables = generate_tables(
+        [sub.center for sub in subs],
+        [sub.travel for sub in subs],
+        caps,
+        epsilon,
+        tracer,
+        kernel,
+        layouts,
     )
-    entries = None if table.arrays is not None else table.entries()
-    catalog = _validate_all(sub, epsilon, strict_revalidation, table.arrays, entries)
-    return catalog, table
+    # The scalar tier (and a center with no DP at all) validates through
+    # the reference loop, over an entry table flattened from its entries.
+    scalar = [table.arrays is None for table in tables]
+    arrays = [
+        EntryArrays.from_entries(table.entries()) if exact else table.arrays
+        for table, exact in zip(tables, scalar)
+    ]
+    catalogs = _validate_batch(subs, epsilon, strict_revalidation, arrays, scalar)
+    return list(zip(catalogs, tables))
 
 
 def _build_catalog(
@@ -617,53 +640,60 @@ def _build_catalog(
 
     tier = resolve_kernel(kernel)
     if cvdps is None:
-        return build_with_table(sub, epsilon, strict_revalidation, tracer, tier)[0]
+        return build_batch([sub], epsilon, strict_revalidation, tracer, tier)[0][0]
     from repro.kernels.validate import EntryArrays
 
-    arrays = None if tier == "scalar" else EntryArrays.from_entries(cvdps)
-    return _validate_all(sub, epsilon, strict_revalidation, arrays, cvdps)
+    arrays = EntryArrays.from_entries(cvdps)
+    return _validate_batch(
+        [sub], epsilon, strict_revalidation, [arrays], [tier == "scalar"]
+    )[0]
 
 
-def _validate_all(
-    sub: SubProblem,
+def _validate_batch(
+    subs: Sequence[SubProblem],
     epsilon: Optional[float],
     strict_revalidation: bool,
-    arrays,
-    entries: Optional[List[CVdpsEntry]],
-) -> VDPSCatalog:
+    tables: Sequence,
+    scalar: Sequence[bool],
+) -> List[VDPSCatalog]:
     """Section IV validation of every entry for every online worker.
 
-    ``arrays`` (vectorized tier) selects the array scan; without them the
-    scalar ``validate_entry`` loop runs over ``entries``, and the catalog's
-    columns index an entry table flattened from them.
+    ``tables[c]`` is center ``c``'s :class:`~repro.kernels.validate.EntryArrays`
+    and ``scalar[c]`` says whether it runs the scalar tier; see
+    :func:`~repro.kernels.validate.validate_tables`.
     """
-    from repro.kernels.validate import EntryArrays, validate_worker
+    from repro.kernels.validate import validate_tables
 
-    scalar = arrays is None
-    if scalar:
-        arrays = EntryArrays.from_entries(entries)
-    elif arrays.n_entries:
-        METRICS.counter("kernel.validate_vectorized").add(1)
-    columns: Dict[str, WorkerStrategies] = {}
-    for worker in sub.online_workers:
-        offset, factor = worker_offset_factor(
-            worker, sub.travel, sub.center.location
+    scans = []
+    for sub, arrays, exact in zip(subs, tables, scalar):
+        if not exact and arrays.n_entries:
+            METRICS.counter("kernel.validate_vectorized").add(1)
+        location = sub.center.location
+        scans.append(
+            [
+                (worker, *worker_offset_factor(worker, sub.travel, location))
+                for worker in sub.online_workers
+            ]
         )
-        rows, payoffs, objects = validate_worker(
-            arrays,
-            worker,
-            offset,
-            factor,
-            sub.travel,
-            sub.center.location,
-            strict_revalidation,
-            scalar,
-        )
-        columns[worker.worker_id] = WorkerStrategies(
-            arrays, rows, payoffs, offset, objects
-        )
-    catalog = VDPSCatalog(
-        sub.online_workers, arrays, columns, epsilon, arrays.n_entries
+    validated = validate_tables(
+        tables,
+        scans,
+        [sub.travel for sub in subs],
+        [sub.center.location for sub in subs],
+        strict_revalidation,
+        scalar,
     )
-    METRICS.counter("catalog.strategies_built").add(catalog.total_strategy_count)
-    return catalog
+    catalogs = []
+    built = 0
+    for sub, arrays, scan, found in zip(subs, tables, scans, validated):
+        columns = {
+            worker.worker_id: WorkerStrategies(arrays, rows, payoffs, offset, objects)
+            for (worker, offset, _), (rows, payoffs, objects) in zip(scan, found)
+        }
+        catalog = VDPSCatalog(
+            sub.online_workers, arrays, columns, epsilon, arrays.n_entries
+        )
+        built += catalog.total_strategy_count
+        catalogs.append(catalog)
+    METRICS.counter("catalog.strategies_built").add(built)
+    return catalogs

@@ -52,7 +52,16 @@ Everything lands on the ``catalog.delta_*`` metrics surface
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -64,8 +73,8 @@ from repro.obs.tracer import resolve_tracer
 from repro.vdps.catalog import (
     VDPSCatalog,
     WorkerStrategies,
+    build_batch,
     build_catalog,
-    build_with_table,
     worker_offset_factor,
 )
 from repro.vdps.generator import (
@@ -134,6 +143,60 @@ class DeltaCatalog:
         verify: bool = False,
         kernel: Optional[str] = None,
     ) -> None:
+        self._configure(
+            sub, epsilon, strict_revalidation, rebuild_fraction, verify, kernel
+        )
+        self._layout = LayoutMatrix()
+
+        def build() -> VDPSCatalog:
+            self._full_rebuild(sub)
+            return self._catalog
+
+        self._timed(build)
+
+    @classmethod
+    def from_build(
+        cls,
+        sub: SubProblem,
+        catalog: VDPSCatalog,
+        table: CvdpsTable,
+        layout: LayoutMatrix,
+        epsilon: Optional[float] = None,
+        strict_revalidation: bool = False,
+        rebuild_fraction: float = 0.5,
+        kernel: Optional[str] = None,
+    ) -> "DeltaCatalog":
+        """A catalog whose initial build was made elsewhere, in a batch.
+
+        ``catalog`` and ``table`` are :func:`~repro.vdps.catalog.build_batch`
+        output for ``sub`` at the same ``epsilon``, strictness and kernel,
+        built with ``layout`` as the center's travel-matrix cache, which
+        the new catalog keeps.  Equal to ``DeltaCatalog(sub, ...)``, and
+        traced the same way (a ``catalog.refresh`` span with ``path``
+        ``rebuild``).
+        """
+        self = cls.__new__(cls)
+        self._configure(
+            sub, epsilon, strict_revalidation, rebuild_fraction, False, kernel
+        )
+        self._layout = layout
+
+        def install() -> VDPSCatalog:
+            self._install(sub, catalog, table)
+            return catalog
+
+        self._timed(install)
+        return self
+
+    def _configure(
+        self,
+        sub: SubProblem,
+        epsilon: Optional[float],
+        strict_revalidation: bool,
+        rebuild_fraction: float,
+        verify: bool,
+        kernel: Optional[str],
+    ) -> None:
         if rebuild_fraction < 0:
             raise ValueError(
                 f"rebuild_fraction must be >= 0, got {rebuild_fraction!r}"
@@ -144,22 +207,10 @@ class DeltaCatalog:
         self._verify = bool(verify)
         self._kernel = kernel
         self._entry_arrays = None
-        self._layout = LayoutMatrix()
+        self._center_id = sub.center.center_id
         self._table: Optional[CvdpsTable] = None
         self._catalog: Optional[VDPSCatalog] = None
         self._last_path = "rebuild"
-        tracer = resolve_tracer(False)
-        if tracer.enabled:
-            with tracer.span(
-                "catalog.refresh",
-                center=sub.center.center_id,
-                path="rebuild",
-            ):
-                with METRICS.timer("catalog.delta_refresh_seconds"):
-                    self._full_rebuild(sub)
-        else:
-            with METRICS.timer("catalog.delta_refresh_seconds"):
-                self._full_rebuild(sub)
 
     # -- public surface -----------------------------------------------------
 
@@ -182,29 +233,21 @@ class DeltaCatalog:
         """The ``maxDP`` bound the DP state table is complete up to."""
         return self._cap_built
 
-    def refresh(self, sub: SubProblem) -> VDPSCatalog:
+    def refresh(self, sub: SubProblem, plan=None) -> VDPSCatalog:
         """Bring the catalog up to date with ``sub`` and return it.
 
         Equal — strategy for strategy, bit for bit — to
         ``build_catalog(sub, epsilon=...)``, whether the refresh applied
-        deltas or fell back to a rebuild.
+        deltas or fell back to a rebuild.  ``plan``, when given, is
+        :meth:`decide`'s answer for this ``sub`` with nothing refreshed
+        in between; it spares deciding twice.
 
         Traced as a ``catalog.refresh`` span whose ``path`` field names
         the outcome — ``delta``, ``noop``, ``fallback``, or ``rebuild`` —
         so round critical paths attribute catalog time to the decision
         that caused it.
         """
-        tracer = resolve_tracer(False)
-        if tracer.enabled:
-            with tracer.span(
-                "catalog.refresh", center=self._center_id
-            ) as span:
-                with METRICS.timer("catalog.delta_refresh_seconds"):
-                    catalog = self._refresh(sub)
-                span.add(path=self._last_path)
-        else:
-            with METRICS.timer("catalog.delta_refresh_seconds"):
-                catalog = self._refresh(sub)
+        catalog = self._timed(lambda: self._refresh(sub, plan))
         if self._verify:
             diffs = catalog_diff(
                 catalog,
@@ -219,6 +262,59 @@ class DeltaCatalog:
                 raise AssertionError(
                     "delta catalog diverged from rebuild: " + "; ".join(diffs)
                 )
+        return catalog
+
+    @property
+    def layout(self) -> LayoutMatrix:
+        """The center's cross-round travel-matrix cache (for batch builds)."""
+        return self._layout
+
+    def decide(self, sub: SubProblem):
+        """How :meth:`refresh` would bring the catalog to ``sub``, doing
+        nothing: a plan whose first item is the path (``noop``, ``delta``
+        or ``fallback``).
+
+        A ``fallback`` can be built elsewhere (in a batch with other
+        centers) and handed over with :meth:`adopt`; otherwise pass the
+        plan on to :meth:`refresh`.
+        """
+        return self._plan(sub)
+
+    def adopt(
+        self, sub: SubProblem, catalog: VDPSCatalog, table: CvdpsTable
+    ) -> VDPSCatalog:
+        """Complete a ``fallback`` refresh with a build made elsewhere.
+
+        ``catalog`` and ``table`` are :func:`~repro.vdps.catalog.build_batch`
+        output for ``sub`` at this catalog's epsilon, strictness and
+        kernel, built with :attr:`layout`.  The result, the counters
+        (``catalog.delta_fallbacks``, ``catalog.delta_rebuilds``) and the
+        state left behind are those of ``refresh(sub)`` taking its
+        fallback.
+        """
+
+        def install() -> VDPSCatalog:
+            METRICS.counter("catalog.delta_fallbacks").add(1)
+            self._install(sub, catalog, table)
+            self._last_path = "fallback"
+            return catalog
+
+        return self._timed(install)
+
+    def _timed(self, run) -> VDPSCatalog:
+        """``run()`` under the refresh timer and a ``catalog.refresh`` span.
+
+        The span's ``path`` field names the outcome — ``delta``, ``noop``,
+        ``fallback``, or ``rebuild``.
+        """
+        tracer = resolve_tracer(False)
+        if not tracer.enabled:
+            with METRICS.timer("catalog.delta_refresh_seconds"):
+                return run()
+        with tracer.span("catalog.refresh", center=self._center_id) as span:
+            with METRICS.timer("catalog.delta_refresh_seconds"):
+                catalog = run()
+            span.add(path=self._last_path)
         return catalog
 
     def __getstate__(self):
@@ -236,7 +332,9 @@ class DeltaCatalog:
 
     # -- refresh machinery --------------------------------------------------
 
-    def _refresh(self, sub: SubProblem) -> VDPSCatalog:
+    def _plan(self, sub: SubProblem):
+        """``(path, churn)``: the refresh path for ``sub`` and, for a delta,
+        ``(new points, added, removed, changed, new cap)``."""
         travel = sub.travel
         if (
             sub.center.center_id != self._center_id
@@ -244,14 +342,7 @@ class DeltaCatalog:
             or travel.speed_kmh != self._travel.speed_kmh
             or travel.distance_fn is not self._travel.distance_fn
         ):
-            METRICS.counter("catalog.delta_fallbacks").add(1)
-            self._full_rebuild(sub)
-            self._last_path = "fallback"
-            return self._catalog
-        # Same geometry and parameters: adopt the live travel model (its
-        # memoised distances are shared with the rest of the service).
-        self._travel = travel
-
+            return "fallback", None
         new_points = {dp.dp_id: dp for dp in sub.center.delivery_points}
         workers = sub.online_workers
         new_cap = max((w.max_delivery_points for w in workers), default=0)
@@ -268,17 +359,29 @@ class DeltaCatalog:
             and self._catalog is not None
             and workers == self._catalog.workers
         ):
-            METRICS.counter("catalog.delta_noops").add(1)
-            self._last_path = "noop"
-            return self._catalog
+            return "noop", None
         if churn > self._rebuild_fraction * max(
             len(new_points), len(self._points), 1
         ) or (new_cap > self._cap_built and self._cap_built == 0):
+            return "fallback", None
+        return "delta", (new_points, added, removed, changed, new_cap)
+
+    def _refresh(self, sub: SubProblem, plan=None) -> VDPSCatalog:
+        path, churn = self._plan(sub) if plan is None else plan
+        if path == "fallback":
             METRICS.counter("catalog.delta_fallbacks").add(1)
             self._full_rebuild(sub)
             self._last_path = "fallback"
             return self._catalog
+        # Same geometry and parameters: adopt the live travel model (its
+        # memoised distances are shared with the rest of the service).
+        self._travel = sub.travel
+        if path == "noop":
+            METRICS.counter("catalog.delta_noops").add(1)
+            self._last_path = "noop"
+            return self._catalog
 
+        new_points, added, removed, changed, new_cap = churn
         METRICS.counter("catalog.delta_applies").add(1)
         self._last_path = "delta"
         self._ensure_tables()
@@ -300,6 +403,7 @@ class DeltaCatalog:
         METRICS.counter("cvdps.deadline_rejections").add(stats.deadline_rejections)
         METRICS.counter("catalog.delta_entries_added").add(len(added_entries))
 
+        workers = sub.online_workers
         self._apply_worker_churn(
             workers, set(removed) | set(changed), added_entries
         )
@@ -308,13 +412,29 @@ class DeltaCatalog:
     def _full_rebuild(self, sub: SubProblem) -> None:
         """Rebuild from scratch (init and the fallback path).
 
-        Runs the same build as :func:`~repro.vdps.catalog.build_catalog`,
-        with the travel matrix gathered from the center's
-        :class:`~repro.kernels.cvdps.LayoutMatrix`, and keeps its C-VDPS
-        table.  The surgery tables are derived from
-        it only when a later refresh takes the delta path (or the catalog
-        is pickled, see :meth:`_ensure_tables`): under a moving clock
-        every refresh falls back, so none is ever built.
+        Runs the same build as :func:`~repro.vdps.catalog.build_catalog`
+        (a batch of one), with the travel matrix gathered from the
+        center's :class:`~repro.kernels.cvdps.LayoutMatrix`.
+        """
+        ((catalog, table),) = build_batch(
+            [sub],
+            self.epsilon,
+            self._strict,
+            kernel=self._kernel,
+            layouts=[self._layout],
+        )
+        self._install(sub, catalog, table)
+
+    def _install(
+        self, sub: SubProblem, catalog: VDPSCatalog, table: CvdpsTable
+    ) -> None:
+        """Make a full build of ``sub`` the catalog's state.
+
+        Keeps the build's catalog and C-VDPS table.  The surgery tables
+        are derived from the table only when a later refresh takes the
+        delta path (or the catalog is pickled, see :meth:`_ensure_tables`):
+        under a moving clock every refresh falls back, so none is ever
+        built.
         """
         METRICS.counter("catalog.delta_rebuilds").add(1)
         self._travel = sub.travel
@@ -326,9 +446,7 @@ class DeltaCatalog:
         self._cap_built = max(
             (w.max_delivery_points for w in sub.online_workers), default=0
         )
-        self._catalog, self._table = build_with_table(
-            sub, self.epsilon, self._strict, kernel=self._kernel, layout=self._layout
-        )
+        self._catalog, self._table = catalog, table
         self._entry_arrays = None
 
     def _ensure_tables(self) -> None:
@@ -517,29 +635,32 @@ class DeltaCatalog:
         """Whether the worker's strategies come from the scalar loop.
 
         Those columns carry the loop's objects (see
-        :func:`~repro.kernels.validate.validate_worker`).
+        :func:`~repro.kernels.validate.validate_tables`).
         """
         return scalar or self._strict or self._offsets[wid][1] != 1.0
 
-    def _scan(self, worker: Worker, arrays, scalar: bool) -> Columns:
-        """Section IV validation of one worker against ``arrays``' entries.
+    def _scan(
+        self, workers: Sequence[Worker], arrays, scalar: bool
+    ) -> List[Columns]:
+        """Section IV validation of ``workers`` against ``arrays``' entries.
 
-        Returns canonical-order columns; the ``scalar`` tier (and the
-        scalar fallbacks of the vectorized one) also return objects.
+        One array pass answers every unit-speed worker; returns each
+        worker's canonical-order columns, in order.  The ``scalar`` tier
+        (and the scalar fallbacks of the vectorized one) also return
+        objects.
         """
-        from repro.kernels.validate import validate_worker
+        from repro.kernels.validate import validate_tables
 
-        offset, factor = self._offsets[worker.worker_id]
-        return validate_worker(
-            arrays,
-            worker,
-            offset,
-            factor,
-            self._travel,
-            self._center_location,
+        if not workers:
+            return []
+        return validate_tables(
+            [arrays],
+            [[(worker, *self._offsets[worker.worker_id]) for worker in workers]],
+            [self._travel],
+            [self._center_location],
             self._strict,
-            scalar,
-        )
+            [scalar],
+        )[0]
 
     def _apply_worker_churn(
         self,
@@ -573,8 +694,8 @@ class DeltaCatalog:
             base = arrays.n_entries - dropped
             arrays, old_to_new = arrays.splice(keep, added)
             self._entry_arrays = arrays
-        revalidated = 0
-        built = 0
+        changed: List[Worker] = []
+        kept: List[Worker] = []
         for wid, worker in live.items():
             known = self._workers.get(wid)
             if known is None or known != worker:
@@ -585,9 +706,7 @@ class DeltaCatalog:
                 self._offsets[wid] = worker_offset_factor(
                     worker, self._travel, self._center_location
                 )
-                self._columns[wid] = self._scan(worker, arrays, scalar)
-                revalidated += 1
-                built += self._columns[wid][0].size
+                changed.append(worker)
                 continue
             if old_to_new is None:
                 continue
@@ -598,23 +717,32 @@ class DeltaCatalog:
                 rows, payoffs = rows[alive], payoffs[alive]
                 if objects is not None:
                     objects = [s for s, ok in zip(objects, alive.tolist()) if ok]
-            if added is not None:
-                new_rows, new_payoffs, new_objects = self._scan(worker, added, scalar)
-                built += new_rows.size
-                if new_rows.size:
-                    rows = np.concatenate((rows, new_rows + base))
-                    payoffs = np.concatenate((payoffs, new_payoffs))
-                    # Keys are unique per worker: this is the canonical
-                    # (payoff descending, point ids) order.
-                    order = np.lexsort((arrays.ids_rank[rows], -payoffs))
-                    rows, payoffs = rows[order], payoffs[order]
-                    if objects is not None:
-                        merged = objects + new_objects
-                        objects = [merged[k] for k in order.tolist()]
             self._columns[wid] = (rows, payoffs, objects)
+            kept.append(worker)
+        built = 0
+        for worker, columns in zip(changed, self._scan(changed, arrays, scalar)):
+            self._columns[worker.worker_id] = columns
+            built += columns[0].size
+        if added is not None:
+            scanned = self._scan(kept, added, scalar)
+            for worker, (new_rows, new_payoffs, new_objects) in zip(kept, scanned):
+                built += new_rows.size
+                if not new_rows.size:
+                    continue
+                rows, payoffs, objects = self._columns[worker.worker_id]
+                rows = np.concatenate((rows, new_rows + base))
+                payoffs = np.concatenate((payoffs, new_payoffs))
+                # Keys are unique per worker: this is the canonical
+                # (payoff descending, point ids) order.
+                order = np.lexsort((arrays.ids_rank[rows], -payoffs))
+                rows, payoffs = rows[order], payoffs[order]
+                if objects is not None:
+                    merged = objects + new_objects
+                    objects = [merged[k] for k in order.tolist()]
+                self._columns[worker.worker_id] = (rows, payoffs, objects)
         METRICS.counter("catalog.strategies_built").add(built)
-        if revalidated:
-            METRICS.counter("catalog.delta_workers_revalidated").add(revalidated)
+        if changed:
+            METRICS.counter("catalog.delta_workers_revalidated").add(len(changed))
 
     # -- materialisation ----------------------------------------------------
 

@@ -161,29 +161,31 @@ def compute_states(
     the same ``cvdps.layer`` events, which the seed-swept differential
     suite in ``tests/kernels/`` asserts.  The vectorized tier computes
     :func:`repro.kernels.cvdps.compute_layers` and flattens it; catalog
-    builds use the layers directly (:func:`generate_table`).
+    builds use the layers directly (:func:`generate_tables`).
     """
     from repro.kernels import resolve_kernel
 
     if resolve_kernel(kernel) != "scalar":
         from repro.kernels.cvdps import (
+            CenterDP,
             center_matrix,
             compute_layers,
+            split_layers,
             states_from_layers,
         )
 
         METRICS.counter("kernel.cvdps_vectorized").add(1)
         ids, matrix = center_matrix(points_by_id, travel, center_location)
-        layers = compute_layers(
+        job = CenterDP(
+            center_id,
             [points_by_id[dp_id] for dp_id in ids],
             _adjacency(ids, neighbors),
             matrix,
             cap,
             stats,
-            tracer,
-            center_id,
         )
-        return states_from_layers(layers, ids)
+        layers = compute_layers([job], tracer)
+        return states_from_layers(split_layers(layers, 1)[0], ids)
     METRICS.counter("kernel.cvdps_scalar").add(1)
     states: Dict[_StateKey, _StateVal] = {}
     frontier: Dict[_StateKey, _StateVal] = {}
@@ -253,11 +255,12 @@ def _adjacency(
 class CvdpsTable:
     """One center's full C-VDPS generation, in the form its tier produced.
 
-    The vectorized tier keeps its DP :class:`~repro.kernels.cvdps.Layer`
-    arrays and the :class:`~repro.kernels.validate.EntryArrays` built from
-    them; the scalar tier keeps its state dict and entry list.  Either
-    form derives the others on demand — :meth:`states`, :meth:`entries`,
-    :meth:`neighbors` — which only the delta layer's surgery needs.
+    The vectorized tier keeps the center's share of the batch's DP
+    layers (:func:`~repro.kernels.cvdps.split_layers`) and its
+    :class:`~repro.kernels.validate.EntryArrays`; the scalar tier keeps
+    its state dict and entry list.  Either form derives the others on
+    demand — :meth:`states`, :meth:`entries`, :meth:`neighbors` — which
+    only the delta layer's surgery needs.
     """
 
     def __init__(
@@ -276,7 +279,7 @@ class CvdpsTable:
         self._entries = entries
         #: Vectorized tier: ``(n, n)`` chaining matrix in sorted-id order.
         self.adjacency = adjacency
-        #: Vectorized tier: the DP layers.
+        #: Vectorized tier: the center's ``(paths, times)`` per DP layer.
         self.layers = layers
         #: Vectorized tier: the validation-ready entry arrays.
         self.arrays = arrays
@@ -296,7 +299,10 @@ class CvdpsTable:
         if self._states is None:
             from repro.kernels.cvdps import states_from_layers
 
-            self._states = states_from_layers(self.layers, sorted(self.points_by_id))
+            self._states = states_from_layers(
+                self.layers, sorted(self.points_by_id)
+            )
+            self.layers = None
         return self._states
 
     def entries(self) -> List[CVdpsEntry]:
@@ -306,90 +312,132 @@ class CvdpsTable:
         return self._entries
 
 
-def generate_table(
-    center: DistributionCenter,
-    travel: TravelModel,
+def generate_tables(
+    centers: Sequence[DistributionCenter],
+    travels: Sequence[TravelModel],
+    caps: Sequence[int],
     epsilon: Optional[float],
-    cap: int,
     tracer: NullTracer,
     kernel: Optional[str] = None,
-    layout=None,
-) -> CvdpsTable:
-    """Algorithm 1 over ``center`` up to ``cap`` points, as a :class:`CvdpsTable`.
+    layouts: Optional[Sequence] = None,
+) -> List[CvdpsTable]:
+    """Algorithm 1 over every center of a batch, one :class:`CvdpsTable` each.
 
-    The one generation path behind :func:`generate_cvdps`,
-    :func:`repro.vdps.catalog.build_catalog` and the delta layer's
-    rebuild.  The vectorized tier builds the center's travel matrix once
-    (from ``layout``, a :class:`~repro.kernels.cvdps.LayoutMatrix`, when
-    the caller keeps one across rounds), takes the pruning neighbourhood
-    from its (Euclidean-metric) distances, and keeps the DP in arrays from
-    the layers through validation.  Expansion totals land in the
-    ``cvdps.*`` metrics on every tier.
+    Center ``c`` is generated under ``travels[c]`` up to ``caps[c]``
+    points.  The one generation path behind :func:`generate_cvdps` and
+    :func:`repro.vdps.catalog.build_batch` (so behind ``build_catalog``
+    and the delta layer's rebuilds too).  The vectorized tier builds each
+    center's travel matrix (from ``layouts[c]``, a
+    :class:`~repro.kernels.cvdps.LayoutMatrix`, when the caller keeps one
+    across rounds), takes the pruning neighbourhood from its
+    (Euclidean-metric) distances, runs one stacked DP over all centers
+    (:func:`~repro.kernels.cvdps.compute_layers`) and lays every center's
+    entries out in one pass (:meth:`EntryArrays.from_layers`); the scalar
+    tier runs the reference DP per center.  Expansion totals land in the
+    ``cvdps.*`` metrics on every tier, per center as a one-center build
+    would count them.
     """
     from repro.kernels import resolve_kernel
 
-    points = center.delivery_points
-    n = len(points)
-    points_by_id = {dp.dp_id: dp for dp in points}
-    if n == 0 or cap <= 0:
-        # No DP runs, so no state ever chains through a neighbourhood.
-        return CvdpsTable(points_by_id, {dp_id: () for dp_id in points_by_id}, {}, [])
-    stats = DPStats()
-    if resolve_kernel(kernel) == "scalar":
-        neighbors = neighbor_id_map(points, epsilon)
-        states = compute_states(
-            points_by_id,
-            neighbors,
-            travel,
-            center.location,
-            cap,
-            stats,
-            tracer,
-            center.center_id,
-            kernel="scalar",
-        )
-        table = CvdpsTable(
-            points_by_id,
-            neighbors,
-            states,
-            collect_entries(points_by_id, states, travel, center.location),
-        )
-        pairs = sum(len(adj) for adj in neighbors.values())
-    else:
-        from repro.kernels.cvdps import center_matrix, compute_layers
+    scalar = resolve_kernel(kernel) == "scalar"
+    if layouts is None:
+        layouts = [None] * len(centers)
+    tables: List[Optional[CvdpsTable]] = []
+    jobs = []
+    # One DPStats per center: a center's cvdps.layer events report its own
+    # running totals.
+    center_stats: List[DPStats] = []
+    for center, travel, cap, layout in zip(centers, travels, caps, layouts):
+        points = center.delivery_points
+        n = len(points)
+        points_by_id = {dp.dp_id: dp for dp in points}
+        if n == 0 or cap <= 0:
+            # No DP runs, so no state ever chains through a neighbourhood.
+            tables.append(
+                CvdpsTable(points_by_id, {dp_id: () for dp_id in points_by_id}, {}, [])
+            )
+            continue
+        stats = DPStats()
+        center_stats.append(stats)
+        if scalar:
+            neighbors = neighbor_id_map(points, epsilon)
+            states = compute_states(
+                points_by_id,
+                neighbors,
+                travel,
+                center.location,
+                cap,
+                stats,
+                tracer,
+                center.center_id,
+                kernel="scalar",
+            )
+            tables.append(
+                CvdpsTable(
+                    points_by_id,
+                    neighbors,
+                    states,
+                    collect_entries(points_by_id, states, travel, center.location),
+                )
+            )
+            pairs = sum(len(adj) for adj in neighbors.values())
+        else:
+            from repro.kernels.cvdps import CenterDP, center_matrix
+
+            ids, matrix = center_matrix(points_by_id, travel, center.location, layout)
+            if epsilon is None:
+                adjacency = ~np.eye(n, dtype=bool)
+            elif travel.distance_fn is euclidean and epsilon >= 0:
+                # Pruning distances are Euclidean; under the default metric
+                # the kernel matrix already holds them — the same test
+                # neighbor_lists applies to a precomputed matrix.
+                adjacency = matrix.distances <= epsilon
+                np.fill_diagonal(adjacency, False)
+            else:
+                adjacency = _adjacency(ids, neighbor_id_map(points, epsilon))
+            sorted_points = [points_by_id[dp_id] for dp_id in ids]
+            jobs.append(
+                (
+                    len(tables),
+                    CenterDP(
+                        center.center_id, sorted_points, adjacency, matrix, cap, stats
+                    ),
+                )
+            )
+            tables.append(None)
+            pairs = int(np.count_nonzero(adjacency))
+        if epsilon is not None:
+            # Ordered point pairs the epsilon neighbourhood excludes up
+            # front: the state space the distance-constrained pruning
+            # never visits.
+            METRICS.counter("cvdps.pruned_pairs").add(n * (n - 1) - pairs)
+    if jobs:
+        from repro.kernels.cvdps import compute_layers, split_layers
         from repro.kernels.validate import EntryArrays
 
-        METRICS.counter("kernel.cvdps_vectorized").add(1)
-        ids, matrix = center_matrix(points_by_id, travel, center.location, layout)
-        if epsilon is None:
-            adjacency = ~np.eye(n, dtype=bool)
-        elif travel.distance_fn is euclidean and epsilon >= 0:
-            # Pruning distances are Euclidean; under the default metric
-            # the kernel matrix already holds them — the same test
-            # neighbor_lists applies to a precomputed matrix.
-            adjacency = matrix.distances <= epsilon
-            np.fill_diagonal(adjacency, False)
-        else:
-            adjacency = _adjacency(ids, neighbor_id_map(points, epsilon))
-        sorted_points = [points_by_id[dp_id] for dp_id in ids]
-        layers = compute_layers(
-            sorted_points, adjacency, matrix, cap, stats, tracer, center.center_id
+        METRICS.counter("kernel.cvdps_vectorized").add(len(jobs))
+        dps = [job for _, job in jobs]
+        layers = compute_layers(dps, tracer)
+        arrays = EntryArrays.from_layers(layers, [job.points for job in dps])
+        blocks = split_layers(layers, len(dps))
+        for (slot, job), table_layers, table_arrays in zip(jobs, blocks, arrays):
+            tables[slot] = CvdpsTable(
+                {dp.dp_id: dp for dp in job.points},
+                adjacency=job.adjacency,
+                layers=table_layers,
+                arrays=table_arrays,
+            )
+    if center_stats:
+        METRICS.counter("cvdps.states_expanded").add(
+            sum(stats.states_expanded for stats in center_stats)
         )
-        table = CvdpsTable(
-            points_by_id,
-            adjacency=adjacency,
-            layers=layers,
-            arrays=EntryArrays.from_layers(layers, sorted_points),
+        METRICS.counter("cvdps.candidates_tried").add(
+            sum(stats.candidates_tried for stats in center_stats)
         )
-        pairs = int(np.count_nonzero(adjacency))
-    if epsilon is not None:
-        # Ordered point pairs the epsilon neighbourhood excludes up front:
-        # the state space the distance-constrained pruning never visits.
-        METRICS.counter("cvdps.pruned_pairs").add(n * (n - 1) - pairs)
-    METRICS.counter("cvdps.states_expanded").add(stats.states_expanded)
-    METRICS.counter("cvdps.candidates_tried").add(stats.candidates_tried)
-    METRICS.counter("cvdps.deadline_rejections").add(stats.deadline_rejections)
-    return table
+        METRICS.counter("cvdps.deadline_rejections").add(
+            sum(stats.deadline_rejections for stats in center_stats)
+        )
+    return tables
 
 
 def generate_cvdps(
@@ -433,7 +481,9 @@ def generate_cvdps(
     tracer = resolve_tracer(False) if tracer is None else tracer
     n = len(center.delivery_points)
     cap = n if max_size is None else max(0, min(max_size, n))
-    return generate_table(center, travel, epsilon, cap, tracer, kernel).entries()
+    return generate_tables([center], [travel], [cap], epsilon, tracer, kernel)[
+        0
+    ].entries()
 
 
 def neighbor_id_map(
