@@ -1,6 +1,6 @@
 # Convenience targets for the FTA reproduction.
 
-.PHONY: install test verify trace serve chaos bench bench-smoke bench-figures bench-paper examples clean
+.PHONY: install test verify trace serve chaos bench-figures bench-paper examples clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -30,14 +30,6 @@ chaos:
 	pytest tests/service/test_chaos.py tests/service/test_recovery.py \
 	    tests/service/test_journal.py tests/service/test_faults.py \
 	    tests/service/test_breaker.py
-
-# Core perf baseline: catalog build + FGT/IEGT solves through both
-# best-response engines, written to BENCH_core.json (docs/performance.md).
-bench:
-	python -m repro bench --scale medium --output BENCH_core.json
-
-bench-smoke:
-	python -m repro bench --scale smoke --output BENCH_core.json
 
 # The paper-figure benchmark suite (pytest-benchmark over the experiments).
 bench-figures:

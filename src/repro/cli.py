@@ -1,10 +1,12 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Four subcommands cover the operational loop a platform engineer needs:
+Nine subcommands cover the operational loop a platform engineer needs:
 
 * ``generate`` — draw a SYN or GM instance and persist it as CSV.
 * ``solve`` — load a CSV instance, run one algorithm, print metrics, and
   optionally write the assignment as CSV.
+* ``compare`` — solve a CSV instance with a baseline and a challenger
+  algorithm and diff the two outcomes.
 * ``experiment`` — regenerate one of the paper's figures by id.
 * ``list-experiments`` — enumerate the reproducible figure ids.
 * ``verify`` — run solvers under the :mod:`repro.verify` invariant
@@ -12,13 +14,13 @@ Four subcommands cover the operational loop a platform engineer needs:
   ``--full``, the whole experiment) and report what was certified.
 * ``trace`` — run one solver under :mod:`repro.obs` structured tracing,
   write the JSONL trace, and print a summary (per-phase wall time,
-  rounds, switches, catalog-cache stats).
+  rounds, switches, catalog-cache stats); ``trace analyze`` rebuilds the
+  span trees of a JSONL trace and prints critical paths.
 * ``serve`` — run the long-lived online dispatch service
   (:mod:`repro.service`): a JSON-over-HTTP assignment engine with
-  per-center sharded solves and snapshot-keyed catalog caching.
-* ``bench`` — run the pinned core benchmark (catalog build, FGT solve,
-  IEGT solve through both best-response engines) and write wall-times,
-  speedups, and obs counter deltas to ``BENCH_core.json``.
+  per-center solves and snapshot-keyed catalog caching.
+* ``equity`` — ``equity report`` plays a long-run scenario with the
+  equity ledger on and off and reports the rolling-Gini gap it closes.
 """
 
 from __future__ import annotations
@@ -206,36 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the analysis as JSON instead of the text report",
     )
-
-    bch = sub.add_parser(
-        "bench", help="run the pinned core benchmark and write BENCH_core.json"
-    )
-    bch.add_argument(
-        "--scale",
-        choices=("smoke", "medium"),
-        default="medium",
-        help="pinned benchmark shape (default medium; smoke is CI-sized)",
-    )
-    bch.add_argument("--seed", type=int, default=0)
-    bch.add_argument(
-        "--repeats",
-        type=int,
-        default=3,
-        help="solve repetitions per engine; the best wall time is reported",
-    )
-    bch.add_argument(
-        "--output",
-        type=Path,
-        default=Path("BENCH_core.json"),
-        help="JSON report path (default BENCH_core.json)",
-    )
-    bch.add_argument(
-        "--profile",
-        action="store_true",
-        help="run each bench section under cProfile and print the top "
-        "cumulative-time functions per section",
-    )
-    _add_kernel_flag(bch)
 
     srv = sub.add_parser(
         "serve", help="run the online dispatch service (JSON over HTTP)"
@@ -806,93 +778,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import format_report, run_bench
-
-    _apply_kernel(args)
-    report = run_bench(
-        scale=args.scale,
-        seed=args.seed,
-        repeats=args.repeats,
-        output=args.output,
-        profile=args.profile,
-    )
-    print(format_report(report))
-    print(f"report written to {args.output}")
-    if not report["kernel"]["identical"]:
-        print(
-            "ERROR: scalar and vectorized kernel catalog builds disagreed — "
-            "the bench is reporting a correctness bug, not a performance "
-            "number",
-            file=sys.stderr,
-        )
-        return 1
-    if not (report["fgt"]["identical"] and report["iegt"]["identical"]):
-        print(
-            "ERROR: scalar and vectorized engines disagreed — the bench is "
-            "reporting a correctness bug, not a performance number",
-            file=sys.stderr,
-        )
-        return 1
-    if not report["catalog_delta"]["identical"]:
-        print(
-            "ERROR: incremental catalog refresh diverged from a full "
-            "rebuild — the bench is reporting a correctness bug, not a "
-            "performance number",
-            file=sys.stderr,
-        )
-        return 1
-    equity = report["temporal_fairness"]
-    if not (equity["improved"] and equity["within_budget"]):
-        print(
-            "ERROR: the equity ledger failed its temporal-fairness gate — "
-            "ledger-weighted dispatch must strictly lower the rolling Gini "
-            f"at under {equity['budget_pct']:.0f}% efficiency cost "
-            f"(improved={equity['improved']} "
-            f"within_budget={equity['within_budget']})",
-            file=sys.stderr,
-        )
-        return 1
-    shards = report["shards"]
-    if not shards["identical"]:
-        print(
-            "ERROR: the sharded pool's assignments diverged from the "
-            "single-process engine — shard layout must never change "
-            "results",
-            file=sys.stderr,
-        )
-        return 1
-    if not (shards["recovered_identical"] and shards["respawns"] >= 1):
-        print(
-            "ERROR: the shard pool failed its kill-recover gate — a "
-            "SIGKILLed shard must respawn, replay its journal segment, "
-            "and finish bit-identical to the fault-free run "
-            f"(respawns={shards['respawns']} "
-            f"recovered_identical={shards['recovered_identical']})",
-            file=sys.stderr,
-        )
-        return 1
-    obs = report["obs_overhead"]
-    if not obs["identical"]:
-        print(
-            "ERROR: tracing changed the dispatch assignments — "
-            "observation must never alter behaviour",
-            file=sys.stderr,
-        )
-        return 1
-    if not obs["within_budget"]:
-        # Advisory: single-run wall times flake, so a budget breach warns
-        # instead of failing; the recorded numbers make real regressions
-        # visible in the BENCH_core.json diff.
-        print(
-            f"WARNING: tracing-disabled dispatch regressed "
-            f"{obs['regression_pct']:+.1f}% vs the tracked baseline "
-            f"(budget {obs['budget_pct']:.0f}%)",
-            file=sys.stderr,
-        )
-    return 0
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
@@ -1234,7 +1119,6 @@ _COMMANDS = {
     "verify": _cmd_verify,
     "trace": _cmd_trace,
     "serve": _cmd_serve,
-    "bench": _cmd_bench,
     "equity": _cmd_equity,
 }
 

@@ -7,8 +7,8 @@ rendezvous hashing (:mod:`~repro.service.shards.hashing`).  Each worker
 owns a :class:`~repro.service.state.WorldState` partition plus its own
 journal segment and solves with the *same* root seed, round index, and
 solver stream names as the single-process engine — so an N-shard run's
-assignments are bit-identical to a 1-process run (the ``shards`` bench
-section and ``tests/service/test_shards.py`` gate this).
+assignments are bit-identical to a 1-process run
+(``tests/service/test_shards.py`` gates this).
 
 Failure model (see :mod:`~repro.service.shards.supervisor`):
 

@@ -4,7 +4,7 @@ The sharded dispatch engine partitions the fixed center layout across N
 worker processes.  The mapping must be
 
 * **deterministic across processes** — the supervisor, every worker, the
-  bench harness, and a recovered facade must agree without coordination,
+  test harness, and a recovered facade must agree without coordination,
   so weights come from SHA-256, not ``hash()`` (which ``PYTHONHASHSEED``
   perturbs);
 * **stable under shard-count changes** — rendezvous hashing moves only

@@ -122,7 +122,7 @@ class DeltaCatalog:
     verify:
         After every refresh, rebuild from scratch and assert equality
         (:func:`catalog_diff`).  Defeats the purpose in production; the
-        harness tests and the bench's ``identical`` flag run on it.
+        differential tests run on it.
     kernel:
         Implementation tier for the full-rebuild DP and every validation
         scan — full revalidation of a changed worker and the added-entry

@@ -112,12 +112,19 @@ class TestRunScenario:
 
 class TestCompareScenario:
     def test_ledger_mode_closes_the_gap_on_unlucky(self):
-        """The headline claim at test scale: fairer within the budget."""
-        comparison = compare_scenario(unlucky_worker(rounds=16), seed=0)
-        assert comparison.improved
-        assert comparison.ledger.rolling_gini < comparison.per_round.rolling_gini
-        assert comparison.within_budget
-        assert comparison.efficiency_cost_pct <= EFFICIENCY_BUDGET_PCT
+        """The headline claim at test scale: fairer within the budget.
+
+        Checked at a short and a longer horizon, each one deterministic.
+        """
+        for rounds in (16, 28):
+            comparison = compare_scenario(unlucky_worker(rounds=rounds), seed=0)
+            assert comparison.improved, rounds
+            assert (
+                comparison.ledger.rolling_gini
+                < comparison.per_round.rolling_gini
+            ), rounds
+            assert comparison.within_budget, rounds
+            assert comparison.efficiency_cost_pct <= EFFICIENCY_BUDGET_PCT
 
     def test_as_dict_and_format_cover_both_arms(self):
         comparison = compare_scenario(unlucky_worker(rounds=4), seed=0)

@@ -21,6 +21,7 @@ from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.games.fgt import FGTSolver
 from repro.games.iegt import IEGTSolver
 from repro.games.potential import IAUEvaluator, sequential_best
+from repro.obs.metrics import METRICS
 from repro.service.engine import DispatchEngine
 from repro.vdps.catalog import build_catalog
 
@@ -28,11 +29,25 @@ from tests.service.conftest import make_world, task
 
 SEEDS = [0, 1, 2, 7, 13, 42]
 
+#: gMission-like (tasks, workers, delivery points) shapes: the sweep's
+#: small shape, and the larger smoke shape the solvers are also pinned on.
+SWEEP_SHAPE = (70, 9, 16)
+SMOKE_SHAPE = (60, 14, 30)
 
-def _subs_and_catalogs(seed):
-    """A small gMission-like instance, catalogs shared by both engines."""
+#: The default-config sweep: every seed at the sweep shape, plus the smoke
+#: shape at seed 0.
+DEFAULT_CASES = [
+    pytest.param(seed, SWEEP_SHAPE, id=str(seed)) for seed in SEEDS
+] + [pytest.param(0, SMOKE_SHAPE, id="smoke-0")]
+
+
+def _subs_and_catalogs(seed, shape=SWEEP_SHAPE):
+    """A gMission-like instance, catalogs shared by both engines."""
+    n_tasks, n_workers, n_points = shape
     instance = generate_gmission_like(
-        GMissionConfig(n_tasks=70, n_workers=9, n_delivery_points=16),
+        GMissionConfig(
+            n_tasks=n_tasks, n_workers=n_workers, n_delivery_points=n_points
+        ),
         seed=seed,
     )
     subs = list(instance.subproblems())
@@ -66,23 +81,29 @@ def _outcome(result):
     }
 
 
-def _assert_engines_identical(make_solver, seed):
+def _assert_engines_identical(make_solver, seed, shape=SWEEP_SHAPE):
     """Solve every sub-problem with both engines and require equality.
 
     Comparisons are ``==`` on raw floats (no ``approx``): the contract is
     bit-identity, not numerical closeness.
     """
-    subs, catalogs = _subs_and_catalogs(seed)
+    subs, catalogs = _subs_and_catalogs(seed, shape)
     assert subs, "instance generated no sub-problems"
-    for sub in subs:
-        catalog = catalogs[sub.center.center_id]
-        results = {
-            engine: make_solver(engine, sub).solve(
-                sub, catalog=catalog, seed=seed
+    outcomes, batches = {}, {}
+    for engine in ("scalar", "vectorized"):
+        before = METRICS.snapshot()
+        outcomes[engine] = [
+            _outcome(
+                make_solver(engine, sub).solve(
+                    sub, catalog=catalogs[sub.center.center_id], seed=seed
+                )
             )
-            for engine in ("scalar", "vectorized")
-        }
-        assert _outcome(results["scalar"]) == _outcome(results["vectorized"])
+            for sub in subs
+        ]
+        batches[engine] = METRICS.delta(before).get("engine.filter_batches", 0)
+    assert outcomes["scalar"] == outcomes["vectorized"]
+    # Only the vectorized engine runs, and counts, batched filters.
+    assert batches["scalar"] == 0 and batches["vectorized"] > 0
 
 
 def _priorities(sub):
@@ -96,10 +117,12 @@ def _priorities(sub):
 
 
 class TestFGTDifferential:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_default_config(self, seed):
+    @pytest.mark.parametrize("seed, shape", DEFAULT_CASES)
+    def test_default_config(self, seed, shape):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(epsilon=0.8, engine=engine), seed
+            lambda engine, sub: FGTSolver(epsilon=0.8, engine=engine),
+            seed,
+            shape,
         )
 
     @pytest.mark.parametrize("seed", SEEDS[:3])
@@ -145,10 +168,12 @@ class TestFGTDifferential:
 
 
 class TestIEGTDifferential:
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_default_config(self, seed):
+    @pytest.mark.parametrize("seed, shape", DEFAULT_CASES)
+    def test_default_config(self, seed, shape):
         _assert_engines_identical(
-            lambda engine, sub: IEGTSolver(epsilon=0.8, engine=engine), seed
+            lambda engine, sub: IEGTSolver(epsilon=0.8, engine=engine),
+            seed,
+            shape,
         )
 
     @pytest.mark.parametrize("seed", SEEDS[:3])

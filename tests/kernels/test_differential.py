@@ -53,10 +53,32 @@ from repro.vdps.generator import (
 SEEDS = [0, 1, 7, 42]
 EPSILONS = [0.8, None]
 
+#: gMission-like (tasks, workers, delivery points) shapes: the sweep's
+#: small shape, a 30-point smoke shape, and a large one (800 tasks, 120
+#: workers, about 2.4k strategies) that the scalar tier still builds in a
+#: fraction of a second.
+SWEEP_SHAPE = (70, 9, 16)
+SMOKE_SHAPE = (60, 14, 30)
+LARGE_SHAPE = (800, 120, 60)
 
-def _gm_sub(seed):
+#: The catalog comparison: the sweep shape at every seed and epsilon, plus
+#: the smoke and large shapes at seed 0 with pruning on.
+CATALOG_CASES = [
+    pytest.param(epsilon, seed, SWEEP_SHAPE, id=f"{epsilon}-{seed}")
+    for epsilon in EPSILONS
+    for seed in SEEDS
+] + [
+    pytest.param(0.8, 0, SMOKE_SHAPE, id="0.8-smoke-0"),
+    pytest.param(0.8, 0, LARGE_SHAPE, id="0.8-large-0"),
+]
+
+
+def _gm_sub(seed, shape=SWEEP_SHAPE):
+    n_tasks, n_workers, n_points = shape
     instance = generate_gmission_like(
-        GMissionConfig(n_tasks=70, n_workers=9, n_delivery_points=16),
+        GMissionConfig(
+            n_tasks=n_tasks, n_workers=n_workers, n_delivery_points=n_points
+        ),
         seed=seed,
     )
     return next(iter(instance.subproblems()))
@@ -113,10 +135,9 @@ class TestCvdpsDifferential:
         # dashboards read the same numbers whichever tier served a build.
         assert stats["scalar"] == stats["vectorized"]
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    @pytest.mark.parametrize("epsilon", EPSILONS)
-    def test_gm_entries_and_catalogs(self, seed, epsilon):
-        sub = _gm_sub(seed)
+    @pytest.mark.parametrize("epsilon, seed, shape", CATALOG_CASES)
+    def test_gm_entries_and_catalogs(self, epsilon, seed, shape):
+        sub = _gm_sub(seed, shape)
         cap = max(w.max_delivery_points for w in sub.online_workers)
         entries_s = generate_cvdps(sub.center, sub.travel, epsilon, cap, kernel="scalar")
         entries_v = generate_cvdps(

@@ -16,7 +16,7 @@ from repro.parallel import solve_instance
 from repro.service.engine import DispatchEngine
 
 from tests.conftest import make_worker
-from tests.service.conftest import make_world, task
+from tests.service.conftest import gm_world, make_world, task
 
 
 def _engine(seed=11, **kwargs):
@@ -251,30 +251,6 @@ class TestEquityColdStartGate:
     solves those rounds with plain per-round IAU.
     """
 
-    def _gm_world(self):
-        from repro.datasets.gmission import GMissionConfig, generate_gmission_like
-        from repro.service.state import WorldState
-
-        instance = generate_gmission_like(
-            GMissionConfig(n_tasks=30, n_workers=6, n_delivery_points=12),
-            seed=0,
-        )
-        state = WorldState(instance.centers, travel=instance.travel)
-        state.add_workers(instance.workers)
-        state.add_tasks(
-            [
-                {
-                    "task_id": t.task_id,
-                    "dp_id": t.delivery_point_id,
-                    "expiry": t.expiry,
-                    "reward": t.reward,
-                }
-                for c in instance.centers
-                for t in c.tasks
-            ]
-        )
-        return state
-
     def test_cold_start_round_matches_plain_engine(self):
         plain = DispatchEngine(
             make_world(), FGTSolver(epsilon=0.8), epsilon=0.8, seed=5
@@ -289,7 +265,7 @@ class TestEquityColdStartGate:
     def test_cold_start_does_not_collapse_dispersed_world(self):
         # Regression: without the gate this exact world dispatches zero
         # tasks forever (all-zero rounds keep the ledger all-equal).
-        state = self._gm_world()
+        state = gm_world(30, 6, 12)
         state.enable_equity()
         engine = DispatchEngine(
             state, FGTSolver(epsilon=0.8), epsilon=0.8, seed=0, equity_mode=True

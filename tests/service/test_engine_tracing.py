@@ -5,11 +5,11 @@ import pytest
 from repro.games.fgt import FGTSolver
 from repro.obs import build_span_trees
 from repro.obs.metrics import METRICS, reset_metrics
-from repro.obs.tracer import MemoryTracer, start_trace
+from repro.obs.tracer import SAMPLE_ENV_VAR, MemoryTracer, start_trace
 from repro.service.engine import DispatchEngine
 from repro.service.faults import FaultPlan
 
-from tests.service.conftest import make_world
+from tests.service.conftest import gm_world, make_world
 
 
 @pytest.fixture(autouse=True)
@@ -116,11 +116,15 @@ class TestSpanTreeCompleteness:
 class TestTracingDeterminism:
     """Tracing is observation: assignments must be bit-identical with it."""
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 23])
-    def test_seed_sweep_trace_on_off_identical(self, seed):
+    @pytest.mark.parametrize(
+        "seed, world",
+        [pytest.param(seed, make_world, id=str(seed)) for seed in (0, 1, 7, 23)]
+        + [pytest.param(0, lambda: gm_world(60, 14, 30), id="smoke-0")],
+    )
+    def test_seed_sweep_trace_on_off_identical(self, seed, world, monkeypatch):
         def run(trace):
             engine = DispatchEngine(
-                make_world(),
+                world(),
                 FGTSolver(epsilon=0.8),
                 epsilon=0.8,
                 seed=seed,
@@ -128,7 +132,17 @@ class TestTracingDeterminism:
             )
             return _fingerprint(engine.dispatch())
 
-        assert run(False) == run(MemoryTracer())
+        disabled = run(False)
+        monkeypatch.setenv(SAMPLE_ENV_VAR, "1")
+        traced = MemoryTracer()
+        assert run(traced) == disabled
+        assert traced.records
+        # Sample rate 0: a live tracer whose every trace is head-sampled
+        # away, so span context is carried but nothing is recorded.
+        monkeypatch.setenv(SAMPLE_ENV_VAR, "0")
+        sampled_out = MemoryTracer()
+        assert run(sampled_out) == disabled
+        assert not sampled_out.records
 
     def test_fault_tolerant_path_is_trace_invariant(self):
         def run(trace):

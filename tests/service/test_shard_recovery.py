@@ -24,8 +24,12 @@ from repro.geo.travel import TravelModel
 from repro.service.faults import FaultPlan, tear_journal_tail
 from repro.service.shards import ShardedDispatchEngine
 
-from tests.conftest import make_worker
-from tests.service.conftest import seed_tasks, two_center_layout
+from tests.service.conftest import (
+    fleet,
+    four_center_city,
+    seed_tasks,
+    two_center_layout,
+)
 
 ROUND_KEYS = (
     "round",
@@ -39,13 +43,15 @@ ROUND_KEYS = (
 )
 
 
-def make_pool(journal_dir, faults=None) -> ShardedDispatchEngine:
+def make_pool(
+    journal_dir, faults=None, centers=None, seed=7
+) -> ShardedDispatchEngine:
     return ShardedDispatchEngine(
-        two_center_layout(),
+        centers or two_center_layout(),
         MPTASolver(),
         travel=TravelModel(),
         shards=2,
-        seed=7,
+        seed=seed,
         solve_deadline_s=30.0,
         heartbeat_timeout_s=5.0,
         faults=faults,
@@ -54,15 +60,9 @@ def make_pool(journal_dir, faults=None) -> ShardedDispatchEngine:
     )
 
 
-def seed_pool(engine: ShardedDispatchEngine) -> None:
-    engine.state.add_workers(
-        [
-            make_worker("wa1", 0.1, 0.0, max_dp=2, center_id="A"),
-            make_worker("wa2", -0.2, 0.1, max_dp=2, center_id="A"),
-            make_worker("wb1", 10.1, 0.0, max_dp=2, center_id="B"),
-        ]
-    )
-    engine.state.add_tasks(seed_tasks())
+def seed_pool(engine: ShardedDispatchEngine, workers=None, tasks=None) -> None:
+    engine.state.add_workers(workers or fleet())
+    engine.state.add_tasks(tasks or seed_tasks())
 
 
 def run_rounds(engine: ShardedDispatchEngine, rounds: int):
@@ -82,33 +82,44 @@ class TestKillAndRecover:
     """A murdered shard must come back and change nothing."""
 
     def test_chaos_kill_is_bit_identical(self, tmp_path):
-        clean = make_pool(tmp_path / "clean")
-        try:
-            seed_pool(clean)
-            want = run_rounds(clean, 4)
-            clean_fp = clean.state.fingerprint()
-        finally:
-            clean.begin_drain()
-            clean.drain()
-
-        chaos = make_pool(
-            tmp_path / "chaos",
-            faults=FaultPlan(shard_kill_round=2, shard_kill_index=0),
-        )
-        try:
-            seed_pool(chaos)
-            got = run_rounds(chaos, 4)
-            chaos_fp = chaos.state.fingerprint()
-            respawns = sum(
-                h["respawns"] for h in chaos.shard_health().values()
+        # The standard two-center world, then the four-center city at
+        # another seed.
+        cases = [
+            ("two", two_center_layout(), fleet(), seed_tasks(), 7),
+            ("four", *four_center_city(), 0),
+        ]
+        for name, centers, workers, tasks, seed in cases:
+            clean = make_pool(
+                tmp_path / name / "clean", centers=centers, seed=seed
             )
-        finally:
-            chaos.begin_drain()
-            chaos.drain()
+            try:
+                seed_pool(clean, workers, tasks)
+                want = run_rounds(clean, 4)
+                clean_fp = clean.state.fingerprint()
+            finally:
+                clean.begin_drain()
+                clean.drain()
 
-        assert respawns >= 1
-        assert_rounds_equal(want, got)
-        assert chaos_fp == clean_fp
+            chaos = make_pool(
+                tmp_path / name / "chaos",
+                faults=FaultPlan(shard_kill_round=2, shard_kill_index=0),
+                centers=centers,
+                seed=seed,
+            )
+            try:
+                seed_pool(chaos, workers, tasks)
+                got = run_rounds(chaos, 4)
+                chaos_fp = chaos.state.fingerprint()
+                respawns = sum(
+                    h["respawns"] for h in chaos.shard_health().values()
+                )
+            finally:
+                chaos.begin_drain()
+                chaos.drain()
+
+            assert respawns >= 1, name
+            assert_rounds_equal(want, got)
+            assert chaos_fp == clean_fp, name
 
     def test_os_sigkill_between_rounds_is_bit_identical(self, tmp_path):
         clean = make_pool(tmp_path / "clean")

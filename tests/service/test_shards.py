@@ -28,9 +28,14 @@ from repro.service.shards import (
     plan_shards,
     shard_for,
 )
+from repro.service.state import WorldState
 
-from tests.conftest import make_worker
-from tests.service.conftest import make_world, seed_tasks, two_center_layout
+from tests.service.conftest import (
+    fleet,
+    four_center_city,
+    seed_tasks,
+    two_center_layout,
+)
 
 ROUND_KEYS = (
     "round",
@@ -45,27 +50,21 @@ ROUND_KEYS = (
 )
 
 
-def make_sharded(shards: int = 2, **kw) -> ShardedDispatchEngine:
-    """A two-shard pool over the standard two-center test layout."""
+def make_sharded(shards: int = 2, centers=None, **kw) -> ShardedDispatchEngine:
+    """A pool over ``centers`` (default: the standard two-center layout)."""
     kw.setdefault("travel", TravelModel())
     kw.setdefault("seed", 7)
     kw.setdefault("solve_deadline_s", 30.0)
     kw.setdefault("heartbeat_timeout_s", 5.0)
     kw.setdefault("journal_fsync", False)
     return ShardedDispatchEngine(
-        two_center_layout(), MPTASolver(), shards=shards, **kw
+        centers or two_center_layout(), MPTASolver(), shards=shards, **kw
     )
 
 
 def seed_sharded(engine: ShardedDispatchEngine) -> None:
     """The same fleet and queue ``make_world`` seeds, through the view."""
-    accepted, rejected = engine.state.add_workers(
-        [
-            make_worker("wa1", 0.1, 0.0, max_dp=2, center_id="A"),
-            make_worker("wa2", -0.2, 0.1, max_dp=2, center_id="A"),
-            make_worker("wb1", 10.1, 0.0, max_dp=2, center_id="B"),
-        ]
-    )
+    accepted, rejected = engine.state.add_workers(fleet())
     assert len(accepted) == 3 and not rejected
     accepted, rejected = engine.state.add_tasks(seed_tasks())
     assert len(accepted) == 6 and not rejected
@@ -105,25 +104,37 @@ class TestBitIdentity:
     """Shard layout must never change results (the tentpole gate)."""
 
     def test_two_shards_match_single_process(self):
-        single = DispatchEngine(
-            make_world(), MPTASolver(), seed=7, solve_deadline_s=30.0
-        )
-        want = [
-            single.dispatch(advance_hours=0.25).as_dict() for _ in range(3)
+        # The standard two-center world for 3 rounds, then the four-center
+        # city for 4 rounds at another seed.
+        cases = [
+            (two_center_layout(), fleet(), seed_tasks(), 7, 3),
+            (*four_center_city(), 0, 4),
         ]
-        sharded = make_sharded()
-        try:
-            seed_sharded(sharded)
-            got = [
-                sharded.dispatch(advance_hours=0.25).as_dict()
-                for _ in range(3)
+        for centers, workers, tasks, seed, rounds in cases:
+            world = WorldState(centers, workers=workers, travel=TravelModel())
+            world.add_tasks(tasks)
+            single = DispatchEngine(
+                world, MPTASolver(), seed=seed, solve_deadline_s=30.0
+            )
+            want = [
+                single.dispatch(advance_hours=0.25).as_dict()
+                for _ in range(rounds)
             ]
-        finally:
-            sharded.begin_drain()
-            sharded.drain()
-        for round_index, (a, b) in enumerate(zip(want, got)):
-            for key in ROUND_KEYS:
-                assert a[key] == b[key], (round_index, key)
+            sharded = make_sharded(centers=centers, seed=seed)
+            try:
+                sharded.state.add_workers(workers)
+                sharded.state.add_tasks(tasks)
+                got = [
+                    sharded.dispatch(advance_hours=0.25).as_dict()
+                    for _ in range(rounds)
+                ]
+            finally:
+                sharded.begin_drain()
+                sharded.drain()
+            assert len(got) == rounds
+            for round_index, (a, b) in enumerate(zip(want, got)):
+                for key in ROUND_KEYS:
+                    assert a[key] == b[key], (seed, round_index, key)
 
 
 class TestFacadeSurface:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, Worker
 from repro.core.instance import SubProblem
+from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
 from repro.obs.metrics import METRICS
@@ -49,6 +50,49 @@ def _assert_equal(delta, sub, epsilon):
     diffs = catalog_diff(refreshed, rebuilt)
     assert not diffs, "; ".join(diffs)
     return refreshed
+
+
+def _churn_script(sub, seed):
+    """Four chained single-point churn steps over ``sub``'s center.
+
+    One seeded delivery point changes per step, the live service's common
+    case: a task arrives at it, its first deadline moves, that task
+    leaves, and the same task id returns with a later deadline.  Each
+    yielded sub-problem carries all the churn before it.
+    """
+    rng = random.Random(seed)
+    points = {dp.dp_id: dp for dp in sub.center.delivery_points}
+
+    def emit():
+        center = DistributionCenter(
+            sub.center.center_id, sub.center.location, tuple(points.values())
+        )
+        return SubProblem(center, sub.workers, sub.travel)
+
+    target = rng.choice(sorted(p for p, dp in points.items() if dp.tasks))
+
+    dp = points[target]
+    arrival = SpatialTask("churn_arrival", target, 1.5 + rng.random())
+    points[target] = dp.with_tasks(dp.tasks + (arrival,))
+    yield emit()
+
+    dp = points[target]
+    first = dp.tasks[0]
+    moved = SpatialTask(first.task_id, target, first.expiry * 0.5, first.reward)
+    points[target] = dp.with_tasks((moved,) + dp.tasks[1:])
+    yield emit()
+
+    dp = points[target]
+    departed = dp.tasks[0]
+    points[target] = dp.with_tasks(dp.tasks[1:])
+    yield emit()
+
+    dp = points[target]
+    returned = SpatialTask(
+        departed.task_id, target, departed.expiry + 0.75, departed.reward
+    )
+    points[target] = dp.with_tasks(dp.tasks + (returned,))
+    yield emit()
 
 
 class TestDegradedTraces:
@@ -97,6 +141,20 @@ class TestDegradedTraces:
         _assert_equal(delta, _sub(reachable, workers), None)
 
     def test_task_returns_same_id_changed_deadline(self):
+        # The chained churn script on the largest center of a 30-point
+        # gMission-like city ends the same way, at the default rebuild
+        # fraction.
+        instance = generate_gmission_like(
+            GMissionConfig(n_tasks=60, n_workers=14, n_delivery_points=30),
+            seed=0,
+        )
+        city = max(
+            instance.subproblems(), key=lambda s: len(s.center.delivery_points)
+        )
+        delta = DeltaCatalog(city, epsilon=0.8)
+        for churned in _churn_script(city, seed=0):
+            _assert_equal(delta, churned, 0.8)
+
         workers = [_worker("w0", 0.0, 0.0)]
         original = [_dp("a", 1.0, 0.0, 4.0), _dp("b", 0.0, 1.5, 5.0)]
         delta = DeltaCatalog(_sub(original, workers), rebuild_fraction=10.0)
