@@ -37,11 +37,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import accumulate
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.routing import Route
+from repro.kernels.cvdps import narrow
 from repro.vdps.catalog import WorkerStrategy, strategy_sort_key, validate_entry
 from repro.vdps.generator import CVdpsEntry
 
@@ -133,6 +134,7 @@ class EntryArrays:
         self._point_sets: List[Optional[frozenset]] = [None] * sizes.size
         self._built = built
         self._entries: Optional[List[CVdpsEntry]] = None
+        self._position: Optional[Dict[str, int]] = None
 
     def __reduce__(self):
         # Only the raw columns travel: masks, ranks and the object caches
@@ -157,20 +159,14 @@ class EntryArrays:
         """
         n_centers = len(centers_points)
         width = max(map(len, centers_points))
-        reward_of: List[float] = []
-        deadline_of: List[float] = []
-        for points in centers_points:
-            reward_of.extend([dp.total_reward for dp in points])
-            deadline_of.extend([dp.earliest_expiry for dp in points])
-            reward_of.extend([0.0] * (width - len(points)))
-            deadline_of.extend([0.0] * (width - len(points)))
-        centers, sizes, paths, times, masks, rewards = [], [], [], [], [], []
+        centers, sizes, paths, times, masks = [], [], [], [], []
         for layer in layers:
             rows = layer.best
             center = layer.center[rows]
             path = layer.paths[rows]
             # (center, sorted ids) order; lexsort's last key is primary.
-            order = np.lexsort(np.vstack((np.sort(path, axis=1).T[::-1], center)))
+            keys = narrow(np.sort(path, axis=1), width)
+            order = np.lexsort((*keys.T[::-1], narrow(center, n_centers)))
             path = path[order]
             center = center[order]
             centers.append(center)
@@ -178,17 +174,10 @@ class EntryArrays:
             times.append(layer.times[rows[order]].ravel())
             masks.append(layer.masks[rows[order]])
             sizes.append(np.full(rows.size, layer.size, dtype=np.int64))
-            # sum() accumulates 0 + r0 + r1 + ... exactly as the
-            # Route.total_reward property does (compensated on 3.12+).
-            rewards.extend(
-                sum(map(reward_of.__getitem__, row))
-                for row in (path + (center * width)[:, None]).tolist()
-            )
         center = _concat(centers, np.intp)
         sizes = _concat(sizes, np.int64)
         path_flat = _concat(paths, np.intp)
         t_flat = _concat(times, np.float64)
-        rewards = np.asarray(rewards, dtype=np.float64)
         masks = (
             np.concatenate(masks)
             if masks
@@ -196,6 +185,26 @@ class EntryArrays:
         )
         seg_start = np.zeros(sizes.size, dtype=np.intp)
         np.cumsum(sizes[:-1], out=seg_start[1:])
+        # Each visit's batch-wide point slot; only visited points are read.
+        slots = np.repeat(center, sizes) * width + path_flat
+        reward_of = [0.0] * (n_centers * width)
+        deadline_of = np.zeros(n_centers * width, dtype=np.float64)
+        seen = np.zeros(n_centers * width, dtype=bool)
+        seen[slots] = True
+        for slot in np.flatnonzero(seen).tolist():
+            dp = centers_points[slot // width][slot % width]
+            reward_of[slot] = dp.total_reward
+            deadline_of[slot] = dp.earliest_expiry
+        # sum() accumulates 0 + r0 + r1 + ... exactly as the
+        # Route.total_reward property does (compensated on 3.12+).
+        slot_list = slots.tolist()
+        rewards = np.array(
+            [
+                sum(map(reward_of.__getitem__, slot_list[a : a + k]))
+                for a, k in zip(seg_start.tolist(), sizes.tolist())
+            ],
+            dtype=np.float64,
+        )
         # Layers come size-major; a stable sort by center makes every
         # center's entries one (size, ids)-ordered block.
         perm = np.argsort(center, kind="stable")
@@ -206,10 +215,7 @@ class EntryArrays:
         np.cumsum(sizes[:-1], out=seg_start[1:])
         flat = np.repeat(source - seg_start, sizes) + np.arange(path_flat.size)
         path_flat, t_flat = path_flat[flat], t_flat[flat]
-        visit_center = np.repeat(center, sizes)
-        expiry_flat = np.array(deadline_of, dtype=np.float64)[
-            visit_center * width + path_flat
-        ]
+        expiry_flat = deadline_of[np.repeat(center, sizes) * width + path_flat]
         last_time = t_flat[seg_start + sizes - 1] if sizes.size else t_flat[:0]
         ids_rank = _ids_rank(sizes, seg_start, path_flat, center)
         e_cut = np.searchsorted(center, np.arange(n_centers + 1)).tolist()
@@ -353,58 +359,87 @@ class EntryArrays:
             append(strategy)
         return out
 
+    @property
+    def position(self) -> Dict[str, int]:
+        """``{dp_id: index}`` of :attr:`points`, built on first access."""
+        if self._position is None:
+            self._position = {dp.dp_id: i for i, dp in enumerate(self.points)}
+        return self._position
+
     def touching(self, point_ids) -> np.ndarray:
         """``(E,)`` bool — entries whose point set meets ``point_ids``."""
         probe = np.zeros(self.masks.shape[1], dtype=_WORD)
-        for i, dp in enumerate(self.points):
-            if dp.dp_id in point_ids:
+        position = self.position
+        for dp_id in point_ids:
+            i = position.get(dp_id)
+            if i is not None:
                 probe[i >> 6] |= np.uint64(1 << (i & 63))
         return (self.masks & probe).any(axis=1)
 
     def splice(
-        self, keep: np.ndarray, added: Optional["EntryArrays"]
+        self,
+        keep: np.ndarray,
+        added: Optional["EntryArrays"],
+        points: Sequence,
     ) -> Tuple["EntryArrays", np.ndarray]:
         """The table of rows ``keep`` followed by ``added``'s entries.
 
-        Returns the new table and the old→new row map (``-1`` for dropped
-        rows); ``added``'s row ``k`` becomes row ``count_nonzero(keep) + k``.
-        The point index space is rebuilt from the surviving and added
-        entries' points, sorted by id (``added``'s objects win on a shared
-        id).  Every array is gathered or recomputed; no entry object is
-        built.
+        ``points``, sorted by id, is the new table's index space: it holds
+        every kept and added entry's points, and ``added`` (or ``None``)
+        is laid out over it.  Returns the new table and the old→new row
+        map (``-1`` for dropped rows); ``added``'s row ``k`` becomes row
+        ``count_nonzero(keep) + k``.  Kept visits are re-indexed by id.
+        Every array is gathered or recomputed; no entry object is built.
         """
         kept = np.flatnonzero(keep)
         flat, _ = self.segments(kept)
-        path = self.path_flat[flat]
-        by_id = {
-            self.points[i].dp_id: self.points[i] for i in np.unique(path).tolist()
-        }
-        if added is not None:
-            by_id.update((dp.dp_id, dp) for dp in added.points)
-        ids = sorted(by_id)
-        position = {dp_id: k for k, dp_id in enumerate(ids)}
-
-        def remap(points) -> np.ndarray:
-            return np.array(
-                [position.get(dp.dp_id, -1) for dp in points], dtype=np.intp
+        position = {dp.dp_id: k for k, dp in enumerate(points)}
+        remap = np.array(
+            [position.get(dp.dp_id, -1) for dp in self.points], dtype=np.intp
+        )
+        parts = [
+            (
+                self.sizes[kept],
+                remap[self.path_flat[flat]],
+                self.t_flat[flat],
+                self.rewards[kept],
+                self.expiry_flat[flat],
+                self.last_time[kept],
             )
-
-        sizes, paths = [self.sizes[kept]], [remap(self.points)[path]]
-        times, rewards = [self.t_flat[flat]], [self.rewards[kept]]
+        ]
         if added is not None:
-            sizes.append(added.sizes)
-            paths.append(remap(added.points)[added.path_flat])
-            times.append(added.t_flat)
-            rewards.append(added.rewards)
+            parts.append(
+                (
+                    added.sizes,
+                    added.path_flat,
+                    added.t_flat,
+                    added.rewards,
+                    added.expiry_flat,
+                    added.last_time,
+                )
+            )
+        sizes, path_flat, t_flat, rewards, expiry_flat, last_time = (
+            np.concatenate(column) for column in zip(*parts)
+        )
+        seg_start = np.zeros(sizes.size, dtype=np.intp)
+        np.cumsum(sizes[:-1], out=seg_start[1:])
+        spliced = EntryArrays.__new__(EntryArrays)
+        spliced._set_columns(
+            list(points),
+            sizes,
+            path_flat,
+            t_flat,
+            rewards,
+            _pack_paths(sizes, seg_start, path_flat, len(points)),
+            expiry_flat,
+            seg_start,
+            last_time,
+            _ids_rank(sizes, seg_start, path_flat),
+            np.zeros(sizes.size, dtype=bool),
+        )
+        spliced._position = position
         old_to_new = np.full(self.n_entries, -1, dtype=np.intp)
         old_to_new[kept] = np.arange(kept.size)
-        spliced = EntryArrays(
-            [by_id[dp_id] for dp_id in ids],
-            _concat(sizes, np.int64),
-            _concat(paths, np.intp),
-            _concat(times, np.float64),
-            _concat(rewards, np.float64),
-        )
         return spliced, old_to_new
 
 
@@ -449,13 +484,16 @@ def _ids_rank(
     rank = np.empty(n, dtype=np.int64)
     if not n:
         return rank
+    bound = int(path_flat.max()) + 1
     owner = np.repeat(np.arange(n), sizes)
     pos = np.arange(path_flat.size) - np.repeat(seg_start, sizes)
-    rows = np.full((n, int(sizes.max())), -1, dtype=np.intp)
-    rows[owner, pos] = path_flat[np.lexsort((path_flat, owner))]
-    keys = rows.T[::-1]
+    # Indices shifted up by one, so the 0 padding sorts first.
+    rows = np.zeros((n, int(sizes.max())), dtype=np.min_scalar_type(bound))
+    by_index = np.lexsort((narrow(path_flat, bound), narrow(owner, n)))
+    rows[owner, pos] = 1 + path_flat[by_index]
+    keys = tuple(rows.T[::-1])
     if center is not None:
-        keys = np.vstack((keys, center))
+        keys += (narrow(center, int(center[-1])),)
     rank[np.lexsort(keys)] = np.arange(n)
     return rank
 
@@ -636,7 +674,13 @@ def validate_all(
         # ascending.  Negating a float is exact, and ids_rank orders
         # exactly as the id tuples do, so this is strategy_sort_key as a
         # lexsort.
-        order = np.lexsort((ids_rank[entries], -payoffs, owners))
+        order = np.lexsort(
+            (
+                narrow(ids_rank[entries], ids_rank.size),
+                -payoffs,
+                narrow(owners, n_workers),
+            )
+        )
         owners = owners[order]
         rows = entries[order] - e_start[worker_center[owners]]
         payoffs = payoffs[order]

@@ -1,49 +1,65 @@
 """Incrementally maintained C-VDPS catalogs (the ROADMAP's churn item).
 
-A live dispatch round churns one or two delivery points per center — a task
+A live dispatch round churns a few delivery points per center — a task
 arrives, a deadline passes — yet :func:`~repro.vdps.catalog.build_catalog`
 re-enumerates the whole per-center subset DP.  :class:`DeltaCatalog` keeps
-the DP state table alive between rounds and applies churn as state surgery:
+the DP alive between rounds in the kernel's own form — per layer the
+visit orders, prefix arrival times, packed subset masks and canonical best
+rows of :class:`~repro.kernels.cvdps.Layer`, path-lex, in sorted-id point
+order — and applies churn as array passes over it:
 
 * **Point removal** is pure retraction: a DP state depends on a point only
   if its subset contains it (arrival times of the other states chain through
-  their own points alone), so dropping every state whose subset holds the
-  point leaves exactly the table a rebuild over the surviving points yields.
-* **Point addition** extends the table with exactly the states whose subset
-  contains the new point: seed its singleton, one-step-extend every existing
-  state by it, then close upward layer by layer (any extension of a state
-  containing the point still contains it, so the closure never touches the
-  old states).
+  their own points alone), so dropping every row whose mask holds the point
+  — one mask test per layer — leaves exactly the DP a rebuild over the
+  surviving points yields.  Inserted and removed points shift later
+  sorted-id indices, so surviving rows are re-indexed and their masks
+  re-packed.
+* **Point addition** adds exactly the states whose subset holds a new
+  point: seed the new points' singletons, extend by a new point every row
+  whose endpoint chains to it, then close upward over the new rows only
+  (any extension of a state holding a new point still holds it).  All of
+  a refresh's new points take one run of the full build's own expansion
+  loop (:func:`~repro.kernels.cvdps.add_points`), with the same ``(time,
+  parent rank)`` relaxation, which merges the new rows into each layer in
+  path-lex order.
 * **A changed point** (new task, expired task, moved deadline) is a removal
   followed by an addition.
+* **Cap growth** (a joining worker raises ``maxDP``) resumes the same loop
+  from the top layer (:func:`~repro.kernels.cvdps.deepen_layers`).
 
-The canonical ``(time, path)`` relaxation of :mod:`repro.vdps.generator`
-makes each state's value a function of the point set alone, so the spliced
-table is *equal* to a from-scratch one — same floats, same tie-breaks — and
-the materialised :class:`~repro.vdps.catalog.VDPSCatalog` (strategy tuples,
-payoffs, and the lazy :class:`~repro.vdps.catalog.CatalogIndex` bit layout)
-is bit-identical to ``build_catalog`` on the same sub-problem.  The
-differential suites (``tests/vdps/test_delta_differential.py``,
+Travel times come from the center's
+:class:`~repro.kernels.cvdps.LayoutMatrix`, bit-identical to
+``TravelModel.time``, and the relaxation makes each state's value a
+function of the point set alone, so the spliced layers *equal* a
+from-scratch DP — same floats, same tie-breaks — and the materialised
+:class:`~repro.vdps.catalog.VDPSCatalog` (strategy tuples, payoffs, and the
+lazy :class:`~repro.vdps.catalog.CatalogIndex` bit layout) is bit-identical
+to ``build_catalog`` on the same sub-problem.  The differential suites
+(``tests/vdps/test_delta_differential.py``,
 ``tests/properties/test_catalog_delta.py``) assert exactly that after every
 step of randomised churn.
 
 The entry table is the catalog's own columnar
 :class:`~repro.kernels.validate.EntryArrays`.  A refresh splices it: the
 rows whose point set meets a removed point are dropped (one mask test) and
-the added entries are appended (:meth:`EntryArrays.splice`), which yields
-an old→new row map.  Worker-level revalidation is restricted the same way:
-a worker is fully revalidated only when its own content changed (location
-→ start offset, ``maxDP``, speed); an untouched worker's rows are remapped
-through the row map, the added entries are scanned for it by the same
-validation a full revalidation uses, and one ``lexsort`` on ``(ids_rank,
--payoff)`` restores the canonical order.  No strategy object is built.
-Structural changes no delta can express (center moved, travel model
-swapped) and churn above ``rebuild_fraction`` (e.g. a clock advance
-rewriting every relative deadline) fall back to a full rebuild — the same
-array-native build as ``build_catalog``, at the same price.  A fallback
-keeps only that build's catalog and C-VDPS table; the surgery tables (DP
-states, per-worker rows) are derived from them when a later refresh takes
-the delta path, so a clock-advancing loop never pays for them.
+the added subsets' entries — laid out straight from the new rows' best
+states (:meth:`EntryArrays.from_layers`) — are appended
+(:meth:`EntryArrays.splice`), which yields an old→new row map.
+Worker-level revalidation is restricted the same way: a worker is fully
+revalidated only when its own content changed (location → start offset,
+``maxDP``, speed); every untouched worker's rows are remapped through the
+row map, the added entries are scanned for all of them at once by the
+same validation a full revalidation uses, and one ``lexsort`` on
+``(worker, -payoff, ids_rank)`` restores the canonical order.  No strategy
+object is built.  Structural changes no delta can express (center moved,
+travel model swapped) and churn above ``rebuild_fraction`` (e.g. a clock
+advance rewriting every relative deadline) fall back to a full rebuild —
+the same array-native build as ``build_catalog``, at the same price.  A
+fallback keeps only that build's catalog and C-VDPS table; the surgery
+tables (DP layers, per-worker rows) are derived from them when a later
+refresh takes the delta path, so a clock-advancing loop never pays for
+them.
 
 Everything lands on the ``catalog.delta_*`` metrics surface
 (:data:`repro.obs.metrics.CATALOG_DELTA_METRICS`).
@@ -51,23 +67,24 @@ Everything lands on the ``catalog.delta_*`` metrics surface
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import (
-    TYPE_CHECKING,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from dataclasses import replace
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.core.entities import DeliveryPoint, Worker
 from repro.core.instance import SubProblem
-from repro.kernels.cvdps import LayoutMatrix
+from repro.kernels.cvdps import (
+    CenterDP,
+    Layer,
+    LayoutMatrix,
+    add_points,
+    deepen_layers,
+    layers_from_paths,
+    layers_without,
+    narrow,
+    point_mask,
+)
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import resolve_tracer
 from repro.vdps.catalog import (
@@ -77,26 +94,10 @@ from repro.vdps.catalog import (
     build_catalog,
     worker_offset_factor,
 )
-from repro.vdps.generator import (
-    CVdpsEntry,
-    CvdpsTable,
-    DPStats,
-    _StateKey,
-    _StateVal,
-    best_per_subset,
-    entry_from_value,
-    extend_value,
-    relax,
-    seed_value,
-)
+from repro.vdps.generator import CvdpsTable, DPStats, chain_adjacency
 
 if TYPE_CHECKING:
-    from repro.kernels.validate import Columns
-
-
-def _subset_sort_key(subset: FrozenSet[str]) -> Tuple[int, Tuple[str, ...]]:
-    """The (size, ids) order entries are generated and validated in."""
-    return (len(subset), tuple(sorted(subset)))
+    from repro.kernels.validate import Columns, EntryArrays
 
 
 class DeltaCatalog:
@@ -127,11 +128,11 @@ class DeltaCatalog:
         Implementation tier for the full-rebuild DP and every validation
         scan — full revalidation of a changed worker and the added-entry
         scan of an unchanged one (``"scalar"`` or ``"vectorized"``;
-        ``None`` resolves the process default).  The DP state surgery
-        runs in Python on either tier (it touches few states by
-        construction), and every tier lands on the same bit-identical
-        tables, so deltas applied over a kernel-built table still match
-        rebuilds exactly.
+        ``None`` resolves the process default).  The DP surgery runs as
+        the kernel's array passes on either tier (a scalar rebuild's
+        state dict is laid out as layers once, when a refresh first takes
+        the delta path); every tier lands on the same bit-identical
+        tables, so deltas match rebuilds exactly.
     """
 
     def __init__(
@@ -391,21 +392,19 @@ class DeltaCatalog:
         )
 
         stats = DPStats()
-        added_entries: Dict[FrozenSet[str], CVdpsEntry] = {}
-        for p in sorted(removed) + sorted(changed):
-            self._remove_point(p)
-        for p in sorted(changed) + sorted(added):
-            self._add_point(p, new_points[p], added_entries, stats)
-        if new_cap > self._cap_built:
-            self._extend_cap(new_cap, added_entries, stats)
+        points, added_entries = self._splice_states(
+            new_points, added, removed, changed, new_cap, stats
+        )
         METRICS.counter("cvdps.states_expanded").add(stats.states_expanded)
         METRICS.counter("cvdps.candidates_tried").add(stats.candidates_tried)
         METRICS.counter("cvdps.deadline_rejections").add(stats.deadline_rejections)
-        METRICS.counter("catalog.delta_entries_added").add(len(added_entries))
+        METRICS.counter("catalog.delta_entries_added").add(
+            0 if added_entries is None else added_entries.n_entries
+        )
 
         workers = sub.online_workers
         self._apply_worker_churn(
-            workers, set(removed) | set(changed), added_entries
+            workers, set(removed) | set(changed), added_entries, points
         )
         return self._materialize(workers)
 
@@ -452,9 +451,9 @@ class DeltaCatalog:
     def _ensure_tables(self) -> None:
         """Derive the surgery tables from the last rebuild, once.
 
-        The DP states and the neighbourhoods come from the rebuild's
-        table; the entry table and the per-worker columns are the rebuilt
-        catalog's own.
+        The DP layers are laid out from the rebuild's table (its visit
+        orders, re-timed over the center's travel matrix); the entry table
+        and the per-worker columns are the rebuilt catalog's own.
         """
         table = self._table
         if table is None:
@@ -462,8 +461,18 @@ class DeltaCatalog:
         from repro.kernels import resolve_kernel
 
         scalar = resolve_kernel(self._kernel) == "scalar"
-        self._neighbors: Dict[str, List[str]] = table.neighbors()
-        self._states: Dict[_StateKey, _StateVal] = table.states()
+        ids = sorted(self._points)
+        points = [self._points[dp_id] for dp_id in ids]
+        self._layers: List[Layer] = layers_from_paths(
+            table.dp_paths(),
+            points,
+            self._layout.matrix(
+                ids,
+                [dp.location for dp in points],
+                self._travel,
+                self._center_location,
+            ),
+        )
         catalog = self._catalog
         self._entry_arrays = catalog.arrays
         self._workers: Dict[str, Worker] = {}
@@ -482,152 +491,75 @@ class DeltaCatalog:
             self._columns[wid] = (column.rows, column.payoffs, objects)
         self._table = None
 
-    # -- DP state surgery ---------------------------------------------------
+    # -- DP surgery ---------------------------------------------------------
 
-    def _remove_point(self, p: str) -> None:
-        """Retract every state whose subset contains ``p``.
-
-        The entries of those subsets leave the entry table in
-        :meth:`_apply_worker_churn`, all removed points at once.
-        """
-        del self._points[p]
-        for q in self._neighbors.pop(p, []):
-            adjacency = self._neighbors.get(q)
-            if adjacency is not None and p in adjacency:
-                adjacency.remove(p)
-        for key in [key for key in self._states if p in key[0]]:
-            del self._states[key]
-
-    def _add_point(
+    def _splice_states(
         self,
-        p: str,
-        dp: DeliveryPoint,
-        added_entries: Dict[FrozenSet[str], CVdpsEntry],
-        stats: DPStats,
-    ) -> None:
-        """Extend the table with every state whose subset contains ``p``."""
-        self._points[p] = dp
-        if self.epsilon is None:
-            adjacency = [q for q in self._points if q != p]
-        else:
-            # Same Euclidean point-to-point test as neighbor_lists.
-            adjacency = [
-                q
-                for q, other in self._points.items()
-                if q != p and dp.location.distance_to(other.location) <= self.epsilon
-            ]
-        for q in adjacency:
-            self._neighbors[q].append(p)
-        self._neighbors[p] = adjacency
-
-        new_states = self._states_with_point(p, stats)
-        self._states.update(new_states)
-        for subset, value in best_per_subset(new_states).items():
-            added_entries[subset] = entry_from_value(
-                self._points, subset, value, self._travel, self._center_location
-            )
-
-    def _states_with_point(self, p: str, stats: DPStats) -> Dict[_StateKey, _StateVal]:
-        """All feasible DP states containing ``p`` over the current points.
-
-        States free of ``p`` never route through it, so the existing table
-        is exactly the ``p``-free half of the full DP; this computes the
-        other half.  Seeds: the singleton ``({p}, p)`` plus one-step
-        extensions of every existing state whose endpoint can hop to ``p``
-        (predecessors of a state ending *at* ``p`` are ``p``-free).  The
-        upward closure then only ever expands states already containing
-        ``p``, layer by layer, with the same canonical relaxation as the
-        full build — so every new state gets its canonical value.
-        """
-        cap = self._cap_built
-        by_size: Dict[int, Dict[_StateKey, _StateVal]] = defaultdict(dict)
-        if cap < 1:
-            return {}
-        dp_p = self._points[p]
-        seeded = seed_value(dp_p, self._travel, self._center_location)
-        if seeded is None:
-            stats.deadline_rejections += 1
-        else:
-            by_size[1][(frozenset((p,)), p)] = seeded
-        # The neighbourhood is symmetric (point-to-point Euclidean), so
-        # "p in neighbors[j]" — the full DP's chaining test — is exactly
-        # "j in neighbors[p]".
-        reaches_p = set(self._neighbors[p])
-        for (subset, j), value in self._states.items():
-            if len(subset) >= cap or j not in reaches_p:
-                continue
-            stats.candidates_tried += 1
-            extended = extend_value(value, self._points[j], dp_p, self._travel)
-            if extended is None:
-                stats.deadline_rejections += 1
-                continue
-            relax(by_size[len(subset) + 1], (subset | {p}, p), extended)
-        for size in range(1, cap):
-            frontier = by_size.get(size)
-            if not frontier:
-                continue
-            for (subset, j), value in frontier.items():
-                dp_j = self._points[j]
-                for q in self._neighbors[j]:
-                    if q in subset:
-                        continue
-                    stats.candidates_tried += 1
-                    extended = extend_value(value, dp_j, self._points[q], self._travel)
-                    if extended is None:
-                        stats.deadline_rejections += 1
-                        continue
-                    relax(by_size[size + 1], (subset | {q}, q), extended)
-        out: Dict[_StateKey, _StateVal] = {}
-        for size in range(1, cap + 1):
-            layer = by_size.get(size)
-            if layer:
-                stats.states_expanded += len(layer)
-                out.update(layer)
-        return out
-
-    def _extend_cap(
-        self,
+        new_points: Dict[str, DeliveryPoint],
+        added: List[str],
+        removed: List[str],
+        changed: List[str],
         new_cap: int,
-        added_entries: Dict[FrozenSet[str], CVdpsEntry],
         stats: DPStats,
-    ) -> None:
-        """Deepen the DP when a joining worker raises the ``maxDP`` bound.
+    ) -> Tuple[List[DeliveryPoint], Optional["EntryArrays"]]:
+        """Bring the DP layers to ``new_points`` and ``new_cap``.
 
-        The table is complete up to ``cap_built``, so resuming the layered
-        expansion from the top layer reproduces exactly the layers a
-        full build with the larger cap would add.  (A cap that *shrank*
-        needs no surgery: materialisation filters by the current cap.)
+        Returns the new points in sorted-id order (the index space) and
+        the entries of every subset the surgery added, ``None`` if none.
         """
-        frontier = {
-            key: value
-            for key, value in self._states.items()
-            if len(key[0]) == self._cap_built
-        }
-        size = self._cap_built
-        new_states: Dict[_StateKey, _StateVal] = {}
-        while frontier and size < new_cap:
-            next_frontier: Dict[_StateKey, _StateVal] = {}
-            for (subset, j), value in frontier.items():
-                dp_j = self._points[j]
-                for q in self._neighbors[j]:
-                    if q in subset:
-                        continue
-                    stats.candidates_tried += 1
-                    extended = extend_value(value, dp_j, self._points[q], self._travel)
-                    if extended is None:
-                        stats.deadline_rejections += 1
-                        continue
-                    relax(next_frontier, (subset | {q}, q), extended)
-            self._states.update(next_frontier)
-            new_states.update(next_frontier)
-            frontier = next_frontier
-            size += 1
-            stats.states_expanded += len(next_frontier)
-        self._cap_built = new_cap
-        for subset, value in best_per_subset(new_states).items():
-            added_entries[subset] = entry_from_value(
-                self._points, subset, value, self._travel, self._center_location
+        from repro.kernels.validate import EntryArrays
+
+        old_ids = sorted(self._points)
+        ids = sorted(new_points)
+        position = {dp_id: k for k, dp_id in enumerate(ids)}
+        gone = sorted(removed) + sorted(changed)
+        old_position = {dp_id: k for k, dp_id in enumerate(old_ids)}
+        self._layers = layers_without(
+            self._layers,
+            [old_position[p] for p in gone],
+            np.array([position.get(p, -1) for p in old_ids], dtype=np.intp),
+            max(1, -(-len(ids) // 64)),
+        )
+        self._points = new_points
+        points = [new_points[dp_id] for dp_id in ids]
+        arrivals = [position[p] for p in sorted(changed) + sorted(added)]
+        built = self._cap_built
+        # A cap that shrank needs no surgery: materialisation filters by
+        # the current cap.
+        self._cap_built = max(built, new_cap)
+        if not ids or (not arrivals and new_cap <= built):
+            return points, None
+        matrix = self._layout.matrix(
+            ids, [dp.location for dp in points], self._travel, self._center_location
+        )
+        adjacency = chain_adjacency(points, matrix, self._travel, self.epsilon)
+        add_points(
+            self._layers,
+            CenterDP(self._center_id, points, adjacency, matrix, built, stats),
+            arrivals,
+        )
+        if new_cap > built:
+            deepen_layers(
+                self._layers,
+                CenterDP(self._center_id, points, adjacency, matrix, new_cap, stats),
+                built,
             )
+
+        # The added subsets: those holding an arrival, and those above the
+        # old cap.  Their states are all new, so each one's best row is.
+        probe = point_mask(arrivals, max(1, -(-len(ids) // 64)))
+        fresh = [
+            layer
+            if layer.size > built
+            else replace(
+                layer,
+                best=layer.best[(layer.masks[layer.best] & probe).any(axis=1)],
+            )
+            for layer in self._layers
+        ]
+        if not any(layer.best.size for layer in fresh):
+            return points, None
+        return points, EntryArrays.from_layers(fresh, [points])[0]
 
     # -- worker-level revalidation ------------------------------------------
 
@@ -666,14 +598,16 @@ class DeltaCatalog:
         self,
         workers: Tuple[Worker, ...],
         removed_points: Set[str],
-        added_entries: Dict[FrozenSet[str], CVdpsEntry],
+        added: Optional["EntryArrays"],
+        points: Sequence[DeliveryPoint],
     ) -> None:
         """Splice the entry table; revalidate changed workers, remap the rest.
 
         The table drops every entry over a removed point and appends the
-        added entries (flattened once per refresh).  An unchanged worker's
-        rows go through the old→new row map, the added entries are scanned
-        for it like a full revalidation, and one lexsort restores the
+        ``added`` entries (over ``points``, the center's points in sorted-id
+        order).  Every unchanged worker's rows go through the old→new row
+        map, the added entries are scanned for all of them at once like a
+        full revalidation, and one lexsort restores every worker's
         canonical order.
         """
         from repro.kernels import resolve_kernel
@@ -688,11 +622,10 @@ class DeltaCatalog:
         keep = ~arrays.touching(removed_points)
         dropped = arrays.n_entries - int(np.count_nonzero(keep))
         METRICS.counter("catalog.delta_entries_removed").add(dropped)
-        added = _flatten(added_entries) if added_entries else None
         old_to_new = None
         if dropped or added is not None:
             base = arrays.n_entries - dropped
-            arrays, old_to_new = arrays.splice(keep, added)
+            arrays, old_to_new = arrays.splice(keep, added, points)
             self._entry_arrays = arrays
         changed: List[Worker] = []
         kept: List[Worker] = []
@@ -707,42 +640,76 @@ class DeltaCatalog:
                     worker, self._travel, self._center_location
                 )
                 changed.append(worker)
-                continue
-            if old_to_new is None:
-                continue
-            rows, payoffs, objects = self._columns[wid]
-            rows = old_to_new[rows]
-            alive = rows >= 0
-            if not alive.all():
-                rows, payoffs = rows[alive], payoffs[alive]
-                if objects is not None:
-                    objects = [s for s, ok in zip(objects, alive.tolist()) if ok]
-            self._columns[wid] = (rows, payoffs, objects)
-            kept.append(worker)
+            elif old_to_new is not None:
+                kept.append(worker)
         built = 0
         for worker, columns in zip(changed, self._scan(changed, arrays, scalar)):
             self._columns[worker.worker_id] = columns
             built += columns[0].size
-        if added is not None:
-            scanned = self._scan(kept, added, scalar)
-            for worker, (new_rows, new_payoffs, new_objects) in zip(kept, scanned):
-                built += new_rows.size
-                if not new_rows.size:
-                    continue
-                rows, payoffs, objects = self._columns[worker.worker_id]
-                rows = np.concatenate((rows, new_rows + base))
-                payoffs = np.concatenate((payoffs, new_payoffs))
-                # Keys are unique per worker: this is the canonical
-                # (payoff descending, point ids) order.
-                order = np.lexsort((arrays.ids_rank[rows], -payoffs))
-                rows, payoffs = rows[order], payoffs[order]
-                if objects is not None:
-                    merged = objects + new_objects
-                    objects = [merged[k] for k in order.tolist()]
-                self._columns[worker.worker_id] = (rows, payoffs, objects)
+        if kept:
+            new = self._scan(kept, added, scalar) if added is not None else None
+            built += self._merge_columns(kept, old_to_new, base, new, arrays)
         METRICS.counter("catalog.strategies_built").add(built)
         if changed:
             METRICS.counter("catalog.delta_workers_revalidated").add(len(changed))
+
+    def _merge_columns(
+        self,
+        kept: Sequence[Worker],
+        old_to_new: np.ndarray,
+        base: int,
+        new: Optional[List[Columns]],
+        arrays: "EntryArrays",
+    ) -> int:
+        """Remap ``kept`` workers' columns into the spliced table ``arrays``
+        and merge in their ``new`` columns over the added entries (rows
+        ``base`` on), every worker in one pass.
+
+        Returns how many strategies the added entries gave them.
+        """
+        old = [self._columns[worker.worker_id] for worker in kept]
+        parts = old + (new or [])
+        counts = np.array([columns[0].size for columns in parts], dtype=np.intp)
+        starts = np.cumsum(counts) - counts
+        n_old = int(counts[: len(kept)].sum())
+        owner = narrow(np.repeat(np.arange(len(parts)) % len(kept), counts), len(kept))
+        rows = np.concatenate(
+            [columns[0] for columns in old]
+            + [columns[0] + base for columns in new or []]
+        )
+        payoffs = np.concatenate([columns[1] for columns in parts])
+        # Old rows go through the row map (-1 for a dropped entry); added
+        # rows are already the spliced table's.
+        rows[:n_old] = old_to_new[rows[:n_old]]
+        alive = np.flatnonzero(rows >= 0)
+        # Keys are unique per worker: this is each worker's canonical
+        # (payoff descending, point ids) order, one worker after another.
+        ids_rank = narrow(arrays.ids_rank, arrays.n_entries)
+        order = alive[
+            np.lexsort((ids_rank[rows[alive]], -payoffs[alive], owner[alive]))
+        ]
+        cuts = np.searchsorted(owner[order], np.arange(len(kept) + 1)).tolist()
+        rows, payoffs = rows[order], payoffs[order]
+        for k, worker in enumerate(kept):
+            a, b = cuts[k], cuts[k + 1]
+            objects = old[k][2]
+            if objects is not None:
+                # Scalar-path columns carry their objects along: an old
+                # position indexes the old objects, an added one the
+                # worker's new objects after them.
+                picked = order[a:b]
+                local = picked - starts[k]
+                pool = objects
+                if new is not None:
+                    pool = objects + new[k][2]
+                    local = np.where(
+                        picked < n_old,
+                        local,
+                        picked - starts[len(kept) + k] + len(objects),
+                    )
+                objects = [pool[i] for i in local.tolist()]
+            self._columns[worker.worker_id] = (rows[a:b], payoffs[a:b], objects)
+        return int(counts[len(kept) :].sum())
 
     # -- materialisation ----------------------------------------------------
 
@@ -770,19 +737,6 @@ class DeltaCatalog:
             workers, arrays, columns, self.epsilon, cvdps_count
         )
         return self._catalog
-
-
-def _flatten(entries: Dict[FrozenSet[str], CVdpsEntry]):
-    """``entries`` as :class:`~repro.kernels.validate.EntryArrays`.
-
-    Flattened in the canonical ``(size, ids)`` order, the order a full
-    build generates and validates entries in.
-    """
-    from repro.kernels.validate import EntryArrays
-
-    return EntryArrays.from_entries(
-        [entries[subset] for subset in sorted(entries, key=_subset_sort_key)]
-    )
 
 
 def catalog_diff(

@@ -170,7 +170,6 @@ def compute_states(
             CenterDP,
             center_matrix,
             compute_layers,
-            split_layers,
             states_from_layers,
         )
 
@@ -185,7 +184,7 @@ def compute_states(
             stats,
         )
         layers = compute_layers([job], tracer)
-        return states_from_layers(split_layers(layers, 1)[0], ids)
+        return states_from_layers(layers, ids)
     METRICS.counter("kernel.cvdps_scalar").add(1)
     states: Dict[_StateKey, _StateVal] = {}
     frontier: Dict[_StateKey, _StateVal] = {}
@@ -255,61 +254,78 @@ def _adjacency(
 class CvdpsTable:
     """One center's full C-VDPS generation, in the form its tier produced.
 
-    The vectorized tier keeps the center's share of the batch's DP
-    layers (:func:`~repro.kernels.cvdps.split_layers`) and its
-    :class:`~repro.kernels.validate.EntryArrays`; the scalar tier keeps
-    its state dict and entry list.  Either form derives the others on
-    demand — :meth:`states`, :meth:`entries`, :meth:`neighbors` — which
-    only the delta layer's surgery needs.
+    The vectorized tier keeps the visit orders of the center's share of
+    the batch's DP layers (:func:`~repro.kernels.cvdps.split_layers`)
+    and its :class:`~repro.kernels.validate.EntryArrays`; the scalar tier
+    keeps its state dict and entry list.  :meth:`entries` and
+    :meth:`dp_paths` derive the other tier's form on demand; only the
+    delta layer's surgery asks a scalar table for paths.
     """
 
     def __init__(
         self,
         points_by_id: Mapping[str, DeliveryPoint],
-        neighbors: Optional[Mapping[str, Sequence[str]]] = None,
         states: Optional[Dict[_StateKey, _StateVal]] = None,
         entries: Optional[List[CVdpsEntry]] = None,
-        adjacency: Optional[np.ndarray] = None,
-        layers=None,
+        paths: Optional[List[np.ndarray]] = None,
         arrays=None,
     ) -> None:
         self.points_by_id = points_by_id
-        self._neighbors = neighbors
         self._states = states
         self._entries = entries
-        #: Vectorized tier: ``(n, n)`` chaining matrix in sorted-id order.
-        self.adjacency = adjacency
-        #: Vectorized tier: the center's ``(paths, times)`` per DP layer.
-        self.layers = layers
+        #: Vectorized tier: per DP layer, the ``(S, size)`` visit orders
+        #: of its states, path-lex, in sorted-id point order.
+        self.paths = paths
         #: Vectorized tier: the validation-ready entry arrays.
         self.arrays = arrays
 
-    def neighbors(self) -> Dict[str, List[str]]:
-        """Pruning neighbourhoods by dp id, as fresh mutable lists."""
-        if self._neighbors is None:
-            ids = sorted(self.points_by_id)
-            self._neighbors = {
-                ids[j]: [ids[q] for q in np.flatnonzero(row).tolist()]
-                for j, row in enumerate(self.adjacency)
-            }
-        return {dp_id: list(adj) for dp_id, adj in self._neighbors.items()}
+    def dp_paths(self) -> List[np.ndarray]:
+        """Every feasible DP state's visit order, one path-lex array per
+        layer (see :attr:`paths`).
 
-    def states(self) -> Dict[_StateKey, _StateVal]:
-        """Every feasible DP state, ``{(subset, end): (time, path)}``."""
-        if self._states is None:
-            from repro.kernels.cvdps import states_from_layers
+        A scalar-tier state dict is laid out this way on the first call.
+        """
+        if self.paths is None:
+            from repro.kernels.cvdps import paths_from_states
 
-            self._states = states_from_layers(
-                self.layers, sorted(self.points_by_id)
+            self.paths = paths_from_states(
+                self._states or {}, sorted(self.points_by_id)
             )
-            self.layers = None
-        return self._states
+            self._states = None
+        return self.paths
 
     def entries(self) -> List[CVdpsEntry]:
         """Every C-VDPS, sorted by (size, point ids)."""
         if self._entries is None:
             self._entries = [] if self.arrays is None else self.arrays.entries
         return self._entries
+
+
+def chain_adjacency(
+    points: Sequence[DeliveryPoint],
+    matrix,
+    travel: TravelModel,
+    epsilon: Optional[float],
+) -> np.ndarray:
+    """The DP's ``(n, n)`` chaining matrix over ``points`` (sorted by id).
+
+    ``adjacency[j, q]``: a route may go from ``points[j]`` straight on to
+    ``points[q]`` — every other point without pruning, else the
+    ``epsilon`` neighbourhood.  Pruning distances are Euclidean; under
+    the default metric ``matrix`` (the points'
+    :class:`~repro.geo.travel.TravelMatrix`) already holds them, the same
+    test :func:`neighbor_lists` applies to a precomputed matrix.
+    """
+    n = len(points)
+    if epsilon is None:
+        return ~np.eye(n, dtype=bool)
+    if travel.distance_fn is euclidean and epsilon >= 0:
+        adjacency = matrix.distances <= epsilon
+        np.fill_diagonal(adjacency, False)
+        return adjacency
+    return _adjacency(
+        [dp.dp_id for dp in points], neighbor_id_map(points, epsilon)
+    )
 
 
 def generate_tables(
@@ -353,9 +369,7 @@ def generate_tables(
         points_by_id = {dp.dp_id: dp for dp in points}
         if n == 0 or cap <= 0:
             # No DP runs, so no state ever chains through a neighbourhood.
-            tables.append(
-                CvdpsTable(points_by_id, {dp_id: () for dp_id in points_by_id}, {}, [])
-            )
+            tables.append(CvdpsTable(points_by_id, {}, []))
             continue
         stats = DPStats()
         center_stats.append(stats)
@@ -375,7 +389,6 @@ def generate_tables(
             tables.append(
                 CvdpsTable(
                     points_by_id,
-                    neighbors,
                     states,
                     collect_entries(points_by_id, states, travel, center.location),
                 )
@@ -385,17 +398,8 @@ def generate_tables(
             from repro.kernels.cvdps import CenterDP, center_matrix
 
             ids, matrix = center_matrix(points_by_id, travel, center.location, layout)
-            if epsilon is None:
-                adjacency = ~np.eye(n, dtype=bool)
-            elif travel.distance_fn is euclidean and epsilon >= 0:
-                # Pruning distances are Euclidean; under the default metric
-                # the kernel matrix already holds them — the same test
-                # neighbor_lists applies to a precomputed matrix.
-                adjacency = matrix.distances <= epsilon
-                np.fill_diagonal(adjacency, False)
-            else:
-                adjacency = _adjacency(ids, neighbor_id_map(points, epsilon))
             sorted_points = [points_by_id[dp_id] for dp_id in ids]
+            adjacency = chain_adjacency(sorted_points, matrix, travel, epsilon)
             jobs.append(
                 (
                     len(tables),
@@ -420,11 +424,10 @@ def generate_tables(
         layers = compute_layers(dps, tracer)
         arrays = EntryArrays.from_layers(layers, [job.points for job in dps])
         blocks = split_layers(layers, len(dps))
-        for (slot, job), table_layers, table_arrays in zip(jobs, blocks, arrays):
+        for (slot, job), table_paths, table_arrays in zip(jobs, blocks, arrays):
             tables[slot] = CvdpsTable(
                 {dp.dp_id: dp for dp in job.points},
-                adjacency=job.adjacency,
-                layers=table_layers,
+                paths=table_paths,
                 arrays=table_arrays,
             )
     if center_stats:

@@ -2,7 +2,7 @@
 
 A restarted dispatch service pays a cold C-VDPS build per center — the exact
 cost the delta layer exists to avoid.  The store pickles each center's
-:class:`DeltaCatalog` (its DP state table, entry-table columns, and
+:class:`DeltaCatalog` (its DP layers, entry-table columns, and
 per-worker entry rows and payoffs) to one file under a root directory; on
 restart the cache loads it and runs one ``refresh`` against the live
 snapshot, which replays only whatever churned while the service was down.
@@ -29,7 +29,7 @@ from repro.obs.metrics import METRICS
 from repro.vdps.delta import DeltaCatalog
 
 #: Bump on any incompatible change to the pickled payload layout.
-STORE_FORMAT = 4
+STORE_FORMAT = 5
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 

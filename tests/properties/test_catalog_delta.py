@@ -203,7 +203,7 @@ class CatalogChurnMachine(RuleBasedStateMachine):
 
     @rule(cap=st.integers(1, 5), data=st.data())
     def worker_capacity_changes(self, cap, data):
-        """maxDP growth exercises _extend_cap; shrink the size filter."""
+        """maxDP growth exercises deepen_layers; shrink the size filter."""
         if not self.workers:
             return
         wid = data.draw(st.sampled_from(sorted(self.workers)), label="target")

@@ -10,6 +10,7 @@ correctness assertion is the same one: :func:`catalog_diff` between the
 maintained catalog and a from-scratch ``build_catalog`` is empty.
 """
 
+import math
 import pickle
 import random
 
@@ -152,8 +153,30 @@ class TestDegradedTraces:
             instance.subproblems(), key=lambda s: len(s.center.delivery_points)
         )
         delta = DeltaCatalog(city, epsilon=0.8)
-        for churned in _churn_script(city, seed=0):
-            _assert_equal(delta, churned, 0.8)
+        # The work each step adds to the counters, pinned: the delta path
+        # expands, tries, rejects, validates, adds and drops exactly this.
+        names = (
+            "cvdps.states_expanded",
+            "cvdps.candidates_tried",
+            "cvdps.deadline_rejections",
+            "catalog.strategies_built",
+            "catalog.delta_entries_added",
+            "catalog.delta_entries_removed",
+        )
+        expected = [
+            (0, 0, 1, 0, 0, 0),
+            (0, 0, 1, 0, 0, 0),
+            (1, 0, 0, 14, 1, 0),
+            (1, 0, 0, 0, 1, 1),
+        ]
+        for churned, work in zip(_churn_script(city, seed=0), expected):
+            before = [METRICS.counter(name).value for name in names]
+            refreshed = delta.refresh(churned)
+            done = [METRICS.counter(name).value - b for name, b in zip(names, before)]
+            assert delta._last_path == "delta"
+            assert tuple(done) == work
+            diffs = catalog_diff(refreshed, build_catalog(churned, epsilon=0.8))
+            assert not diffs, "; ".join(diffs)
 
         workers = [_worker("w0", 0.0, 0.0)]
         original = [_dp("a", 1.0, 0.0, 4.0), _dp("b", 0.0, 1.5, 5.0)]
@@ -276,49 +299,90 @@ class TestRandomTraces:
             assert not diffs, "; ".join(diffs)
             assert refreshed.has_strategies("slow")
 
-    @pytest.mark.parametrize("seed", [0, 1, 7, 13])
-    def test_seeded_churn_walk(self, seed):
-        rng = random.Random(seed)
-        points = {
-            f"p{i}": _dp(f"p{i}", rng.uniform(-2, 2), rng.uniform(-2, 2), 6.0)
-            for i in range(5)
-        }
-        workers = {
-            f"w{j}": _worker(f"w{j}", rng.uniform(-1, 1), rng.uniform(-1, 1),
-                             cap=rng.choice([1, 2, 3]))
-            for j in range(3)
-        }
-        next_id = [5]
-        delta = DeltaCatalog(
-            _sub(points.values(), workers.values()),
-            epsilon=2.0,
-            rebuild_fraction=10.0,
-            verify=True,  # asserts delta == rebuild inside every refresh
-        )
-        for _ in range(25):
-            op = rng.choice(["add", "remove", "change", "worker"])
-            if op == "add":
-                dp_id = f"p{next_id[0]}"
-                next_id[0] += 1
-                points[dp_id] = _dp(
-                    dp_id, rng.uniform(-2, 2), rng.uniform(-2, 2),
-                    rng.uniform(0.5, 8.0),
-                )
-            elif op == "remove" and points:
-                del points[rng.choice(sorted(points))]
-            elif op == "change" and points:
-                dp_id = rng.choice(sorted(points))
-                old = points[dp_id]
-                points[dp_id] = _dp(
-                    dp_id, old.location.x, old.location.y, rng.uniform(0.5, 8.0)
-                )
-            elif op == "worker":
-                wid = rng.choice(sorted(workers))
-                workers[wid] = _worker(
-                    wid, rng.uniform(-1, 1), rng.uniform(-1, 1),
-                    cap=rng.choice([1, 2, 3, 4]),
-                )
+    @pytest.mark.parametrize(
+        "seed, n_points, side",
+        [pytest.param(seed, 5, 2.0, id=str(seed)) for seed in (0, 1, 7, 13)]
+        # A center past one 64-bit mask word, with scripted steps: points
+        # whose ids sort first and mid-center (every later index shifts),
+        # a cap increase, and a deadline that rejects its own singleton.
+        + [pytest.param(3, 72, 8.0, id="wide")],
+    )
+    def test_seeded_churn_walk(self, seed, n_points, side, monkeypatch):
+        for kernel in ("scalar", "vectorized"):
+            monkeypatch.setenv("REPRO_KERNEL", kernel)
+            _churn_walk(seed, n_points, side)
+
+
+def _churn_walk(seed, n_points, side):
+    rng = random.Random(seed)
+    points = {
+        f"p{i}": _dp(f"p{i}", rng.uniform(-side, side), rng.uniform(-side, side), 6.0)
+        for i in range(n_points)
+    }
+    workers = {
+        f"w{j}": _worker(f"w{j}", rng.uniform(-1, 1), rng.uniform(-1, 1),
+                         cap=rng.choice([1, 2, 3]))
+        for j in range(3)
+    }
+    next_id = [n_points]
+
+    def add_first():
+        points["a0"] = _dp("a0", 0.5, -0.5, 7.0)
+
+    def add_middle():
+        middle = sorted(points)[len(points) // 2]
+        points[middle + "x"] = _dp(middle + "x", -0.5, 0.5, 7.0)
+
+    def raise_cap():
+        workers["w0"] = _worker("w0", 0.0, 0.0, cap=4)
+
+    def reject_own_singleton():
+        dp_id = sorted(points)[len(points) // 3]
+        old = points[dp_id]
+        # The center leg takes hypot(x, y) hours at 1 km/h.
+        reach = math.hypot(old.location.x, old.location.y)
+        points[dp_id] = _dp(dp_id, old.location.x, old.location.y, 0.5 * reach)
+
+    script = (
+        {}
+        if n_points <= 64
+        else {3: add_first, 6: add_middle, 9: raise_cap, 12: reject_own_singleton}
+    )
+    delta = DeltaCatalog(
+        _sub(points.values(), workers.values()),
+        epsilon=2.0,
+        rebuild_fraction=10.0,
+        verify=True,  # asserts delta == rebuild inside every refresh
+    )
+    for step in range(25):
+        if step in script:
+            script[step]()
             delta.refresh(_sub(points.values(), workers.values()))
+            assert delta._last_path == "delta"
+            continue
+        op = rng.choice(["add", "remove", "change", "worker"])
+        if op == "add":
+            dp_id = f"p{next_id[0]}"
+            next_id[0] += 1
+            points[dp_id] = _dp(
+                dp_id, rng.uniform(-side, side), rng.uniform(-side, side),
+                rng.uniform(0.5, 8.0),
+            )
+        elif op == "remove" and points:
+            del points[rng.choice(sorted(points))]
+        elif op == "change" and points:
+            dp_id = rng.choice(sorted(points))
+            old = points[dp_id]
+            points[dp_id] = _dp(
+                dp_id, old.location.x, old.location.y, rng.uniform(0.5, 8.0)
+            )
+        elif op == "worker":
+            wid = rng.choice(sorted(workers))
+            workers[wid] = _worker(
+                wid, rng.uniform(-1, 1), rng.uniform(-1, 1),
+                cap=rng.choice([1, 2, 3, 4]),
+            )
+        delta.refresh(_sub(points.values(), workers.values()))
 
 
 class TestCatalogStore:
