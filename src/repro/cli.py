@@ -75,12 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--epsilon", type=float, default=None, help="pruning radius (km)")
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="solve distribution centers on a process pool of this size",
-    )
-    solve.add_argument(
         "--output", type=Path, default=None, help="write the assignment CSV here"
     )
     solve.add_argument(
@@ -96,7 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="IAU amplification for --equity-mode (default 3.0)",
     )
-    _add_kernel_flag(solve)
 
     cmp = sub.add_parser(
         "compare", help="solve with two algorithms and diff the outcomes"
@@ -106,12 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp.add_argument("--challenger", choices=sorted(_SOLVERS), default="iegt")
     cmp.add_argument("--epsilon", type=float, default=None)
     cmp.add_argument("--seed", type=int, default=0)
-    cmp.add_argument(
-        "--n-jobs",
-        type=int,
-        default=1,
-        help="solve distribution centers on a process pool of this size",
-    )
 
     exp = sub.add_parser("experiment", help="regenerate one paper figure")
     exp.add_argument("experiment_id", help="e.g. fig4; see list-experiments")
@@ -351,7 +338,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="IAU amplification for equity rounds (default 3.0)",
     )
-    _add_kernel_flag(srv)
 
     eqp = sub.add_parser(
         "equity", help="long-run temporal-fairness reports (ledger vs per-round)"
@@ -405,27 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_kernel_flag(parser: argparse.ArgumentParser) -> None:
-    from repro.kernels import VALID_KERNELS
-
-    parser.add_argument(
-        "--kernel",
-        choices=VALID_KERNELS,
-        default=None,
-        help="DP kernel tier for catalog builds and routing (default: "
-        "REPRO_KERNEL env var, then 'vectorized'; all tiers are "
-        "bit-identical — docs/performance.md)",
-    )
-
-
-def _apply_kernel(args: argparse.Namespace) -> None:
-    """Install ``--kernel`` as the process-wide default tier."""
-    if getattr(args, "kernel", None) is not None:
-        from repro.kernels import set_default_kernel
-
-        set_default_kernel(args.kernel)
-
-
 def _cmd_generate(args: argparse.Namespace) -> int:
     if args.dataset == "gm":
         config = GMissionConfig(
@@ -450,7 +415,6 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     from repro.parallel import solve_instance
 
-    _apply_kernel(args)
     instance = load_instance(args.input)
     solver = _SOLVERS[args.algorithm](args.epsilon)
     if args.equity_mode:
@@ -462,9 +426,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
-    solution = solve_instance(
-        instance, solver, epsilon=args.epsilon, seed=args.seed, n_jobs=args.n_jobs
-    )
+    solution = solve_instance(instance, solver, epsilon=args.epsilon, seed=args.seed)
     payoffs: List[float] = []
     rows = []
     for center_id in sorted(solution.assignments):
@@ -517,7 +479,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     for label in (args.baseline, args.challenger):
         solver = _SOLVERS[label](args.epsilon)
         solution = solve_instance(
-            instance, solver, epsilon=args.epsilon, seed=args.seed, n_jobs=args.n_jobs
+            instance, solver, epsilon=args.epsilon, seed=args.seed
         )
         pairs = []
         for center_id in sorted(solution.assignments):
@@ -792,7 +754,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     from repro.vdps.store import CatalogStore
 
-    _apply_kernel(args)
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
         return 2

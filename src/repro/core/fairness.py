@@ -132,8 +132,8 @@ def ledger_weighted_utilities(
 
     ``payoffs`` are the round's per-worker payoffs, ``cumulative`` the
     aligned decayed cumulative payoffs from the equity ledger.  The game
-    engines compute the same quantity incrementally (bit-identically
-    between the scalar and vectorized paths); this direct form exists as
+    engines compute the same quantity incrementally (bit-identically with
+    the per-strategy rounds of :mod:`repro.oracle`); this direct form exists as
     the oracle for their differential tests and for offline analysis.
     """
     effective = np.asarray(payoffs, dtype=float) + np.asarray(

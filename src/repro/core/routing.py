@@ -4,12 +4,11 @@ Implements Definition 5 (arrival-time recurrence) and the minimal-travel-time
 sequence selection the paper applies to every VDPS ("among these, we consider
 only the one with the minimal travel time").  :func:`best_route` is an exact
 Held-Karp-style subset dynamic program with deadline feasibility folded in;
-it is shared by the VDPS generator and by the test oracles.
+:func:`repro.oracle.brute_force_best_route` is its exhaustive reference.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -126,7 +125,6 @@ def best_route(
     points: Sequence[DeliveryPoint],
     travel: TravelModel,
     start_offset: float = 0.0,
-    kernel: Optional[str] = None,
 ) -> Optional[Route]:
     """The minimal-completion-time deadline-feasible visit of ``points``.
 
@@ -142,9 +140,10 @@ def best_route(
     layer proves infeasibility outright (the old ``range(1, 2^n)`` scan
     touched all ``2^n`` masks even when the first layer already died).
 
-    ``kernel`` picks the DP implementation (``"scalar"`` or
-    ``"vectorized"``; ``None`` resolves the process default, see
-    :mod:`repro.kernels.config`) — both produce bit-identical routes.
+    Routes over 2 to 62 points run the array kernel
+    (:func:`~repro.kernels.routing.best_route_vectorized`); the dict DP
+    (:func:`_held_karp`) serves one point and more than 62, and the
+    differential suite checks the two bit for bit where both apply.
 
     The returned :class:`Route` reports arrival times that *include*
     ``start_offset``.
@@ -156,13 +155,21 @@ def best_route(
     if len({dp.dp_id for dp in pts}) != n:
         raise ValueError("points must not contain duplicate delivery point ids")
 
-    from repro.kernels import resolve_kernel
-
-    if resolve_kernel(kernel) != "scalar" and 2 <= n <= 62:
+    if 2 <= n <= 62:
         from repro.kernels.routing import best_route_vectorized
 
         return best_route_vectorized(center_location, pts, travel, start_offset)
+    return _held_karp(center_location, pts, travel, start_offset)
 
+
+def _held_karp(
+    center_location: Point,
+    pts: List[DeliveryPoint],
+    travel: TravelModel,
+    start_offset: float,
+) -> Optional[Route]:
+    """:func:`best_route`'s dict Held-Karp DP over distinct ``pts``."""
+    n = len(pts)
     # dp_table[(mask, j)] = minimal arrival time at pts[j] having visited mask.
     dp_table: Dict[Tuple[int, int], float] = {}
     parent: Dict[Tuple[int, int], int] = {}
@@ -223,27 +230,3 @@ def best_route(
     sequence = tuple(pts[k] for k in order)
     times = tuple(arrival_times(center_location, sequence, travel, start_offset))
     return Route(sequence, times)
-
-
-def brute_force_best_route(
-    center_location: Point,
-    points: Sequence[DeliveryPoint],
-    travel: TravelModel,
-    start_offset: float = 0.0,
-) -> Optional[Route]:
-    """Exhaustive counterpart of :func:`best_route`; used as a test oracle.
-
-    Enumerates every permutation, so only suitable for very small inputs.
-    """
-    pts = list(points)
-    if not pts:
-        return Route((), ())
-    best: Optional[Route] = None
-    for perm in itertools.permutations(pts):
-        if not route_is_valid(center_location, perm, travel, start_offset):
-            continue
-        times = tuple(arrival_times(center_location, perm, travel, start_offset))
-        candidate = Route(tuple(perm), times)
-        if best is None or candidate.completion_time < best.completion_time:
-            best = candidate
-    return best

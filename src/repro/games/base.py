@@ -10,7 +10,7 @@ solvers stay small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 import numpy as np
 
@@ -26,7 +26,8 @@ class GameState:
 
     Invariant: the point sets of all non-null strategies are pairwise
     disjoint (Definition 8); every mutation goes through
-    :meth:`set_strategy`, which maintains the claimed-points map.
+    :meth:`set_strategy`, which maintains the claimed-points bitmask over
+    the catalog's conflict index.
     """
 
     def __init__(self, catalog: VDPSCatalog) -> None:
@@ -35,21 +36,14 @@ class GameState:
         self._strategy: Dict[str, WorkerStrategy] = {
             w.worker_id: NULL_STRATEGY for w in self.workers
         }
-        self._claimed_by: Dict[str, str] = {}  # dp_id -> worker_id
-        # Incremental bitmask mirror of _claimed_by, consumed by the
-        # vectorized best-response engine: one uint64 word vector for the
-        # union of all claimed points, plus each worker's own contribution.
+        # One uint64 word vector for the union of all claimed points, plus
+        # each worker's own contribution.
         index = catalog.index
         self._claimed_words = index.empty_mask()
         zero = index.empty_mask()
         self._worker_words: Dict[str, np.ndarray] = {
             w.worker_id: zero for w in self.workers
         }
-        # Strategies whose points are unknown to the catalog index (only
-        # possible for hand-built strategies injected in tests) poison the
-        # mask mirror; from then on index-based availability falls back to
-        # the authoritative dict bookkeeping.
-        self._masks_exact = True
 
     def strategy_of(self, worker_id: str) -> WorkerStrategy:
         """The strategy ``worker_id`` currently plays (null if none)."""
@@ -66,67 +60,56 @@ class GameState:
         ``position`` is the strategy's position in
         ``catalog.strategies(worker_id)`` when the caller knows it; the
         conflict mask is then read from that index row instead of being
-        packed point by point.  Raises :class:`ValueError` if the strategy
-        overlaps points claimed by another worker — solvers must only offer
-        available strategies.
+        packed point by point.  Raises :class:`ValueError`, leaving the
+        state unchanged, if the strategy overlaps points claimed by another
+        worker (solvers must only offer available strategies) or uses a
+        point the catalog index does not know.
         """
-        for dp_id in strategy.point_ids:
-            owner = self._claimed_by.get(dp_id)
-            if owner is not None and owner != worker_id:
+        index = self.catalog.index
+        if position is not None:
+            new_words = index.worker(worker_id).masks[position]
+        else:
+            try:
+                new_words = index.mask_of(strategy.point_ids)
+            except KeyError as exc:
                 raise ValueError(
-                    f"delivery point {dp_id!r} already claimed by {owner!r}"
-                )
-        for dp_id in self._strategy[worker_id].point_ids:
-            self._claimed_by.pop(dp_id, None)
-        for dp_id in strategy.point_ids:
-            self._claimed_by[dp_id] = worker_id
+                    f"delivery point {exc.args[0]!r} is in no strategy of the "
+                    "catalog"
+                ) from None
+        clash = new_words & self.claimed_words_except(worker_id)
+        if clash.any():
+            owners = sorted(
+                wid
+                for wid, words in self._worker_words.items()
+                if wid != worker_id and (words & clash).any()
+            )
+            raise ValueError(
+                f"delivery points of {worker_id!r}'s strategy already claimed "
+                f"by {', '.join(map(repr, owners))}"
+            )
+        # Disjointness (checked above) makes XOR an exact release of the
+        # worker's previous bits; OR then claims the new ones.
+        self._claimed_words ^= self._worker_words[worker_id]
+        self._claimed_words |= new_words
+        self._worker_words[worker_id] = new_words
         self._strategy[worker_id] = strategy
-        if self._masks_exact:
-            if position is not None:
-                new_words = self.catalog.index.worker(worker_id).masks[position]
-            else:
-                try:
-                    new_words = self.catalog.index.mask_of(strategy.point_ids)
-                except KeyError:
-                    self._masks_exact = False
-                    return
-            # Disjointness (checked above) makes XOR an exact release of the
-            # worker's previous bits; OR then claims the new ones.
-            self._claimed_words ^= self._worker_words[worker_id]
-            self._claimed_words |= new_words
-            self._worker_words[worker_id] = new_words
-
-    def claimed_except(self, worker_id: str) -> Set[str]:
-        """Delivery points claimed by every worker other than ``worker_id``."""
-        return {
-            dp_id for dp_id, owner in self._claimed_by.items() if owner != worker_id
-        }
 
     def claimed_words_except(self, worker_id: str) -> np.ndarray:
         """Bitmask of points claimed by every worker but ``worker_id``."""
         return self._claimed_words & ~self._worker_words[worker_id]
 
     def available_strategies(self, worker_id: str) -> List[WorkerStrategy]:
-        """Strategies ``worker_id`` could switch to right now (excl. null)."""
-        return self.catalog.available(worker_id, self.claimed_except(worker_id))
+        """Strategies ``worker_id`` could switch to right now (excl. null),
+        in catalog order: the objects at
+        :meth:`available_strategy_indices`."""
+        strategies = tuple(self.catalog.strategies(worker_id))
+        return [
+            strategies[i] for i in self.available_strategy_indices(worker_id).tolist()
+        ]
 
     def available_strategy_indices(self, worker_id: str) -> np.ndarray:
-        """Positions (into the worker's strategy tuple) available right now.
-
-        The vectorized counterpart of :meth:`available_strategies`: selects
-        the exact same strategies, as positions, via one ``masks & claimed``
-        pass over the catalog index instead of per-strategy set
-        intersections.
-        """
-        if not self._masks_exact:
-            # Degraded mode (foreign strategy injected): derive positions
-            # from the authoritative dict path instead.
-            strategies = self.catalog.strategies(worker_id)
-            position = {id(s): i for i, s in enumerate(strategies)}
-            return np.asarray(
-                [position[id(s)] for s in self.available_strategies(worker_id)],
-                dtype=np.intp,
-            )
+        """Positions (into the worker's strategy tuple) available right now:
+        one ``masks & claimed`` pass over the catalog index."""
         return self.catalog.index.worker(worker_id).available(
             self.claimed_words_except(worker_id)
         )
@@ -166,9 +149,8 @@ def random_initial_state(
     for worker in catalog.workers:
         # Filtering the precomputed size-1 positions by the claimed bitmask
         # yields the same candidate list, in the same (catalog) order, as
-        # scanning available_strategies for size == 1 — so the rng draws
-        # and the resulting initial state are bit-identical to the scalar
-        # formulation of Algorithms 2-3, lines 6-16.
+        # scanning the available strategies for size == 1 (Algorithms 2-3,
+        # lines 6-16), so the rng draws stay those of that scan.
         wid = worker.worker_id
         wi = index.worker(wid)
         if not wi.size1.size:

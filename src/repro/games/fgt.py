@@ -27,7 +27,7 @@ from repro.games.base import GameResult, GameState, random_initial_state
 from repro.games.potential import IAUEvaluator, potential_value, sequential_best
 from repro.games.trace import ConvergenceTrace
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import NULL_TRACER, NullTracer, resolve_tracer
+from repro.obs.tracer import NullTracer, resolve_tracer
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
 from repro.vdps.catalog import NULL_STRATEGY, VDPSCatalog, build_catalog
@@ -47,7 +47,7 @@ def _effective(payoffs: np.ndarray, scales: np.ndarray, base) -> np.ndarray:
     The ``base is None`` branch keeps the non-equity expression literally
     unchanged so existing solves stay byte-for-byte identical; the equity
     branch's ``payoffs * scales + base`` is the exact elementwise op order
-    both engines replicate when they update single entries.
+    the round replicates when it updates single entries.
     """
     return payoffs * scales if base is None else payoffs * scales + base
 
@@ -69,9 +69,8 @@ class FGTSolver:
         floating-point noise from producing livelock.  Exact-utility ties
         among the accepted best candidates are broken by a seeded uniform
         draw (not first-in-catalog order, which would systematically
-        favour the same point sets); both engines draw identically, so the
-        solve stays deterministic per seed and bit-identical across
-        engines.
+        favour the same point sets), so the solve stays deterministic per
+        seed.
     epsilon:
         Distance-constrained pruning threshold for VDPS generation when the
         solver builds the catalog itself; ``None`` disables pruning.
@@ -107,17 +106,11 @@ class FGTSolver:
         target, then ``REPRO_TRACE=path.jsonl``, then the shared in-memory
         tracer) or a tracer instance.  Off by default with zero hot-path
         overhead via the shared no-op tracer.
-    engine:
-        ``"vectorized"`` (default) runs each best-response pass on the
-        catalog's bitmask conflict index with batched IAU evaluation; it is
-        bit-identical to ``"scalar"``, the original per-strategy Python
-        loop, which is retained as the reference implementation for
-        differential tests and benchmarks (see ``docs/performance.md``).
     deadline_s:
         Optional cooperative wall-clock budget: the round loop stops after
         the first best-response pass that crosses it, reporting
         ``converged=False``.  The dispatch service's degradation ladder
-        (``docs/fault_tolerance.md``) uses it so a degraded scalar solve
+        (``docs/fault_tolerance.md``) uses it so a degraded solve
         self-terminates instead of blowing the round budget.  ``None``
         (default) plays to the fixed point; note this changes *which*
         assignment is returned only when the budget actually trips.
@@ -130,8 +123,7 @@ class FGTSolver:
         -> float mapping, typically
         :meth:`~repro.equity.ledger.EquityLedger.baselines`; missing
         workers default to 0.0, and ``None`` means an all-zero base — the
-        amplified one-shot game ``solve --equity-mode`` plays).  Both
-        engines stay elementwise bit-identical in equity mode.  The
+        amplified one-shot game ``solve --equity-mode`` plays).  The
         amplified weights void Lemma 2's potential-monotonicity guarantee
         (see :func:`~repro.core.fairness.equity_model`), so the verifier
         skips that one check and convergence is bounded by ``max_rounds``.
@@ -148,7 +140,6 @@ class FGTSolver:
     priorities: Optional["PriorityModel"] = None
     verify: bool = False
     trace: object = False
-    engine: str = "vectorized"
     deadline_s: Optional[float] = None
     equity_mode: bool = False
     equity_baselines: Optional[Mapping[str, float]] = None
@@ -163,10 +154,6 @@ class FGTSolver:
             raise ValueError(
                 f"trace_granularity must be 'round' or 'update', "
                 f"got {self.trace_granularity!r}"
-            )
-        if self.engine not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'scalar', got {self.engine!r}"
             )
         if self.early_stop_patience is not None and self.early_stop_patience < 1:
             raise ValueError(
@@ -232,7 +219,6 @@ class FGTSolver:
         last_potential = potential_value(
             _effective(state.payoffs(), scales, base), model
         )
-        vectorized = self.engine == "vectorized"
         # Vectorized-filter batch statistics, flushed to METRICS once per
         # solve: [batches, strategies screened, candidates surviving].
         batch_stats = [0, 0, 0]
@@ -241,16 +227,10 @@ class FGTSolver:
         )
         with METRICS.timer("fgt.solve_seconds"):
             for rounds in range(1, self.max_rounds + 1):
-                if vectorized:
-                    switches = self._best_response_round_vectorized(
-                        state, model, trace, scales, rng, verifier, rounds,
-                        tracer, batch_stats, base,
-                    )
-                else:
-                    switches = self._best_response_round(
-                        state, model, trace, scales, rng, verifier, rounds,
-                        tracer, base,
-                    )
+                switches = self._best_response_round(
+                    state, model, trace, scales, rng, verifier, rounds,
+                    tracer, batch_stats, base,
+                )
                 total_switches += switches
                 payoffs = state.payoffs()
                 potential = potential_value(_effective(payoffs, scales, base), model)
@@ -335,111 +315,32 @@ class FGTSolver:
         trace: ConvergenceTrace,
         scales: np.ndarray,
         rng,
-        verifier: NullVerifier = NULL_VERIFIER,
-        round_index: int = 0,
-        tracer: NullTracer = NULL_TRACER,
-        base: Optional[np.ndarray] = None,
-    ) -> int:
-        """One pass of sequential asynchronous best responses; returns switches.
-
-        This is the scalar reference implementation (``engine="scalar"``);
-        the vectorized engine must stay bit-identical to it, including the
-        seeded tie-break.  When several available strategies share the
-        accepted best utility *exactly*, one is drawn uniformly from
-        ``rng`` instead of keeping the first in catalog order — the
-        catalog lists VDPSs in a fixed canonical order, so first-wins
-        would systematically favour the same point sets across rounds and
-        workers.  Tied strategies have equal utility by definition, so the
-        draw never changes the switch decision or the potential, only
-        *which* equally-good VDPS the worker claims.
-        """
-        switches = 0
-        payoffs = state.payoffs()
-        for idx, worker in enumerate(state.workers):
-            wid = worker.worker_id
-            others = np.delete(_effective(payoffs, scales, base), idx)
-            evaluator = IAUEvaluator(others, model)
-            current = state.strategy_of(wid)
-            best_strategy = NULL_STRATEGY
-            null_value = (
-                NULL_STRATEGY.payoff
-                if base is None
-                else NULL_STRATEGY.payoff * scales[idx] + base[idx]
-            )
-            best_utility = evaluator.utility(null_value)
-            available = list(state.available_strategies(wid))
-            utilities = []
-            accepted_any = False
-            for strategy in available:
-                value = strategy.payoff * scales[idx]
-                if base is not None:
-                    value = value + base[idx]
-                u = evaluator.utility(value)
-                utilities.append(u)
-                if u > best_utility + self.tol:
-                    best_strategy, best_utility = strategy, u
-                    accepted_any = True
-            if accepted_any:
-                ties = [i for i, u in enumerate(utilities) if u == best_utility]
-                if len(ties) > 1:
-                    best_strategy = available[ties[int(rng.integers(len(ties)))]]
-            current_value = current.payoff * scales[idx]
-            if base is not None:
-                current_value = current_value + base[idx]
-            current_utility = evaluator.utility(current_value)
-            switched = 0
-            if best_utility > current_utility + self.tol:
-                verifier.on_switch(wid, round_index, current_utility, best_utility)
-                if tracer.enabled:
-                    tracer.event(
-                        "fgt.switch",
-                        worker=wid,
-                        round=round_index,
-                        utility_before=current_utility,
-                        utility_after=best_utility,
-                        payoff=best_strategy.payoff,
-                    )
-                state.set_strategy(wid, best_strategy)
-                payoffs[idx] = best_strategy.payoff
-                switches += 1
-                switched = 1
-            if self.trace_granularity == "update":
-                trace.record(
-                    len(trace) + 1,
-                    payoffs,
-                    switched,
-                    potential_value(_effective(payoffs, scales, base), model),
-                )
-        return switches
-
-    def _best_response_round_vectorized(
-        self,
-        state: GameState,
-        model: InequityAversion,
-        trace: ConvergenceTrace,
-        scales: np.ndarray,
-        rng,
         verifier: NullVerifier,
         round_index: int,
         tracer: NullTracer,
         batch_stats: list,
         base: Optional[np.ndarray] = None,
     ) -> int:
-        """One best-response pass on the bitmask index, bit-identical to
-        :meth:`_best_response_round`.
+        """One pass of sequential asynchronous best responses; returns switches.
 
-        Differences are purely mechanical: availability is one
-        ``masks & claimed`` pass per worker instead of per-strategy set
-        intersections, all candidate IAUs are evaluated in one
+        Each worker in turn switches to the available VDPS (or null) with
+        maximal IAU, if that beats its current utility by more than
+        ``tol``.  Availability is one ``masks & claimed`` pass over the
+        catalog index, all candidate IAUs are evaluated in one
         ``np.searchsorted`` batch, and the scaled payoff vector is
         maintained incrementally (the focal entry is masked out via slice
-        copies into a reusable buffer) instead of being rebuilt with
-        ``payoffs * scales`` + ``np.delete`` for every worker.  The winning
-        candidate is chosen by :func:`sequential_best`, which replays the
-        scalar loop's tol-thresholded accept scan exactly; exact-utility
-        ties are then broken by the same seeded draw as the scalar loop
-        (the batched utilities are bit-equal per element, so tie sets —
-        and hence the two engines' rng streams — coincide).
+        copies into a reusable buffer).  The winning candidate is chosen by
+        :func:`sequential_best`, which replays the per-candidate
+        tol-thresholded accept scan exactly.  When several available
+        strategies share the accepted best utility *exactly*, one is drawn
+        uniformly from ``rng`` instead of keeping the first in catalog
+        order: the catalog lists VDPSs in a fixed canonical order, so
+        first-wins would systematically favour the same point sets across
+        rounds and workers.  Tied strategies have equal utility by
+        definition, so the draw never changes the switch decision or the
+        potential, only *which* equally-good VDPS the worker claims.
+        :class:`repro.oracle.ScalarFGTSolver` is the per-strategy reference
+        loop this pass must equal bit for bit.
         """
         switches = 0
         payoffs = state.payoffs()

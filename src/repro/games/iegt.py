@@ -14,7 +14,7 @@ change strategy — which Definition 10 shows is an IESS.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Mapping, Optional
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import resolve_tracer
 from repro.utils.log import get_logger
 from repro.utils.rng import SeedLike, ensure_rng
-from repro.vdps.catalog import VDPSCatalog, WorkerStrategy, build_catalog
+from repro.vdps.catalog import VDPSCatalog, build_catalog
 from repro.verify.verifier import (
     NULL_VERIFIER,
     EvolutionaryGameVerifier,
@@ -86,12 +86,6 @@ class IEGTSolver:
         then ``REPRO_TRACE=path.jsonl``, then the shared in-memory tracer)
         or a tracer instance.  Off by default with zero hot-path overhead
         via the shared no-op tracer.
-    engine:
-        ``"vectorized"`` (default) filters each evolving worker's strategy
-        list through the catalog's bitmask conflict index in one pass; it
-        is bit-identical to ``"scalar"``, the original per-strategy Python
-        loop, retained as the reference implementation for differential
-        tests and benchmarks (see ``docs/performance.md``).
     equity_mode, equity_baselines:
         Ledger-weighted temporal fairness (``docs/temporal_fairness.md``).
         When ``equity_mode`` is on, the replicator derivative's sign is
@@ -104,7 +98,7 @@ class IEGTSolver:
         already matches its peers'.  Switch targets still require a
         strictly better *round* payoff, so every switch increases the raw
         population total — the termination argument survives equity mode
-        untouched.  Both engines stay bit-identical in equity mode.
+        untouched.
     """
 
     max_rounds: int = 500
@@ -116,7 +110,6 @@ class IEGTSolver:
     termination: str = "improved"
     verify: bool = False
     trace: object = False
-    engine: str = "vectorized"
     equity_mode: bool = False
     equity_baselines: Optional[Mapping[str, float]] = None
 
@@ -135,10 +128,6 @@ class IEGTSolver:
             raise ValueError(
                 f"termination must be 'improved' or 'classic', "
                 f"got {self.termination!r}"
-            )
-        if self.engine not in ("vectorized", "scalar"):
-            raise ValueError(
-                f"engine must be 'vectorized' or 'scalar', got {self.engine!r}"
             )
 
     @property
@@ -181,7 +170,6 @@ class IEGTSolver:
         total_switches = 0
         stall = 0
         last_total = float(state.payoffs().sum())
-        vectorized = self.engine == "vectorized"
         # Vectorized-filter batch statistics, flushed to METRICS once per
         # solve: [batches, strategies screened, candidates surviving].
         batch_stats = [0, 0, 0]
@@ -203,12 +191,9 @@ class IEGTSolver:
                         all_average = False
                         old_payoff = payoffs[idx]
                         old_effective = effective[idx]
-                        if vectorized:
-                            switched = self._evolve_vectorized(
-                                state, worker.worker_id, rng, batch_stats
-                            )
-                        else:
-                            switched = self._evolve(state, worker.worker_id, rng)
+                        switched = self._evolve(
+                            state, worker.worker_id, rng, batch_stats
+                        )
                         if switched:
                             new_payoff = state.strategy_of(worker.worker_id).payoff
                             verifier.on_switch(
@@ -313,39 +298,20 @@ class IEGTSolver:
         )
 
     def _evolve(
-        self, state: GameState, worker_id: str, rng: np.random.Generator
-    ) -> bool:
-        """Switch ``worker_id`` to a random strictly-better available VDPS.
-
-        Returns whether a switch happened (Algorithm 3, lines 22-25).  This
-        is the scalar reference implementation (``engine="scalar"``); the
-        vectorized engine must stay bit-identical to it.
-        """
-        current_payoff = state.strategy_of(worker_id).payoff
-        better: List[WorkerStrategy] = [
-            s
-            for s in state.available_strategies(worker_id)
-            if s.payoff > current_payoff + self.tol
-        ]
-        if not better:
-            return False
-        pick = better[int(rng.integers(0, len(better)))]
-        state.set_strategy(worker_id, pick)
-        return True
-
-    def _evolve_vectorized(
         self,
         state: GameState,
         worker_id: str,
         rng: np.random.Generator,
         batch_stats: list,
     ) -> bool:
-        """Bit-identical :meth:`_evolve` on the bitmask conflict index.
+        """Switch ``worker_id`` to a random strictly-better available VDPS.
 
+        Returns whether a switch happened (Algorithm 3, lines 22-25).
         Availability and the strictly-better filter run as two vectorized
-        passes that preserve catalog order, so the candidate pool — and
-        therefore the rng draw and the chosen strategy — match the scalar
-        list comprehension exactly.
+        passes over the catalog index that preserve catalog order, so the
+        candidate pool, the rng draw and the chosen strategy are those of
+        :class:`repro.oracle.ScalarIEGTSolver`'s per-strategy reference
+        loop.
         """
         current_payoff = state.strategy_of(worker_id).payoff
         wi = state.catalog.index.worker(worker_id)

@@ -1,25 +1,25 @@
 """Vectorized C-VDPS layered DP (Algorithm 1 as numpy array passes).
 
-This is the batched counterpart of
-:func:`repro.vdps.generator.compute_states`: the same layered expansion
-over ``(subset, endpoint)`` states, with each layer's candidate generation,
-deadline filtering, and canonical ``(time, path)`` relaxation executed as
-array operations instead of dict loops.  The result stays in arrays — one
-:class:`Layer` per subset size — which feed the validation scan
-(:meth:`repro.kernels.validate.EntryArrays.from_layers`) directly; the
-scalar-shaped state table is derived only on demand
-(:func:`states_from_layers`).  It is **bit identical** to the scalar one —
-same keys, same floats, same tie-breaks — which is what lets
-:class:`repro.vdps.delta.DeltaCatalog` splice deltas over a kernel-built
-table and still land on the rebuild's exact result.
+The layered expansion over ``(subset, endpoint)`` states, with each
+layer's candidate generation, deadline filtering, and canonical ``(time,
+path)`` relaxation executed as array operations.  The result stays in
+arrays — one :class:`Layer` per subset size — which feed the validation
+scan (:meth:`repro.kernels.validate.EntryArrays.from_layers`) directly.
+It is **bit identical** to the dict-keyed DP of
+:func:`repro.oracle.compute_states` — same states, same floats, same
+tie-breaks — and state values are a function of the point set alone,
+which is what lets :class:`repro.vdps.delta.DeltaCatalog` splice deltas
+over a built table and still land on the rebuild's exact result.
 
 How bit-identity is preserved:
 
 * **Travel times** come from :meth:`repro.geo.travel.TravelModel.matrix`,
-  which fills the matrix through the same metric calls the scalar path
-  makes (``math.hypot`` is correctly rounded; a vectorised ``np.hypot`` is
-  not guaranteed to match it bit for bit, so it is never used here).
-* **Float evaluation order** matches ``extend_value`` exactly:
+  which fills the matrix through the same metric calls
+  ``TravelModel.time`` makes (``math.hypot`` is correctly rounded; a
+  vectorised ``np.hypot`` is not guaranteed to match it bit for bit, so it
+  is never used here).
+* **Float evaluation order** matches the dict DP's
+  (:func:`repro.oracle.extend_value`) exactly:
   ``(t + service[j]) + T[j, q]``, left-associated, one IEEE-754 operation
   at a time — elementwise array arithmetic performs the identical scalar
   operations.  A state's prefix arrival times are its parent's prefix
@@ -31,7 +31,7 @@ How bit-identity is preserved:
   rank; within one layer all paths have equal length, so comparing two
   candidate paths for the same ``(subset, q)`` target is comparing their
   parents' ranks.  Sorting candidates by ``(time, parent_rank)`` and
-  keeping the first per target therefore reproduces the scalar
+  keeping the first per target therefore reproduces the dict DP's
   ``value < cur`` relaxation exactly, and re-sorting winners by
   ``(parent_rank, q)`` restores the path-lexicographic invariant for the
   next layer.  The same argument makes a subset's canonical state the
@@ -55,7 +55,7 @@ it from the top layer when the cap grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,9 +63,6 @@ from repro.geo.travel import TravelMatrix, TravelModel
 
 #: Upper bound on cells in one transient candidate matrix (rows x points).
 _CHUNK_CELLS = 1 << 22
-
-_StateKey = Tuple[FrozenSet[str], str]
-_StateVal = Tuple[float, Tuple[str, ...]]
 
 
 @dataclass(frozen=True)
@@ -124,7 +121,7 @@ def center_matrix(
     """Sorted dp ids plus their travel matrix (kernel index space).
 
     The kernels index everything by position in the sorted-id order, which
-    is also the order the scalar DP seeds in.  ``layout`` serves the
+    is also the order the dict DP seeds in.  ``layout`` serves the
     matrix from a center's cross-round cache instead of refilling it.
     """
     ids = sorted(points_by_id)
@@ -337,8 +334,8 @@ def compute_layers(centers: Sequence[CenterDP], tracer) -> List[Layer]:
     center's states stay a contiguous path-lex block; a center stops
     expanding at its own ``cap``.  Per center this produces exactly the
     states, ``stats`` increments and ``cvdps.layer`` events (emitted
-    center by center, in batch order) that the scalar
-    :func:`repro.vdps.generator.compute_states` does.  Every center needs
+    center by center, in batch order) that the dict-keyed
+    :func:`repro.oracle.compute_states` does.  Every center needs
     at least one point and ``cap >= 1``.
     """
     n_centers = len(centers)
@@ -760,22 +757,6 @@ def layers_from_paths(
     return layers
 
 
-def paths_from_states(
-    states: Mapping[_StateKey, _StateVal], ids: Sequence[str]
-) -> List[np.ndarray]:
-    """A scalar-tier state table ``{(subset, end): (time, path)}`` as each
-    layer's path-lex visit orders over the sorted dp ``ids``."""
-    position = {dp_id: k for k, dp_id in enumerate(ids)}
-    by_size: Dict[int, List[List[int]]] = {}
-    for _, path in states.values():
-        by_size.setdefault(len(path), []).append([position[dp_id] for dp_id in path])
-    paths = []
-    for size in range(1, len(by_size) + 1):
-        rows = np.array(by_size[size], dtype=np.intp)
-        paths.append(rows[np.lexsort(rows.T[::-1])])
-    return paths
-
-
 def split_layers(
     layers: Sequence[Layer], n_centers: int
 ) -> List[List[np.ndarray]]:
@@ -793,16 +774,3 @@ def split_layers(
             if a < b:
                 blocks[c].append(layer.paths[a:b].copy())
     return blocks
-
-
-def states_from_layers(
-    layers: Sequence[Layer], ids: Sequence[str]
-) -> Dict[_StateKey, _StateVal]:
-    """The scalar-shaped state table ``{(subset, end): (time, path)}`` of a
-    one-center DP; ``ids`` are that center's sorted dp ids."""
-    states: Dict[_StateKey, _StateVal] = {}
-    for layer in layers:
-        for row, t in zip(layer.paths.tolist(), layer.times[:, -1].tolist()):
-            path = tuple(map(ids.__getitem__, row))
-            states[(frozenset(path), path[-1])] = (t, path)
-    return states

@@ -7,16 +7,16 @@ feasible predecessors only — a state at popcount ``s + 1`` needs a
 feasible state at popcount ``s``, so an empty layer proves the full set
 unreachable and exits early.
 
-Bit-identity with the scalar DP:
+Bit-identity with the dict DP (:func:`repro.core.routing._held_karp`):
 
 * arrival times come from the same
   :meth:`~repro.geo.travel.TravelModel.matrix` floats, combined as
-  ``(t_prev + service[i]) + T[i, j]`` — the scalar's exact left-associated
+  ``(t_prev + service[i]) + T[i, j]`` — the dict DP's exact left-associated
   evaluation order;
-* the scalar keeps the minimal predecessor time with the *smallest* ``i``
+* the dict DP keeps the minimal predecessor time with the *smallest* ``i``
   on ties (a strict ``<`` scan in ascending ``i``); ``np.argmin`` returns
   the first minimum, i.e. the same ``i``;
-* deadline filtering happens after the min, as in the scalar loop (the
+* deadline filtering happens after the min, as in the dict loop (the
   deadline constrains the arrival itself, so min-then-filter and
   filter-then-min coincide);
 * the final endpoint is the minimal full-mask time with the smallest
@@ -24,7 +24,7 @@ Bit-identity with the scalar DP:
 
 Masks are Python ints shifted against an ``arange`` membership test, so
 this kernel is limited to ``n <= 62``; the dispatching wrapper keeps the
-scalar path for anything wider (where a ``2^n`` DP is hopeless anyway).
+dict DP for one point and for anything wider (where a ``2^n`` DP is hopeless anyway).
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def best_route_vectorized(
     travel: TravelModel,
     start_offset: float = 0.0,
 ) -> Optional[Route]:
-    """Drop-in replacement for the scalar Held-Karp DP (see module doc).
+    """Drop-in replacement for the dict Held-Karp DP (see module doc).
 
     Callers must have checked for duplicate dp ids and ``n`` bounds
     (:func:`repro.core.routing.best_route` dispatches here).

@@ -12,7 +12,8 @@ canonical catalog order — and builds no objects: the catalog
 ``WorkerStrategy`` only for the strategies a solver picks, through
 :meth:`EntryArrays.strategy_objects`.
 
-Bit-identity with the scalar scan holds operation for operation:
+Bit-identity with the per-entry ``validate_entry`` loop holds operation
+for operation:
 
 * feasibility is ``(t + offset) <= earliest_expiry`` per visit, exactly
   the comparison :meth:`repro.core.routing.Route.is_valid_with_offset`
@@ -26,9 +27,9 @@ Bit-identity with the scalar scan holds operation for operation:
   points' rewards ``Route.total_reward`` performs — by that completion,
   one IEEE-754 division either way.
 
-So a materialised strategy equals the scalar path's field for field.
-Workers with an individual speed (``factor != 1``), ``strict_revalidation``
-builds and the ``scalar`` tier run the scalar ``validate_entry`` loop over
+So a materialised strategy equals the ``validate_entry`` loop's field for
+field.  Workers with an individual speed (``factor != 1``) and
+``strict_revalidation`` builds run that loop over
 :attr:`EntryArrays.entries` instead (:func:`validate_tables`); those paths
 re-route per worker, so they return their objects along with the columns.
 """
@@ -50,8 +51,8 @@ from repro.vdps.generator import CVdpsEntry
 _WORD = np.dtype("<u8")
 
 #: One worker's validation result: kept entry rows and their payoffs in
-#: canonical catalog order, plus the strategy objects when the scalar loop
-#: built them (``None`` from the array scan).
+#: canonical catalog order, plus the strategy objects when the
+#: ``validate_entry`` loop built them (``None`` from the array scan).
 Columns = Tuple[np.ndarray, np.ndarray, Optional[List[WorkerStrategy]]]
 
 
@@ -504,7 +505,6 @@ def validate_tables(
     travels: Sequence,
     locations: Sequence,
     strict_revalidation: bool,
-    scalar: Sequence[bool],
 ) -> List[List[Columns]]:
     """Section IV validation of every center's workers against its entries.
 
@@ -514,21 +514,19 @@ def validate_tables(
     ``locations[c]`` under ``travels[c]``.  Returns, per center and per
     worker in that order, the worker's columns: kept rows and payoffs
     sorted by :func:`repro.vdps.catalog.strategy_sort_key` (best payoff
-    first, ties by point ids).  Unit-speed workers of array tables
-    (``scalar[c]`` false, no strict revalidation) are answered by one
-    :func:`validate_all` pass over the whole batch and build no objects.
-    The ``scalar`` tier, speed-scaled workers and strict revalidation run
-    the reference ``validate_entry`` loop and return its objects too.
+    first, ties by point ids).  Unit-speed workers (without strict
+    revalidation) are answered by one :func:`validate_all` pass over the
+    whole batch and build no objects.  Speed-scaled workers and strict
+    revalidation run the ``validate_entry`` loop and return its objects
+    too.
     """
     out: List[List[Optional[Columns]]] = []
     pending: List[List[Tuple[int, float]]] = []
-    for table, scan, travel, location, exact in zip(
-        tables, scans, travels, locations, scalar
-    ):
+    for table, scan, travel, location in zip(tables, scans, travels, locations):
         columns: List[Optional[Columns]] = []
         array_scan: List[Tuple[int, float]] = []
         for worker, offset, factor in scan:
-            if exact or factor != 1.0 or strict_revalidation:
+            if factor != 1.0 or strict_revalidation:
                 columns.append(
                     _scalar_scan(
                         table,
@@ -606,7 +604,7 @@ def validate_all(
     pass: a visit is on time when ``(t + offset) <= expiry``, a pair when
     all its visits are (one ``reduceat`` over the pair segments), and the
     payoff is ``reward / (last_time + offset)`` — the same IEEE-754
-    operations, element for element, as the scalar ``validate_entry``.
+    operations, element for element, as ``validate_entry``.
     """
     out: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in tables]
     worker_centers = [c for c, scan in enumerate(scans) for _ in scan]

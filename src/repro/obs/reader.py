@@ -153,7 +153,7 @@ class TraceSummary:
     rounds: Dict[str, int] = field(default_factory=dict)
     switches: Dict[str, int] = field(default_factory=dict)
     metrics: Dict[str, float] = field(default_factory=dict)
-    #: ``service.degraded`` events folded by ladder rung (scalar/greedy/skip).
+    #: ``service.degraded`` events folded by ladder rung (greedy/skip).
     degraded: Dict[str, int] = field(default_factory=dict)
     #: ``service.solve_failure`` events folded by error type.
     solve_failures: Dict[str, int] = field(default_factory=dict)

@@ -1,18 +1,20 @@
-"""Whole-instance solving, optionally parallel across distribution centers.
+"""Whole-instance solving, one distribution center at a time.
 
 Section VII-A: "Since task assignment across distribution centers is
 independent, we can perform task assignment for different distribution
-centers in parallel."  This module provides that convenience: solve every
-sub-problem of an instance with one solver, serially or on a process pool,
-with results identical between the two modes (per-center seeds are derived
-deterministically, not drawn from a shared stream).
+centers in parallel."  This module solves every sub-problem of an instance
+with one solver, serially.  Per-center seeds are derived deterministically,
+not drawn from a shared stream, so a center's result does not depend on
+execution order: the dispatch service solves centers one by one through
+:func:`solve_subproblem` and matches :func:`solve_instance` exactly.  A
+process pool across centers was measured and removed: it showed no win on
+a 2-core host (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 from repro.core.assignment import Assignment
 from repro.core.instance import ProblemInstance, SubProblem
@@ -80,22 +82,11 @@ def solve_subproblem(
     return result.assignment
 
 
-def _solve_one(
-    args: Tuple[SubProblem, object, Optional[float], int, Optional[object]]
-) -> Tuple[str, Assignment]:
-    """Worker function: solve one sub-problem (top-level for pickling)."""
-    sub, solver, epsilon, seed, catalog = args
-    return sub.center.center_id, solve_subproblem(
-        sub, solver, epsilon=epsilon, seed=seed, catalog=catalog
-    )
-
-
 def solve_instance(
     instance: ProblemInstance,
     solver,
     epsilon: Optional[float] = None,
     seed: SeedLike = None,
-    n_jobs: int = 1,
     seed_stream: str = "center",
     catalogs: Optional[Mapping[str, object]] = None,
 ) -> InstanceSolution:
@@ -107,9 +98,7 @@ def solve_instance(
         VDPS pruning threshold used for every center's catalog.
     seed:
         Root seed; each center receives an independent derived stream, so
-        results do not depend on execution order or on ``n_jobs``.
-    n_jobs:
-        1 (default) solves serially; > 1 uses a process pool of that size.
+        results do not depend on execution order.
     seed_stream:
         Prefix of the per-center stream names (``"<seed_stream>:<center>"``).
         The default keeps the historical ``center:*`` streams; passing the
@@ -121,27 +110,16 @@ def solve_instance(
         cache).  Centers missing from the mapping build their catalog as
         usual.
     """
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     rng_factory = RngFactory(seed)
     prebuilt = catalogs or {}
-    tasks = [
-        (
+    results: Dict[str, Assignment] = {}
+    for sub in instance.subproblems():
+        center_id = sub.center.center_id
+        results[center_id] = solve_subproblem(
             sub,
             solver,
-            epsilon,
-            rng_factory.seed_for(f"{seed_stream}:{sub.center.center_id}"),
-            prebuilt.get(sub.center.center_id),
+            epsilon=epsilon,
+            seed=rng_factory.seed_for(f"{seed_stream}:{center_id}"),
+            catalog=prebuilt.get(center_id),
         )
-        for sub in instance.subproblems()
-    ]
-    results: Dict[str, Assignment] = {}
-    if n_jobs == 1 or len(tasks) <= 1:
-        for task in tasks:
-            center_id, assignment = _solve_one(task)
-            results[center_id] = assignment
-    else:
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            for center_id, assignment in pool.map(_solve_one, tasks):
-                results[center_id] = assignment
     return InstanceSolution(results)

@@ -1,10 +1,6 @@
 """Valid Delivery Point Set (VDPS) generation — Section IV of the paper."""
 
-from repro.vdps.generator import (
-    CVdpsEntry,
-    generate_cvdps,
-    generate_cvdps_reference,
-)
+from repro.vdps.generator import CVdpsEntry, generate_cvdps
 from repro.vdps.pruning import neighbor_lists
 from repro.vdps.catalog import (
     NULL_STRATEGY_ID,
@@ -22,7 +18,6 @@ from repro.vdps.store import CatalogStore
 __all__ = [
     "CVdpsEntry",
     "generate_cvdps",
-    "generate_cvdps_reference",
     "neighbor_lists",
     "WorkerStrategy",
     "VDPSCatalog",

@@ -94,8 +94,8 @@ class WorkerStrategies(Sequence):
     :class:`WorkerStrategy` on first access and caches it, so repeated
     (and concurrent) reads return the same object; iterating builds every
     missing position in one batched pass.  ``objects``, when given, are
-    the column's strategies, one per position (the scalar validation path
-    keeps its exact objects: it re-times routes a row cannot describe),
+    the column's strategies, one per position (the ``validate_entry``
+    loop keeps its exact objects: it re-times routes a row cannot describe),
     and nothing is ever built from the rows.  Compares equal to a tuple
     of the same strategies.
     """
@@ -381,17 +381,6 @@ class VDPSCatalog:
         """Whether the worker has at least one non-null VDPS."""
         return bool(self._columns.get(worker_id))
 
-    def available(
-        self, worker_id: str, claimed: Iterable[str]
-    ) -> List[WorkerStrategy]:
-        """Non-null strategies not conflicting with ``claimed`` point ids."""
-        claimed_set = frozenset(claimed)
-        return [
-            s
-            for s in self.strategies(worker_id)
-            if not (claimed_set and s.conflicts_with(claimed_set))
-        ]
-
     @property
     def max_vdps_size(self) -> int:
         """``|maxVDPS|``: the largest VDPS size across all workers."""
@@ -433,7 +422,6 @@ def build_catalog(
     strict_revalidation: bool = False,
     cvdps: Optional[List[CVdpsEntry]] = None,
     tracer: Optional[NullTracer] = None,
-    kernel: Optional[str] = None,
 ) -> VDPSCatalog:
     """Build the strategy catalog for every online worker of ``sub``.
 
@@ -443,12 +431,6 @@ def build_catalog(
         The per-center sub-problem.
     epsilon:
         Distance-constrained pruning threshold; ``None`` disables pruning.
-    kernel:
-        Implementation tier for C-VDPS generation and the per-worker
-        validation scan (``"scalar"`` or ``"vectorized"``; ``None``
-        resolves the process default — see
-        :mod:`repro.kernels.config`).  Tiers are bit-identical: the same
-        strategies, routes, payoffs, and index layout.
     strict_revalidation:
         The paper validates a C-VDPS per worker by shifting its recorded
         minimal-time sequence by the worker's start offset.  A set whose
@@ -474,9 +456,7 @@ def build_catalog(
         workers=len(sub.online_workers),
     )
     with span, METRICS.timer("catalog.build_seconds"):
-        catalog = _build_catalog(
-            sub, epsilon, strict_revalidation, cvdps, tracer, kernel
-        )
+        catalog = _build_catalog(sub, epsilon, strict_revalidation, cvdps, tracer)
         if tracer.enabled:
             span.add(
                 cvdps=catalog.cvdps_count,
@@ -584,7 +564,6 @@ def build_batch(
     epsilon: Optional[float],
     strict_revalidation: bool = False,
     tracer: NullTracer = NULL_TRACER,
-    kernel: Optional[str] = None,
     layouts: Optional[Sequence] = None,
 ) -> List[Tuple[VDPSCatalog, CvdpsTable]]:
     """The catalog of every sub-problem in ``subs``, each with its C-VDPS table.
@@ -594,16 +573,14 @@ def build_batch(
     keeps the table, deriving its surgery state from it only when a later
     refresh needs it; the dispatch service's catalog cache builds every
     stale center of a round in one call.  ``layouts[c]`` is center ``c``'s
-    cross-round travel-matrix cache.  The vectorized tier runs one stacked
-    DP, one entry layout and one validation scan for the whole batch
+    cross-round travel-matrix cache.  One stacked DP, one entry layout and
+    one validation scan serve the whole batch
     (see :func:`~repro.vdps.generator.generate_tables` and
     :func:`~repro.kernels.validate.validate_all`); each center's catalog
     is bit-identical to its own one-center build.  Counts
     ``catalog.strategies_built`` (and, through generation, the
     ``cvdps.*`` totals) whichever caller asked.
     """
-    from repro.kernels.validate import EntryArrays
-
     caps = [
         max((w.max_delivery_points for w in sub.online_workers), default=0)
         for sub in subs
@@ -614,17 +591,11 @@ def build_batch(
         caps,
         epsilon,
         tracer,
-        kernel,
         layouts,
     )
-    # The scalar tier (and a center with no DP at all) validates through
-    # the reference loop, over an entry table flattened from its entries.
-    scalar = [table.arrays is None for table in tables]
-    arrays = [
-        EntryArrays.from_entries(table.entries()) if exact else table.arrays
-        for table, exact in zip(tables, scalar)
-    ]
-    catalogs = _validate_batch(subs, epsilon, strict_revalidation, arrays, scalar)
+    catalogs = _validate_batch(
+        subs, epsilon, strict_revalidation, [table.arrays for table in tables]
+    )
     return list(zip(catalogs, tables))
 
 
@@ -634,19 +605,13 @@ def _build_catalog(
     strict_revalidation: bool,
     cvdps: Optional[List[CVdpsEntry]],
     tracer: NullTracer,
-    kernel: Optional[str] = None,
 ) -> VDPSCatalog:
-    from repro.kernels import resolve_kernel
-
-    tier = resolve_kernel(kernel)
     if cvdps is None:
-        return build_batch([sub], epsilon, strict_revalidation, tracer, tier)[0][0]
+        return build_batch([sub], epsilon, strict_revalidation, tracer)[0][0]
     from repro.kernels.validate import EntryArrays
 
     arrays = EntryArrays.from_entries(cvdps)
-    return _validate_batch(
-        [sub], epsilon, strict_revalidation, [arrays], [tier == "scalar"]
-    )[0]
+    return _validate_batch([sub], epsilon, strict_revalidation, [arrays])[0]
 
 
 def _validate_batch(
@@ -654,20 +619,17 @@ def _validate_batch(
     epsilon: Optional[float],
     strict_revalidation: bool,
     tables: Sequence,
-    scalar: Sequence[bool],
 ) -> List[VDPSCatalog]:
     """Section IV validation of every entry for every online worker.
 
-    ``tables[c]`` is center ``c``'s :class:`~repro.kernels.validate.EntryArrays`
-    and ``scalar[c]`` says whether it runs the scalar tier; see
+    ``tables[c]`` is center ``c``'s
+    :class:`~repro.kernels.validate.EntryArrays`; see
     :func:`~repro.kernels.validate.validate_tables`.
     """
     from repro.kernels.validate import validate_tables
 
     scans = []
-    for sub, arrays, exact in zip(subs, tables, scalar):
-        if not exact and arrays.n_entries:
-            METRICS.counter("kernel.validate_vectorized").add(1)
+    for sub in subs:
         location = sub.center.location
         scans.append(
             [
@@ -681,7 +643,6 @@ def _validate_batch(
         [sub.travel for sub in subs],
         [sub.center.location for sub in subs],
         strict_revalidation,
-        scalar,
     )
     catalogs = []
     built = 0

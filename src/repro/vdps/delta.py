@@ -124,15 +124,6 @@ class DeltaCatalog:
         After every refresh, rebuild from scratch and assert equality
         (:func:`catalog_diff`).  Defeats the purpose in production; the
         differential tests run on it.
-    kernel:
-        Implementation tier for the full-rebuild DP and every validation
-        scan — full revalidation of a changed worker and the added-entry
-        scan of an unchanged one (``"scalar"`` or ``"vectorized"``;
-        ``None`` resolves the process default).  The DP surgery runs as
-        the kernel's array passes on either tier (a scalar rebuild's
-        state dict is laid out as layers once, when a refresh first takes
-        the delta path); every tier lands on the same bit-identical
-        tables, so deltas match rebuilds exactly.
     """
 
     def __init__(
@@ -142,11 +133,8 @@ class DeltaCatalog:
         strict_revalidation: bool = False,
         rebuild_fraction: float = 0.5,
         verify: bool = False,
-        kernel: Optional[str] = None,
     ) -> None:
-        self._configure(
-            sub, epsilon, strict_revalidation, rebuild_fraction, verify, kernel
-        )
+        self._configure(sub, epsilon, strict_revalidation, rebuild_fraction, verify)
         self._layout = LayoutMatrix()
 
         def build() -> VDPSCatalog:
@@ -165,21 +153,18 @@ class DeltaCatalog:
         epsilon: Optional[float] = None,
         strict_revalidation: bool = False,
         rebuild_fraction: float = 0.5,
-        kernel: Optional[str] = None,
     ) -> "DeltaCatalog":
         """A catalog whose initial build was made elsewhere, in a batch.
 
         ``catalog`` and ``table`` are :func:`~repro.vdps.catalog.build_batch`
-        output for ``sub`` at the same ``epsilon``, strictness and kernel,
-        built with ``layout`` as the center's travel-matrix cache, which
+        output for ``sub`` at the same ``epsilon`` and strictness, built
+        with ``layout`` as the center's travel-matrix cache, which
         the new catalog keeps.  Equal to ``DeltaCatalog(sub, ...)``, and
         traced the same way (a ``catalog.refresh`` span with ``path``
         ``rebuild``).
         """
         self = cls.__new__(cls)
-        self._configure(
-            sub, epsilon, strict_revalidation, rebuild_fraction, False, kernel
-        )
+        self._configure(sub, epsilon, strict_revalidation, rebuild_fraction, False)
         self._layout = layout
 
         def install() -> VDPSCatalog:
@@ -196,7 +181,6 @@ class DeltaCatalog:
         strict_revalidation: bool,
         rebuild_fraction: float,
         verify: bool,
-        kernel: Optional[str],
     ) -> None:
         if rebuild_fraction < 0:
             raise ValueError(
@@ -206,7 +190,6 @@ class DeltaCatalog:
         self._strict = bool(strict_revalidation)
         self._rebuild_fraction = float(rebuild_fraction)
         self._verify = bool(verify)
-        self._kernel = kernel
         self._entry_arrays = None
         self._center_id = sub.center.center_id
         self._table: Optional[CvdpsTable] = None
@@ -256,7 +239,6 @@ class DeltaCatalog:
                     sub,
                     epsilon=self.epsilon,
                     strict_revalidation=self._strict,
-                    kernel=self._kernel,
                 ),
             )
             if diffs:
@@ -287,8 +269,8 @@ class DeltaCatalog:
         """Complete a ``fallback`` refresh with a build made elsewhere.
 
         ``catalog`` and ``table`` are :func:`~repro.vdps.catalog.build_batch`
-        output for ``sub`` at this catalog's epsilon, strictness and
-        kernel, built with :attr:`layout`.  The result, the counters
+        output for ``sub`` at this catalog's epsilon and strictness, built
+        with :attr:`layout`.  The result, the counters
         (``catalog.delta_fallbacks``, ``catalog.delta_rebuilds``) and the
         state left behind are those of ``refresh(sub)`` taking its
         fallback.
@@ -419,7 +401,6 @@ class DeltaCatalog:
             [sub],
             self.epsilon,
             self._strict,
-            kernel=self._kernel,
             layouts=[self._layout],
         )
         self._install(sub, catalog, table)
@@ -458,13 +439,10 @@ class DeltaCatalog:
         table = self._table
         if table is None:
             return
-        from repro.kernels import resolve_kernel
-
-        scalar = resolve_kernel(self._kernel) == "scalar"
         ids = sorted(self._points)
         points = [self._points[dp_id] for dp_id in ids]
         self._layers: List[Layer] = layers_from_paths(
-            table.dp_paths(),
+            table.paths,
             points,
             self._layout.matrix(
                 ids,
@@ -485,9 +463,9 @@ class DeltaCatalog:
                 worker, self._travel, self._center_location
             )
             column = catalog.strategies(wid)
-            # Scalar-path columns carry their exact objects (the column
-            # holds them, so reading them builds nothing).
-            objects = list(column) if self._exact(wid, scalar) else None
+            # validate_entry-loop columns carry their exact objects (the
+            # column holds them, so reading them builds nothing).
+            objects = list(column) if self._exact(wid) else None
             self._columns[wid] = (column.rows, column.payoffs, objects)
         self._table = None
 
@@ -563,23 +541,21 @@ class DeltaCatalog:
 
     # -- worker-level revalidation ------------------------------------------
 
-    def _exact(self, wid: str, scalar: bool) -> bool:
-        """Whether the worker's strategies come from the scalar loop.
+    def _exact(self, wid: str) -> bool:
+        """Whether the worker's strategies come from the ``validate_entry``
+        loop (speed-scaled workers, strict revalidation).
 
         Those columns carry the loop's objects (see
         :func:`~repro.kernels.validate.validate_tables`).
         """
-        return scalar or self._strict or self._offsets[wid][1] != 1.0
+        return self._strict or self._offsets[wid][1] != 1.0
 
-    def _scan(
-        self, workers: Sequence[Worker], arrays, scalar: bool
-    ) -> List[Columns]:
+    def _scan(self, workers: Sequence[Worker], arrays) -> List[Columns]:
         """Section IV validation of ``workers`` against ``arrays``' entries.
 
         One array pass answers every unit-speed worker; returns each
-        worker's canonical-order columns, in order.  The ``scalar`` tier
-        (and the scalar fallbacks of the vectorized one) also return
-        objects.
+        worker's canonical-order columns, in order.  Columns from the
+        ``validate_entry`` loop also carry objects.
         """
         from repro.kernels.validate import validate_tables
 
@@ -591,7 +567,6 @@ class DeltaCatalog:
             [self._travel],
             [self._center_location],
             self._strict,
-            [scalar],
         )[0]
 
     def _apply_worker_churn(
@@ -610,9 +585,6 @@ class DeltaCatalog:
         full revalidation, and one lexsort restores every worker's
         canonical order.
         """
-        from repro.kernels import resolve_kernel
-
-        scalar = resolve_kernel(self._kernel) == "scalar"
         live = {worker.worker_id: worker for worker in workers}
         for wid in [wid for wid in self._columns if wid not in live]:
             del self._columns[wid]
@@ -643,11 +615,11 @@ class DeltaCatalog:
             elif old_to_new is not None:
                 kept.append(worker)
         built = 0
-        for worker, columns in zip(changed, self._scan(changed, arrays, scalar)):
+        for worker, columns in zip(changed, self._scan(changed, arrays)):
             self._columns[worker.worker_id] = columns
             built += columns[0].size
         if kept:
-            new = self._scan(kept, added, scalar) if added is not None else None
+            new = self._scan(kept, added) if added is not None else None
             built += self._merge_columns(kept, old_to_new, base, new, arrays)
         METRICS.counter("catalog.strategies_built").add(built)
         if changed:
@@ -694,7 +666,7 @@ class DeltaCatalog:
             a, b = cuts[k], cuts[k + 1]
             objects = old[k][2]
             if objects is not None:
-                # Scalar-path columns carry their objects along: an old
+                # validate_entry-loop columns carry their objects along: an old
                 # position indexes the old objects, an added one the
                 # worker's new objects after them.
                 picked = order[a:b]

@@ -7,7 +7,7 @@ from typing import Optional, Sequence, Tuple
 import pytest
 from hypothesis import settings
 
-# A reduced-budget profile for CI's fast jobs (kernel-smoke selects it
+# A reduced-budget profile for CI's fast jobs (oracle-differential selects it
 # with --hypothesis-profile=ci) and a local default without Hypothesis's
 # 200 ms deadline (the stateful catalog-churn machine rebuilds a catalog in
 # every invariant check, which can trip it on loaded machines).  Tests with

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core.routing import (
-    Route,
-    arrival_times,
-    best_route,
-    brute_force_best_route,
-    route_is_valid,
-)
+from repro.core.routing import Route, arrival_times, best_route, route_is_valid
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
+from repro.oracle import brute_force_best_route
 
 from tests.conftest import make_dp, unit_speed_travel
 

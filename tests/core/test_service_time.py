@@ -9,10 +9,11 @@ import pytest
 
 from repro.core.entities import DeliveryPoint
 from repro.core.instance import SubProblem
-from repro.core.routing import arrival_times, best_route, brute_force_best_route
+from repro.core.routing import arrival_times, best_route
 from repro.geo.point import Point
+from repro.oracle import brute_force_best_route, generate_cvdps_reference
 from repro.vdps.catalog import build_catalog
-from repro.vdps.generator import generate_cvdps, generate_cvdps_reference
+from repro.vdps.generator import generate_cvdps
 
 from tests.conftest import make_center, make_tasks, make_worker, unit_speed_travel
 

@@ -2,8 +2,9 @@
 
 The ledger-weighted equity mode (``docs/temporal_fairness.md``) promises
 
-* scalar and vectorized engines stay elementwise bit-identical with a
-  cumulative base attached (the same contract the plain game carries),
+* the solvers stay elementwise bit-identical to the oracle's scalar
+  rounds (:mod:`repro.oracle`) with a cumulative base attached (the same
+  contract the plain game carries),
 * the mode has *teeth*: a worker far ahead on cumulative payoff yields
   work to cumulative-poor peers, changing the equilibrium, and
 * the invariant verifiers certify equity solves (effective-payoff Nash
@@ -23,6 +24,7 @@ from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.games.fgt import FGTSolver
 from repro.games.iegt import IEGTSolver
 from repro.games.potential import is_pure_nash
+from repro.oracle import ScalarFGTSolver, ScalarIEGTSolver
 from repro.vdps.catalog import build_catalog
 
 SEEDS = [0, 1, 2, 7, 13, 42]
@@ -69,6 +71,13 @@ def _outcome(result):
     }
 
 
+#: Each engine arm's solver classes: (FGT, IEGT).
+ENGINES = {
+    "scalar": (ScalarFGTSolver, ScalarIEGTSolver),
+    "vectorized": (FGTSolver, IEGTSolver),
+}
+
+
 def _assert_engines_identical(make_solver, seed):
     subs, catalogs = _subs_and_catalogs(seed)
     assert subs
@@ -87,9 +96,8 @@ class TestEquityEngineDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_fgt_equity(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(
+            lambda engine, sub: ENGINES[engine][0](
                 epsilon=0.8,
-                engine=engine,
                 equity_mode=True,
                 equity_baselines=_baselines(sub),
             ),
@@ -99,9 +107,8 @@ class TestEquityEngineDifferential:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_iegt_equity(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: IEGTSolver(
+            lambda engine, sub: ENGINES[engine][1](
                 epsilon=0.8,
-                engine=engine,
                 equity_mode=True,
                 equity_baselines=_baselines(sub),
             ),
@@ -111,9 +118,8 @@ class TestEquityEngineDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_fgt_equity_verified(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(
+            lambda engine, sub: ENGINES[engine][0](
                 epsilon=0.8,
-                engine=engine,
                 equity_mode=True,
                 equity_baselines=_baselines(sub),
                 verify=True,
@@ -124,9 +130,8 @@ class TestEquityEngineDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_iegt_equity_verified(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: IEGTSolver(
+            lambda engine, sub: ENGINES[engine][1](
                 epsilon=0.8,
-                engine=engine,
                 equity_mode=True,
                 equity_baselines=_baselines(sub),
                 verify=True,
@@ -137,9 +142,8 @@ class TestEquityEngineDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_fgt_equity_update_trace(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(
+            lambda engine, sub: ENGINES[engine][0](
                 epsilon=0.8,
-                engine=engine,
                 equity_mode=True,
                 equity_baselines=_baselines(sub),
                 trace_granularity="update",

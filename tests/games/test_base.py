@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.instance import SubProblem
 from repro.games.base import GameState, random_initial_state
+from repro.oracle import claimed_points
 from repro.vdps.catalog import NULL_STRATEGY, build_catalog
 
 from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
@@ -41,16 +42,29 @@ class TestGameState:
         strategy = catalog.strategies("w1")[0]
         state.set_strategy("w1", strategy)
         assert state.strategy_of("w1") is strategy
-        assert state.claimed_except("w2") == set(strategy.point_ids)
-        assert state.claimed_except("w1") == set()
+        assert claimed_points(state, "w2") == set(strategy.point_ids)
+        assert claimed_points(state, "w1") == set()
+        index = catalog.index
+        assert np.array_equal(
+            state.claimed_words_except("w2"), index.mask_of(strategy.point_ids)
+        )
+        assert not state.claimed_words_except("w1").any()
 
     def test_conflicting_strategy_rejected(self, catalog):
         state = GameState(catalog)
         s_a = next(s for s in catalog.strategies("w1") if s.point_ids == {"a"})
         state.set_strategy("w1", s_a)
-        s_a2 = next(s for s in catalog.strategies("w2") if s.point_ids == {"a"})
-        with pytest.raises(ValueError, match="already claimed"):
-            state.set_strategy("w2", s_a2)
+        strategies = catalog.strategies("w2")
+        pos = next(i for i, s in enumerate(strategies) if s.point_ids == {"a"})
+        # Both call forms: the mask packed from the strategy's points, and
+        # the one read from the index row at ``position``.
+        for position in (None, pos):
+            with pytest.raises(ValueError, match="already claimed"):
+                state.set_strategy("w2", strategies[pos], position)
+            assert state.strategy_of("w2") is NULL_STRATEGY
+            assert np.array_equal(
+                state.claimed_words_except("w2"), catalog.index.mask_of({"a"})
+            )
 
     def test_switching_releases_old_claims(self, catalog):
         state = GameState(catalog)

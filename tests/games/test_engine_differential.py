@@ -1,11 +1,12 @@
-"""Seed-sweep differential tests: vectorized engine ≡ scalar reference.
+"""Seed-sweep differential tests: the solvers ≡ the oracle's scalar rounds.
 
-The vectorized best-response engine (bitmask conflict index + batched IAU
+The best-response engine (bitmask conflict index + batched IAU
 evaluation, ``docs/performance.md``) promises *bit-identical* results to
-the retained scalar loops: same routes, payoffs, Equation 2 ``P_dif``,
-round counts, and trace contents.  PR 3's dispatch service leans on that
-contract — frozen snapshots must replay offline bit-for-bit regardless of
-which engine solved them — so these tests assert it across a seed sweep
+the per-strategy loops of :class:`repro.oracle.ScalarFGTSolver` and
+:class:`repro.oracle.ScalarIEGTSolver`: same routes, payoffs, Equation 2
+``P_dif``, round counts, and trace contents.  The dispatch service leans
+on that contract — frozen snapshots must replay offline bit-for-bit — so
+these tests assert it across a seed sweep
 and across every solver configuration that changes the hot loop
 (priorities, early stopping, per-update tracing), plus a warm
 dispatch-service round through :class:`DispatchEngine`.
@@ -22,6 +23,7 @@ from repro.games.fgt import FGTSolver
 from repro.games.iegt import IEGTSolver
 from repro.games.potential import IAUEvaluator, sequential_best
 from repro.obs.metrics import METRICS
+from repro.oracle import ScalarFGTSolver, ScalarIEGTSolver
 from repro.service.engine import DispatchEngine
 from repro.vdps.catalog import build_catalog
 
@@ -81,8 +83,24 @@ def _outcome(result):
     }
 
 
+#: Each engine arm's solver classes: (FGT, IEGT).
+ENGINES = {
+    "scalar": (ScalarFGTSolver, ScalarIEGTSolver),
+    "vectorized": (FGTSolver, IEGTSolver),
+}
+
+
+def _fgt(engine, **kwargs):
+    return ENGINES[engine][0](**kwargs)
+
+
+def _iegt(engine, **kwargs):
+    return ENGINES[engine][1](**kwargs)
+
+
 def _assert_engines_identical(make_solver, seed, shape=SWEEP_SHAPE):
-    """Solve every sub-problem with both engines and require equality.
+    """Solve every sub-problem with the oracle (``scalar``) and the
+    production solver (``vectorized``) and require equality.
 
     Comparisons are ``==`` on raw floats (no ``approx``): the contract is
     bit-identity, not numerical closeness.
@@ -102,7 +120,7 @@ def _assert_engines_identical(make_solver, seed, shape=SWEEP_SHAPE):
         ]
         batches[engine] = METRICS.delta(before).get("engine.filter_batches", 0)
     assert outcomes["scalar"] == outcomes["vectorized"]
-    # Only the vectorized engine runs, and counts, batched filters.
+    # Only the production engine runs, and counts, batched filters.
     assert batches["scalar"] == 0 and batches["vectorized"] > 0
 
 
@@ -120,7 +138,7 @@ class TestFGTDifferential:
     @pytest.mark.parametrize("seed, shape", DEFAULT_CASES)
     def test_default_config(self, seed, shape):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(epsilon=0.8, engine=engine),
+            lambda engine, sub: _fgt(engine, epsilon=0.8),
             seed,
             shape,
         )
@@ -128,8 +146,8 @@ class TestFGTDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_priority_aware(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(
-                epsilon=0.8, engine=engine, priorities=_priorities(sub)
+            lambda engine, sub: _fgt(
+                engine, epsilon=0.8, priorities=_priorities(sub)
             ),
             seed,
         )
@@ -137,9 +155,9 @@ class TestFGTDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_early_stop(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(
+            lambda engine, sub: _fgt(
+                engine,
                 epsilon=0.8,
-                engine=engine,
                 early_stop_patience=1,
                 early_stop_tol=0.05,
             ),
@@ -149,8 +167,8 @@ class TestFGTDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_update_granularity_trace(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(
-                epsilon=0.8, engine=engine, trace_granularity="update"
+            lambda engine, sub: _fgt(
+                engine, epsilon=0.8, trace_granularity="update"
             ),
             seed,
         )
@@ -160,9 +178,7 @@ class TestFGTDifferential:
         # The verifier observes per-switch utilities; both engines must
         # hand it the same values (a violation would raise).
         _assert_engines_identical(
-            lambda engine, sub: FGTSolver(
-                epsilon=0.8, engine=engine, verify=True
-            ),
+            lambda engine, sub: _fgt(engine, epsilon=0.8, verify=True),
             seed,
         )
 
@@ -171,7 +187,7 @@ class TestIEGTDifferential:
     @pytest.mark.parametrize("seed, shape", DEFAULT_CASES)
     def test_default_config(self, seed, shape):
         _assert_engines_identical(
-            lambda engine, sub: IEGTSolver(epsilon=0.8, engine=engine),
+            lambda engine, sub: _iegt(engine, epsilon=0.8),
             seed,
             shape,
         )
@@ -179,8 +195,8 @@ class TestIEGTDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_update_granularity_trace(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: IEGTSolver(
-                epsilon=0.8, engine=engine, trace_granularity="update"
+            lambda engine, sub: _iegt(
+                engine, epsilon=0.8, trace_granularity="update"
             ),
             seed,
         )
@@ -188,9 +204,9 @@ class TestIEGTDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:3])
     def test_early_stop(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: IEGTSolver(
+            lambda engine, sub: _iegt(
+                engine,
                 epsilon=0.8,
-                engine=engine,
                 early_stop_patience=1,
                 early_stop_tol=0.5,
             ),
@@ -200,9 +216,7 @@ class TestIEGTDifferential:
     @pytest.mark.parametrize("seed", SEEDS[:2])
     def test_under_invariant_verification(self, seed):
         _assert_engines_identical(
-            lambda engine, sub: IEGTSolver(
-                epsilon=0.8, engine=engine, verify=True
-            ),
+            lambda engine, sub: _iegt(engine, epsilon=0.8, verify=True),
             seed,
         )
 
@@ -214,9 +228,7 @@ class TestServiceRoundDifferential:
     def _drive(engine):
         """Two committed rounds; the second hits the warm catalog cache."""
         world = make_world()
-        svc = DispatchEngine(
-            world, FGTSolver(epsilon=0.8, engine=engine), seed=11
-        )
+        svc = DispatchEngine(world, _fgt(engine, epsilon=0.8), seed=11)
         first = svc.dispatch()
         accepted, rejected = world.add_tasks(
             [

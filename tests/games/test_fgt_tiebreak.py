@@ -5,11 +5,13 @@ best responses with *exactly* equal utility.  The solver must (a) break
 the tie with its seeded rng rather than catalog position — otherwise the
 canonical payoff-then-ids catalog ordering silently biases equilibria
 toward lexicographically small point ids — and (b) draw identically in
-the scalar and vectorized engines, which share one rng stream.
+the production round and the oracle's scalar round
+(:class:`repro.oracle.ScalarFGTSolver`), which share one rng stream.
 """
 
 from repro.core.instance import SubProblem
 from repro.games.fgt import FGTSolver
+from repro.oracle import ScalarFGTSolver
 
 from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
 
@@ -30,8 +32,11 @@ def _sub():
     return SubProblem(center, (worker,), unit_speed_travel())
 
 
+ENGINES = {"scalar": ScalarFGTSolver, "vectorized": FGTSolver}
+
+
 def _winner(engine, seed):
-    result = FGTSolver(engine=engine).solve(_sub(), seed=seed)
+    result = ENGINES[engine]().solve(_sub(), seed=seed)
     assert result.converged
     return result.assignment.as_mapping().get("w", ())
 

@@ -1,16 +1,18 @@
-"""Differential suite: the vectorized kernels vs the scalar reference.
+"""Differential suite: the array kernels vs the dict-loop references.
 
 Bit-identity — not approximate equality — is the kernels' contract
-(``docs/performance.md``): the layered-DP state tables must match value
-for value (arrival times compared via ``float.hex``, so ``-0.0`` or a
-1-ulp drift fails), the ``CVdpsEntry`` lists and catalogs must be equal
-via ``==`` and :func:`catalog_diff`, the Held–Karp routes must equal the
-scalar DP *and* brute force, and :class:`DeltaCatalog` surgery over a
-vectorized-built base table must stay identical to scalar rebuilds under
-churn.  The sweep deliberately covers the axes where the kernels take
-different code paths: epsilon pruning on/off, ``service_hours > 0``
-(exercises the ``(t + service) + travel`` association), ``max_size``
-caps, and degenerate empty/singleton centers.
+(``docs/performance.md``): the layered-DP state tables must match
+:func:`repro.oracle.compute_states` value for value (arrival times compared
+via ``float.hex``, so ``-0.0`` or a 1-ulp drift fails), the ``CVdpsEntry``
+lists and catalogs must equal the oracle's via ``==`` and
+:func:`catalog_diff`, the Held–Karp routes must equal the dict DP *and*
+brute force, and :class:`DeltaCatalog` surgery must stay identical to
+oracle rebuilds under churn. Each comparison keeps a ``scalar`` arm (the
+oracle) and a ``vectorized`` arm (production). The sweep deliberately
+covers the axes where the kernels take different code paths: epsilon
+pruning on/off, ``service_hours > 0`` (exercises the ``(t + service) +
+travel`` association), ``max_size`` caps, and degenerate empty/singleton
+centers.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro import oracle
 from repro.core.entities import (
     DeliveryPoint,
     DistributionCenter,
@@ -28,25 +31,24 @@ from repro.core.entities import (
     Worker,
 )
 from repro.core.instance import SubProblem
-from repro.core.routing import best_route, brute_force_best_route
+from repro.core.routing import _held_karp, best_route
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
-from repro.kernels import (
-    KERNEL_ENV_VAR,
-    default_kernel,
-    resolve_kernel,
-    set_default_kernel,
+from repro.kernels.cvdps import (
+    CenterDP,
+    LayoutMatrix,
+    center_matrix,
+    compute_layers,
 )
-from repro.kernels.cvdps import LayoutMatrix
-from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER
 from repro.vdps.catalog import build_catalog
 from repro.vdps.delta import DeltaCatalog, catalog_diff
 from repro.vdps.generator import (
     DPStats,
-    compute_states,
+    chain_adjacency,
     generate_cvdps,
+    generate_tables,
     neighbor_id_map,
 )
 
@@ -55,7 +57,7 @@ EPSILONS = [0.8, None]
 
 #: gMission-like (tasks, workers, delivery points) shapes: the sweep's
 #: small shape, a 30-point smoke shape, and a large one (800 tasks, 120
-#: workers, about 2.4k strategies) that the scalar tier still builds in a
+#: workers, about 2.4k strategies) that the oracle still builds in a
 #: fraction of a second.
 SWEEP_SHAPE = (70, 9, 16)
 SMOKE_SHAPE = (60, 14, 30)
@@ -85,30 +87,48 @@ def _gm_sub(seed, shape=SWEEP_SHAPE):
 
 
 def _state_tables(sub, epsilon, cap):
-    """The DP table and counters under each tier, same inputs."""
-    points = sub.center.delivery_points
-    points_by_id = {dp.dp_id: dp for dp in points}
-    neighbors = neighbor_id_map(points, epsilon)
-    tables, stats = {}, {}
-    for tier in ("scalar", "vectorized"):
-        dp_stats = DPStats()
-        tables[tier] = compute_states(
-            points_by_id,
-            neighbors,
-            sub.travel,
-            sub.center.location,
-            cap,
-            dp_stats,
-            NULL_TRACER,
-            sub.center.center_id,
-            kernel=tier,
-        )
-        stats[tier] = (
-            dp_stats.states_expanded,
-            dp_stats.candidates_tried,
-            dp_stats.deadline_rejections,
-        )
-    return tables, stats
+    """The DP table and counters of the oracle (``scalar``) and the kernel
+    (``vectorized``), same inputs.
+
+    Also checks that the kernel's retained visit orders
+    (:attr:`CvdpsTable.paths`, what the delta layer's surgery starts
+    from) are the oracle table's, laid out per layer.
+    """
+    center = sub.center
+    points_by_id = {dp.dp_id: dp for dp in center.delivery_points}
+    location = center.location
+    scalar_stats, vector_stats = DPStats(), DPStats()
+    scalar = oracle.compute_states(
+        points_by_id,
+        neighbor_id_map(center.delivery_points, epsilon),
+        sub.travel,
+        location,
+        cap,
+        scalar_stats,
+        NULL_TRACER,
+        center.center_id,
+    )
+    ids, matrix = center_matrix(points_by_id, sub.travel, location)
+    points = [points_by_id[dp_id] for dp_id in ids]
+    job = CenterDP(
+        center.center_id,
+        points,
+        chain_adjacency(points, matrix, sub.travel, epsilon),
+        matrix,
+        cap,
+        vector_stats,
+    )
+    vectorized = oracle.states_from_layers(compute_layers([job], NULL_TRACER), ids)
+    (table,) = generate_tables([center], [sub.travel], [cap], epsilon, NULL_TRACER)
+    expected = oracle.paths_from_states(scalar, ids)
+    assert len(table.paths) == len(expected)
+    for got, want in zip(table.paths, expected):
+        assert np.array_equal(got, want)
+    stats = {
+        tier: (s.states_expanded, s.candidates_tried, s.deadline_rejections)
+        for tier, s in (("scalar", scalar_stats), ("vectorized", vector_stats))
+    }
+    return {"scalar": scalar, "vectorized": vectorized}, stats
 
 
 def _assert_tables_bit_identical(scalar, vectorized):
@@ -122,7 +142,7 @@ def _assert_tables_bit_identical(scalar, vectorized):
 
 
 class TestCvdpsDifferential:
-    """Scalar vs vectorized over GM instances and hand-built edge cases."""
+    """Oracle vs kernel over GM instances and hand-built edge cases."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("epsilon", EPSILONS)
@@ -131,21 +151,18 @@ class TestCvdpsDifferential:
         cap = max(w.max_delivery_points for w in sub.online_workers)
         tables, stats = _state_tables(sub, epsilon, cap)
         _assert_tables_bit_identical(tables["scalar"], tables["vectorized"])
-        # The vectorized kernel mirrors the scalar counters exactly, so
-        # dashboards read the same numbers whichever tier served a build.
+        # The kernel mirrors the dict DP's counters exactly.
         assert stats["scalar"] == stats["vectorized"]
 
     @pytest.mark.parametrize("epsilon, seed, shape", CATALOG_CASES)
     def test_gm_entries_and_catalogs(self, epsilon, seed, shape):
         sub = _gm_sub(seed, shape)
         cap = max(w.max_delivery_points for w in sub.online_workers)
-        entries_s = generate_cvdps(sub.center, sub.travel, epsilon, cap, kernel="scalar")
-        entries_v = generate_cvdps(
-            sub.center, sub.travel, epsilon, cap, kernel="vectorized"
-        )
+        entries_s = oracle.generate_cvdps(sub.center, sub.travel, epsilon, cap)
+        entries_v = generate_cvdps(sub.center, sub.travel, epsilon, cap)
         assert entries_s == entries_v
-        catalog_s = build_catalog(sub, epsilon=epsilon, kernel="scalar")
-        catalog_v = build_catalog(sub, epsilon=epsilon, kernel="vectorized")
+        catalog_s = oracle.build_catalog(sub, epsilon=epsilon)
+        catalog_v = build_catalog(sub, epsilon=epsilon)
         assert not catalog_diff(catalog_s, catalog_v)
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -157,16 +174,14 @@ class TestCvdpsDifferential:
         tables, stats = _state_tables(sub, epsilon, cap)
         _assert_tables_bit_identical(tables["scalar"], tables["vectorized"])
         assert stats["scalar"] == stats["vectorized"]
-        entries_s = generate_cvdps(sub.center, sub.travel, epsilon, cap, kernel="scalar")
-        entries_v = generate_cvdps(
-            sub.center, sub.travel, epsilon, cap, kernel="vectorized"
-        )
+        entries_s = oracle.generate_cvdps(sub.center, sub.travel, epsilon, cap)
+        entries_v = generate_cvdps(sub.center, sub.travel, epsilon, cap)
         assert entries_s == entries_v
         if cap > 1:
             assert any(len(e.point_ids) > 1 for e in entries_v)
         assert not catalog_diff(
-            build_catalog(sub, epsilon=epsilon, kernel="scalar"),
-            build_catalog(sub, epsilon=epsilon, kernel="vectorized"),
+            oracle.build_catalog(sub, epsilon=epsilon),
+            build_catalog(sub, epsilon=epsilon),
         )
 
     def test_max_size_cap_sweep(self):
@@ -179,12 +194,12 @@ class TestCvdpsDifferential:
     def test_empty_center(self):
         center = DistributionCenter("dc", Point(0.0, 0.0), ())
         travel = TravelModel(speed_kmh=5.0)
-        for tier in ("scalar", "vectorized"):
-            assert generate_cvdps(center, travel, 0.8, 3, kernel=tier) == []
+        for generate in (oracle.generate_cvdps, generate_cvdps):
+            assert generate(center, travel, 0.8, 3) == []
         sub = SubProblem(center, (_worker(0),), travel)
         assert not catalog_diff(
-            build_catalog(sub, epsilon=0.8, kernel="scalar"),
-            build_catalog(sub, epsilon=0.8, kernel="vectorized"),
+            oracle.build_catalog(sub, epsilon=0.8),
+            build_catalog(sub, epsilon=0.8),
         )
 
     def test_singleton_center(self):
@@ -192,8 +207,8 @@ class TestCvdpsDifferential:
         center = DistributionCenter("dc", Point(0.0, 0.0), (dp,))
         travel = TravelModel(speed_kmh=5.0)
         entries = {
-            tier: generate_cvdps(center, travel, None, 3, kernel=tier)
-            for tier in ("scalar", "vectorized")
+            "scalar": oracle.generate_cvdps(center, travel, None, 3),
+            "vectorized": generate_cvdps(center, travel, None, 3),
         }
         assert entries["scalar"] == entries["vectorized"]
         assert len(entries["vectorized"]) == 1
@@ -206,14 +221,10 @@ class TestBestRouteDifferential:
         sub = _gm_sub(seed)
         for size in (2, 4, 6):
             pts = sub.center.delivery_points[:size]
-            scalar = best_route(
-                sub.center.location, pts, sub.travel, offset, kernel="scalar"
-            )
-            vector = best_route(
-                sub.center.location, pts, sub.travel, offset, kernel="vectorized"
-            )
+            scalar = _held_karp(sub.center.location, list(pts), sub.travel, offset)
+            vector = best_route(sub.center.location, pts, sub.travel, offset)
             assert scalar == vector
-            brute = brute_force_best_route(
+            brute = oracle.brute_force_best_route(
                 sub.center.location, pts, sub.travel, offset
             )
             assert (brute is None) == (vector is None)
@@ -223,14 +234,12 @@ class TestBestRouteDifferential:
     def test_service_hours_routes(self):
         sub = _service_hours_sub()
         pts = sub.center.delivery_points[:5]
-        scalar = best_route(sub.center.location, pts, sub.travel, 0.0, kernel="scalar")
-        vector = best_route(
-            sub.center.location, pts, sub.travel, 0.0, kernel="vectorized"
-        )
+        scalar = _held_karp(sub.center.location, list(pts), sub.travel, 0.0)
+        vector = best_route(sub.center.location, pts, sub.travel, 0.0)
         assert scalar == vector
 
 
-# -- DeltaCatalog over a vectorized base table -----------------------------
+# -- DeltaCatalog surgery vs oracle rebuilds ----------------------------------
 
 _TRAVEL = TravelModel(speed_kmh=1.0)
 _EPSILON = 2.5
@@ -268,7 +277,7 @@ def _churn_sub(points, workers):
 
 
 class TestDeltaOverVectorizedBase:
-    """Delta surgery on a kernel-built table ≡ scalar rebuilds, always."""
+    """Delta surgery on a kernel-built table ≡ oracle rebuilds, always."""
 
     @settings(
         max_examples=12,
@@ -293,7 +302,6 @@ class TestDeltaOverVectorizedBase:
             _churn_sub(points, workers),
             epsilon=_EPSILON,
             rebuild_fraction=10,
-            kernel="vectorized",
         )
         delta.refresh(_churn_sub(points, workers))
         next_task = [100]
@@ -331,7 +339,7 @@ class TestDeltaOverVectorizedBase:
             op(dp_id)
             sub = _churn_sub(points, workers)
             refreshed = delta.refresh(sub)
-            rebuilt = build_catalog(sub, epsilon=_EPSILON, kernel="scalar")
+            rebuilt = oracle.build_catalog(sub, epsilon=_EPSILON)
             assert not catalog_diff(refreshed, rebuilt)
 
     def test_worker_churn_and_cross_tier_equality(self):
@@ -341,37 +349,33 @@ class TestDeltaOverVectorizedBase:
             _churn_sub(points, workers),
             epsilon=_EPSILON,
             rebuild_fraction=10,
-            kernel="vectorized",
         )
         delta.refresh(_churn_sub(points, workers))
         workers.append(_worker(7, cap=1))
         sub = _churn_sub(points, workers)
         refreshed = delta.refresh(sub)
-        for tier in ("scalar", "vectorized"):
-            assert not catalog_diff(
-                refreshed, build_catalog(sub, epsilon=_EPSILON, kernel=tier)
-            )
+        for build in (oracle.build_catalog, build_catalog):
+            assert not catalog_diff(refreshed, build(sub, epsilon=_EPSILON))
 
 
-# -- The array-native catalog build vs the scalar reference ---------------
+# -- The array-native catalog build vs the oracle ---------------------------
 
 
 def _assert_array_native_matches_scalar(sub, epsilon, strict=False):
-    """Both array-native builds ≡ ``build_catalog(kernel="scalar")``.
+    """Both array-native builds ≡ :func:`repro.oracle.build_catalog`.
 
-    The array-native path serves ``build_catalog``'s vectorized tier and
-    ``DeltaCatalog``'s rebuild; the latter is also checked after a
-    persist/restore round trip, which derives its surgery tables, and
-    under seeded churn through the surgery path
-    (:func:`_assert_delta_churn_matches_scalar`).
+    The array-native path serves ``build_catalog`` and ``DeltaCatalog``'s
+    rebuild; the latter is also checked after a persist/restore round
+    trip, which derives its surgery tables, and under seeded churn
+    through the surgery path (:func:`_assert_delta_churn_matches_scalar`).
     """
     options = dict(epsilon=epsilon, strict_revalidation=strict)
-    expected = build_catalog(sub, kernel="scalar", **options)
-    delta = DeltaCatalog(sub, kernel="vectorized", **options)
+    expected = oracle.build_catalog(sub, **options)
+    delta = DeltaCatalog(sub, **options)
     fallback = delta.catalog
     restored = pickle.loads(pickle.dumps(delta))
     for catalog in (
-        build_catalog(sub, kernel="vectorized", **options),
+        build_catalog(sub, **options),
         fallback,
         restored.refresh(sub),
     ):
@@ -417,27 +421,29 @@ def _churn_step(sub, rng, step):
 
 
 def _assert_delta_churn_matches_scalar(sub, epsilon, strict, steps=4):
-    """Surgery refreshes, under both tiers, ≡ scalar rebuilds at every step.
+    """Surgery refreshes ≡ oracle (``scalar``) and production
+    (``vectorized``) rebuilds at every step.
 
     ``rebuild_fraction=10`` keeps every churned refresh on the delta path,
     so the added entries of each step go through the unchanged workers'
-    scan — vectorized, its speed-scaled and strict fallbacks, or scalar.
+    scan — the array scan, or its speed-scaled and strict fallbacks.
     """
     if not sub.center.delivery_points:
         return
     options = dict(epsilon=epsilon, strict_revalidation=strict)
-    for tier in ("scalar", "vectorized"):
-        rng = np.random.default_rng(len(sub.center.delivery_points))
-        delta = DeltaCatalog(sub, rebuild_fraction=10, kernel=tier, **options)
-        current = sub
-        for step in range(steps):
-            current = _churn_step(current, rng, step)
-            refreshed = delta.refresh(current)
-            assert delta._last_path == "delta"
+    rng = np.random.default_rng(len(sub.center.delivery_points))
+    delta = DeltaCatalog(sub, rebuild_fraction=10, **options)
+    current = sub
+    for step in range(steps):
+        current = _churn_step(current, rng, step)
+        refreshed = delta.refresh(current)
+        assert delta._last_path == "delta"
+        for tier, build in (
+            ("scalar", oracle.build_catalog),
+            ("vectorized", build_catalog),
+        ):
             diffs = catalog_diff(
-                refreshed,
-                build_catalog(current, kernel="scalar", **options),
-                check_index=True,
+                refreshed, build(current, **options), check_index=True
             )
             assert not diffs, (tier, step, diffs)
 
@@ -476,7 +482,7 @@ def _with_speeds(sub, seed):
 
 
 class TestArrayNativeBuild:
-    """Seed-swept: the array-native build is the scalar build, bit for bit."""
+    """Seed-swept: the array-native build is the oracle build, bit for bit."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("epsilon", EPSILONS)
@@ -551,45 +557,3 @@ class TestLayoutMatrix:
             want = travel.matrix(locations, origin=origin)
             for name in ("distances", "times", "origin_times"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
-
-
-class TestKernelConfig:
-    def test_env_var_selects_tier(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
-        assert default_kernel() == "scalar"
-        assert resolve_kernel() == "scalar"
-        monkeypatch.setenv(KERNEL_ENV_VAR, "vectorized")
-        assert resolve_kernel() == "vectorized"
-
-    def test_set_default_kernel_overrides_env(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV_VAR, "scalar")
-        set_default_kernel("vectorized")
-        try:
-            assert default_kernel() == "vectorized"
-        finally:
-            set_default_kernel(None)
-        assert default_kernel() == "scalar"
-
-    def test_rejects_unknown_tier(self):
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("simd")
-        with pytest.raises(ValueError, match="kernel"):
-            set_default_kernel("simd")
-
-    def test_numba_tier_is_rejected(self):
-        # Only scalar and vectorized exist; numba is an unknown tier.
-        with pytest.raises(ValueError, match="kernel"):
-            resolve_kernel("numba")
-
-    def test_build_counters_name_the_serving_tier(self):
-        sub = _gm_sub(0)
-        before = METRICS.snapshot()
-        build_catalog(sub, epsilon=0.8, kernel="vectorized")
-        after_vec = METRICS.delta(before)
-        assert after_vec.get("kernel.cvdps_vectorized", 0) >= 1
-        assert after_vec.get("kernel.validate_vectorized", 0) >= 1
-        before = METRICS.snapshot()
-        build_catalog(sub, epsilon=0.8, kernel="scalar")
-        after_scalar = METRICS.delta(before)
-        assert after_scalar.get("kernel.cvdps_scalar", 0) >= 1
-        assert "kernel.cvdps_vectorized" not in after_scalar

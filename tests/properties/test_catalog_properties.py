@@ -3,6 +3,7 @@
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro import oracle
 from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, Worker
 from repro.core.instance import SubProblem
 from repro.geo.point import Point
@@ -75,8 +76,16 @@ class TestCatalogInvariants:
             if not strategies:
                 continue
             claimed = frozenset(strategies[0].point_ids)
-            for s in catalog.available(worker.worker_id, claimed):
+            index = catalog.index
+            positions = index.worker(worker.worker_id).available(
+                index.mask_of(claimed)
+            )
+            available = [strategies[i] for i in positions]
+            for s in available:
                 assert not (s.point_ids & claimed)
+            assert available == oracle.available(
+                catalog, worker.worker_id, claimed
+            )
 
     @given(sub=subproblems())
     @settings(max_examples=15, deadline=None)

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask
-from repro.core.routing import best_route, brute_force_best_route
+from repro.core.routing import best_route
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
-from repro.vdps.generator import generate_cvdps, generate_cvdps_reference
+from repro.oracle import brute_force_best_route, generate_cvdps_reference
+from repro.vdps.generator import generate_cvdps
 
 TRAVEL = TravelModel(speed_kmh=1.0)
 ORIGIN = Point(0.0, 0.0)

@@ -118,23 +118,6 @@ class TestSolve:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_n_jobs_matches_serial(self, instance_dir, capsys):
-        args = [
-            "solve",
-            str(instance_dir),
-            "--algorithm",
-            "fgt",
-            "--epsilon",
-            "0.6",
-            "--seed",
-            "3",
-        ]
-        assert main(args) == 0
-        serial = capsys.readouterr().out
-        assert main(args + ["--n-jobs", "2"]) == 0
-        parallel = capsys.readouterr().out
-        assert serial == parallel
-
 
 class TestCompare:
     @pytest.fixture
@@ -189,24 +172,6 @@ class TestCompare:
         assert code == 0
         out = capsys.readouterr().out
         assert "winners=0 losers=0" in out
-
-    def test_compare_accepts_n_jobs(self, instance_dir, capsys):
-        code = main(
-            [
-                "compare",
-                str(instance_dir),
-                "--baseline",
-                "gta",
-                "--challenger",
-                "fgt",
-                "--epsilon",
-                "0.6",
-                "--n-jobs",
-                "2",
-            ]
-        )
-        assert code == 0
-        assert "GTA -> FGT" in capsys.readouterr().out
 
 
 class TestExperiment:

@@ -11,8 +11,7 @@ bit-identical to the center's own ``build_catalog``: an empty
 worlds; the seeded cases pin what a random draw may miss: centers with
 different ``maxDP`` caps, a center with no feasible state, a center wider
 than one 64-bit mask word, no pruning, a non-Euclidean metric,
-speed-scaled workers and strict revalidation.  Every case runs under the
-process kernel tier (CI runs this file under both ``REPRO_KERNEL`` tiers).
+speed-scaled workers and strict revalidation.
 """
 
 import hypothesis.strategies as st
@@ -180,8 +179,8 @@ class TestSeededBatches:
         _assert_batch_matches(subs, 1.2)
 
     def test_speed_scaled_workers(self):
-        # Speed-scaled workers take the scalar loop, unit-speed ones the
-        # batch scan, within the same centers.
+        # Speed-scaled workers take the validate_entry loop, unit-speed
+        # ones the batch scan, within the same centers.
         subs = [
             _sub(
                 "a",

@@ -11,6 +11,8 @@ from repro.games.base import random_initial_state
 from repro.games.fgt import FGTSolver
 from repro.geo.travel import TravelModel
 from repro.obs.metrics import METRICS
+from repro.oracle import available
+from repro.oracle import build_catalog as oracle_build_catalog
 from repro.vdps.catalog import NULL_STRATEGY, WorkerStrategy, build_catalog
 from repro.vdps.generator import generate_cvdps
 
@@ -115,9 +117,13 @@ class TestBuildCatalog:
 class TestCatalogQueries:
     def test_available_excludes_conflicts(self):
         catalog = build_catalog(_line_subproblem([make_worker("w", 0, 0)]))
-        available = catalog.available("w", claimed={"b"})
-        assert all("b" not in s.point_ids for s in available)
-        assert {s.point_ids for s in available} == {
+        index = catalog.index
+        strategies = catalog.strategies("w")
+        positions = index.worker("w").available(index.mask_of({"b"}))
+        free = [strategies[i] for i in positions]
+        assert free == available(catalog, "w", claimed={"b"})
+        assert all("b" not in s.point_ids for s in free)
+        assert {s.point_ids for s in free} == {
             frozenset({"a"}),
             frozenset({"c"}),
             frozenset({"a", "c"}),
@@ -125,7 +131,9 @@ class TestCatalogQueries:
 
     def test_available_with_no_claims(self):
         catalog = build_catalog(_line_subproblem([make_worker("w", 0, 0)]))
-        assert len(catalog.available("w", claimed=())) == 7
+        index = catalog.index
+        assert len(index.worker("w").available(index.empty_mask())) == 7
+        assert len(available(catalog, "w", claimed=())) == 7
 
     def test_max_vdps_size(self):
         catalog = build_catalog(_line_subproblem([make_worker("w", 0, 0)]))
@@ -160,11 +168,9 @@ class TestLazyStrategies:
         materialised = METRICS.counter("catalog.strategies_materialised")
         switches = METRICS.counter("fgt.switches")
         before_built = built.value
-        catalog = build_catalog(sub, epsilon=0.8, kernel="vectorized")
+        catalog = build_catalog(sub, epsilon=0.8)
         n_built = built.value - before_built
-        initial = random_initial_state(
-            build_catalog(sub, epsilon=0.8, kernel="vectorized"), seed=7
-        )
+        initial = random_initial_state(build_catalog(sub, epsilon=0.8), seed=7)
         picks = sum(
             not initial.strategy_of(w.worker_id).is_null for w in catalog.workers
         )
@@ -180,9 +186,10 @@ class TestLazyStrategies:
         assert n_built == walk == catalog.total_strategy_count
 
     def test_positions_are_cached_and_equal_the_scalar_tier(self):
+        # The oracle's build holds the validate_entry loop's objects.
         sub = _gmission_sub()
-        lazy = build_catalog(sub, epsilon=0.8, kernel="vectorized")
-        exact = build_catalog(sub, epsilon=0.8, kernel="scalar")
+        lazy = build_catalog(sub, epsilon=0.8)
+        exact = oracle_build_catalog(sub, epsilon=0.8)
         for worker in sub.online_workers:
             wid = worker.worker_id
             strategies = lazy.strategies(wid)
@@ -201,7 +208,7 @@ class TestLazyStrategies:
         # thread walking the positions in its own order: a racing first
         # build must still leave one object per position, counted once.
         sub = _gmission_sub()
-        catalog = build_catalog(sub, epsilon=0.8, kernel="vectorized")
+        catalog = build_catalog(sub, epsilon=0.8)
         wid = max(
             (w.worker_id for w in catalog.workers),
             key=lambda w: len(catalog.strategies(w)),
@@ -242,12 +249,12 @@ class TestLazyStrategies:
         assert all(a is b for a, b in zip(seen[0], catalog.strategies(wid)))
 
     def test_scalar_columns_never_build_from_rows(self):
-        # The scalar loop (this tier, speed-scaled workers, strict
+        # The validate_entry loop (speed-scaled workers, strict
         # revalidation) re-times routes a row's unit-speed times cannot
         # describe, so its columns hold the loop's objects and every read
         # returns one of those.
         sub = _gmission_sub()
-        catalog = build_catalog(sub, epsilon=0.8, kernel="scalar")
+        catalog = build_catalog(sub, epsilon=0.8, strict_revalidation=True)
         wid = max(
             (w.worker_id for w in catalog.workers),
             key=lambda w: len(catalog.strategies(w)),

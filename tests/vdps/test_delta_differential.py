@@ -16,6 +16,7 @@ import random
 
 import pytest
 
+from repro import oracle
 from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, Worker
 from repro.core.instance import SubProblem
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
@@ -251,12 +252,15 @@ class TestFallbacks:
 class TestRandomTraces:
     """Longer seeded walks with verify=True (the internal oracle)."""
 
-    @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
+    @pytest.mark.parametrize("reference", ["scalar", "vectorized"])
     @pytest.mark.parametrize("strict", [False, True])
-    def test_scalar_path_columns_survive_churn(self, kernel, strict):
+    def test_scalar_path_columns_survive_churn(self, reference, strict):
         # A speed-scaled worker (with strict revalidation, every worker)
-        # is validated by the scalar loop; its column carries that loop's
-        # objects through the row remap and the merge of every refresh.
+        # is validated by the validate_entry loop; its column carries that
+        # loop's objects through the row remap and the merge of every
+        # refresh.  Each step is checked against the oracle's rebuild
+        # (scalar) or production's (vectorized).
+        rebuild = REBUILDS[reference]
         rng = random.Random(5)
         points = {
             f"p{i}": _dp(
@@ -274,7 +278,6 @@ class TestRandomTraces:
             epsilon=2.5,
             strict_revalidation=strict,
             rebuild_fraction=10.0,
-            kernel=kernel,
         )
         for step in range(12):
             victim = rng.choice(sorted(points))
@@ -292,9 +295,7 @@ class TestRandomTraces:
             sub = _sub(points.values(), workers)
             refreshed = delta.refresh(sub)
             assert delta._last_path == "delta"
-            rebuilt = build_catalog(
-                sub, epsilon=2.5, strict_revalidation=strict, kernel="scalar"
-            )
+            rebuilt = rebuild(sub, epsilon=2.5, strict_revalidation=strict)
             diffs = catalog_diff(refreshed, rebuilt)
             assert not diffs, "; ".join(diffs)
             assert refreshed.has_strategies("slow")
@@ -307,13 +308,19 @@ class TestRandomTraces:
         # a cap increase, and a deadline that rejects its own singleton.
         + [pytest.param(3, 72, 8.0, id="wide")],
     )
-    def test_seeded_churn_walk(self, seed, n_points, side, monkeypatch):
-        for kernel in ("scalar", "vectorized"):
-            monkeypatch.setenv("REPRO_KERNEL", kernel)
-            _churn_walk(seed, n_points, side)
+    def test_seeded_churn_walk(self, seed, n_points, side):
+        for reference in ("scalar", "vectorized"):
+            _churn_walk(seed, n_points, side, reference)
 
 
-def _churn_walk(seed, n_points, side):
+#: The rebuild each reference arm compares a refresh with.
+REBUILDS = {"scalar": oracle.build_catalog, "vectorized": build_catalog}
+
+
+def _churn_walk(seed, n_points, side, reference):
+    """A seeded churn walk whose every refresh equals a rebuild: the
+    oracle's (``scalar``), or production's through ``verify=True``
+    (``vectorized``)."""
     rng = random.Random(seed)
     points = {
         f"p{i}": _dp(f"p{i}", rng.uniform(-side, side), rng.uniform(-side, side), 6.0)
@@ -352,12 +359,21 @@ def _churn_walk(seed, n_points, side):
         _sub(points.values(), workers.values()),
         epsilon=2.0,
         rebuild_fraction=10.0,
-        verify=True,  # asserts delta == rebuild inside every refresh
+        # asserts delta == rebuild inside every refresh
+        verify=reference == "vectorized",
     )
+
+    def refresh():
+        sub = _sub(points.values(), workers.values())
+        refreshed = delta.refresh(sub)
+        if reference == "scalar":
+            diffs = catalog_diff(refreshed, oracle.build_catalog(sub, epsilon=2.0))
+            assert not diffs, "; ".join(diffs)
+
     for step in range(25):
         if step in script:
             script[step]()
-            delta.refresh(_sub(points.values(), workers.values()))
+            refresh()
             assert delta._last_path == "delta"
             continue
         op = rng.choice(["add", "remove", "change", "worker"])
@@ -382,7 +398,7 @@ def _churn_walk(seed, n_points, side):
                 wid, rng.uniform(-1, 1), rng.uniform(-1, 1),
                 cap=rng.choice([1, 2, 3, 4]),
             )
-        delta.refresh(_sub(points.values(), workers.values()))
+        refresh()
 
 
 class TestCatalogStore:

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.core.routing import brute_force_best_route
 from repro.geo.travel import TravelModel
-from repro.vdps.generator import generate_cvdps, generate_cvdps_reference
+from repro.oracle import brute_force_best_route, generate_cvdps_reference
+from repro.vdps.generator import generate_cvdps
 
 from tests.conftest import make_center, make_dp, unit_speed_travel
 

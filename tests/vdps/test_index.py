@@ -4,6 +4,7 @@ the GameState mask bookkeeping that rides on it."""
 import numpy as np
 import pytest
 
+from repro import oracle
 from repro.core.instance import SubProblem
 from repro.core.routing import Route
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
@@ -12,6 +13,10 @@ from repro.vdps.catalog import WorkerStrategy, build_catalog
 from repro.vdps.delta import DeltaCatalog
 
 from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
+
+
+#: Each kernel arm's catalog build: the oracle's, and production's.
+BUILDS = {"scalar": oracle.build_catalog, "vectorized": build_catalog}
 
 
 def _strategy(point_ids, payoff=1.0):
@@ -237,7 +242,7 @@ class TestReferenceIndex:
             GMissionConfig(n_tasks=120, n_workers=12, n_delivery_points=80),
             seed=seed,
         )
-        catalog = build_catalog(inst.subproblems()[0], epsilon=0.8, kernel=kernel)
+        catalog = BUILDS[kernel](inst.subproblems()[0], epsilon=0.8)
         assert catalog.total_strategy_count
         self._assert_matches_reference(catalog)
 
@@ -255,7 +260,7 @@ class TestReferenceIndex:
             ),
             seed=0,
         )
-        catalog = build_catalog(inst.subproblems()[0], epsilon=0.5, kernel=kernel)
+        catalog = BUILDS[kernel](inst.subproblems()[0], epsilon=0.5)
         assert catalog.index.n_words >= 2
         self._assert_matches_reference(catalog)
 
@@ -272,9 +277,7 @@ class TestReferenceIndex:
             ]
         )
         workers = (make_worker("w1", -1, 0), make_worker("w2", 0, -1))
-        catalog = build_catalog(
-            SubProblem(center, workers, unit_speed_travel()), kernel=kernel
-        )
+        catalog = BUILDS[kernel](SubProblem(center, workers, unit_speed_travel()))
         assert any("a" in entry.point_ids for entry in catalog.arrays.entries)
         assert catalog.index.point_bits == {"b": 0, "c": 1}
         self._assert_matches_reference(catalog)
@@ -330,25 +333,29 @@ class TestGameStateMasks:
         state.set_strategy("w1", s_a)
         for wid in ("w1", "w2"):
             strategies = catalog.strategies(wid)
-            by_scan = state.available_strategies(wid)
+            by_scan = oracle.available_strategies(state, wid)
             by_index = [
                 strategies[i] for i in state.available_strategy_indices(wid)
             ]
             assert by_index == by_scan
+            assert state.available_strategies(wid) == by_scan
 
-    def test_foreign_strategy_degrades_to_dict_path(self, catalog):
-        # A hand-built strategy over a point unknown to the catalog poisons
-        # the mask mirror; availability must then fall back to the
-        # authoritative dict bookkeeping and stay correct.
+    def test_foreign_strategy_is_rejected(self, catalog):
+        # A hand-built strategy over a point unknown to the catalog index
+        # has no mask: set_strategy refuses it and leaves the state as it
+        # was, so availability stays correct.
         state = GameState(catalog)
-        foreign = _strategy({"ghost-dp"}, payoff=9.0)
-        state.set_strategy("w1", foreign)
-        assert not state._masks_exact
         s_a = next(s for s in catalog.strategies("w2") if s.point_ids == {"a"})
         state.set_strategy("w2", s_a)
+        words = state._claimed_words.copy()
+        with pytest.raises(ValueError, match="ghost-dp"):
+            state.set_strategy("w1", _strategy({"ghost-dp"}, payoff=9.0))
+        assert state.strategy_of("w1").is_null
+        assert state.strategy_of("w2") is s_a
+        assert np.array_equal(state._claimed_words, words)
         for wid in ("w1", "w2"):
             strategies = catalog.strategies(wid)
-            by_scan = state.available_strategies(wid)
+            by_scan = oracle.available_strategies(state, wid)
             by_index = [
                 strategies[i] for i in state.available_strategy_indices(wid)
             ]
