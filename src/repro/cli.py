@@ -308,12 +308,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "next start refreshes it instead of paying cold C-VDPS builds",
     )
     srv.add_argument(
-        "--no-delta-catalog",
-        action="store_true",
-        help="rebuild catalogs from scratch on every cache miss instead "
-        "of applying incremental churn deltas (docs/performance.md)",
-    )
-    srv.add_argument(
         "--equity",
         action="store_true",
         help="solve rounds with ledger-weighted equity utilities; the "
@@ -828,10 +822,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cooldown_s=args.breaker_cooldown_s,
         ),
         faults=None if args.faults is None else FaultPlan.from_spec(args.faults),
-        delta_catalog=not args.no_delta_catalog,
         catalog_store=(
             None
-            if args.catalog_store is None or args.no_delta_catalog
+            if args.catalog_store is None
             else CatalogStore(args.catalog_store)
         ),
     )
@@ -948,7 +941,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
         solve_deadline_s=args.solve_deadline_s,
         solve_retries=args.solve_retries,
         faults=None if args.faults is None else FaultPlan.from_spec(args.faults),
-        delta_catalog=not args.no_delta_catalog,
         journal_dir=args.journal,
         journal_compact_every=args.journal_compact_every,
         queue_bound=args.queue_bound,

@@ -64,26 +64,22 @@ class SnapshotCatalogCache:
     delta:
         Serve misses by incrementally refreshing a per-center
         :class:`DeltaCatalog` instead of rebuilding from scratch.  Output
-        is identical either way; ``False`` restores the PR-5 behaviour
-        (used by the bit-identity tests as the control arm).
+        is identical either way; ``False`` rebuilds on every miss (the
+        control arm of the bit-identity tests).
     store:
         Optional persistent store consulted on a center's *first* miss and
         written by :meth:`persist`; ignored when ``delta`` is off.
-    rebuild_fraction:
-        Forwarded to every :class:`DeltaCatalog` this cache creates.
     """
 
     def __init__(
         self,
         delta: bool = True,
         store: Optional[CatalogStore] = None,
-        rebuild_fraction: float = 0.5,
     ) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[str, Tuple[str, Optional[float], VDPSCatalog]] = {}
         self._delta = bool(delta)
         self._store = store
-        self._rebuild_fraction = float(rebuild_fraction)
         self._deltas: Dict[str, DeltaCatalog] = {}
         # Serialises builds/refreshes per center: an abandoned (timed-out)
         # solve may still be fetching a catalog when the retry starts, and
@@ -101,10 +97,6 @@ class SnapshotCatalogCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def delta_enabled(self) -> bool:
-        return self._delta
 
     @property
     def store(self) -> Optional[CatalogStore]:
@@ -297,7 +289,6 @@ class SnapshotCatalogCache:
                         table,
                         layout,
                         epsilon=epsilon,
-                        rebuild_fraction=self._rebuild_fraction,
                     )
                 else:
                     delta.adopt(sub, catalog, table)

@@ -12,11 +12,14 @@ the ROADMAP's production system must:
    the degradation ladder (Section VII-A: centers are independent), with
    catalogs served by the :class:`~repro.service.cache.SnapshotCatalogCache`
    so unchanged centers skip the C-VDPS rebuild.
-3. **Commit** — apply routes exactly like
-   :class:`~repro.sim.platform.DispatchSimulator`: workers go busy until
-   their route completes and reappear at the last drop-off, delivered
-   tasks leave the queue.  ``commit=False`` turns the round into a what-if
-   preview that leaves the world untouched.
+3. **Commit** — apply routes: workers go busy until their route
+   completes and reappear at the last drop-off, delivered tasks leave the
+   queue.  ``commit=False`` turns the round into a what-if preview that
+   leaves the world untouched.
+
+This is the one round loop in the library: the service calls it per
+``POST /dispatch``, and :class:`~repro.sim.platform.DispatchSimulator`
+drives it over a working day of seeded arrivals.
 
 Determinism contract: round ``i`` solves with seed :meth:`round_seed`\\ (i)
 and per-center streams ``"<solver.name>:<center_id>"`` — the exact streams
@@ -126,8 +129,9 @@ LADDER = ("primary", "greedy", "skip")
 class RoundResult:
     """What one dispatch round saw, decided, and (maybe) committed.
 
-    The service analogue of :class:`~repro.sim.platform.RoundRecord`, plus
-    the routes themselves and the round's cache behaviour.
+    :class:`~repro.sim.platform.DispatchSimulator` reports keep one per
+    round too.  The pending-task and available-worker counts are read
+    after the commit.
     """
 
     round_index: int
@@ -212,12 +216,12 @@ class DispatchEngine:
         ``trace=`` field.
     solve_deadline_s:
         Per-center wall-clock budget for each solve attempt, run on its
-        own thread; ``None`` runs every attempt inline.  With
-        ``delta_catalog``, the round's first catalog miss refreshes every
-        stale center in one batch, so that attempt's budget covers the
-        whole batch.  If it times out, a center the abandoned batch still
-        holds builds its catalog on the side within its own budget, so a
-        slow batch degrades only the center whose attempt ran it.
+        own thread; ``None`` runs every attempt inline.  The round's
+        first catalog miss refreshes every stale center in one batch, so
+        that attempt's budget covers the whole batch.  If it times out, a
+        center the abandoned batch still holds builds its catalog on the
+        side within its own budget, so a slow batch degrades only the
+        center whose attempt ran it.
     solve_retries:
         Extra attempts of the *primary* rung after its first failure,
         separated by exponential backoff with seeded jitter.
@@ -234,8 +238,9 @@ class DispatchEngine:
     delta_catalog:
         Serve catalog-cache misses by incremental
         :class:`~repro.vdps.delta.DeltaCatalog` refresh (bit-identical to
-        a rebuild, proven by the differential suites) instead of a cold
-        build.  ``False`` restores the rebuild-per-miss behaviour.
+        a rebuild, proven by the differential suites).  ``False`` rebuilds
+        on every miss; it exists only as the control arm of the delta and
+        batch engine tests, and no serving path sets it.
     catalog_store:
         Optional :class:`~repro.vdps.store.CatalogStore` for warm
         restarts: consulted on each center's first cache miss, written by

@@ -60,8 +60,7 @@ from repro.service.shards.supervisor import (
     ShardSupervisor,
 )
 from repro.service.shards.worker import ShardSpec
-from repro.service.state import Rejection
-from repro.sim.arrivals import TaskArrival
+from repro.service.state import Rejection, TaskArrival
 from repro.utils.log import get_logger
 from repro.utils.rng import RngFactory
 
@@ -341,7 +340,6 @@ class ShardedDispatchEngine:
         solve_retries: int = 1,
         backoff_base_s: float = 0.05,
         faults: Optional[FaultPlan] = None,
-        delta_catalog: bool = True,
         journal_dir=None,
         journal_fsync: bool = True,
         journal_compact_every: Optional[int] = None,
@@ -419,7 +417,6 @@ class ShardedDispatchEngine:
                     solve_retries=solve_retries,
                     backoff_base_s=backoff_base_s,
                     faults=worker_faults,
-                    delta_catalog=delta_catalog,
                     journal_path=segment,
                     journal_fsync=journal_fsync,
                     journal_compact_every=journal_compact_every,

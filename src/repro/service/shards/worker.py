@@ -63,7 +63,6 @@ class ShardSpec:
     solve_retries: int = 1
     backoff_base_s: float = 0.05
     faults: Optional[FaultPlan] = None
-    delta_catalog: bool = True
     journal_path: Optional[str] = None
     journal_fsync: bool = True
     journal_compact_every: Optional[int] = None
@@ -111,7 +110,6 @@ class _ShardService:
             solve_retries=spec.solve_retries,
             backoff_base_s=spec.backoff_base_s,
             faults=spec.faults,
-            delta_catalog=spec.delta_catalog,
         )
 
     # -- RPC handlers -------------------------------------------------------

@@ -1,12 +1,13 @@
 """Mutable world state of the online dispatch service.
 
-The service's analogue of :class:`~repro.sim.platform.DispatchSimulator`'s
-internals, made safe for concurrent churn: distribution centers are a fixed
-layout, while workers and pending tasks arrive and leave through
-thread-safe operations (``POST /tasks``, ``POST /workers``).  All times are
-hours on one logical service clock (``now``); task expiries are *absolute*
-like :class:`~repro.sim.arrivals.TaskArrival`, and each snapshot converts
-them to the relative deadlines (Definition 3) the solvers consume.
+The world every dispatch round reads and commits into, made safe for
+concurrent churn: distribution centers are a fixed layout, while workers
+and pending tasks arrive and leave through thread-safe operations
+(``POST /tasks``, ``POST /workers``, or
+:class:`~repro.sim.platform.DispatchSimulator`'s arrival process).  All
+times are hours on one logical service clock (``now``); task expiries are
+*absolute* (:class:`TaskArrival`), and each snapshot converts them to the
+relative deadlines (Definition 3) the solvers consume.
 
 A :class:`WorldSnapshot` is an immutable, per-round view: the materialised
 :class:`~repro.core.instance.SubProblem` of every active center plus a
@@ -24,6 +25,7 @@ the recovery runbook).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 from contextlib import contextmanager
@@ -38,8 +40,98 @@ from repro.geo.point import Point
 from repro.geo.travel import TravelModel
 from repro.obs.metrics import METRICS
 from repro.service.journal import JournalCorruption, WorldJournal
-from repro.sim.arrivals import TaskArrival
-from repro.sim.workers import WorkerState
+
+
+@dataclass(frozen=True)
+class TaskArrival:
+    """One task landing on the platform.
+
+    ``expiry`` is *absolute* clock time (hours since start), unlike
+    :class:`~repro.core.entities.SpatialTask` whose expiry is relative to
+    the assignment instant; each :meth:`WorldState.snapshot` converts
+    between the two.
+    """
+
+    task_id: str
+    dp_id: str
+    arrival_time: float
+    expiry: float
+    reward: float = 1.0
+
+    def remaining(self, now: float) -> float:
+        """Time left before expiry at ``now`` (may be negative)."""
+        return self.expiry - now
+
+
+@dataclass
+class WorkerState:
+    """Clock-time state of one worker.
+
+    The core entities are immutable; the world tracks each worker's
+    evolving position, availability, and cumulative earnings here and
+    materialises a fresh :class:`~repro.core.entities.Worker` for every
+    snapshot.
+    """
+
+    template: Worker
+    location: Point
+    available_at: float = 0.0
+    earnings: float = 0.0
+    working_hours: float = 0.0
+    deliveries: int = 0
+    assignments: int = 0
+
+    @classmethod
+    def from_worker(cls, worker: Worker) -> "WorkerState":
+        return cls(template=worker, location=worker.location)
+
+    @property
+    def worker_id(self) -> str:
+        return self.template.worker_id
+
+    def is_available(self, now: float) -> bool:
+        """Whether the worker can accept a new route at time ``now``."""
+        return self.template.online and self.available_at <= now
+
+    def snapshot(self) -> Worker:
+        """An immutable Worker at the current location."""
+        return Worker(
+            self.template.worker_id,
+            self.location,
+            self.template.max_delivery_points,
+            self.template.center_id,
+            online=True,
+            speed_kmh=self.template.speed_kmh,
+        )
+
+    def commit_route(
+        self, now: float, completion_time: float, reward: float,
+        deliveries: int, end_location: Point,
+    ) -> None:
+        """Record an accepted route: busy until done, richer afterwards.
+
+        ``completion_time`` is the route's absolute duration from ``now``
+        (the worker-relative arrival time at the final point).
+        """
+        if completion_time < 0:
+            raise ValueError(f"completion_time must be >= 0, got {completion_time}")
+        self.available_at = now + completion_time
+        self.location = end_location
+        self.earnings += reward
+        self.working_hours += completion_time
+        self.deliveries += deliveries
+        self.assignments += 1
+
+    @property
+    def earning_rate(self) -> float:
+        """Cumulative earnings per working hour (0 while never assigned).
+
+        This is the long-run analogue of the paper's per-assignment payoff
+        (reward over travel time).
+        """
+        if self.working_hours <= 0:
+            return 0.0
+        return self.earnings / self.working_hours
 
 
 class _RecordingJournal:
@@ -138,8 +230,7 @@ class WorldState:
     ----------
     centers:
         The fixed layout.  Tasks land on these centers' delivery points;
-        any tasks already attached to the layout are ignored (mirroring
-        :class:`~repro.sim.platform.DispatchSimulator`).
+        any tasks already attached to the layout are ignored.
     workers:
         Optional initial fleet; more can join via :meth:`add_workers`.
     travel:
@@ -282,6 +373,14 @@ class WorldState:
             self.version += 1
             self._maybe_compact()
 
+    def worker_states(self) -> List[WorkerState]:
+        """Copies of every worker's cumulative state, in worker-id order."""
+        with self._lock:
+            return [
+                dataclasses.replace(state)
+                for _, state in sorted(self._workers.items())
+            ]
+
     def worker_stats(self) -> Dict[str, Dict[str, float]]:
         """Cumulative per-worker outcomes (earnings, deliveries, rate)."""
         with self._lock:
@@ -305,7 +404,7 @@ class WorldState:
     ) -> Tuple[List[str], List[Rejection]]:
         """Enqueue tasks; returns ``(accepted ids, rejections)``.
 
-        Each task is a :class:`~repro.sim.arrivals.TaskArrival` or a dict
+        Each task is a :class:`TaskArrival` or a dict
         with ``task_id``, ``dp_id``, ``expiry`` (absolute hours) and an
         optional ``reward``.  Tasks on unknown delivery points, duplicate
         ids, or already-expired deadlines are rejected, not raised: churn
@@ -432,8 +531,8 @@ class WorldState:
     def expire(self) -> List[str]:
         """Drop tasks whose absolute expiry has been reached (``<= now``).
 
-        A task expiring exactly at a round boundary is expired, matching
-        :class:`~repro.sim.platform.DispatchSimulator`'s window rule.
+        A task expiring exactly at a round boundary is expired, never
+        dispatched: the snapshot offers only tasks with ``expiry > now``.
         """
         with self._lock:
             gone = [
@@ -527,7 +626,7 @@ class WorldState:
     def commit(
         self, snapshot: WorldSnapshot, assignments: Mapping[str, Assignment]
     ) -> int:
-        """Apply a round's routes the way the batch simulator does.
+        """Apply a round's routes to the world.
 
         Assigned workers go busy until their route completes and reappear
         at their last drop-off; the delivered delivery points' tasks leave

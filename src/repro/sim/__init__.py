@@ -5,20 +5,29 @@ available tasks and workers at a particular time instance").  A deployed
 platform loops that decision: tasks arrive continuously, workers go
 offline while delivering and return at their last drop-off point, and the
 long-run fairness a worker experiences is over *cumulative* earnings.
-This package provides that loop so the one-shot algorithms can be compared
-on the horizon that actually matters for worker retention.
+This package drives the dispatch service's round loop
+(:class:`~repro.service.engine.DispatchEngine`) over seeded arrivals so
+the one-shot algorithms can be compared on the horizon that actually
+matters for worker retention.
 """
 
+from repro.service.state import WorkerState
 from repro.sim.arrivals import PoissonTaskArrivals, TaskArrival
-from repro.sim.platform import DispatchSimulator, RoundRecord, SimConfig, SimReport
-from repro.sim.workers import WorkerState
+from repro.sim.platform import DispatchSimulator, SimConfig, SimReport
+from repro.sim.scenarios import (
+    SCENARIOS,
+    EquityScenario,
+    bursty_arrivals,
+    churn_heavy,
+    get_scenario,
+    unlucky_worker,
+)
 
 __all__ = [
     "TaskArrival",
     "PoissonTaskArrivals",
     "SimConfig",
     "DispatchSimulator",
-    "RoundRecord",
     "SimReport",
     "WorkerState",
     "EquityScenario",
@@ -28,23 +37,3 @@ __all__ = [
     "get_scenario",
     "unlucky_worker",
 ]
-
-_SCENARIO_EXPORTS = (
-    "EquityScenario",
-    "SCENARIOS",
-    "bursty_arrivals",
-    "churn_heavy",
-    "get_scenario",
-    "unlucky_worker",
-)
-
-
-def __getattr__(name: str):
-    # repro.sim.scenarios builds WorldState worlds, and the service layer
-    # imports this package's arrivals/workers modules; loading the
-    # scenarios lazily keeps that cycle open.
-    if name in _SCENARIO_EXPORTS:
-        from repro.sim import scenarios
-
-        return getattr(scenarios, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -3,38 +3,22 @@
 Arrivals follow a Poisson process in time; each arrival lands on a
 delivery point drawn from a (optionally weighted) categorical distribution
 over the center's points and carries an absolute expiry drawn uniformly
-from a patience window.
+from a patience window.  Each arrival is a
+:class:`~repro.service.state.TaskArrival`, the record the dispatch world
+queues (re-exported here).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.entities import DeliveryPoint
+from repro.service.state import TaskArrival
 from repro.utils.rng import SeedLike, ensure_rng
 
-
-@dataclass(frozen=True)
-class TaskArrival:
-    """One task landing on the platform.
-
-    ``expiry`` is *absolute* simulation time (hours since start), unlike
-    :class:`~repro.core.entities.SpatialTask` whose expiry is relative to
-    the assignment instant; the simulator converts between the two.
-    """
-
-    task_id: str
-    dp_id: str
-    arrival_time: float
-    expiry: float
-    reward: float = 1.0
-
-    def remaining(self, now: float) -> float:
-        """Time left before expiry at ``now`` (may be negative)."""
-        return self.expiry - now
+__all__ = ["PoissonTaskArrivals", "TaskArrival"]
 
 
 class PoissonTaskArrivals:

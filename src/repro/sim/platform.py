@@ -1,26 +1,26 @@
-"""The dispatch loop: repeated one-shot FTA solves over a working day.
+"""Long-run dispatch: the service's round loop over a working day.
 
-Every ``round_interval`` hours the platform snapshots its pending tasks
-and available workers, builds a relative-deadline
-:class:`~repro.core.instance.SubProblem`, hands it to the configured
-one-shot solver, and commits the resulting routes: assigned tasks leave
-the queue, workers go offline until their route completes (and reappear at
-their last drop-off point), and unassigned tasks either wait for the next
-round or expire.
+Every ``round_interval`` hours :class:`DispatchSimulator` advances a
+:class:`~repro.service.state.WorldState` to the round boundary and runs one
+:meth:`~repro.service.engine.DispatchEngine.dispatch` round over it — the
+same snapshot, catalog, solve and commit the dispatch service runs, so
+assigned tasks leave the queue, workers go offline until their route
+completes (and reappear at their last drop-off point), and unassigned
+tasks wait for the next round or expire.  Arrivals drawn for the window
+after a boundary queue for the next decision.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
-from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, Worker
-from repro.core.instance import SubProblem
+from repro.core.entities import DistributionCenter, Worker
 from repro.core.payoff import average_payoff, payoff_difference
 from repro.geo.travel import TravelModel
-from repro.sim.arrivals import PoissonTaskArrivals, TaskArrival
-from repro.sim.workers import WorkerState
-from repro.vdps.catalog import build_catalog
+from repro.service.engine import DispatchEngine, RoundResult
+from repro.service.state import WorkerState, WorldState
+from repro.sim.arrivals import PoissonTaskArrivals
 from repro.utils.rng import RngFactory, SeedLike
 from repro.utils.validation import require_positive
 
@@ -40,24 +40,11 @@ class SimConfig:
             raise ValueError("round_interval_hours must not exceed horizon_hours")
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What one dispatch round saw and decided."""
-
-    time: float
-    pending_tasks: int
-    available_workers: int
-    assigned_tasks: int
-    expired_tasks: int
-    payoff_difference: float
-    average_payoff: float
-
-
 @dataclass
 class SimReport:
     """Full outcome of a simulation run."""
 
-    rounds: List[RoundRecord]
+    rounds: List[RoundResult]
     worker_states: List[WorkerState]
     arrived_tasks: int
     completed_tasks: int
@@ -95,7 +82,7 @@ class SimReport:
 
 
 class DispatchSimulator:
-    """Runs the repeated-dispatch loop for one distribution center.
+    """Drives the dispatch engine over one distribution center's day.
 
     Parameters
     ----------
@@ -104,7 +91,7 @@ class DispatchSimulator:
         land; any tasks already attached are ignored.
     workers:
         The worker fleet (initial locations; ``maxDP`` etc. from the
-        entities).
+        entities), each attached to ``center`` or to no center.
     arrivals:
         The task arrival process.
     solver:
@@ -124,136 +111,50 @@ class DispatchSimulator:
         travel: Optional[TravelModel] = None,
         config: SimConfig = SimConfig(),
     ) -> None:
-        self._layout = {dp.dp_id: dp for dp in center.delivery_points}
-        if not self._layout:
+        if not center.delivery_points:
             raise ValueError("simulation needs a center with delivery points")
         self._center = center
-        self._workers = [WorkerState.from_worker(w) for w in workers]
+        self._workers = list(workers)
         self._arrivals = arrivals
         self._solver = solver
         self._travel = travel if travel is not None else TravelModel()
         self._config = config
 
     def run(self, seed: SeedLike = None) -> SimReport:
-        """Simulate the configured horizon; deterministic in ``seed``."""
+        """Simulate the configured horizon; deterministic in ``seed``.
+
+        Round ``i`` dispatches at exactly ``i * round_interval_hours``
+        (each advance is the exact difference of two boundaries) with the
+        engine's solve seed ``round_seed(i)``.
+        """
         rng_factory = RngFactory(seed)
         config = self._config
-        pending: List[TaskArrival] = []
-        rounds: List[RoundRecord] = []
-        arrived = completed = expired_total = 0
-
-        n_rounds = int(config.horizon_hours / config.round_interval_hours)
-        for round_idx in range(n_rounds):
-            now = round_idx * config.round_interval_hours
-            window_end = now + config.round_interval_hours
+        interval = config.round_interval_hours
+        world = WorldState([self._center], self._workers, self._travel)
+        engine = DispatchEngine(
+            world, self._solver, epsilon=config.epsilon, seed=seed
+        )
+        rounds: List[RoundResult] = []
+        arrived = 0
+        for i in range(int(config.horizon_hours / interval)):
             new_tasks = self._arrivals.between(
-                now, window_end, seed=rng_factory.get(f"arrivals:{round_idx}")
+                i * interval,
+                (i + 1) * interval,
+                seed=rng_factory.get(f"arrivals:{i}"),
             )
-            # Arrivals within the window queue for the *next* decision; the
-            # decision at `now` sees what had arrived before it.
-            still_valid = [t for t in pending if t.expiry > now]
-            expired = len(pending) - len(still_valid)
-            expired_total += expired
-            pending = still_valid
-            arrived += len(new_tasks)
-
-            assigned_count, payoffs = self._dispatch_round(
-                now, pending, rng_factory.get(f"solve:{round_idx}")
-            )
-            completed += assigned_count
             rounds.append(
-                RoundRecord(
-                    time=now,
-                    pending_tasks=len(pending) + assigned_count,
-                    available_workers=sum(
-                        1 for w in self._workers if w.is_available(now)
-                    ),
-                    assigned_tasks=assigned_count,
-                    expired_tasks=expired,
-                    payoff_difference=payoff_difference(payoffs),
-                    average_payoff=average_payoff(payoffs),
-                )
+                engine.dispatch(advance_hours=i * interval - world.now)
             )
-            pending.extend(new_tasks)
-
-        expired_total += sum(1 for t in pending if t.expiry <= config.horizon_hours)
+            rejected = world.add_tasks(new_tasks)[1]
+            if rejected:
+                raise ValueError(rejected[0].reason)
+            arrived += len(new_tasks)
+        world.advance(config.horizon_hours - world.now)
         return SimReport(
             rounds=rounds,
-            worker_states=list(self._workers),
+            worker_states=world.worker_states(),
             arrived_tasks=arrived,
-            completed_tasks=completed,
-            expired_tasks=expired_total,
+            completed_tasks=sum(r.assigned_tasks for r in rounds),
+            expired_tasks=sum(r.expired_tasks for r in rounds)
+            + len(world.expire()),
         )
-
-    # -- internals ----------------------------------------------------------
-
-    def _dispatch_round(self, now, pending: List[TaskArrival], rng):
-        """Solve one instant; mutate worker/pending state; return stats."""
-        available = [w for w in self._workers if w.is_available(now)]
-        if not available or not pending:
-            return 0, []
-
-        delivery_points = self._materialise_points(now, pending)
-        if not delivery_points:
-            return 0, []
-        center = DistributionCenter(
-            self._center.center_id, self._center.location, tuple(delivery_points)
-        )
-        sub = SubProblem(
-            center, tuple(w.snapshot() for w in available), self._travel
-        )
-        catalog = build_catalog(sub, epsilon=self._config.epsilon)
-        result = self._solver.solve(sub, catalog=catalog, seed=rng)
-
-        by_id = {w.worker_id: w for w in available}
-        assigned_tasks = 0
-        assigned_dp_ids = set()
-        payoffs = []
-        for pair in result.assignment:
-            payoffs.append(pair.payoff)
-            if pair.route is None or len(pair.route) == 0:
-                continue
-            state = by_id[pair.worker.worker_id]
-            state.commit_route(
-                now,
-                completion_time=pair.route.completion_time,
-                reward=pair.route.total_reward,
-                deliveries=pair.task_count,
-                end_location=pair.route.sequence[-1].location,
-            )
-            assigned_tasks += pair.task_count
-            assigned_dp_ids.update(pair.delivery_point_ids)
-        pending[:] = [t for t in pending if t.dp_id not in assigned_dp_ids]
-        return assigned_tasks, payoffs
-
-    def _materialise_points(
-        self, now: float, pending: Sequence[TaskArrival]
-    ) -> List[DeliveryPoint]:
-        """Group pending tasks into relative-deadline delivery points.
-
-        Tasks that could not be reached even by a worker already standing
-        at the center are *hopeless*: under Definition 6 their (minimal)
-        expiry would make the whole delivery point infeasible for everyone,
-        so they are excluded from the offered points and left to expire in
-        the queue.
-        """
-        tasks_by_dp: Dict[str, List[SpatialTask]] = {}
-        for arrival in pending:
-            remaining = arrival.remaining(now)
-            if remaining <= 0:
-                continue
-            dp = self._layout[arrival.dp_id]
-            if remaining <= self._travel.time(self._center.location, dp.location):
-                continue  # hopeless even from the center
-            tasks_by_dp.setdefault(arrival.dp_id, []).append(
-                SpatialTask(
-                    task_id=arrival.task_id,
-                    delivery_point_id=arrival.dp_id,
-                    expiry=remaining,
-                    reward=arrival.reward,
-                )
-            )
-        return [
-            self._layout[dp_id].with_tasks(tuple(tasks))
-            for dp_id, tasks in sorted(tasks_by_dp.items())
-        ]

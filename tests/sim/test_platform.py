@@ -6,9 +6,12 @@ from repro.baselines.gta import GTASolver
 from repro.games.iegt import IEGTSolver
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
+from repro.parallel import solve_instance
+from repro.service.engine import DispatchEngine
+from repro.service.state import WorldState
 from repro.sim.arrivals import PoissonTaskArrivals, TaskArrival
+from repro.sim import WorkerState
 from repro.sim.platform import DispatchSimulator, SimConfig
-from repro.sim.workers import WorkerState
 
 from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
 
@@ -53,6 +56,73 @@ def _simulator(solver=None, n_workers=4, rate=25.0, **config_kwargs):
         travel=TravelModel(),  # paper speed: 5 km/h
         config=config,
     )
+
+
+#: ``_simulator(solver=GTASolver()).run(seed)`` outcomes recorded from the
+#: simulator's own round loop, before it drove the dispatch engine:
+#: ``(describe(), vanished, {worker: (earnings, deliveries, location)})``.
+#: That loop deleted every queued task on a delivered point, including the
+#: hopeless ones the round never offered; those ``vanished`` tasks were
+#: neither completed nor expired.  The world's commit removes only offered
+#: tasks, so the engine's loop counts them as expired when their deadline
+#: passes and must otherwise reproduce the record exactly.
+PINNED_GTA_OUTCOMES = {
+    0: (
+        "rounds=8 arrived=91 completed=69 expired=3 completion=75.8% "
+        "cumP_dif=3.4031 cumAvgP=6.7889",
+        1,
+        {
+            "w0": (28.0, 28, (-1.0, 0.5)),
+            "w1": (8.0, 8, (0.5, 1.5)),
+            "w2": (14.0, 14, (1.0, 0.0)),
+            "w3": (19.0, 19, (-0.5, -1.0)),
+        },
+    ),
+    1: (
+        "rounds=8 arrived=101 completed=76 expired=2 completion=75.2% "
+        "cumP_dif=3.9583 cumAvgP=7.9183",
+        2,
+        {
+            "w0": (30.0, 30, (0.5, 1.5)),
+            "w1": (11.0, 11, (1.0, 0.0)),
+            "w2": (8.0, 8, (0.5, 1.5)),
+            "w3": (27.0, 27, (-0.5, -1.0)),
+        },
+    ),
+    2: (
+        "rounds=8 arrived=86 completed=62 expired=9 completion=72.1% "
+        "cumP_dif=2.9729 cumAvgP=6.7339",
+        0,
+        {
+            "w0": (27.0, 27, (1.0, 0.0)),
+            "w1": (15.0, 15, (-1.0, 0.5)),
+            "w2": (7.0, 7, (-0.5, -1.0)),
+            "w3": (13.0, 13, (-1.0, 0.5)),
+        },
+    ),
+    3: (
+        "rounds=8 arrived=109 completed=79 expired=5 completion=72.5% "
+        "cumP_dif=3.3572 cumAvgP=9.3938",
+        3,
+        {
+            "w0": (23.0, 23, (0.5, 1.5)),
+            "w1": (18.0, 18, (1.0, 0.0)),
+            "w2": (17.0, 17, (-1.0, 0.5)),
+            "w3": (21.0, 21, (0.5, 1.5)),
+        },
+    ),
+    4: (
+        "rounds=8 arrived=98 completed=56 expired=26 completion=57.1% "
+        "cumP_dif=4.1591 cumAvgP=7.2440",
+        0,
+        {
+            "w0": (22.0, 22, (1.0, 0.0)),
+            "w1": (18.0, 18, (0.5, 1.5)),
+            "w2": (10.0, 10, (0.5, 1.5)),
+            "w3": (6.0, 6, (1.0, 0.0)),
+        },
+    ),
+}
 
 
 class TestSimConfig:
@@ -112,6 +182,63 @@ class TestDispatchSimulator:
         assert [w.earnings for w in a.worker_states] == [
             w.earnings for w in b.worker_states
         ]
+
+    @pytest.mark.parametrize("seed", sorted(PINNED_GTA_OUTCOMES))
+    def test_gta_outcomes_pinned(self, seed):
+        describe, vanished, workers = PINNED_GTA_OUTCOMES[seed]
+        report = _simulator(solver=GTASolver()).run(seed=seed)
+        expired = int(describe.split("expired=")[1].split()[0])
+        assert report.expired_tasks == expired + vanished
+        assert report.describe() == describe.replace(
+            f"expired={expired} ", f"expired={report.expired_tasks} "
+        )
+        assert {
+            w.worker_id: (w.earnings, w.deliveries, (w.location.x, w.location.y))
+            for w in report.worker_states
+        } == workers
+
+    def test_rounds_replay_offline(self, monkeypatch):
+        # The simulator inherits the engine's fidelity contract: every
+        # round's routes and payoffs equal an offline solve of the round's
+        # snapshot with the engine's round seed.
+        snapshots, engines = [], []
+        take_snapshot = WorldState.snapshot
+        dispatch = DispatchEngine.dispatch
+
+        def recording_snapshot(world):
+            snapshots.append(take_snapshot(world))
+            return snapshots[-1]
+
+        def recording_dispatch(engine, *args, **kwargs):
+            engines.append(engine)
+            return dispatch(engine, *args, **kwargs)
+
+        monkeypatch.setattr(WorldState, "snapshot", recording_snapshot)
+        monkeypatch.setattr(DispatchEngine, "dispatch", recording_dispatch)
+        solver = IEGTSolver()
+        report = _simulator(solver=solver).run(seed=3)
+        assert len(snapshots) == len(engines) == len(report.rounds)
+        replayed = 0
+        for i, (snapshot, result) in enumerate(zip(snapshots, report.rounds)):
+            if not snapshot.subproblems:
+                assert not result.assignments and not result.payoffs
+                continue
+            solution = solve_instance(
+                snapshot.instance(),
+                solver,
+                seed=engines[i].round_seed(i),
+                seed_stream=solver.name,
+            )
+            assert result.assignments == {
+                cid: dict(a.as_mapping()) for cid, a in solution.assignments.items()
+            }
+            assert result.payoffs == {
+                pair.worker.worker_id: pair.payoff
+                for a in solution.assignments.values()
+                for pair in a
+            }
+            replayed += 1
+        assert replayed > 0
 
     def test_seeds_differ(self):
         a = _simulator().run(seed=1)
