@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Optional
 
 import numpy as np
@@ -23,8 +24,13 @@ from repro.core.fairness import (
 )
 from repro.core.instance import SubProblem
 from repro.core.priority import PriorityModel
-from repro.games.base import GameResult, GameState, random_initial_state
-from repro.games.potential import IAUEvaluator, potential_value, sequential_best
+from repro.games.base import SCAN_MAX, GameResult, GameState, random_initial_state
+from repro.games.potential import (
+    iau_scores,
+    iau_utilities,
+    potential_value,
+    sequential_best,
+)
 from repro.games.trace import ConvergenceTrace
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NullTracer, resolve_tracer
@@ -182,11 +188,15 @@ class FGTSolver:
         model = InequityAversion(self.alpha, self.beta)
         rng = ensure_rng(seed)
         state = random_initial_state(catalog, rng)
-        trace = ConvergenceTrace()
         scales = self._utility_scales(state)
         base = self._equity_base(state)
         if base is not None:
             model = equity_model(model, self.equity_strength)
+
+        def potential_of(payoffs: np.ndarray) -> float:
+            return potential_value(_effective(payoffs, scales, base), model)
+
+        trace = ConvergenceTrace(potential_of)
         verifier: NullVerifier = NULL_VERIFIER
         if verification_enabled(self.verify):
             verifier = PotentialGameVerifier(
@@ -216,9 +226,14 @@ class FGTSolver:
         rounds = 0
         total_switches = 0
         stall = 0
-        last_potential = potential_value(
-            _effective(state.payoffs(), scales, base), model
+        # The potential is read during the solve only by the verifier, the
+        # tracer and early stop; otherwise the trace derives it on demand.
+        eager = (
+            verifier.enabled
+            or tracer.enabled
+            or self.early_stop_patience is not None
         )
+        last_potential = potential_of(state.payoffs()) if eager else None
         # Vectorized-filter batch statistics, flushed to METRICS once per
         # solve: [batches, strategies screened, candidates surviving].
         batch_stats = [0, 0, 0]
@@ -233,7 +248,7 @@ class FGTSolver:
                 )
                 total_switches += switches
                 payoffs = state.payoffs()
-                potential = potential_value(_effective(payoffs, scales, base), model)
+                potential = potential_of(payoffs) if eager else None
                 if self.trace_granularity == "round":
                     trace.record(rounds, payoffs, switches, potential)
                 verifier.on_round(rounds, payoffs, potential, switches)
@@ -326,10 +341,12 @@ class FGTSolver:
         Each worker in turn switches to the available VDPS (or null) with
         maximal IAU, if that beats its current utility by more than
         ``tol``.  Availability is one ``masks & claimed`` pass over the
-        catalog index, all candidate IAUs are evaluated in one
-        ``np.searchsorted`` batch, and the scaled payoff vector is
+        catalog index; the IAUs of null, of the current strategy and of
+        every available one are evaluated in one sorted-others/prefix-sum
+        batch (:func:`iau_utilities`); the scaled payoff vector is
         maintained incrementally (the focal entry is masked out via slice
-        copies into a reusable buffer).  The winning candidate is chosen by
+        copies into a reusable buffer); and a switch is made by position,
+        building no strategy object.  The winning candidate is chosen by
         :func:`sequential_best`, which replays the per-candidate
         tol-thresholded accept scan exactly.  When several available
         strategies share the accepted best utility *exactly*, one is drawn
@@ -344,55 +361,80 @@ class FGTSolver:
         """
         switches = 0
         payoffs = state.payoffs()
-        scaled = _effective(payoffs, scales, base)
-        n = payoffs.size
-        others = np.empty(n - 1 if n else 0, dtype=np.float64)
-        catalog = state.catalog
-        index = catalog.index
+        scaled = _effective(payoffs, scales, base).tolist()
+        unit = self.priorities is None and base is None
         for idx, worker in enumerate(state.workers):
             wid = worker.worker_id
-            others[:idx] = scaled[:idx]
-            others[idx:] = scaled[idx + 1 :]
-            evaluator = IAUEvaluator(others, model)
-            current = state.strategy_of(wid)
-            # Position of the best available strategy; -1 is null.  The
-            # strategy object is built only if the worker switches to it.
-            best_pos = -1
+            wi = state.indexes[idx]
+            others = scaled[:idx] + scaled[idx + 1 :]
+            others.sort()
+            prefix = [0.0, *accumulate(others)]
+            # One IAU evaluation per visit: null, current, then every
+            # available strategy, in catalog order.
             null_value = (
                 NULL_STRATEGY.payoff
                 if base is None
                 else NULL_STRATEGY.payoff * scales[idx] + base[idx]
             )
-            best_utility = evaluator.utility(null_value)
-            available = state.available_strategy_indices(wid)
+            if wi.n_strategies <= SCAN_MAX:
+                available = state.open_positions(idx)
+                if unit:
+                    # Unit scales: ``payoff * 1.0`` is the payoff itself.
+                    worker_values = wi.payoff_list
+                else:
+                    worker_values = _effective(
+                        wi.payoffs, scales[idx], None if base is None else base[idx]
+                    ).tolist()
+                values = [null_value, scaled[idx]]
+                values += map(worker_values.__getitem__, available)
+                utilities = iau_scores(others, prefix, values, model)
+                candidates = utilities[2:]
+            else:
+                available = state.available(idx)
+                values = np.empty(available.size + 2, dtype=np.float64)
+                values[0] = null_value
+                values[1] = scaled[idx]
+                values[2:] = (
+                    wi.payoffs[available]
+                    if unit
+                    else _effective(
+                        wi.payoffs[available],
+                        scales[idx],
+                        None if base is None else base[idx],
+                    )
+                )
+                scores = iau_utilities(
+                    np.array(others), np.array(prefix), values, model
+                )
+                candidates = scores[2:]
+                utilities = scores[:2].tolist()
+            n_available = len(available)
             batch_stats[0] += 1
-            batch_stats[1] += index.worker(wid).n_strategies
-            batch_stats[2] += int(available.size)
-            if available.size:
-                candidates = index.worker(wid).payoffs[available] * scales[idx]
-                if base is not None:
-                    candidates = candidates + base[idx]
-                utilities = evaluator.utilities(candidates)
-                pos, accepted = sequential_best(utilities, best_utility, self.tol)
+            batch_stats[1] += wi.n_strategies
+            batch_stats[2] += n_available
+            best_utility, current_utility = utilities[0], utilities[1]
+            # Position of the best available strategy; -1 is null.
+            best_pos = -1
+            if n_available:
+                pos, accepted = sequential_best(candidates, best_utility, self.tol)
                 if pos >= 0:
                     best_utility = accepted
-                    ties = np.flatnonzero(utilities == accepted)
-                    if ties.size > 1:
-                        pos = int(ties[int(rng.integers(ties.size))])
+                    if isinstance(candidates, list):
+                        ties = [i for i, u in enumerate(candidates) if u == accepted]
+                    else:
+                        ties = np.flatnonzero(candidates == accepted)
+                    if len(ties) > 1:
+                        pos = int(ties[int(rng.integers(len(ties)))])
                     best_pos = int(available[pos])
-            current_value = current.payoff * scales[idx]
-            if base is not None:
-                current_value = current_value + base[idx]
-            current_utility = evaluator.utility(current_value)
             switched = 0
             if best_utility > current_utility + self.tol:
                 verifier.on_switch(wid, round_index, current_utility, best_utility)
-                if best_pos < 0:
-                    best_strategy = NULL_STRATEGY
-                    state.set_strategy(wid, best_strategy)
-                else:
-                    best_strategy = catalog.strategies(wid)[best_pos]
-                    state.set_strategy(wid, best_strategy, best_pos)
+                state.switch(idx, best_pos)
+                payoff = (
+                    NULL_STRATEGY.payoff
+                    if best_pos < 0
+                    else float(wi.payoffs[best_pos])
+                )
                 if tracer.enabled:
                     tracer.event(
                         "fgt.switch",
@@ -400,17 +442,17 @@ class FGTSolver:
                         round=round_index,
                         utility_before=current_utility,
                         utility_after=best_utility,
-                        payoff=best_strategy.payoff,
+                        payoff=payoff,
                     )
-                payoffs[idx] = best_strategy.payoff
-                value = best_strategy.payoff * scales[idx]
-                scaled[idx] = value if base is None else value + base[idx]
+                payoffs[idx] = payoff
+                value = payoff * scales[idx]
+                scaled[idx] = float(value if base is None else value + base[idx])
                 switches += 1
                 switched = 1
             if self.trace_granularity == "update":
                 trace.record(
                     len(trace) + 1,
-                    payoffs,
+                    payoffs.copy(),
                     switched,
                     potential_value(scaled, model),
                 )

@@ -19,7 +19,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from repro.core.instance import SubProblem
-from repro.games.base import GameResult, GameState, random_initial_state
+from repro.games.base import SCAN_MAX, GameResult, GameState, random_initial_state
 from repro.games.trace import ConvergenceTrace
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import resolve_tracer
@@ -146,7 +146,7 @@ class IEGTSolver:
             catalog = build_catalog(sub, epsilon=self.epsilon, tracer=tracer)
         rng = ensure_rng(seed)
         state = random_initial_state(catalog, rng)
-        trace = ConvergenceTrace()
+        trace = ConvergenceTrace(_total_payoff)
         base = self._equity_base(state)
         verifier: NullVerifier = NULL_VERIFIER
         if verification_enabled(self.verify):
@@ -169,7 +169,15 @@ class IEGTSolver:
         rounds = 0
         total_switches = 0
         stall = 0
-        last_total = float(state.payoffs().sum())
+        # The total payoff is read during the solve only by the verifier,
+        # the tracer and early stop; otherwise the trace derives it on
+        # demand.
+        eager = (
+            verifier.enabled
+            or tracer.enabled
+            or self.early_stop_patience is not None
+        )
+        last_total = _total_payoff(state.payoffs()) if eager else None
         # Vectorized-filter batch statistics, flushed to METRICS once per
         # solve: [batches, strategies screened, candidates surviving].
         batch_stats = [0, 0, 0]
@@ -192,10 +200,11 @@ class IEGTSolver:
                         old_payoff = payoffs[idx]
                         old_effective = effective[idx]
                         switched = self._evolve(
-                            state, worker.worker_id, rng, batch_stats
+                            state, idx, old_payoff, rng, batch_stats
                         )
                         if switched:
-                            new_payoff = state.strategy_of(worker.worker_id).payoff
+                            payoffs = state.payoffs()
+                            new_payoff = float(payoffs[idx])
                             verifier.on_switch(
                                 worker.worker_id,
                                 rounds,
@@ -214,7 +223,6 @@ class IEGTSolver:
                                     mean_payoff=mean_payoff,
                                 )
                             switches += 1
-                            payoffs = state.payoffs()
                             effective = (
                                 payoffs if base is None else payoffs + base
                             )
@@ -226,20 +234,19 @@ class IEGTSolver:
                             len(trace) + 1,
                             payoffs,
                             int(switched),
-                            potential=float(payoffs.sum()),
+                            potential=_total_payoff(payoffs),
                         )
                 total_switches += switches
+                total = _total_payoff(payoffs) if eager else None
                 if self.trace_granularity == "round":
-                    trace.record(
-                        rounds, payoffs, switches, potential=float(payoffs.sum())
-                    )
-                verifier.on_round(rounds, payoffs, float(payoffs.sum()), switches)
+                    trace.record(rounds, payoffs, switches, potential=total)
+                verifier.on_round(rounds, payoffs, total, switches)
                 if tracer.enabled:
                     tracer.event(
                         "iegt.round",
                         round=rounds,
                         switches=switches,
-                        total_payoff=float(payoffs.sum()),
+                        total_payoff=total,
                         mean_payoff=mean_payoff,
                     )
                 stop = (
@@ -250,7 +257,6 @@ class IEGTSolver:
                 if stop:
                     converged = True
                     break
-                total = float(payoffs.sum())
                 if self.early_stop_patience is not None:
                     if total - last_total < self.early_stop_tol:
                         stall += 1
@@ -300,30 +306,39 @@ class IEGTSolver:
     def _evolve(
         self,
         state: GameState,
-        worker_id: str,
+        k: int,
+        current_payoff: float,
         rng: np.random.Generator,
         batch_stats: list,
     ) -> bool:
-        """Switch ``worker_id`` to a random strictly-better available VDPS.
+        """Switch worker ``k`` (catalog order), whose payoff is
+        ``current_payoff``, to a random strictly-better available VDPS.
 
         Returns whether a switch happened (Algorithm 3, lines 22-25).
         Availability and the strictly-better filter run as two vectorized
         passes over the catalog index that preserve catalog order, so the
         candidate pool, the rng draw and the chosen strategy are those of
         :class:`repro.oracle.ScalarIEGTSolver`'s per-strategy reference
-        loop.
+        loop.  The switch is made by position, building no object.
         """
-        current_payoff = state.strategy_of(worker_id).payoff
-        wi = state.catalog.index.worker(worker_id)
-        available = state.available_strategy_indices(worker_id)
+        wi = state.indexes[k]
+        floor = current_payoff + self.tol
+        if wi.n_strategies <= SCAN_MAX:
+            available = state.open_positions(k)
+            payoffs = wi.payoff_list
+            better = [p for p in available if payoffs[p] > floor]
+        else:
+            available = state.available(k)
+            better = available[wi.payoffs[available] > floor]
         batch_stats[0] += 1
         batch_stats[1] += wi.n_strategies
-        batch_stats[2] += int(available.size)
-        better = available[wi.payoffs[available] > current_payoff + self.tol]
-        if not better.size:
+        batch_stats[2] += len(available)
+        if not len(better):
             return False
-        pick = int(better[int(rng.integers(0, better.size))])
-        state.set_strategy(
-            worker_id, state.catalog.strategies(worker_id)[pick], pick
-        )
+        state.switch(k, int(better[int(rng.integers(0, len(better)))]))
         return True
+
+
+def _total_payoff(payoffs: np.ndarray) -> float:
+    """IEGT's trace potential: the population's total payoff."""
+    return float(payoffs.sum())

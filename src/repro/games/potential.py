@@ -10,11 +10,64 @@ O(|W| (|W| log |W| + |ST| log |W|)).
 from __future__ import annotations
 
 import bisect
-from typing import Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.fairness import InequityAversion
+
+
+def iau_utilities(
+    sorted_others: np.ndarray,
+    prefix: np.ndarray,
+    own_payoffs: np.ndarray,
+    model: InequityAversion,
+) -> np.ndarray:
+    """IAU of the focal worker for each candidate payoff in ``own_payoffs``.
+
+    ``sorted_others`` are the other workers' payoffs, sorted, and
+    ``prefix`` their prefix sums from 0.  One ``np.searchsorted`` plus
+    prefix-sum arithmetic over the batch; every operation mirrors the
+    scalar formula (:meth:`IAUEvaluator.utility`) in the same order on the
+    same float64 values, so each element is bit-identical to it.
+    """
+    n_others = sorted_others.size
+    if n_others == 0:
+        return own_payoffs.astype(float, copy=True)
+    k = np.searchsorted(sorted_others, own_payoffs, side="right")
+    below = prefix[k]
+    above = prefix[-1] - below
+    lp = own_payoffs * k - below
+    mp = above - own_payoffs * (n_others - k)
+    return own_payoffs - (model.alpha * mp + model.beta * lp) / n_others
+
+
+def iau_scores(
+    sorted_others: List[float],
+    prefix: List[float],
+    own_payoffs: Iterable[float],
+    model: InequityAversion,
+) -> List[float]:
+    """:func:`iau_utilities` in plain Python floats, for short inputs.
+
+    ``sorted_others`` and ``prefix`` are the sorted other payoffs and their
+    prefix sums from 0 as lists (``np.cumsum`` accumulates left to right,
+    as :func:`itertools.accumulate` does).  Each value is computed by the
+    scalar formula of :meth:`IAUEvaluator.utility`, operation for
+    operation, so it is bit-identical to :func:`iau_utilities`.
+    """
+    n_others = len(sorted_others)
+    if n_others == 0:
+        return [float(value) for value in own_payoffs]
+    alpha, beta, total = model.alpha, model.beta, prefix[-1]
+    out = []
+    for value in own_payoffs:
+        k = bisect.bisect_right(sorted_others, value)
+        below = prefix[k]
+        lp = value * k - below
+        mp = (total - below) - value * (n_others - k)
+        out.append(value - (alpha * mp + beta * lp) / n_others)
+    return out
 
 
 class IAUEvaluator:
@@ -54,24 +107,16 @@ class IAUEvaluator:
         )
 
     def utilities(self, own_payoffs: Sequence[float]) -> np.ndarray:
-        """IAU for a whole vector of candidate payoffs in one pass.
-
-        One ``np.searchsorted`` plus prefix-sum arithmetic over the batch.
-        Every operation mirrors :meth:`utility` in the same order on the
-        same float64 values, so each element is bit-identical to the scalar
-        call — the property the vectorized best-response engine's
-        bit-for-bit replay guarantee rests on.
-        """
-        values = np.asarray(own_payoffs, dtype=float)
-        n_others = self._n_others
-        if n_others == 0:
-            return values.astype(float, copy=True)
-        k = np.searchsorted(self._sorted, values, side="right")
-        below = self._prefix[k]
-        above = self._prefix[-1] - below
-        lp = values * k - below
-        mp = above - values * (n_others - k)
-        return values - (self._model.alpha * mp + self._model.beta * lp) / n_others
+        """IAU for a whole vector of candidate payoffs in one pass
+        (:func:`iau_utilities`), each element bit-identical to
+        :meth:`utility` — the property the vectorized best-response
+        engine's bit-for-bit replay guarantee rests on."""
+        return iau_utilities(
+            self._sorted,
+            self._prefix,
+            np.asarray(own_payoffs, dtype=float),
+            self._model,
+        )
 
 
 def potential_value(payoffs: Sequence[float], model: InequityAversion) -> float:
@@ -93,8 +138,15 @@ def sequential_best(
     Python-level loop over every candidate.
 
     Returns ``(position, best_utility)`` where ``position`` is -1 when no
-    candidate was accepted (the baseline stands).
+    candidate was accepted (the baseline stands).  A plain list (from
+    :func:`iau_scores`) is scanned one candidate at a time.
     """
+    if isinstance(utilities, list):
+        best, best_pos = baseline, -1
+        for pos, utility in enumerate(utilities):
+            if utility > best + tol:
+                best, best_pos = utility, pos
+        return best_pos, best
     best = baseline
     best_pos = -1
     start = 0
@@ -166,11 +218,8 @@ def is_pure_nash(
     factors = np.ones(payoffs.size) if scales is None else np.asarray(scales)
     base = None if offsets is None else np.asarray(offsets, dtype=float)
     scaled = payoffs * factors if base is None else payoffs * factors + base
-    # States built on a VDPSCatalog expose the bitmask conflict index; the
-    # candidate scan then runs as one batched IAU evaluation per worker.
-    # Both branches decide "some deviation beats current by more than tol"
-    # over identical utility values, so they return the same verdict.
-    vectorized = hasattr(state, "available_strategy_indices")
+    # The candidate scan runs as one batched IAU evaluation per worker over
+    # the catalog's bitmask conflict index.
     for idx, worker in enumerate(state.workers):
         others = np.delete(scaled, idx)
         evaluator = IAUEvaluator(others, model)
@@ -178,24 +227,14 @@ def is_pure_nash(
         null_value = 0.0 if base is None else 0.0 * factors[idx] + base[idx]
         if evaluator.utility(null_value) > current_utility + tol:  # null deviation
             return False
-        if vectorized:
-            available = state.available_strategy_indices(worker.worker_id)
-            if available.size:
-                candidates = (
-                    state.catalog.index.worker(worker.worker_id).payoffs[available]
-                    * factors[idx]
-                )
-                if base is not None:
-                    candidates = candidates + base[idx]
-                if bool(
-                    np.any(evaluator.utilities(candidates) > current_utility + tol)
-                ):
-                    return False
-        else:
-            for strategy in state.available_strategies(worker.worker_id):
-                value = strategy.payoff * factors[idx]
-                if base is not None:
-                    value = value + base[idx]
-                if evaluator.utility(value) > current_utility + tol:
-                    return False
+        available = state.available_strategy_indices(worker.worker_id)
+        if available.size:
+            candidates = (
+                state.catalog.index.worker(worker.worker_id).payoffs[available]
+                * factors[idx]
+            )
+            if base is not None:
+                candidates = candidates + base[idx]
+            if bool(np.any(evaluator.utilities(candidates) > current_utility + tol)):
+                return False
     return True

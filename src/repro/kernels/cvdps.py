@@ -54,6 +54,7 @@ it from the top layer when the cap grows.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -156,7 +157,7 @@ class LayoutMatrix:
         self._key = key
         self._ids: List[str] = []
         self._slot: Dict[str, int] = {}
-        self._locations: List[object] = []
+        self._location_of: Dict[str, object] = {}
         self._distances = np.zeros((0, 0), dtype=np.float64)
         self._origin = np.zeros(0, dtype=np.float64)
 
@@ -169,17 +170,13 @@ class LayoutMatrix:
     ) -> TravelMatrix:
         """The travel matrix of ``ids`` (at ``locations``) from ``origin``."""
         key = (travel.distance_fn, origin)
-        slot = self._slot
         if (
             key != self._key
             or len(self._ids) > len(ids) + self.SLACK
-            or any(
-                dp_id in slot and self._locations[slot[dp_id]] != location
-                for dp_id, location in zip(ids, locations)
-            )
+            or self._moved(ids, locations)
         ):
             self._reset(key)
-            slot = self._slot
+        slot = self._slot
         new = [k for k, dp_id in enumerate(ids) if dp_id not in slot]
         if new:
             self._grow(
@@ -193,11 +190,25 @@ class LayoutMatrix:
             origin_times=self._origin[idx] / travel.speed_kmh,
         )
 
+    def _moved(self, ids: Sequence[str], locations: Sequence[object]) -> bool:
+        """Whether a known point of ``ids`` now sits at another location.
+
+        Snapshots hand the same location objects over from round to round,
+        so an identity pass over C-level ``map`` settles almost every call;
+        only a pair that is not the same object is compared by value.  A
+        new id is looked up with its own location as the default, so it
+        passes both tests.
+        """
+        known = list(map(self._location_of.get, ids, locations))
+        if all(map(operator.is_, known, locations)):
+            return False
+        return any(map(operator.ne, known, locations))
+
     def _grow(self, ids, locations, travel: TravelModel, origin) -> None:
         fn = travel.distance_fn
         m = len(self._ids)
         all_ids = self._ids + list(ids)
-        all_locations = self._locations + list(locations)
+        all_locations = [*self._location_of.values(), *locations]
         distances = np.zeros((len(all_ids), len(all_ids)), dtype=np.float64)
         distances[:m, :m] = self._distances
         for a in range(m, len(all_ids)):
@@ -220,8 +231,8 @@ class LayoutMatrix:
         )
         self._distances = distances
         self._ids = all_ids
-        self._locations = all_locations
         self._slot = {dp_id: k for k, dp_id in enumerate(all_ids)}
+        self._location_of = dict(zip(all_ids, all_locations))
 
 
 #: Packed subset words: explicitly little-endian, so the byte view that

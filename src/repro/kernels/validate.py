@@ -292,12 +292,13 @@ class EntryArrays:
         gathered for all entries at once as a repeat-plus-arange.
         """
         lens = self.sizes[idxs]
-        bounds = np.zeros(idxs.size + 1, dtype=np.int64)
-        np.cumsum(lens, out=bounds[1:])
-        flat = np.repeat(self.seg_start[idxs] - bounds[:-1], lens) + np.arange(
-            bounds[-1]
+        ends = lens.cumsum()
+        # Method calls, not ``np.`` functions: a solve's final picks are a
+        # few rows, where numpy's dispatch overhead is most of the cost.
+        flat = (self.seg_start[idxs] - (ends - lens)).repeat(lens) + np.arange(
+            ends[-1] if ends.size else 0
         )
-        return flat, bounds.tolist()
+        return flat, [0, *ends.tolist()]
 
     def objects(self, idxs: np.ndarray) -> Tuple[List[tuple], List[frozenset]]:
         """Sequence tuples and point-id sets of entries ``idxs``.
@@ -323,18 +324,21 @@ class EntryArrays:
         )
 
     def strategy_objects(
-        self, rows: np.ndarray, payoffs: np.ndarray, offset: float
+        self, rows: np.ndarray, payoffs: np.ndarray, offset
     ) -> List[WorkerStrategy]:
         """The strategies of entries ``rows`` for a worker starting ``offset``
         hours out, in one batched pass.
 
         Each route's arrival times are its entry's ``t_flat`` segment plus
         ``offset`` (the addition ``Route.shifted`` performs), each payoff
-        the matching element of ``payoffs``.
+        the matching element of ``payoffs``.  ``offset`` is one float for
+        every row, or an array with one per row (rows of several workers).
         """
         if not rows.size:
             return []
         flat, bl = self.segments(rows)
+        if np.ndim(offset):
+            offset = np.repeat(offset, self.sizes[rows])
         vals = (self.t_flat[flat] + offset).tolist()
         sequences, point_sets = self.objects(rows)
         # Objects are assembled through __new__ + object.__setattr__: this

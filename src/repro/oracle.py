@@ -468,7 +468,7 @@ class ScalarFGTSolver(FGTSolver):
             if self.trace_granularity == "update":
                 trace.record(
                     len(trace) + 1,
-                    payoffs,
+                    payoffs.copy(),
                     switched,
                     potential_value(_effective(payoffs, scales, base), model),
                 )
@@ -482,13 +482,16 @@ class ScalarIEGTSolver(IEGTSolver):
     def _evolve(
         self,
         state: GameState,
-        worker_id: str,
+        k: int,
+        current_payoff: float,
         rng: np.random.Generator,
         batch_stats: list,
     ) -> bool:
-        """Switch ``worker_id`` to a random strictly-better available VDPS
+        """Switch worker ``k`` to a random strictly-better available VDPS
         (Algorithm 3, lines 22-25), filtering the strategy list one object
-        at a time.  Counts no filter batches."""
+        at a time.  Reads its payoff off its strategy object, not
+        ``current_payoff``.  Counts no filter batches."""
+        worker_id = state.workers[k].worker_id
         current_payoff = state.strategy_of(worker_id).payoff
         better = [
             s

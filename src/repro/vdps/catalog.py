@@ -21,8 +21,10 @@ from __future__ import annotations
 
 import math
 import operator
+import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import accumulate
 from typing import (
     Dict,
@@ -83,6 +85,9 @@ NULL_STRATEGY = WorkerStrategy(frozenset(), Route((), ()), 0.0)
 
 #: Bits per mask word (the conflict index packs point ids into uint64 words).
 _WORD_BITS = 64
+#: Mask words in memory: little-endian uint64, so bit ``b`` of word ``w`` is
+#: bit ``64 w + b`` of the bytes read as one little-endian integer.
+_WORD_DTYPE = np.dtype("<u8")
 
 
 class WorkerStrategies(Sequence):
@@ -167,6 +172,12 @@ class WorkerStrategies(Sequence):
     def __repr__(self) -> str:
         return f"WorkerStrategies({self._tuple()!r})"
 
+    def cached(self, pos: int) -> Optional[WorkerStrategy]:
+        """The object at ``pos`` if it already exists, else ``None``."""
+        if self._all is not None:
+            return self._all[pos]
+        return self._cache.get(pos)
+
     def replaced(self, objects: Mapping[int, WorkerStrategy]) -> "WorkerStrategies":
         """A copy over the same columns whose cache holds ``objects``."""
         if self._all is not None:
@@ -222,6 +233,25 @@ class WorkerIndex:
     def n_strategies(self) -> int:
         return self.payoffs.size
 
+    @cached_property
+    def bits(self) -> List[int]:
+        """Each position's mask as one Python int (bit ``b`` of the int is
+        bit ``b`` of the index), for scans too short to pay numpy's
+        per-call overhead."""
+        if self.masks.shape[1] == 1:
+            return self.masks[:, 0].tolist()
+        return list(map(mask_int, self.masks))
+
+    @cached_property
+    def payoff_list(self) -> List[float]:
+        """:attr:`payoffs` as Python floats."""
+        return self.payoffs.tolist()
+
+    @cached_property
+    def size1_list(self) -> List[int]:
+        """:attr:`size1` as Python ints."""
+        return self.size1.tolist()
+
     def available(self, claimed_words: np.ndarray) -> np.ndarray:
         """Positions of strategies disjoint from the ``claimed_words`` mask.
 
@@ -235,6 +265,18 @@ class WorkerIndex:
         """The position whose point set is exactly ``mask``, or ``-1``."""
         hits = np.flatnonzero((self.masks == mask).all(axis=1))
         return int(hits[0]) if hits.size else -1
+
+
+def mask_int(words: np.ndarray) -> int:
+    """A packed ``(n_words,)`` uint64 mask as one Python int."""
+    return int.from_bytes(words.astype(_WORD_DTYPE, copy=False).tobytes(), "little")
+
+
+def mask_words(bits: int, n_words: int) -> np.ndarray:
+    """The ``(n_words,)`` uint64 mask of the Python int ``bits``."""
+    return np.frombuffer(
+        bits.to_bytes(n_words * 8, "little"), dtype=_WORD_DTYPE
+    ).astype(np.uint64)
 
 
 class CatalogIndex:
@@ -252,55 +294,35 @@ class CatalogIndex:
     set (the DP's own subset mask on a full build).  The index gathers the
     distinct kept entries' masks, compacts their bits to the points some
     strategy uses, and gathers each worker's rows from that table.
+    :meth:`batch` does that for many catalogs in one pass; each index
+    equals the one built for its catalog alone.
     """
 
     def __init__(self, arrays, columns: Mapping[str, WorkerStrategies]) -> None:
-        row_parts = [c.rows for c in columns.values()]
-        bounds = [0, *accumulate(map(len, row_parts))]
-        rows = (
-            np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.intp)
+        ((self.point_bits, self.n_words, self._workers),) = _gather_indexes(
+            [(arrays, columns)]
         )
-        # The distinct kept entries, each packed once, and their union.
-        kept = np.zeros(arrays.n_entries, dtype=bool)
-        kept[rows] = True
-        distinct = kept.nonzero()[0]
-        table = arrays.masks[distinct]
-        union = np.bitwise_or.reduce(table, axis=0) if distinct.size else table[:0]
-        used = np.unpackbits(union.view(np.uint8), bitorder="little").nonzero()[0]
-        points = arrays.points
-        self.point_bits: Dict[str, int] = {
-            points[i].dp_id: bit for bit, i in enumerate(used.tolist())
-        }
-        self.n_words: int = max(
-            1, -(-used.size // _WORD_BITS)
-        )  # ceil, at least one word so masks never degenerate to width 0
-        table = _compact(table, used, self.n_words)
-        slot = np.zeros(arrays.n_entries, dtype=np.intp)
-        slot[distinct] = np.arange(distinct.size)
-        masks = table[slot[rows]]
-        # Size-1 positions of the whole catalog; each worker's share is
-        # made relative to the start of its segment.  (Method calls, not
-        # ``np.`` functions: this runs once per catalog per round, and on
-        # small centers numpy's dispatch overhead is most of the cost.)
-        singles = (arrays.sizes[rows] == 1).nonzero()[0]
-        cuts = singles.searchsorted(bounds).tolist()
-        # Workers without strategies (common on small centers) share one
-        # all-empty view.
-        empty = WorkerIndex(
-            masks=masks[:0], payoffs=np.empty(0, dtype=np.float64), size1=singles[:0]
-        )
-        self._workers: Dict[str, WorkerIndex] = {}
-        for k, (worker_id, column) in enumerate(columns.items()):
-            a, b = bounds[k], bounds[k + 1]
-            if a == b:
-                self._workers[worker_id] = empty
-                continue
-            size1 = singles[cuts[k] : cuts[k + 1]]
-            if a and size1.size:
-                size1 = size1 - a
-            self._workers[worker_id] = WorkerIndex(
-                masks=masks[a:b], payoffs=column.payoffs, size1=size1
+
+    @classmethod
+    def batch(
+        cls, parts: Sequence[Tuple[object, Mapping[str, WorkerStrategies]]]
+    ) -> List["CatalogIndex"]:
+        """The index of every ``(arrays, columns)`` catalog in ``parts``.
+
+        One gather, one union and one bit compaction serve the whole
+        batch; only the ``point_bits`` dicts and the per-worker views are
+        made catalog by catalog.
+        """
+        out = []
+        for point_bits, n_words, workers in _gather_indexes(parts):
+            index = cls.__new__(cls)
+            index.point_bits, index.n_words, index._workers = (
+                point_bits,
+                n_words,
+                workers,
             )
+            out.append(index)
+        return out
 
     def worker(self, worker_id: str) -> WorkerIndex:
         """The per-worker arrays; raises KeyError for unknown workers."""
@@ -322,17 +344,121 @@ class CatalogIndex:
         return mask
 
 
-def _compact(table: np.ndarray, used: np.ndarray, n_words: int) -> np.ndarray:
-    """``table``'s masks re-packed onto bit positions ``used`` only.
+def _gather_indexes(
+    parts: Sequence[Tuple[object, Mapping[str, WorkerStrategies]]]
+) -> List[Tuple[Dict[str, int], int, Dict[str, WorkerIndex]]]:
+    """``(point_bits, n_words, per-worker views)`` of each catalog in
+    ``parts``, for :class:`CatalogIndex`."""
+    if not parts:
+        return []
+    tables = [arrays for arrays, _ in parts]
+    columns = [list(cols.values()) for _, cols in parts]
+    # Every worker's rows, catalog after catalog, as rows of the
+    # batch's stacked entry table.
+    entry_base = [0, *accumulate(arrays.n_entries for arrays in tables)]
+    row_parts = [c.rows for cols in columns for c in cols]
+    bounds = [0, *accumulate(map(len, row_parts))]
+    col_cut = [0, *accumulate(map(len, columns))]
+    row_cut = [bounds[k] for k in col_cut]
+    rows = (
+        np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.intp)
+    )
+    if len(parts) > 1:
+        rows += np.repeat(entry_base[:-1], np.diff(row_cut))
+    width = max(arrays.masks.shape[1] for arrays in tables)
+    if len(tables) == 1:
+        masks, sizes = tables[0].masks, tables[0].sizes
+    else:
+        if all(arrays.masks.shape[1] == width for arrays in tables):
+            masks = np.concatenate([arrays.masks for arrays in tables])
+        else:
+            masks = np.zeros((entry_base[-1], width), dtype=np.uint64)
+            for arrays, a in zip(tables, entry_base):
+                masks[a : a + arrays.n_entries, : arrays.masks.shape[1]] = (
+                    arrays.masks
+                )
+        sizes = np.concatenate([arrays.sizes for arrays in tables])
+    # The distinct kept entries, each packed once, and each catalog's
+    # union of them.
+    kept = np.zeros(entry_base[-1], dtype=bool)
+    kept[rows] = True
+    distinct = kept.nonzero()[0]
+    table = masks[distinct]
+    cut = distinct.searchsorted(entry_base).tolist()
+    live = [c for c in range(len(parts)) if cut[c] < cut[c + 1]]
+    used_of = [np.empty(0, dtype=np.intp)] * len(parts)
+    if live:
+        union = np.bitwise_or.reduceat(table, [cut[c] for c in live])
+        bits = np.unpackbits(union.view(np.uint8), axis=1, bitorder="little")
+        owner, bit = bits.nonzero()
+        split = owner.searchsorted(np.arange(1, len(live))).tolist()
+        for c, used in zip(live, np.split(bit, split)):
+            used_of[c] = used
+    # ceil, at least one word so masks never degenerate to width 0
+    n_words = [max(1, -(-used.size // _WORD_BITS)) for used in used_of]
+    table = _compact(table, cut, used_of, max(n_words))
+    slot = np.zeros(entry_base[-1], dtype=np.intp)
+    slot[distinct] = np.arange(distinct.size)
+    masks = table[slot[rows]]
+    # Size-1 positions of the whole batch, each made relative to the start
+    # of its worker's segment.  (Method calls, not ``np.`` functions: on
+    # small centers numpy's dispatch overhead is most of the cost.)
+    singles = (sizes[rows] == 1).nonzero()[0]
+    single_cut = singles.searchsorted(bounds).tolist()
+    singles -= np.array(bounds[:-1], dtype=np.intp).repeat(np.diff(single_cut))
+    out = []
+    for c, (arrays, cols) in enumerate(zip(tables, columns)):
+        points = arrays.points
+        point_bits = {
+            points[i].dp_id: bit for bit, i in enumerate(used_of[c].tolist())
+        }
+        lo, hi = row_cut[c], row_cut[c + 1]
+        own = masks[lo:hi, : n_words[c]]
+        if n_words[c] < masks.shape[1]:
+            own = np.ascontiguousarray(own)
+        # Workers without strategies (common on small centers) share
+        # one all-empty view.
+        empty = WorkerIndex(
+            masks=own[:0],
+            payoffs=np.empty(0, dtype=np.float64),
+            size1=singles[:0],
+        )
+        workers: Dict[str, WorkerIndex] = {}
+        for k, (worker_id, column) in enumerate(zip(parts[c][1], cols)):
+            j = col_cut[c] + k
+            a, b = bounds[j], bounds[j + 1]
+            if a == b:
+                workers[worker_id] = empty
+                continue
+            workers[worker_id] = WorkerIndex(
+                masks=own[a - lo : b - lo],
+                payoffs=column.payoffs,
+                size1=singles[single_cut[j] : single_cut[j + 1]],
+            )
+        out.append((point_bits, n_words[c], workers))
+    return out
 
-    Bit ``used[k]`` of the input becomes bit ``k``.  When ``used`` is a
-    prefix of the bit positions the words are kept as they are.
+
+def _compact(
+    table: np.ndarray, cut: List[int], used_of: List[np.ndarray], n_words: int
+) -> np.ndarray:
+    """``table``'s masks re-packed onto each catalog's used bit positions.
+
+    Rows ``cut[c]:cut[c + 1]`` belong to catalog ``c``, whose bit
+    ``used_of[c][k]`` becomes bit ``k``; the result is ``n_words`` wide.
+    When every catalog's used bits are a prefix of the bit positions the
+    words are kept as they are.
     """
-    if not used.size or used[-1] == used.size - 1:
+    if all(not used.size or used[-1] == used.size - 1 for used in used_of):
         return np.ascontiguousarray(table[:, :n_words], dtype=np.uint64)
-    member = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")[:, used]
+    member = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
     packed = np.zeros((table.shape[0], n_words * 8), dtype=np.uint8)
-    packed[:, : -(-used.size // 8)] = np.packbits(member, axis=1, bitorder="little")
+    for c, used in enumerate(used_of):
+        if used.size:
+            a, b = cut[c], cut[c + 1]
+            packed[a:b, : -(-used.size // 8)] = np.packbits(
+                member[a:b, used], axis=1, bitorder="little"
+            )
     return packed.view(np.uint64)
 
 
@@ -365,6 +491,9 @@ class VDPSCatalog:
         self._total_strategy_count = sum(map(len, self._columns.values()))
         self._max_vdps_size: Optional[int] = None
         self._index = index
+        #: The catalogs of this one's build batch, whose indexes are built
+        #: together on the first :attr:`index` read (``None`` outside a batch).
+        self._batch: Optional[_IndexBatch] = None
 
     @property
     def workers(self) -> Tuple[Worker, ...]:
@@ -401,12 +530,58 @@ class VDPSCatalog:
     def index(self) -> CatalogIndex:
         """The bitmask conflict index, built on first access and cached.
 
-        One-shot solvers (GTA, MPTA) never touch it, so the gather is only
-        paid by the game solvers that actually vectorize over it.
+        A :class:`~repro.games.base.GameState` reads it at its first
+        claim, so a catalog nobody solves never pays the gather.  The
+        first read on any catalog of one :func:`build_batch` call builds
+        the index of every catalog of that batch still alive, in one
+        :meth:`CatalogIndex.batch` pass.
         """
         if self._index is None:
-            self._index = CatalogIndex(self.arrays, self._columns)
+            if self._batch is not None:
+                self._batch.build()
+            if self._index is None:
+                self._index = CatalogIndex(self.arrays, self._columns)
         return self._index
+
+    def picks(self, positions: Sequence[int]) -> List[WorkerStrategy]:
+        """The strategy at ``positions[k]`` of every worker ``k`` (catalog
+        order; ``-1`` is null).
+
+        Objects that exist are reused; the missing ones are built in one
+        :meth:`~repro.kernels.validate.EntryArrays.strategy_objects` call
+        and cached in their columns, so ``strategies(wid)[pos]`` returns
+        the same object afterwards.
+        """
+        out = [NULL_STRATEGY] * len(positions)
+        missing = []
+        for k, (worker, pos) in enumerate(zip(self._workers, positions)):
+            if pos < 0:
+                continue
+            column = self._columns[worker.worker_id]
+            strategy = column.cached(pos)
+            if strategy is None:
+                missing.append((k, column, pos))
+            else:
+                out[k] = strategy
+        if missing:
+            built = self.arrays.strategy_objects(
+                np.array([column.rows[pos] for _, column, pos in missing]),
+                np.array([column.payoffs[pos] for _, column, pos in missing]),
+                np.array([column.offset for _, column, _ in missing]),
+            )
+            fresh = 0
+            for (k, column, pos), strategy in zip(missing, built):
+                # setdefault: a racing first build of a position wins.
+                out[k] = column._cache.setdefault(pos, strategy)
+                fresh += out[k] is strategy
+            METRICS.counter("catalog.strategies_materialised").add(fresh)
+        return out
+
+    def __getstate__(self):
+        # The batch holds weak references; a copy builds its own index.
+        state = self.__dict__.copy()
+        state["_batch"] = None
+        return state
 
     def describe(self) -> str:
         """One-line summary used in logs and experiment reports."""
@@ -414,6 +589,37 @@ class VDPSCatalog:
             f"catalog: |W|={len(self._workers)} cvdps={self.cvdps_count} "
             f"strategies={self.total_strategy_count} eps={self.epsilon}"
         )
+
+
+class _IndexBatch:
+    """The catalogs of one :func:`build_batch` call, until their conflict
+    indexes are built together (see :attr:`VDPSCatalog.index`).
+
+    Holds weak references: a catalog nobody keeps is not kept alive, and
+    its index is never built.
+    """
+
+    __slots__ = ("_catalogs",)
+
+    def __init__(self, catalogs: Sequence[VDPSCatalog]) -> None:
+        self._catalogs = [weakref.ref(catalog) for catalog in catalogs]
+        for catalog in catalogs:
+            catalog._batch = self
+
+    def build(self) -> None:
+        """Build the index of every live catalog that has none yet."""
+        catalogs = [
+            catalog
+            for catalog in (ref() for ref in self._catalogs)
+            if catalog is not None and catalog._index is None
+        ]
+        self._catalogs = []
+        indexes = CatalogIndex.batch(
+            [(catalog.arrays, catalog._columns) for catalog in catalogs]
+        )
+        for catalog, index in zip(catalogs, indexes):
+            catalog._index = index
+            catalog._batch = None
 
 
 def build_catalog(
@@ -656,5 +862,6 @@ def _validate_batch(
         )
         built += catalog.total_strategy_count
         catalogs.append(catalog)
+    _IndexBatch(catalogs)
     METRICS.counter("catalog.strategies_built").add(built)
     return catalogs

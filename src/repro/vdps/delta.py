@@ -367,7 +367,7 @@ class DeltaCatalog:
         new_points, added, removed, changed, new_cap = churn
         METRICS.counter("catalog.delta_applies").add(1)
         self._last_path = "delta"
-        self._ensure_tables()
+        retimed = self._ensure_tables()
         METRICS.counter("catalog.delta_points_added").add(len(added) + len(changed))
         METRICS.counter("catalog.delta_points_removed").add(
             len(removed) + len(changed)
@@ -375,7 +375,7 @@ class DeltaCatalog:
 
         stats = DPStats()
         points, added_entries = self._splice_states(
-            new_points, added, removed, changed, new_cap, stats
+            new_points, added, removed, changed, new_cap, stats, retimed
         )
         METRICS.counter("cvdps.states_expanded").add(stats.states_expanded)
         METRICS.counter("cvdps.candidates_tried").add(stats.candidates_tried)
@@ -429,28 +429,25 @@ class DeltaCatalog:
         self._catalog, self._table = catalog, table
         self._entry_arrays = None
 
-    def _ensure_tables(self) -> None:
+    def _ensure_tables(self) -> Optional[Tuple[List[str], list, object]]:
         """Derive the surgery tables from the last rebuild, once.
 
         The DP layers are laid out from the rebuild's table (its visit
         orders, re-timed over the center's travel matrix); the entry table
-        and the per-worker columns are the rebuilt catalog's own.
+        and the per-worker columns are the rebuilt catalog's own.  Returns
+        ``(ids, locations, matrix)`` of that travel matrix, or ``None``
+        when the tables already existed.
         """
         table = self._table
         if table is None:
-            return
+            return None
         ids = sorted(self._points)
         points = [self._points[dp_id] for dp_id in ids]
-        self._layers: List[Layer] = layers_from_paths(
-            table.paths,
-            points,
-            self._layout.matrix(
-                ids,
-                [dp.location for dp in points],
-                self._travel,
-                self._center_location,
-            ),
+        locations = [dp.location for dp in points]
+        matrix = self._layout.matrix(
+            ids, locations, self._travel, self._center_location
         )
+        self._layers: List[Layer] = layers_from_paths(table.paths, points, matrix)
         catalog = self._catalog
         self._entry_arrays = catalog.arrays
         self._workers: Dict[str, Worker] = {}
@@ -468,6 +465,7 @@ class DeltaCatalog:
             objects = list(column) if self._exact(wid) else None
             self._columns[wid] = (column.rows, column.payoffs, objects)
         self._table = None
+        return ids, locations, matrix
 
     # -- DP surgery ---------------------------------------------------------
 
@@ -479,11 +477,14 @@ class DeltaCatalog:
         changed: List[str],
         new_cap: int,
         stats: DPStats,
+        retimed=None,
     ) -> Tuple[List[DeliveryPoint], Optional["EntryArrays"]]:
         """Bring the DP layers to ``new_points`` and ``new_cap``.
 
         Returns the new points in sorted-id order (the index space) and
         the entries of every subset the surgery added, ``None`` if none.
+        ``retimed`` is :meth:`_ensure_tables`'s travel matrix, reused when
+        the points kept their ids and locations (new tasks at old points).
         """
         from repro.kernels.validate import EntryArrays
 
@@ -507,9 +508,13 @@ class DeltaCatalog:
         self._cap_built = max(built, new_cap)
         if not ids or (not arrivals and new_cap <= built):
             return points, None
-        matrix = self._layout.matrix(
-            ids, [dp.location for dp in points], self._travel, self._center_location
-        )
+        locations = [dp.location for dp in points]
+        if retimed is not None and retimed[:2] == (ids, locations):
+            matrix = retimed[2]
+        else:
+            matrix = self._layout.matrix(
+                ids, locations, self._travel, self._center_location
+            )
         adjacency = chain_adjacency(points, matrix, self._travel, self.epsilon)
         add_points(
             self._layers,

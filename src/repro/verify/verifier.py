@@ -302,38 +302,27 @@ class EvolutionaryGameVerifier(AssignmentVerifier):
             STATS.record("iegt.iess")
             return
         # Improved termination (Definition 10): nobody below average may
-        # still hold a strictly better available strategy.  States backed by
-        # a VDPSCatalog run the scan on the bitmask conflict index (same
-        # catalog order, so the same first violation is reported).  The
-        # below-average test uses effective payoffs in equity mode; the
+        # still hold a strictly better available strategy.  The scan runs on
+        # the catalog's bitmask conflict index, in catalog order, so the
+        # first violation is the one a strategy-by-strategy scan reports.
+        # The below-average test uses effective payoffs in equity mode; the
         # better-strategy test stays on raw payoffs, mirroring the solver.
-        vectorized = hasattr(state, "available_strategy_indices")
         for idx, worker in enumerate(state.workers):
             if effective[idx] >= mean_payoff - self._tol:
                 continue
             current = state.strategy_of(worker.worker_id).payoff
-            if vectorized:
-                available = state.available_strategy_indices(worker.worker_id)
-                candidates = state.catalog.index.worker(worker.worker_id).payoffs[
-                    available
+            available = state.available_strategy_indices(worker.worker_id)
+            candidates = state.catalog.index.worker(worker.worker_id).payoffs[
+                available
+            ]
+            improving = np.flatnonzero(candidates > current + self._tol)
+            better = (
+                state.catalog.strategies(worker.worker_id)[
+                    int(available[improving[0]])
                 ]
-                improving = np.flatnonzero(candidates > current + self._tol)
-                better = (
-                    state.catalog.strategies(worker.worker_id)[
-                        int(available[improving[0]])
-                    ]
-                    if improving.size
-                    else None
-                )
-            else:
-                better = next(
-                    (
-                        strategy
-                        for strategy in state.available_strategies(worker.worker_id)
-                        if strategy.payoff > current + self._tol
-                    ),
-                    None,
-                )
+                if improving.size
+                else None
+            )
             if better is not None:
                 raise InvariantViolation(
                     "iegt.iess",

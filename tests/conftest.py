@@ -89,6 +89,19 @@ def make_worker(
     return Worker(worker_id, Point(x, y), max_dp, center_id)
 
 
+def claimed_words(state, except_worker: Optional[str] = None):
+    """The points a :class:`~repro.games.base.GameState` holds claimed, as
+    catalog-index mask words (``(n_words,)`` uint64), leaving out those
+    of ``except_worker`` when given."""
+    from repro.vdps.catalog import mask_words
+
+    index = state.catalog.index
+    claimed = state._claimed
+    if except_worker is not None:
+        claimed &= ~state._words[state._slot[except_worker]]
+    return mask_words(claimed, index.n_words)
+
+
 def unit_speed_travel() -> TravelModel:
     """Speed 1 km/h: travel time equals distance, easing hand computation."""
     return TravelModel(speed_kmh=1.0)

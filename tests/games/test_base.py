@@ -8,7 +8,13 @@ from repro.games.base import GameState, random_initial_state
 from repro.oracle import claimed_points
 from repro.vdps.catalog import NULL_STRATEGY, build_catalog
 
-from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
+from tests.conftest import (
+    claimed_words,
+    make_center,
+    make_dp,
+    make_worker,
+    unit_speed_travel,
+)
 
 
 @pytest.fixture
@@ -46,9 +52,9 @@ class TestGameState:
         assert claimed_points(state, "w1") == set()
         index = catalog.index
         assert np.array_equal(
-            state.claimed_words_except("w2"), index.mask_of(strategy.point_ids)
+            claimed_words(state, "w2"), index.mask_of(strategy.point_ids)
         )
-        assert not state.claimed_words_except("w1").any()
+        assert not claimed_words(state, "w1").any()
 
     def test_conflicting_strategy_rejected(self, catalog):
         state = GameState(catalog)
@@ -63,7 +69,7 @@ class TestGameState:
                 state.set_strategy("w2", strategies[pos], position)
             assert state.strategy_of("w2") is NULL_STRATEGY
             assert np.array_equal(
-                state.claimed_words_except("w2"), catalog.index.mask_of({"a"})
+                claimed_words(state, "w2"), catalog.index.mask_of({"a"})
             )
 
     def test_switching_releases_old_claims(self, catalog):

@@ -12,6 +12,8 @@ and across every solver configuration that changes the hot loop
 dispatch-service round through :class:`DispatchEngine`.
 """
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,13 @@ from repro.core.priority import PriorityModel
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.games.fgt import FGTSolver
 from repro.games.iegt import IEGTSolver
-from repro.games.potential import IAUEvaluator, sequential_best
+from repro.games.base import SCAN_MAX
+from repro.games.potential import (
+    IAUEvaluator,
+    iau_scores,
+    iau_utilities,
+    sequential_best,
+)
 from repro.obs.metrics import METRICS
 from repro.oracle import ScalarFGTSolver, ScalarIEGTSolver
 from repro.service.engine import DispatchEngine
@@ -124,6 +132,30 @@ def _assert_engines_identical(make_solver, seed, shape=SWEEP_SHAPE):
     assert batches["scalar"] == 0 and batches["vectorized"] > 0
 
 
+#: Shapes whose workers take both best-response scans: plain-Python ones
+#: (at most ``SCAN_MAX`` strategies) and numpy ones (more).
+MIXED_CASES = [
+    pytest.param(seed, SMOKE_SHAPE, id=f"smoke-{seed}") for seed in (1, 2)
+]
+
+
+def _assert_both_scans(seed, shape):
+    """The instance has a worker on each side of ``SCAN_MAX``."""
+    subs, catalogs = _subs_and_catalogs(seed, shape)
+    counts = [
+        len(catalogs[sub.center.center_id].strategies(w.worker_id))
+        for sub in subs
+        for w in sub.online_workers
+    ]
+    assert any(0 < n <= SCAN_MAX for n in counts)
+    assert any(n > SCAN_MAX for n in counts)
+
+
+def _baselines(sub):
+    """Deterministic non-uniform equity baselines over the workers."""
+    return {w.worker_id: 0.5 * (i % 3) for i, w in enumerate(sub.online_workers)}
+
+
 def _priorities(sub):
     """Deterministic non-uniform priorities over the sub-problem's workers."""
     return PriorityModel(
@@ -183,6 +215,27 @@ class TestFGTDifferential:
         )
 
 
+    @pytest.mark.parametrize("seed, shape", MIXED_CASES)
+    def test_both_scans(self, seed, shape):
+        _assert_both_scans(seed, shape)
+        for options in (
+            {},
+            {"trace_granularity": "update"},
+            {"priorities": True},
+            {"equity_mode": True},
+        ):
+
+            def make(engine, sub, options=options):
+                kwargs = dict(options)
+                if kwargs.pop("priorities", False):
+                    kwargs["priorities"] = _priorities(sub)
+                if kwargs.get("equity_mode"):
+                    kwargs["equity_baselines"] = _baselines(sub)
+                return _fgt(engine, epsilon=0.8, **kwargs)
+
+            _assert_engines_identical(make, seed, shape)
+
+
 class TestIEGTDifferential:
     @pytest.mark.parametrize("seed, shape", DEFAULT_CASES)
     def test_default_config(self, seed, shape):
@@ -219,6 +272,20 @@ class TestIEGTDifferential:
             lambda engine, sub: _iegt(engine, epsilon=0.8, verify=True),
             seed,
         )
+
+
+    @pytest.mark.parametrize("seed, shape", MIXED_CASES)
+    def test_both_scans(self, seed, shape):
+        _assert_both_scans(seed, shape)
+        for options in ({}, {"trace_granularity": "update"}, {"equity_mode": True}):
+
+            def make(engine, sub, options=options):
+                kwargs = dict(options)
+                if kwargs.get("equity_mode"):
+                    kwargs["equity_baselines"] = _baselines(sub)
+                return _iegt(engine, epsilon=0.8, **kwargs)
+
+            _assert_engines_identical(make, seed, shape)
 
 
 class TestServiceRoundDifferential:
@@ -266,6 +333,24 @@ class TestBatchedIAU:
         for i, payoff in enumerate(candidates):
             assert batched[i] == evaluator.utility(float(payoff))
 
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("n_others", [0, 1, 2, 17])
+    def test_python_scores_equal_the_batch(self, seed, n_others):
+        # The plain-Python scan of small workers scores with lists; every
+        # value must equal the numpy batch's, bit for bit.
+        rng = np.random.default_rng(seed)
+        model = InequityAversion(0.3, 0.7)
+        others = np.sort(rng.uniform(0.0, 5.0, size=n_others))
+        prefix = np.concatenate(([0.0], np.cumsum(others)))
+        candidates = np.concatenate([rng.uniform(0.0, 5.0, size=20), others, [0.0]])
+        scores = iau_scores(
+            others.tolist(),
+            [0.0, *accumulate(others.tolist())],
+            candidates.tolist(),
+            model,
+        )
+        assert scores == iau_utilities(others, prefix, candidates, model).tolist()
+
     def test_no_others_returns_payoffs(self):
         evaluator = IAUEvaluator([], InequityAversion(0.5, 0.5))
         candidates = np.array([0.0, 1.5, 2.0])
@@ -297,6 +382,17 @@ class TestSequentialBest:
             assert sequential_best(utilities, baseline, tol) == self._scalar_scan(
                 utilities, baseline, tol
             )
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_lists_scan_like_arrays(self, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            utilities = rng.uniform(-1.0, 1.0, size=int(rng.integers(0, 30)))
+            baseline = float(rng.uniform(-1.0, 1.0))
+            tol = float(rng.choice([1e-9, 0.05, 0.3]))
+            assert sequential_best(
+                utilities.tolist(), baseline, tol
+            ) == sequential_best(utilities, baseline, tol)
 
     def test_tol_tie_keeps_earlier_accept(self):
         # 1.0 is accepted; 1.05 is within tol of it and must NOT displace

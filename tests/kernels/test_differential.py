@@ -557,3 +557,23 @@ class TestLayoutMatrix:
             want = travel.matrix(locations, origin=origin)
             for name in ("distances", "times", "origin_times"):
                 assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+
+    def test_equal_locations_keep_the_cache(self):
+        # Locations are compared by identity first, then by value: equal
+        # points in new objects keep every cached distance, and one point
+        # that moved starts the cache over.
+        travel = TravelModel(speed_kmh=1.0)
+        origin = Point(0.0, 0.0)
+        ids = ["a", "b", "c"]
+        first = [Point(0.0, 1.0), Point(1.0, 0.0), Point(2.0, 2.0)]
+        layout = LayoutMatrix()
+        layout.matrix(ids, first, travel, origin)
+        cached = layout._distances
+        copies = [Point(p.x, p.y) for p in first]
+        layout.matrix(ids, copies, travel, origin)
+        assert layout._distances is cached
+        moved = copies[:2] + [Point(2.0, 2.5)]
+        got = layout.matrix(ids, moved, travel, origin)
+        assert layout._distances is not cached
+        want = travel.matrix(moved, origin=origin)
+        assert got.distances.tobytes() == want.distances.tobytes()

@@ -15,16 +15,19 @@ speed-scaled workers and strict revalidation.
 """
 
 import hypothesis.strategies as st
+import numpy as np
 from hypothesis import given
 
+from repro.baselines.gta import GTASolver
 from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, Worker
 from repro.core.instance import SubProblem
+from repro.games.base import GameState
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
 from repro.kernels.cvdps import LayoutMatrix
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import MemoryTracer
-from repro.vdps.catalog import build_batch, build_catalog
+from repro.vdps.catalog import CatalogIndex, build_batch, build_catalog
 from repro.vdps.delta import DeltaCatalog, catalog_diff
 
 COUNTERS = (
@@ -317,3 +320,67 @@ def worlds(draw):
 def test_random_batches_match_per_center_builds(world):
     subs, epsilon, strict = world
     _assert_batch_matches(subs, epsilon, strict)
+
+
+def _standalone(catalog):
+    """The index :class:`CatalogIndex` builds for ``catalog`` alone."""
+    columns = {w.worker_id: catalog.strategies(w.worker_id) for w in catalog.workers}
+    return CatalogIndex(catalog.arrays, columns)
+
+
+class TestBatchIndex:
+    """The first ``.index`` read builds the whole batch's indexes at once."""
+
+    @staticmethod
+    def _subs():
+        # An empty center, a center wider than one mask word, a
+        # speed-scaled worker, and ordinary centers around them.
+        line = [
+            _dp(f"l{i:02d}", 0.1 * (i + 1), 0.0, 20.0, reward=1.0 + i % 3)
+            for i in range(70)
+        ]
+        return [
+            _plain("a", (0, 0), 6, [3, 1]),
+            _sub("empty", (4, 4), [], _fleet("empty", (4, 4), [2]), TRAVEL),
+            _sub("line", (0, 0), line, _fleet("line", (0, 0), [3, 1]), TRAVEL),
+            _sub(
+                "fast",
+                (5, 0),
+                _ring("fast", (5, 0), 5, expiry=3.0),
+                _fleet("fast", (5, 0), [2], speed=2.0)
+                + _fleet("fast", (5, 0), [2], tag="u"),
+                TRAVEL,
+            ),
+        ]
+
+    def test_each_index_equals_its_standalone_build(self):
+        catalogs = [catalog for catalog, _ in build_batch(self._subs(), 0.15)]
+        assert all(catalog._index is None for catalog in catalogs)
+        catalogs[2].index
+        # One read built every index of the batch.
+        assert all(catalog._index is not None for catalog in catalogs)
+        assert catalogs[2].index.n_words == 2
+        assert catalogs[1].total_strategy_count == 0
+        for catalog in catalogs:
+            index, alone = catalog.index, _standalone(catalog)
+            assert index.point_bits == alone.point_bits
+            assert index.n_words == alone.n_words
+            for worker in catalog.workers:
+                got = index.worker(worker.worker_id)
+                want = alone.worker(worker.worker_id)
+                assert got.masks.dtype == want.masks.dtype == np.uint64
+                assert got.masks.shape == want.masks.shape
+                assert np.array_equal(got.masks, want.masks)
+                assert np.array_equal(got.payoffs, want.payoffs)
+                assert got.size1.dtype == want.size1.dtype
+                assert np.array_equal(got.size1, want.size1)
+
+    def test_index_is_read_on_first_use(self):
+        subs = self._subs()
+        catalogs = [catalog for catalog, _ in build_batch(subs, 0.15)]
+        # A state that only ever plays null reads no index.
+        assert GameState(catalogs[0]).to_assignment().busy_worker_count == 0
+        assert all(catalog._index is None for catalog in catalogs)
+        # GTA's first claim reads one, which builds the whole batch's.
+        GTASolver(epsilon=0.15).solve(subs[0], catalog=catalogs[0])
+        assert all(catalog._index is not None for catalog in catalogs)

@@ -22,6 +22,7 @@ from repro.core.instance import SubProblem
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
+from repro.kernels.cvdps import LayoutMatrix
 from repro.obs.metrics import METRICS
 from repro.vdps.catalog import build_catalog
 from repro.vdps.delta import DeltaCatalog, catalog_diff
@@ -238,6 +239,34 @@ class TestFallbacks:
         shrunk = [_worker("w0", 0.0, 0.0, cap=2)]
         catalog = _assert_equal(delta, _sub(points, shrunk), None)
         assert all(len(s.point_ids) <= 2 for s in catalog.strategies("w0"))
+
+    def test_first_delta_after_a_rebuild_reads_one_matrix(self, monkeypatch):
+        # The first delta after a rebuild re-times the DP layers over the
+        # center's travel matrix; when the churn is new tasks at the same
+        # points, the splice reuses that matrix instead of asking again.
+        workers = [_worker("w0", 0.0, 0.0), _worker("w1", 0.5, 0.0, cap=2)]
+        points = [
+            _dp("a", 1.0, 0.0, 5.0),
+            _dp("b", 0.0, 1.0, 5.0),
+            _dp("c", 1.0, 1.0, 6.0),
+        ]
+        asked = []
+        matrix = LayoutMatrix.matrix
+
+        def counting(self, ids, *args):
+            asked.append(list(ids))
+            return matrix(self, ids, *args)
+
+        monkeypatch.setattr(LayoutMatrix, "matrix", counting)
+        for churned, want in (
+            ([points[0], _dp("b", 0.0, 1.0, 5.0, 4.5), points[2]], 1),
+            (points + [_dp("d", 0.5, 0.5, 4.0)], 2),
+        ):
+            delta = DeltaCatalog(_sub(points, workers), rebuild_fraction=10.0)
+            asked.clear()
+            _assert_equal(delta, _sub(churned, workers), None)
+            assert delta._last_path == "delta"
+            assert len(asked) == want
 
     def test_noop_refresh_returns_same_catalog(self):
         points = [_dp("a", 1.0, 0.0, 5.0)]

@@ -12,7 +12,13 @@ from repro.games.base import GameState
 from repro.vdps.catalog import WorkerStrategy, build_catalog
 from repro.vdps.delta import DeltaCatalog
 
-from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
+from tests.conftest import (
+    claimed_words,
+    make_center,
+    make_dp,
+    make_worker,
+    unit_speed_travel,
+)
 
 
 #: Each kernel arm's catalog build: the oracle's, and production's.
@@ -309,9 +315,9 @@ class TestGameStateMasks:
         s_a = next(s for s in catalog.strategies("w1") if s.point_ids == {"a"})
         s_b = next(s for s in catalog.strategies("w1") if s.point_ids == {"b"})
         state.set_strategy("w1", s_a)
-        assert np.array_equal(state._claimed_words, index.mask_of({"a"}))
+        assert np.array_equal(claimed_words(state), index.mask_of({"a"}))
         state.set_strategy("w1", s_b)
-        assert np.array_equal(state._claimed_words, index.mask_of({"b"}))
+        assert np.array_equal(claimed_words(state), index.mask_of({"b"}))
 
     def test_claimed_words_except_excludes_own_bits(self, catalog):
         state = GameState(catalog)
@@ -321,10 +327,10 @@ class TestGameStateMasks:
         state.set_strategy("w2", s_b)
         index = catalog.index
         assert np.array_equal(
-            state.claimed_words_except("w1"), index.mask_of({"b"})
+            claimed_words(state, "w1"), index.mask_of({"b"})
         )
         assert np.array_equal(
-            state.claimed_words_except("w2"), index.mask_of({"a"})
+            claimed_words(state, "w2"), index.mask_of({"a"})
         )
 
     def test_indices_match_available_strategies(self, catalog):
@@ -340,6 +346,17 @@ class TestGameStateMasks:
             assert by_index == by_scan
             assert state.available_strategies(wid) == by_scan
 
+    def test_foreign_strategy_on_a_fresh_state_is_rejected(self, catalog):
+        # The first claim of a state reads the index; an unknown point is
+        # refused there too, before anything changes.
+        state = GameState(catalog)
+        with pytest.raises(ValueError, match="ghost-dp"):
+            state.set_strategy("w1", _strategy({"ghost-dp"}, payoff=9.0))
+        assert state.strategy_of("w1").is_null
+        assert not claimed_words(state).any()
+        for wid in ("w1", "w2"):
+            assert state.available_strategies(wid) == list(catalog.strategies(wid))
+
     def test_foreign_strategy_is_rejected(self, catalog):
         # A hand-built strategy over a point unknown to the catalog index
         # has no mask: set_strategy refuses it and leaves the state as it
@@ -347,12 +364,12 @@ class TestGameStateMasks:
         state = GameState(catalog)
         s_a = next(s for s in catalog.strategies("w2") if s.point_ids == {"a"})
         state.set_strategy("w2", s_a)
-        words = state._claimed_words.copy()
+        words = claimed_words(state)
         with pytest.raises(ValueError, match="ghost-dp"):
             state.set_strategy("w1", _strategy({"ghost-dp"}, payoff=9.0))
         assert state.strategy_of("w1").is_null
         assert state.strategy_of("w2") is s_a
-        assert np.array_equal(state._claimed_words, words)
+        assert np.array_equal(claimed_words(state), words)
         for wid in ("w1", "w2"):
             strategies = catalog.strategies(wid)
             by_scan = oracle.available_strategies(state, wid)
