@@ -18,11 +18,16 @@ differential suites import it:
   scan strategy sets (:func:`available`), so they never read the masks
   they check;
 * converters between the DP's array layers and its dict form
-  (:func:`states_from_layers`, :func:`paths_from_states`).
+  (:func:`states_from_layers`, :func:`paths_from_states`);
+* the service world's from-scratch snapshot (:func:`scratch_snapshot`),
+  which re-sorts and re-materialises every pending task, and the SHA-256
+  content hash of a center's sub-problem (:func:`_fingerprint`) that the
+  snapshot's ``(center version, now)`` catalog keys are checked against.
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from typing import (
     Dict,
@@ -502,3 +507,94 @@ class ScalarIEGTSolver(IEGTSolver):
             return False
         state.set_strategy(worker_id, better[int(rng.integers(0, len(better)))])
         return True
+
+
+# -- the service world's snapshot, from scratch -----------------------------
+
+
+def _fingerprint(sub: SubProblem) -> str:
+    """Content hash of everything a center's catalog depends on."""
+    digest = hashlib.sha256()
+    for w in sub.workers:
+        digest.update(
+            f"w|{w.worker_id}|{w.location.x.hex()}|{w.location.y.hex()}|"
+            f"{w.max_delivery_points}|{w.speed_kmh}".encode()
+        )
+    for dp in sub.center.delivery_points:
+        digest.update(
+            f"p|{dp.dp_id}|{dp.location.x.hex()}|{dp.location.y.hex()}|"
+            f"{float(dp.service_hours).hex()}".encode()
+        )
+        for task in sorted(dp.tasks):
+            digest.update(
+                f"t|{task.task_id}|{float(task.expiry).hex()}|"
+                f"{float(task.reward).hex()}".encode()
+            )
+    return digest.hexdigest()
+
+
+def scratch_snapshot(state):
+    """``state.snapshot()`` computed from nothing but the world's contents.
+
+    Every pending task is sorted, filtered and materialised again, every
+    worker bucketed again, and ``keys`` holds each center's
+    :func:`_fingerprint` in place of its ``(version, now)`` key.  Reads
+    the world under its lock and changes nothing.
+    """
+    from repro.core.entities import SpatialTask
+    from repro.service.state import WorldSnapshot
+
+    with state.lock:
+        now = state.now
+        by_center: Dict[str, Dict[str, List[SpatialTask]]] = {}
+        ids_by_center: Dict[str, List[str]] = {}
+        for arrival in sorted(state._pending.values(), key=lambda a: a.task_id):
+            remaining = arrival.remaining(now)
+            if remaining <= 0:
+                continue
+            center_id = state._dp_center[arrival.dp_id]
+            leg = state.travel.time(
+                state._centers[center_id].location,
+                state._layout[arrival.dp_id].location,
+            )
+            if remaining <= leg:
+                continue  # hopeless even from the center (Definition 6)
+            by_center.setdefault(center_id, {}).setdefault(arrival.dp_id, []).append(
+                SpatialTask(arrival.task_id, arrival.dp_id, remaining, arrival.reward)
+            )
+            ids_by_center.setdefault(center_id, []).append(arrival.task_id)
+        available: Dict[str, list] = {}
+        for wid in sorted(state._workers):
+            center_id = state._worker_center[wid]
+            worker = state._workers[wid]
+            if center_id in by_center and worker.is_available(now):
+                available.setdefault(center_id, []).append(worker.snapshot())
+        subs = []
+        keys: Dict[str, str] = {}
+        task_ids: Dict[str, Tuple[str, ...]] = {}
+        for center_id in sorted(by_center):
+            if center_id not in available:
+                continue
+            points = tuple(
+                state._layout[dp_id].with_tasks(tuple(tasks))
+                for dp_id, tasks in sorted(by_center[center_id].items())
+            )
+            center = state._centers[center_id]
+            sub = SubProblem(
+                DistributionCenter(center_id, center.location, points),
+                tuple(available[center_id]),
+                state.travel,
+            )
+            subs.append(sub)
+            keys[center_id] = _fingerprint(sub)
+            task_ids[center_id] = tuple(ids_by_center[center_id])
+        return WorldSnapshot(
+            now=now,
+            subproblems=tuple(subs),
+            keys=keys,
+            task_ids=task_ids,
+            pending_tasks=len(state._pending),
+            available_workers=sum(
+                1 for w in state._workers.values() if w.is_available(now)
+            ),
+        )

@@ -1,16 +1,19 @@
 """Per-center strategy-catalog cache for the dispatch service.
 
 Building the C-VDPS catalog (Algorithm 1 + Section IV validation) dominates
-a round's cost, yet between two service rounds most centers are unchanged:
+a round's cost, yet between two service rounds many centers are unchanged:
 no new tasks landed, nobody's deadline moved, the same couriers are idle.
-This cache keys each center's catalog by the
-:func:`~repro.service.state._fingerprint` of its snapshotted sub-problem
-(plus the pruning threshold), so a round only rebuilds the centers whose
-content actually changed; any churn — task arrival, expiry, worker
-movement, clock advance that shifts a relative deadline — changes the
-fingerprint and invalidates the entry.
+This cache keys each center's catalog by its snapshot key
+``(center version, now)`` (see :mod:`repro.service.state`) plus the
+pruning threshold, so a round only refreshes the centers whose content
+actually changed.  :class:`~repro.service.state.WorldState` bumps a
+center's version on every mutation that touches it — task arrival,
+expiry or delivery at one of its points, a worker joining it or taking a
+route — and a clock advance moves ``now``, which shifts every relative
+deadline; either changes the key and invalidates the entry.  Keys are
+minted per world: a cache serves the one world whose snapshots it is fed.
 
-A changed fingerprint no longer means a from-scratch rebuild, though: in
+A changed key no longer means a from-scratch rebuild, though: in
 delta mode (the default) each center keeps a
 :class:`~repro.vdps.delta.DeltaCatalog` alive between rounds and a miss is
 served by ``refresh(sub)`` — state surgery over whatever actually churned,
@@ -29,18 +32,20 @@ miss outside a staged round is the same refresh over one center.  Hits,
 misses and everything a get returns stay per center.
 
 Either way a hit returns the *identical* catalog a cold build would produce
-(the fingerprint covers every catalog input, and the delta layer's refresh
-is proven bit-identical to ``build_catalog`` by the differential suites),
-which is what makes warm-cache service rounds bit-identical to cold-cache
-runs.  Hits and misses are recorded in :data:`repro.obs.METRICS` under
-``service.catalog_cache.*``; the delta layer's own activity lands on
+(equal keys imply equal sub-problems, which the snapshot state machine in
+``tests/properties/test_snapshot_incremental.py`` checks against the
+content hash :func:`repro.oracle._fingerprint`, and the delta layer's
+refresh is proven bit-identical to ``build_catalog`` by the differential
+suites), which is what makes warm-cache service rounds bit-identical to
+cold-cache runs.  Hits and misses are recorded in :data:`repro.obs.METRICS`
+under ``service.catalog_cache.*``; the delta layer's own activity lands on
 :data:`~repro.obs.metrics.CATALOG_DELTA_METRICS`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.instance import SubProblem
 from repro.kernels.cvdps import LayoutMatrix
@@ -52,12 +57,12 @@ from repro.vdps.store import CatalogStore
 
 
 class SnapshotCatalogCache:
-    """One catalog per center, valid while the center's fingerprint holds.
+    """One catalog per center, valid while the center's snapshot key holds.
 
     Unlike :class:`repro.experiments.runner.CatalogCache` (which keys by
     ``(center, epsilon)`` for a *static* instance shared across algorithm
     arms), this cache serves a *mutating* world: the key includes the
-    snapshot content hash, and a changed hash evicts the stale entry.
+    center's snapshot key, and a changed key evicts the stale entry.
 
     Parameters
     ----------
@@ -77,7 +82,7 @@ class SnapshotCatalogCache:
         store: Optional[CatalogStore] = None,
     ) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[str, Tuple[str, Optional[float], VDPSCatalog]] = {}
+        self._entries: Dict[str, Tuple[Hashable, Optional[float], VDPSCatalog]] = {}
         self._delta = bool(delta)
         self._store = store
         self._deltas: Dict[str, DeltaCatalog] = {}
@@ -90,7 +95,7 @@ class SnapshotCatalogCache:
         # and the catalogs the batch built that no get has taken yet.
         self._round = None
         self._batched = False
-        self._prebuilt: Dict[str, Tuple[str, Optional[float], VDPSCatalog]] = {}
+        self._prebuilt: Dict[str, Tuple[Hashable, Optional[float], VDPSCatalog]] = {}
         # Centers whose build lock a running batch holds.
         self._claimed: Set[str] = set()
 
@@ -118,13 +123,17 @@ class SnapshotCatalogCache:
             self._prebuilt.clear()
 
     def get(
-        self, sub: SubProblem, fingerprint: str, epsilon: Optional[float]
+        self, sub: SubProblem, key: Hashable, epsilon: Optional[float]
     ) -> VDPSCatalog:
-        """The catalog for ``sub``, rebuilt only when its content changed."""
-        return self.get_with_status(sub, fingerprint, epsilon)[0]
+        """The catalog for ``sub``, rebuilt only when its ``key`` changed.
+
+        ``key`` is the center's :attr:`WorldSnapshot.keys` entry, or any
+        value that changes whenever ``sub`` does.
+        """
+        return self.get_with_status(sub, key, epsilon)[0]
 
     def get_with_status(
-        self, sub: SubProblem, fingerprint: str, epsilon: Optional[float]
+        self, sub: SubProblem, key: Hashable, epsilon: Optional[float]
     ) -> Tuple[VDPSCatalog, bool]:
         """Like :meth:`get`, also reporting whether it was a hit.
 
@@ -137,7 +146,7 @@ class SnapshotCatalogCache:
         with self._lock:
             entry = self._entries.get(center_id)
             build_lock = self._center_locks.setdefault(center_id, threading.Lock())
-        if entry is not None and entry[0] == fingerprint and entry[1] == epsilon:
+        if entry is not None and entry[0] == key and entry[1] == epsilon:
             METRICS.counter("service.catalog_cache.hits").add(1)
             return entry[2], True
         METRICS.counter("service.catalog_cache.misses").add(1)
@@ -147,7 +156,7 @@ class SnapshotCatalogCache:
                 self._delta
                 and not self._batched
                 and snapshot is not None
-                and snapshot.fingerprints.get(center_id) == fingerprint
+                and snapshot.keys.get(center_id) == key
             )
             if batch:
                 self._batched = True
@@ -158,7 +167,7 @@ class SnapshotCatalogCache:
             with METRICS.timer("service.catalog_build_seconds"):
                 catalog = build_catalog(sub, epsilon=epsilon)
             with self._lock:
-                self._entries[center_id] = (fingerprint, epsilon, catalog)
+                self._entries[center_id] = (key, epsilon, catalog)
             return catalog, False
         with build_lock:
             with METRICS.timer("service.catalog_build_seconds"):
@@ -166,12 +175,12 @@ class SnapshotCatalogCache:
                     self._refresh_stale(snapshot, center_id, epsilon)
                 with self._lock:
                     prebuilt = self._prebuilt.pop(center_id, None)
-                if prebuilt is not None and prebuilt[:2] == (fingerprint, epsilon):
+                if prebuilt is not None and prebuilt[:2] == (key, epsilon):
                     catalog = prebuilt[2]
                 else:
                     (catalog,) = self._refresh([sub], epsilon)
             with self._lock:
-                self._entries[center_id] = (fingerprint, epsilon, catalog)
+                self._entries[center_id] = (key, epsilon, catalog)
         return catalog, False
 
     def _refresh_stale(
@@ -202,7 +211,7 @@ class SnapshotCatalogCache:
                 with self._lock:
                     entry = self._entries.get(cid)
                     stale = entry is None or entry[:2] != (
-                        snapshot.fingerprints[cid],
+                        snapshot.keys[cid],
                         epsilon,
                     )
                     if stale:
@@ -222,7 +231,7 @@ class SnapshotCatalogCache:
                     for sub, catalog in zip(subs, catalogs):
                         cid = sub.center.center_id
                         self._prebuilt[cid] = (
-                            snapshot.fingerprints[cid],
+                            snapshot.keys[cid],
                             epsilon,
                             catalog,
                         )
@@ -311,7 +320,7 @@ class SnapshotCatalogCache:
             self._store_checked[center_id] = True
             loaded = self._store.load(center_id, epsilon)
             if loaded is not None:
-                return loaded[1], True
+                return loaded, True
         return None, False
 
     def persist(self) -> int:
@@ -326,7 +335,6 @@ class SnapshotCatalogCache:
             return 0
         with self._lock:
             deltas = dict(self._deltas)
-            fingerprints = {cid: entry[0] for cid, entry in self._entries.items()}
             locks = {
                 cid: self._center_locks.setdefault(cid, threading.Lock())
                 for cid in deltas
@@ -334,7 +342,7 @@ class SnapshotCatalogCache:
         saved = 0
         for cid, delta in deltas.items():
             with locks[cid]:  # never pickle a delta mid-refresh
-                if self._store.save(cid, fingerprints.get(cid, ""), delta):
+                if self._store.save(cid, delta):
                     saved += 1
         return saved
 

@@ -759,7 +759,7 @@ class DispatchEngine:
                 METRICS.counter("dispatch.injected_delays").add(1)
                 time.sleep(seconds)
             catalog, hit = self._cache.get_with_status(
-                sub, snapshot.fingerprints[cid], self._epsilon
+                sub, snapshot.keys[cid], self._epsilon
             )
             if (
                 hit

@@ -11,10 +11,25 @@ relative deadlines (Definition 3) the solvers consume.
 
 A :class:`WorldSnapshot` is an immutable, per-round view: the materialised
 :class:`~repro.core.instance.SubProblem` of every active center plus a
-content fingerprint per center.  The fingerprint covers everything a
-strategy catalog depends on — worker positions/capacities and task
-deadlines/rewards — so the engine's catalog cache can prove a center
-unchanged between rounds and skip the C-VDPS rebuild.
+catalog key per center.  The key is ``(center version, now)``: every
+mutation bumps an in-memory version counter of exactly the centers it
+touches (a task landing on or leaving one of its delivery points, a worker
+joining it or committing a route from it), and ``now`` moves every
+relative deadline.  Everything a strategy catalog depends on — worker
+positions, capacities and availability, task deadlines and rewards — is a
+function of those two, so equal keys prove a center unchanged and the
+engine's catalog cache can skip the C-VDPS refresh.
+
+The snapshot is incremental on the same grounds.  Pending tasks are kept
+grouped by delivery point, and a point's materialised
+:class:`~repro.core.entities.DeliveryPoint` (and its task ids) is reused
+while ``now`` and its pending set are unchanged.  A round that only adds a
+few tasks rebuilds only the points they landed on; a clock advance
+re-materialises every point, each from its own tasks.
+:func:`repro.oracle.scratch_snapshot` is the from-scratch reference the
+property suite holds this against.  The version counters live in memory
+only: they are neither journaled nor part of :meth:`WorldState.fingerprint`,
+and a recovered world starts with fresh counters and a fresh cache.
 
 Durability: attaching a :class:`~repro.service.journal.WorldJournal` makes
 every mutation write-ahead — the record is fsynced *before* the in-memory
@@ -25,12 +40,25 @@ the recovery runbook).
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import chain
+from operator import attrgetter
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.assignment import Assignment
 from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, Worker
@@ -172,14 +200,15 @@ class WorldSnapshot:
 
     ``subproblems`` holds only *active* centers — at least one available
     worker and one materialised (non-hopeless) delivery point — in center-id
-    order; ``fingerprints`` keys the catalog cache; ``task_ids`` maps each
-    active center to the pending task ids its materialised points carry, so
-    a commit removes exactly the tasks the round could deliver.
+    order; ``keys`` maps each to its ``(center version, now)`` catalog key
+    (see the module doc); ``task_ids`` maps each active center to the
+    pending task ids its materialised points carry, in task-id order, so a
+    commit removes exactly the tasks the round could deliver.
     """
 
     now: float
     subproblems: Tuple[SubProblem, ...]
-    fingerprints: Mapping[str, str]
+    keys: Mapping[str, Tuple[int, float]]
     task_ids: Mapping[str, Tuple[str, ...]]
     pending_tasks: int
     available_workers: int
@@ -200,27 +229,6 @@ class WorldSnapshot:
         centers = tuple(sub.center for sub in self.subproblems)
         workers = tuple(w for sub in self.subproblems for w in sub.workers)
         return ProblemInstance(centers, workers, self.subproblems[0].travel)
-
-
-def _fingerprint(sub: SubProblem) -> str:
-    """Content hash of everything a center's catalog depends on."""
-    digest = hashlib.sha256()
-    for w in sub.workers:
-        digest.update(
-            f"w|{w.worker_id}|{w.location.x.hex()}|{w.location.y.hex()}|"
-            f"{w.max_delivery_points}|{w.speed_kmh}".encode()
-        )
-    for dp in sub.center.delivery_points:
-        digest.update(
-            f"p|{dp.dp_id}|{dp.location.x.hex()}|{dp.location.y.hex()}|"
-            f"{float(dp.service_hours).hex()}".encode()
-        )
-        for task in sorted(dp.tasks):
-            digest.update(
-                f"t|{task.task_id}|{float(task.expiry).hex()}|"
-                f"{float(task.reward).hex()}".encode()
-            )
-    return digest.hexdigest()
 
 
 class WorldState:
@@ -275,6 +283,23 @@ class WorldState:
         self._worker_center: Dict[str, str] = {}
         self._pending: Dict[str, TaskArrival] = {}  # task_id -> arrival
         self._seen_tasks: set = set()
+        # The incremental snapshot's bookkeeping (see the module doc).
+        # Pending tasks by point (only points holding some), each center's
+        # point ids and worker ids in sorted order, and its version.
+        self._by_dp: Dict[str, Dict[str, TaskArrival]] = {}
+        self._center_dps: Dict[str, Tuple[str, ...]] = {
+            cid: tuple(sorted(dp.dp_id for dp in center.delivery_points))
+            for cid, center in self._centers.items()
+        }
+        self._center_workers: Dict[str, List[str]] = {
+            cid: [] for cid in self._centers
+        }
+        self._center_version: Dict[str, int] = dict.fromkeys(self._centers, 0)
+        # A point's materialised DeliveryPoint and task ids at one ``now``,
+        # dropped when its pending set changes.
+        self._dp_view: Dict[
+            str, Tuple[float, Optional[DeliveryPoint], Tuple[str, ...]]
+        ] = {}
         self._journal: Optional[WorldJournal] = None
         self._equity: Optional[EquityLedger] = None
         self._last_round: Optional[Dict] = None
@@ -446,10 +471,8 @@ class WorldState:
                     "tasks",
                     {"tasks": [self._arrival_dict(a) for a in arrivals]},
                 )
-            for arrival in arrivals:
-                self._pending[arrival.task_id] = arrival
-                self._seen_tasks.add(arrival.task_id)
-                accepted.append(arrival.task_id)
+            self._insert_tasks(arrivals)
+            accepted.extend(arrival.task_id for arrival in arrivals)
             if accepted:
                 self.version += 1
             self._maybe_compact()
@@ -506,10 +529,8 @@ class WorldState:
                     "workers",
                     {"workers": [self._worker_dict(w) for w in coerced]},
                 )
-            for worker in coerced:
-                self._workers[worker.worker_id] = WorkerState.from_worker(worker)
-                self._worker_center[worker.worker_id] = worker.center_id
-                accepted.append(worker.worker_id)
+            self._insert_workers(WorkerState.from_worker(w) for w in coerced)
+            accepted.extend(worker.worker_id for worker in coerced)
             if accepted:
                 self.version += 1
             self._maybe_compact()
@@ -540,9 +561,7 @@ class WorldState:
             ]
             if gone:
                 self._journal_append("expire", {"task_ids": list(gone)})
-            for tid in gone:
-                del self._pending[tid]
-            if gone:
+                self._drop_tasks(gone)
                 self.version += 1
             self._maybe_compact()
         METRICS.counter("service.tasks.expired").add(len(gone))
@@ -554,74 +573,137 @@ class WorldState:
         """Freeze the dispatchable world at ``now`` (see the module doc)."""
         with self._lock:
             now = self.now
-            by_center: Dict[str, Dict[str, List[SpatialTask]]] = {}
-            ids_by_center: Dict[str, List[str]] = {}
-            for arrival in sorted(self._pending.values(), key=lambda a: a.task_id):
-                remaining = arrival.remaining(now)
-                if remaining <= 0:
-                    continue
-                center_id = self._dp_center[arrival.dp_id]
-                leg = self._center_leg.get(arrival.dp_id)
-                if leg is None:
-                    leg = self._center_leg[arrival.dp_id] = self._travel.time(
-                        self._centers[center_id].location,
-                        self._layout[arrival.dp_id].location,
-                    )
-                if remaining <= leg:
-                    continue  # hopeless even from the center (Definition 6)
-                by_center.setdefault(center_id, {}).setdefault(
-                    arrival.dp_id, []
-                ).append(
-                    SpatialTask(
-                        task_id=arrival.task_id,
-                        delivery_point_id=arrival.dp_id,
-                        expiry=remaining,
-                        reward=arrival.reward,
-                    )
-                )
-                ids_by_center.setdefault(center_id, []).append(arrival.task_id)
-
-            # One pass buckets the available workers of every center with
-            # pending work, each bucket in worker-id order.
-            available_by_center: Dict[str, List[Worker]] = {}
-            for wid in sorted(self._workers):
-                center_id = self._worker_center[wid]
-                worker = self._workers[wid]
-                if center_id in by_center and worker.is_available(now):
-                    available_by_center.setdefault(center_id, []).append(
-                        worker.snapshot()
-                    )
-
             subs: List[SubProblem] = []
-            fingerprints: Dict[str, str] = {}
+            keys: Dict[str, Tuple[int, float]] = {}
             task_ids: Dict[str, Tuple[str, ...]] = {}
-            for center_id in sorted(by_center):
-                available = available_by_center.get(center_id)
-                if not available:
-                    continue
-                points = tuple(
-                    self._layout[dp_id].with_tasks(tuple(tasks))
-                    for dp_id, tasks in sorted(by_center[center_id].items())
-                )
-                center = self._centers[center_id]
-                sub = SubProblem(
-                    DistributionCenter(center_id, center.location, points),
-                    tuple(available),
-                    self._travel,
-                )
-                subs.append(sub)
-                fingerprints[center_id] = _fingerprint(sub)
-                task_ids[center_id] = tuple(ids_by_center[center_id])
+            for center_id in sorted(self._centers):
+                sub, ids = self._materialise_center(center_id, now)
+                if sub is not None:
+                    subs.append(sub)
+                    keys[center_id] = (self._center_version[center_id], now)
+                    task_ids[center_id] = ids
             return WorldSnapshot(
                 now=now,
                 subproblems=tuple(subs),
-                fingerprints=fingerprints,
+                keys=keys,
                 task_ids=task_ids,
                 pending_tasks=len(self._pending),
                 available_workers=sum(
                     1 for w in self._workers.values() if w.is_available(now)
                 ),
             )
+
+    def _materialise_center(
+        self, center_id: str, now: float
+    ) -> Tuple[Optional[SubProblem], Tuple[str, ...]]:
+        """The center's sub-problem at ``now`` and its task ids in task-id
+        order; ``None`` when it has no available worker or no point with a
+        dispatchable (unexpired, not hopeless) task."""
+        states = [self._workers[wid] for wid in self._center_workers[center_id]]
+        available = [state for state in states if state.is_available(now)]
+        if not available:
+            return None, ()
+        points: List[DeliveryPoint] = []
+        id_runs: List[Tuple[str, ...]] = []
+        for dp_id in self._center_dps[center_id]:
+            if dp_id not in self._by_dp:
+                continue
+            view = self._dp_view.get(dp_id)
+            if view is None or view[0] != now:
+                view = self._dp_view[dp_id] = (
+                    now,
+                    *self._materialise_point(dp_id, now),
+                )
+            if view[1] is not None:
+                points.append(view[1])
+                id_runs.append(view[2])
+        if not points:
+            return None, ()
+        center = self._centers[center_id]
+        sub = SubProblem(
+            DistributionCenter(center_id, center.location, tuple(points)),
+            tuple(state.snapshot() for state in available),
+            self._travel,
+        )
+        # Each point's ids are a sorted run; timsort merges the runs.
+        ids = id_runs[0] if len(id_runs) == 1 else tuple(sorted(chain(*id_runs)))
+        return sub, ids
+
+    def _materialise_point(
+        self, dp_id: str, now: float
+    ) -> Tuple[Optional[DeliveryPoint], Tuple[str, ...]]:
+        """The point with its dispatchable tasks at ``now`` (relative
+        deadlines, task-id order) and their ids; ``None`` when none is."""
+        arrivals = sorted(self._by_dp[dp_id].values(), key=attrgetter("task_id"))
+        leg = self._center_leg.get(dp_id)
+        if leg is None:
+            leg = self._center_leg[dp_id] = self._travel.time(
+                self._centers[self._dp_center[dp_id]].location,
+                self._layout[dp_id].location,
+            )
+        tasks = []
+        for arrival in arrivals:
+            remaining = arrival.expiry - now
+            # Expired, or hopeless even from the center (Definition 6).
+            if remaining > 0 and remaining > leg:
+                tasks.append(
+                    SpatialTask(arrival.task_id, dp_id, remaining, arrival.reward)
+                )
+        if not tasks:
+            return None, ()
+        return (
+            self._layout[dp_id].with_tasks(tuple(tasks)),
+            tuple(task.task_id for task in tasks),
+        )
+
+    # -- incremental bookkeeping ----------------------------------------------
+
+    def _touch(self, center_ids: Iterable[str]) -> None:
+        """Bump the version of each of ``center_ids`` once."""
+        for center_id in set(center_ids):
+            self._center_version[center_id] += 1
+
+    def _touch_points(self, dp_ids: Set[str]) -> None:
+        """Forget the view of each point whose pending set changed, and
+        bump their centers."""
+        for dp_id in dp_ids:
+            self._dp_view.pop(dp_id, None)
+        self._touch([self._dp_center[dp_id] for dp_id in dp_ids])
+
+    def _insert_tasks(self, arrivals: Iterable[TaskArrival]) -> None:
+        """Enqueue validated arrivals (live churn and journal replay)."""
+        touched = set()
+        for arrival in arrivals:
+            self._pending[arrival.task_id] = arrival
+            self._seen_tasks.add(arrival.task_id)
+            self._by_dp.setdefault(arrival.dp_id, {})[arrival.task_id] = arrival
+            touched.add(arrival.dp_id)
+        self._touch_points(touched)
+
+    def _drop_tasks(self, task_ids: Iterable[str]) -> None:
+        """Dequeue tasks; ids no longer pending are ignored."""
+        touched = set()
+        for tid in task_ids:
+            arrival = self._pending.pop(tid, None)
+            if arrival is None:
+                continue
+            tasks = self._by_dp[arrival.dp_id]
+            del tasks[tid]
+            if not tasks:
+                del self._by_dp[arrival.dp_id]
+            touched.add(arrival.dp_id)
+        self._touch_points(touched)
+
+    def _insert_workers(self, states: Iterable[WorkerState]) -> None:
+        """Register worker states (live churn, journal replay, checkpoint)."""
+        touched = []
+        for state in states:
+            wid, center_id = state.worker_id, state.template.center_id
+            self._workers[wid] = state
+            self._worker_center[wid] = center_id
+            bisect.insort(self._center_workers[center_id], wid)
+            touched.append(center_id)
+        self._touch(touched)
 
     def commit(
         self, snapshot: WorldSnapshot, assignments: Mapping[str, Assignment]
@@ -682,8 +764,10 @@ class WorldState:
         two are one code path and recovery is bit-identical by construction.
         """
         assigned_tasks = 0
+        moved = []
         for op in routes:
-            state = self._workers.get(str(op["worker_id"]))
+            wid = str(op["worker_id"])
+            state = self._workers.get(wid)
             if state is None:
                 continue
             end = op["end"]
@@ -694,9 +778,10 @@ class WorldState:
                 deliveries=int(op["deliveries"]),  # type: ignore[arg-type]
                 end_location=Point(float(end[0]), float(end[1])),  # type: ignore[index]
             )
+            moved.append(self._worker_center[wid])
             assigned_tasks += int(op["deliveries"])  # type: ignore[arg-type]
-        for tid in removed:
-            self._pending.pop(tid, None)
+        self._touch(moved)
+        self._drop_tasks(removed)
         if assigned_tasks:
             self.version += 1
         return assigned_tasks
@@ -1061,16 +1146,17 @@ class WorldState:
         if kind == "checkpoint":
             self.now = float(data["now"])
             self.version = int(data["version"])
+            # A checkpoint replaces the whole dynamic state.
+            self._pending, self._by_dp = {}, {}
+            self._workers, self._worker_center = {}, {}
+            for workers in self._center_workers.values():
+                workers.clear()
+            self._dp_view.clear()
+            self._insert_tasks(map(self._arrival_from_dict, data["pending"]))
             self._seen_tasks = set(data["seen_tasks"])
-            self._pending = {}
-            for raw in data["pending"]:
-                arrival = self._arrival_from_dict(raw)
-                self._pending[arrival.task_id] = arrival
-            self._workers = {}
-            self._worker_center = {}
+            states = []
             for raw in data["workers"]:
-                worker = self._worker_from_dict(raw)
-                ws = WorkerState.from_worker(worker)
+                ws = WorkerState.from_worker(self._worker_from_dict(raw))
                 loc = raw["location"]
                 ws.location = Point(float(loc[0]), float(loc[1]))
                 ws.available_at = float(raw["available_at"])
@@ -1078,8 +1164,8 @@ class WorldState:
                 ws.working_hours = float(raw["working_hours"])
                 ws.deliveries = int(raw["deliveries"])
                 ws.assignments = int(raw["assignments"])
-                self._workers[worker.worker_id] = ws
-                self._worker_center[worker.worker_id] = worker.center_id
+                states.append(ws)
+            self._insert_workers(states)
             equity = data.get("equity")
             self._equity = (
                 None if equity is None else EquityLedger.from_dict(equity)
@@ -1087,25 +1173,21 @@ class WorldState:
             last_round = data.get("last_round")
             self._last_round = None if last_round is None else dict(last_round)
         elif kind == "tasks":
-            for raw in data["tasks"]:
-                arrival = self._arrival_from_dict(raw)
-                self._pending[arrival.task_id] = arrival
-                self._seen_tasks.add(arrival.task_id)
+            self._insert_tasks(map(self._arrival_from_dict, data["tasks"]))
             if data["tasks"]:
                 self.version += 1
         elif kind == "workers":
-            for raw in data["workers"]:
-                worker = self._worker_from_dict(raw)
-                self._workers[worker.worker_id] = WorkerState.from_worker(worker)
-                self._worker_center[worker.worker_id] = worker.center_id
+            self._insert_workers(
+                WorkerState.from_worker(self._worker_from_dict(raw))
+                for raw in data["workers"]
+            )
             if data["workers"]:
                 self.version += 1
         elif kind == "advance":
             self.now += float(data["hours"])
             self.version += 1
         elif kind == "expire":
-            for tid in data["task_ids"]:
-                self._pending.pop(tid, None)
+            self._drop_tasks(data["task_ids"])
             if data["task_ids"]:
                 self.version += 1
         elif kind == "commit":

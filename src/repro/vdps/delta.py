@@ -50,9 +50,10 @@ Worker-level revalidation is restricted the same way: a worker is fully
 revalidated only when its own content changed (location → start offset,
 ``maxDP``, speed); every untouched worker's rows are remapped through the
 row map, the added entries are scanned for all of them at once by the
-same validation a full revalidation uses, and one ``lexsort`` on
-``(worker, -payoff, ids_rank)`` restores the canonical order.  No strategy
-object is built.  Structural changes no delta can express (center moved,
+same validation a full revalidation uses, and each added row is placed
+among the survivors by position (surviving rows keep their canonical
+``(-payoff, ids_rank)`` order through the row map).  No strategy object
+is built.  Structural changes no delta can express (center moved,
 travel model swapped) and churn above ``rebuild_fraction`` (e.g. a clock
 advance rewriting every relative deadline) fall back to a full rebuild —
 the same array-native build as ``build_catalog``, at the same price.  A
@@ -82,7 +83,6 @@ from repro.kernels.cvdps import (
     deepen_layers,
     layers_from_paths,
     layers_without,
-    narrow,
     point_mask,
 )
 from repro.obs.metrics import METRICS
@@ -587,8 +587,8 @@ class DeltaCatalog:
         ``added`` entries (over ``points``, the center's points in sorted-id
         order).  Every unchanged worker's rows go through the old→new row
         map, the added entries are scanned for all of them at once like a
-        full revalidation, and one lexsort restores every worker's
-        canonical order.
+        full revalidation, and the added rows are placed by position into
+        each worker's canonical order.
         """
         live = {worker.worker_id: worker for worker in workers}
         for wid in [wid for wid in self._columns if wid not in live]:
@@ -642,31 +642,56 @@ class DeltaCatalog:
         and merge in their ``new`` columns over the added entries (rows
         ``base`` on), every worker in one pass.
 
+        The row map preserves order and a surviving entry keeps its payoff
+        and point ids, so each worker's surviving rows stay in canonical
+        ``(-payoff, ids_rank)`` order; so do its ``new`` rows, scanned in
+        that order.  Only the new rows need placing: one searchsorted over
+        order-preserving byte keys ``(worker, -payoff, ids_rank)`` finds
+        where each lands among the survivors.  Keys are unique per worker,
+        so no new row ties a surviving one.
+
         Returns how many strategies the added entries gave them.
         """
         old = [self._columns[worker.worker_id] for worker in kept]
-        parts = old + (new or [])
-        counts = np.array([columns[0].size for columns in parts], dtype=np.intp)
-        starts = np.cumsum(counts) - counts
-        n_old = int(counts[: len(kept)].sum())
-        owner = narrow(np.repeat(np.arange(len(parts)) % len(kept), counts), len(kept))
-        rows = np.concatenate(
-            [columns[0] for columns in old]
-            + [columns[0] + base for columns in new or []]
-        )
-        payoffs = np.concatenate([columns[1] for columns in parts])
-        # Old rows go through the row map (-1 for a dropped entry); added
-        # rows are already the spliced table's.
-        rows[:n_old] = old_to_new[rows[:n_old]]
-        alive = np.flatnonzero(rows >= 0)
-        # Keys are unique per worker: this is each worker's canonical
-        # (payoff descending, point ids) order, one worker after another.
-        ids_rank = narrow(arrays.ids_rank, arrays.n_entries)
-        order = alive[
-            np.lexsort((ids_rank[rows[alive]], -payoffs[alive], owner[alive]))
-        ]
-        cuts = np.searchsorted(owner[order], np.arange(len(kept) + 1)).tolist()
+        old_counts = np.array([columns[0].size for columns in old], dtype=np.intp)
+        n_old = int(old_counts.sum())
+        rows = old_to_new[np.concatenate([columns[0] for columns in old])]
+        payoffs = np.concatenate([columns[1] for columns in old])
+        # Positions into the old columns' concatenation (then the new
+        # ones'), in merged order: first the rows that survive the splice.
+        order = np.flatnonzero(rows >= 0)
+        owner = np.repeat(np.arange(len(kept)), old_counts)[order]
+        counts = np.bincount(owner, minlength=len(kept))
+        n_new = 0
+        if new is not None:
+            new_counts = np.array([columns[0].size for columns in new], dtype=np.intp)
+            n_new = int(new_counts.sum())
+        if n_new:
+            new_rows = np.concatenate([columns[0] for columns in new]) + base
+            new_payoffs = np.concatenate([columns[1] for columns in new])
+            ids_rank = arrays.ids_rank
+            landed = np.searchsorted(
+                _column_keys(owner, payoffs[order], ids_rank[rows[order]]),
+                _column_keys(
+                    np.repeat(np.arange(len(kept)), new_counts),
+                    new_payoffs,
+                    ids_rank[new_rows],
+                ),
+            )
+            landed += np.arange(n_new)
+            merged = np.empty(order.size + n_new, dtype=np.intp)
+            stays = np.ones(merged.size, dtype=bool)
+            stays[landed] = False
+            merged[stays] = order
+            merged[landed] = n_old + np.arange(n_new)
+            order = merged
+            rows = np.concatenate((rows, new_rows))
+            payoffs = np.concatenate((payoffs, new_payoffs))
+            counts += new_counts
         rows, payoffs = rows[order], payoffs[order]
+        cuts = [0, *np.cumsum(counts).tolist()]
+        old_starts = (np.cumsum(old_counts) - old_counts).tolist()
+        new_starts = (np.cumsum(new_counts) - new_counts).tolist() if n_new else []
         for k, worker in enumerate(kept):
             a, b = cuts[k], cuts[k + 1]
             objects = old[k][2]
@@ -675,18 +700,18 @@ class DeltaCatalog:
                 # position indexes the old objects, an added one the
                 # worker's new objects after them.
                 picked = order[a:b]
-                local = picked - starts[k]
+                local = picked - old_starts[k]
                 pool = objects
-                if new is not None:
+                if n_new:
                     pool = objects + new[k][2]
                     local = np.where(
                         picked < n_old,
                         local,
-                        picked - starts[len(kept) + k] + len(objects),
+                        picked - n_old - new_starts[k] + len(objects),
                     )
                 objects = [pool[i] for i in local.tolist()]
             self._columns[worker.worker_id] = (rows[a:b], payoffs[a:b], objects)
-        return int(counts[len(kept) :].sum())
+        return n_new
 
     # -- materialisation ----------------------------------------------------
 
@@ -714,6 +739,27 @@ class DeltaCatalog:
             workers, arrays, columns, self.epsilon, cvdps_count
         )
         return self._catalog
+
+
+def _column_keys(
+    owner: np.ndarray, payoffs: np.ndarray, ids_rank: np.ndarray
+) -> np.ndarray:
+    """``(N,)`` opaque keys ordered as ``(owner, -payoff, ids_rank)`` is.
+
+    Each field as big-endian unsigned bytes, the payoff's bits mapped so
+    that unsigned order is descending payoff (``+ 0.0`` folds ``-0.0``
+    into ``0.0``, as ``-payoffs`` ties them in the canonical sort): byte
+    strings compare like the canonical sort keys they spell.
+    """
+    bits = (payoffs + 0.0).view(np.uint64)
+    # Flip every bit but the sign of a non-negative payoff, none of a
+    # negative one: unsigned order is then descending payoff.
+    flip = ((bits >> np.uint64(63)) - np.uint64(1)) >> np.uint64(1)
+    fields = np.empty((owner.size, 3), dtype=">u8")
+    fields[:, 0] = owner
+    fields[:, 1] = bits ^ flip
+    fields[:, 2] = ids_rank
+    return fields.view(np.dtype((np.void, 24))).ravel()
 
 
 def catalog_diff(

@@ -10,8 +10,7 @@ Pickle round-trips floats exactly, so a warmed catalog stays bit-identical
 to a rebuild.
 
 Files are an internal cache, not an interchange format: a header records the
-format version, the pruning threshold, and the world fingerprint at save
-time, and anything that fails to load — truncated file, version skew,
+format version, the center and the pruning threshold, and anything that fails to load — truncated file, version skew,
 epsilon mismatch — is treated as a miss (the service falls back to a cold
 build and overwrites the file on the next persist).  Only point the store at
 directories you trust; loading executes ``pickle``.
@@ -23,13 +22,13 @@ import os
 import pickle
 import re
 from pathlib import Path
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 from repro.obs.metrics import METRICS
 from repro.vdps.delta import DeltaCatalog
 
 #: Bump on any incompatible change to the pickled payload layout.
-STORE_FORMAT = 5
+STORE_FORMAT = 6
 
 _UNSAFE = re.compile(r"[^A-Za-z0-9._-]")
 
@@ -49,7 +48,7 @@ class CatalogStore:
         """The center's file path (ids sanitised for the filesystem)."""
         return self._root / f"{_UNSAFE.sub('_', center_id)}.catalog.pkl"
 
-    def save(self, center_id: str, fingerprint: str, delta: DeltaCatalog) -> bool:
+    def save(self, center_id: str, delta: DeltaCatalog) -> bool:
         """Persist one center's delta catalog; returns success.
 
         Written atomically (temp file + rename) so a crash mid-save leaves
@@ -59,7 +58,6 @@ class CatalogStore:
         payload = {
             "format": STORE_FORMAT,
             "center_id": center_id,
-            "fingerprint": fingerprint,
             "epsilon": delta.epsilon,
             "delta": delta,
         }
@@ -77,8 +75,8 @@ class CatalogStore:
 
     def load(
         self, center_id: str, epsilon: Optional[float]
-    ) -> Optional[Tuple[str, DeltaCatalog]]:
-        """``(saved fingerprint, delta)`` for the center, or ``None``.
+    ) -> Optional[DeltaCatalog]:
+        """The center's saved delta catalog, or ``None``.
 
         ``None`` covers every miss: no file, unreadable/foreign payload,
         format-version skew, a sanitised-name collision, or an ``epsilon``
@@ -103,7 +101,7 @@ class CatalogStore:
         if payload.get("center_id") != center_id or payload.get("epsilon") != epsilon:
             return None
         METRICS.counter("catalog.delta_store_loads").add(1)
-        return str(payload.get("fingerprint", "")), payload["delta"]
+        return payload["delta"]
 
     def clear(self) -> int:
         """Delete every stored catalog; returns how many were removed."""

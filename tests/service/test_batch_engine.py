@@ -271,8 +271,8 @@ class TestConcurrentGets:
         got = {}
 
         def get(sub):
-            fingerprint = snapshot.fingerprints[sub.center.center_id]
-            got[sub.center.center_id] = cache.get_with_status(sub, fingerprint, 0.8)
+            key = snapshot.keys[sub.center.center_id]
+            got[sub.center.center_id] = cache.get_with_status(sub, key, 0.8)
 
         before = METRICS.counter("catalog.delta_rebuilds").value
         interval = sys.getswitchinterval()

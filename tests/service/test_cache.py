@@ -1,4 +1,4 @@
-"""Tests for repro.service.cache (snapshot-hash catalog caching)."""
+"""Tests for repro.service.cache (snapshot-keyed catalog caching)."""
 
 from repro.obs.metrics import METRICS
 from repro.service.cache import SnapshotCatalogCache
@@ -10,7 +10,7 @@ from tests.service.conftest import make_world, task
 def _sub(state, center_id):
     snap = state.snapshot()
     (sub,) = [s for s in snap.subproblems if s.center.center_id == center_id]
-    return sub, snap.fingerprints[center_id]
+    return sub, snap.keys[center_id]
 
 
 def _counters():
@@ -23,11 +23,11 @@ def _counters():
 class TestSnapshotCatalogCache:
     def test_same_fingerprint_hits_with_identical_catalog(self):
         state = make_world()
-        sub, fp = _sub(state, "A")
+        sub, key = _sub(state, "A")
         cache = SnapshotCatalogCache()
         hits0, misses0 = _counters()
-        cold = cache.get(sub, fp, epsilon=None)
-        warm = cache.get(sub, fp, epsilon=None)
+        cold = cache.get(sub, key, epsilon=None)
+        warm = cache.get(sub, key, epsilon=None)
         assert warm is cold  # the identical object, not a rebuild
         hits1, misses1 = _counters()
         assert (hits1 - hits0, misses1 - misses0) == (1, 1)
@@ -35,31 +35,31 @@ class TestSnapshotCatalogCache:
 
     def test_changed_fingerprint_rebuilds(self):
         state = make_world()
-        sub, fp = _sub(state, "A")
+        sub, key = _sub(state, "A")
         cache = SnapshotCatalogCache()
-        cold = cache.get(sub, fp, epsilon=None)
+        cold = cache.get(sub, key, epsilon=None)
         state.add_tasks([task("extra", "a1", 1.3)])
-        sub2, fp2 = _sub(state, "A")
-        assert fp2 != fp
-        rebuilt = cache.get(sub2, fp2, epsilon=None)
+        sub2, key2 = _sub(state, "A")
+        assert key2 != key
+        rebuilt = cache.get(sub2, key2, epsilon=None)
         assert rebuilt is not cold
         assert len(cache) == 1  # the stale entry was replaced
 
     def test_changed_epsilon_rebuilds(self):
         state = make_world()
-        sub, fp = _sub(state, "A")
+        sub, key = _sub(state, "A")
         cache = SnapshotCatalogCache()
-        wide = cache.get(sub, fp, epsilon=None)
-        pruned = cache.get(sub, fp, epsilon=0.8)
+        wide = cache.get(sub, key, epsilon=None)
+        pruned = cache.get(sub, key, epsilon=0.8)
         assert pruned is not wide
 
     def test_hit_catalog_matches_cold_build(self):
         # The fidelity claim: a hit serves exactly what a cold build yields.
         state = make_world()
-        sub, fp = _sub(state, "B")
+        sub, key = _sub(state, "B")
         cache = SnapshotCatalogCache()
-        cache.get(sub, fp, epsilon=0.8)
-        hit = cache.get(sub, fp, epsilon=0.8)
+        cache.get(sub, key, epsilon=0.8)
+        hit = cache.get(sub, key, epsilon=0.8)
         fresh = build_catalog(sub, epsilon=0.8)
         assert hit.total_strategy_count == fresh.total_strategy_count
         for worker in sub.workers:
@@ -69,18 +69,18 @@ class TestSnapshotCatalogCache:
 
     def test_invalidate_and_clear(self):
         state = make_world()
-        sub, fp = _sub(state, "A")
+        sub, key = _sub(state, "A")
         cache = SnapshotCatalogCache()
-        cache.get(sub, fp, epsilon=None)
+        cache.get(sub, key, epsilon=None)
         assert cache.invalidate("A") is True
         assert cache.invalidate("A") is False
-        cache.get(sub, fp, epsilon=None)
+        cache.get(sub, key, epsilon=None)
         cache.clear()
         assert len(cache) == 0
 
     def test_build_time_recorded(self):
         state = make_world()
-        sub, fp = _sub(state, "A")
+        sub, key = _sub(state, "A")
         before = METRICS.histogram("service.catalog_build_seconds").count
-        SnapshotCatalogCache().get(sub, fp, epsilon=None)
+        SnapshotCatalogCache().get(sub, key, epsilon=None)
         assert METRICS.histogram("service.catalog_build_seconds").count == before + 1

@@ -5,7 +5,8 @@ import pytest
 from repro.baselines.gta import GTASolver
 from repro.geo.point import Point
 from repro.parallel import solve_instance
-from repro.service.state import WorldState, _fingerprint
+from repro.oracle import _fingerprint, scratch_snapshot
+from repro.service.state import WorldState
 from repro.sim.arrivals import TaskArrival
 
 from tests.conftest import make_center, make_dp, make_worker
@@ -208,42 +209,95 @@ class TestSnapshot:
 
 
 class TestFingerprints:
+    """The per-center catalog keys, ``(center version, now)``, that stand
+    in for content fingerprints.
+
+    Keys are minted per world, so two worlds built alike may share keys
+    for different content; that equal keys within one world imply equal
+    content is checked by the snapshot state machine
+    (``tests/properties/test_snapshot_incremental.py``,
+    ``keys_imply_equal_content``).
+    """
+
     def test_stable_across_identical_snapshots(self):
         state = make_world()
-        a = state.snapshot().fingerprints
-        b = state.snapshot().fingerprints
-        assert a == b
-        assert make_world().snapshot().fingerprints == a  # world-independent
+        a = state.snapshot()
+        b = state.snapshot()
+        assert a.keys == b.keys
 
     def test_churn_moves_only_the_touched_center(self):
         state = make_world()
-        before = state.snapshot().fingerprints
+        before = state.snapshot().keys
         state.add_tasks([task("extra", "a1", 1.3)])
-        after = state.snapshot().fingerprints
+        after = state.snapshot().keys
         assert after["A"] != before["A"]
         assert after["B"] == before["B"]
+
+    def test_rejected_churn_moves_nothing(self):
+        state = make_world()
+        before = state.snapshot().keys
+        state.add_tasks([task("ta1", "a1", 2.0), task("late", "b1", 0.0)])
+        state.add_workers([{"worker_id": "wa1", "x": 0.0, "y": 0.0}])
+        assert state.snapshot().keys == before
 
     def test_clock_advance_moves_every_center(self):
         # Relative deadlines shift with the clock, so the catalogs of every
         # center with tasks become stale.
         state = make_world()
-        before = state.snapshot().fingerprints
+        before = state.snapshot().keys
         state.advance(0.1)
-        after = state.snapshot().fingerprints
+        after = state.snapshot().keys
         assert after["A"] != before["A"] and after["B"] != before["B"]
 
     def test_fingerprint_covers_workers(self):
         state = make_world()
-        before = state.snapshot().fingerprints
+        before = state.snapshot().keys
         state.add_workers([{"worker_id": "w9", "x": 0.4, "y": 0.2, "center_id": "A"}])
-        after = state.snapshot().fingerprints
+        after = state.snapshot().keys
         assert after["A"] != before["A"]
         assert after["B"] == before["B"]
 
+    def test_commit_moves_the_centers_it_touched(self):
+        state = make_world()
+        snap = state.snapshot()
+        solution = solve_instance(snap.instance(), GTASolver(), seed=0)
+        routed = {
+            cid for cid, assignment in solution.assignments.items()
+            if any(pair.route is not None and len(pair.route) for pair in assignment)
+        }
+        assert routed
+        state.commit(snap, solution.assignments)
+        after = state.snapshot().keys
+        for cid in routed:
+            assert after.get(cid) != snap.keys[cid]
+
+    def test_commit_that_removes_nothing_still_moves_the_key(self):
+        # Every task a route would deliver expires while the round solves:
+        # the commit removes nothing but still moves the worker.
+        state = make_world(with_tasks=False)
+        state.add_tasks([task("soon", "a1", 0.5)])
+        snap = state.snapshot()
+        solution = solve_instance(snap.instance(), GTASolver(), seed=0)
+        state.advance(1.0)
+        assert state.expire() == ["soon"]
+        state.add_tasks([task("later", "a2", 3.0)])
+        before = state.snapshot()
+        assert state.commit(snap, solution.assignments) == 1
+        after = state.snapshot()
+        assert after.keys["A"] != before.keys["A"]
+        assert after.subproblems != before.subproblems
+
     def test_direct_fingerprint_matches_snapshot(self):
-        snap = make_world().snapshot()
+        state = make_world()
+        state.add_tasks([task("extra", "a1", 1.3)])
+        state.snapshot()
+        state.advance(0.05)
+        state.add_tasks([task("late", "b2", 1.7)])
+        snap, ref = state.snapshot(), scratch_snapshot(state)
+        assert snap.subproblems == ref.subproblems
+        assert snap.task_ids == ref.task_ids
         for sub in snap.subproblems:
-            assert snap.fingerprints[sub.center.center_id] == _fingerprint(sub)
+            assert ref.keys[sub.center.center_id] == _fingerprint(sub)
 
 
 class TestCommit:

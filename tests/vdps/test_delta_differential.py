@@ -430,6 +430,117 @@ def _churn_walk(seed, n_points, side, reference):
         refresh()
 
 
+class TestMergeByPosition:
+    """A refresh places each kept worker's added rows among its surviving
+    rows by position.  Points one unit from the center (where the workers
+    stand) give singletons exactly equal payoffs, so ids_rank alone orders
+    a tie group and an added point can land before, between or after the
+    old rows of its group; nearer and farther points land ahead of and
+    behind the whole group."""
+
+    @staticmethod
+    def _ring(*names, radius=1.0):
+        """Points on the axes at ``radius``: exact, equal travel times."""
+        spots = [(radius, 0.0), (0.0, radius), (-radius, 0.0), (0.0, -radius)]
+        return [
+            _dp(name, *spots[k % 4], 50.0) for k, name in enumerate(names)
+        ]
+
+    @staticmethod
+    def _order(catalog, wid):
+        return [tuple(sorted(s.point_ids)) for s in catalog.strategies(wid)]
+
+    def _refresh(self, delta, sub, epsilon=None, strict=False):
+        refreshed = delta.refresh(sub)
+        assert delta._last_path == "delta"
+        rebuilt = build_catalog(sub, epsilon=epsilon, strict_revalidation=strict)
+        diffs = catalog_diff(refreshed, rebuilt)
+        assert not diffs, "; ".join(diffs)
+        return refreshed
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_added_rows_land_before_between_and_after(self, cap):
+        workers = [_worker("w0", 0.0, 0.0, cap=cap), _worker("w1", 0.0, 0.0, cap=1)]
+        old = self._ring("b", "d") + [_dp("far", 2.0, 0.0, 50.0)]
+        delta = DeltaCatalog(_sub(old, workers), rebuild_fraction=10.0)
+        added = self._ring("a", "c", "e") + [
+            _dp("near", 0.5, 0.0, 50.0),
+            _dp("zfar", 0.0, -3.0, 50.0),
+        ]
+        refreshed = self._refresh(delta, _sub(old + added, workers))
+        assert self._order(refreshed, "w1") == [
+            ("near",), ("a",), ("b",), ("c",), ("d",), ("e",), ("far",), ("zfar",)
+        ]
+
+    def test_ties_broken_by_ids_rank_across_sizes(self):
+        # With cap 2 the ring's pairs form tie groups too; in every group
+        # the added rows interleave with the survivors by sorted point ids
+        # (the rebuild comparison checks each position).
+        workers = [_worker("w0", 0.0, 0.0, cap=2)]
+        old = self._ring("b", "d", "f", "h")
+        delta = DeltaCatalog(_sub(old, workers), rebuild_fraction=10.0)
+        refreshed = self._refresh(delta, _sub(old + self._ring("a", "c", "e"), workers))
+        order = self._order(refreshed, "w0")
+        assert order.index(("a",)) < order.index(("b",)) < order.index(("c",))
+
+    def test_kept_worker_whose_old_rows_all_drop(self):
+        # Every old point goes at once, new points arrive: each kept
+        # worker's column is its added rows alone.  Then the new points go
+        # with nothing added: the columns empty out.
+        workers = [_worker("w0", 0.0, 0.0, cap=2), _worker("w1", 0.3, 0.0, cap=1)]
+        old = self._ring("b", "d")
+        delta = DeltaCatalog(_sub(old, workers), rebuild_fraction=10.0)
+        fresh = self._ring("a", "c", "e")
+        refreshed = self._refresh(delta, _sub(fresh, workers))
+        assert self._order(refreshed, "w1")[0] == ("a",)
+        refreshed = self._refresh(delta, _sub([], workers))
+        assert not self._order(refreshed, "w0")
+
+    def test_one_worker_drops_everything_the_others_keep(self):
+        # w1 starts a unit from the center, so "x" is the only point it
+        # reaches in time.  "x" goes and "y" arrives: w1's merged column is
+        # empty, between w0's and w2's, which each keep "w" and gain "y".
+        workers = [
+            _worker("w0", 0.0, 0.0, cap=2),
+            _worker("w1", 0.0, -1.0, cap=1),
+            _worker("w2", 0.0, 0.0, cap=1),
+        ]
+        old = [_dp("w", 0.0, 3.0, 3.5), _dp("x", 1.0, 0.0, 2.5)]
+        delta = DeltaCatalog(_sub(old, workers), rebuild_fraction=10.0)
+        assert self._order(delta.catalog, "w1") == [("x",)]
+        new = [_dp("w", 0.0, 3.0, 3.5), _dp("y", -2.0, 0.0, 2.5)]
+        refreshed = self._refresh(delta, _sub(new, workers))
+        assert self._order(refreshed, "w1") == []
+        assert self._order(refreshed, "w2") == [("y",), ("w",)]
+
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_validate_entry_loop_columns_carry_their_objects(self, strict):
+        # A speed-scaled worker's column comes from the validate_entry loop
+        # (with strict revalidation, every worker's does) and carries its
+        # objects; the by-position merge must move each object with its row.
+        workers = [
+            _worker("w0", 0.0, 0.0, cap=2),
+            Worker("slow", Point(0.0, 0.0), 2, "dc", speed_kmh=0.5),
+        ]
+        old = self._ring("b", "d") + [_dp("far", 2.0, 0.0, 50.0)]
+        delta = DeltaCatalog(
+            _sub(old, workers), strict_revalidation=strict, rebuild_fraction=10.0
+        )
+        added = self._ring("a", "c", "e") + [_dp("near", 0.5, 0.0, 50.0)]
+        refreshed = self._refresh(
+            delta, _sub(old + added, workers), strict=strict
+        )
+        singles = [
+            ids for ids in self._order(refreshed, "slow") if len(ids) == 1
+        ]
+        assert singles[:6] == [("near",), ("a",), ("b",), ("c",), ("d",), ("e",)]
+        # A second refresh drops a survivor and adds a tie between others.
+        churned = [dp for dp in old + added if dp.dp_id != "c"] + self._ring(
+            "bb", radius=1.0
+        )
+        self._refresh(delta, _sub(churned, workers), strict=strict)
+
+
 class TestCatalogStore:
     def _delta(self):
         points = [_dp("a", 1.0, 0.0, 5.0), _dp("b", 0.0, 1.0, 6.0)]
@@ -441,11 +552,9 @@ class TestCatalogStore:
     def test_roundtrip_then_refresh(self, tmp_path):
         sub, delta = self._delta()
         store = CatalogStore(tmp_path)
-        assert store.save("dc", "fp1", delta)
-        loaded = store.load("dc", 2.0)
-        assert loaded is not None
-        fingerprint, restored = loaded
-        assert fingerprint == "fp1"
+        assert store.save("dc", delta)
+        restored = store.load("dc", 2.0)
+        assert restored is not None
         # The materialised catalog is dropped from the pickle...
         with pytest.raises(RuntimeError, match="refresh"):
             restored.catalog
@@ -465,10 +574,10 @@ class TestCatalogStore:
         restored.catalog.index
         list(restored.catalog.strategies("w0"))
         assert restored._entry_arrays._built.any()
-        assert store.save("dc", "fp2", restored)
+        assert store.save("dc", restored)
         blob = store.path_for("dc").read_bytes()
         assert b"CatalogIndex" not in blob
-        _, again = store.load("dc", 2.0)
+        again = store.load("dc", 2.0)
         assert again._catalog is None
         table = again._entry_arrays
         assert table._entries is None and not table._built.any()
@@ -487,14 +596,14 @@ class TestCatalogStore:
     def test_epsilon_and_center_mismatch_are_misses(self, tmp_path):
         _, delta = self._delta()
         store = CatalogStore(tmp_path)
-        store.save("dc", "fp1", delta)
+        store.save("dc", delta)
         assert store.load("dc", None) is None
         assert store.load("other", 2.0) is None
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
         _, delta = self._delta()
         store = CatalogStore(tmp_path)
-        store.save("dc", "fp1", delta)
+        store.save("dc", delta)
         store.path_for("dc").write_bytes(b"\x80\x04garbage")
         before = METRICS.counter("catalog.delta_store_errors").value
         assert store.load("dc", 2.0) is None
@@ -506,7 +615,6 @@ class TestCatalogStore:
         payload = {
             "format": STORE_FORMAT + 1,
             "center_id": "dc",
-            "fingerprint": "fp1",
             "epsilon": 2.0,
             "delta": delta,
         }
@@ -516,8 +624,8 @@ class TestCatalogStore:
     def test_clear_removes_files(self, tmp_path):
         _, delta = self._delta()
         store = CatalogStore(tmp_path)
-        store.save("dc", "fp1", delta)
-        store.save("dc2", "fp2", delta)  # center_id mismatch on load is fine
+        store.save("dc", delta)
+        store.save("dc2", delta)  # center_id mismatch on load is fine
         assert store.clear() == 2
         assert store.load("dc", 2.0) is None
 
