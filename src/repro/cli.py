@@ -300,14 +300,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(same syntax as the REPRO_FAULTS env var; testing only)",
     )
     srv.add_argument(
-        "--catalog-store",
-        type=Path,
-        default=None,
-        help="directory for persistent catalog warm-starts: drained "
-        "shutdowns save each center's incremental catalog there and the "
-        "next start refreshes it instead of paying cold C-VDPS builds",
-    )
-    srv.add_argument(
         "--equity",
         action="store_true",
         help="solve rounds with ledger-weighted equity utilities; the "
@@ -746,7 +738,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         WorldJournal,
         WorldState,
     )
-    from repro.vdps.store import CatalogStore
 
     if args.shards < 1:
         print(f"error: --shards must be >= 1, got {args.shards}", file=sys.stderr)
@@ -822,11 +813,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             cooldown_s=args.breaker_cooldown_s,
         ),
         faults=None if args.faults is None else FaultPlan.from_spec(args.faults),
-        catalog_store=(
-            None
-            if args.catalog_store is None
-            else CatalogStore(args.catalog_store)
-        ),
     )
     server = DispatchServer(engine, host=args.host, port=args.port)
     if args.port_file is not None:
@@ -909,12 +895,6 @@ def _serve_sharded(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    if args.catalog_store is not None:
-        print(
-            "warning: --catalog-store is ignored with --shards > 1 "
-            "(shard workers rebuild their catalogs on boot)",
-            file=sys.stderr,
-        )
 
     if args.input is not None:
         instance = load_instance(args.input)

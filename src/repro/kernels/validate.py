@@ -137,14 +137,6 @@ class EntryArrays:
         self._entries: Optional[List[CVdpsEntry]] = None
         self._position: Optional[Dict[str, int]] = None
 
-    def __reduce__(self):
-        # Only the raw columns travel: masks, ranks and the object caches
-        # are derived from them on load.
-        return (
-            EntryArrays,
-            (self.points, self.sizes, self.path_flat, self.t_flat, self.rewards),
-        )
-
     @classmethod
     def from_layers(
         cls, layers: Sequence, centers_points: Sequence[Sequence]

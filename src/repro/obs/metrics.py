@@ -406,7 +406,7 @@ class MetricsRegistry:
 METRICS = MetricsRegistry()
 
 #: The incremental-catalog metric surface (:mod:`repro.vdps.delta` and the
-#: service cache/store).  All counters except the final timer histogram:
+#: service cache).  All counters except the final timer histogram:
 #:
 #: * ``catalog.delta_applies`` / ``catalog.delta_noops`` — refreshes served
 #:   by state surgery vs. recognised as no-change.
@@ -422,8 +422,6 @@ METRICS = MetricsRegistry()
 #: * ``catalog.delta_workers_revalidated`` — workers whose own content
 #:   changed and were re-validated against the full entry table (untouched
 #:   workers get patched incrementally).
-#: * ``catalog.delta_store_saves`` / ``catalog.delta_store_loads`` /
-#:   ``catalog.delta_store_errors`` — persistent-store traffic.
 #: * ``catalog.delta_refresh_seconds`` — histogram of refresh wall-clock
 #:   (both the delta and the fallback path).
 CATALOG_DELTA_METRICS = (
@@ -436,9 +434,6 @@ CATALOG_DELTA_METRICS = (
     "catalog.delta_entries_added",
     "catalog.delta_entries_removed",
     "catalog.delta_workers_revalidated",
-    "catalog.delta_store_saves",
-    "catalog.delta_store_loads",
-    "catalog.delta_store_errors",
     "catalog.delta_refresh_seconds",
 )
 

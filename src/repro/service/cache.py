@@ -17,10 +17,10 @@ A changed key no longer means a from-scratch rebuild, though: in
 delta mode (the default) each center keeps a
 :class:`~repro.vdps.delta.DeltaCatalog` alive between rounds and a miss is
 served by ``refresh(sub)`` — state surgery over whatever actually churned,
-with the rebuild fallback handled inside the delta layer.  A
-:class:`~repro.vdps.store.CatalogStore` additionally survives restarts:
-the first miss for a center tries the store before paying a cold build, and
-:meth:`persist` (called by the engine's drain) writes the live deltas back.
+with the rebuild fallback handled inside the delta layer.  Catalogs live
+only in the running process: they are derived state of the world, and a
+restarted service (or one recovered from its journal) rebuilds each
+center's catalog on its first round.
 
 A round's misses share one build.  The engine hands the cache its round
 snapshot (:meth:`SnapshotCatalogCache.stage`); the round's first miss
@@ -53,7 +53,6 @@ from repro.obs.metrics import METRICS
 from repro.obs.tracer import resolve_tracer
 from repro.vdps.catalog import VDPSCatalog, build_batch, build_catalog
 from repro.vdps.delta import DeltaCatalog
-from repro.vdps.store import CatalogStore
 
 
 class SnapshotCatalogCache:
@@ -71,26 +70,17 @@ class SnapshotCatalogCache:
         :class:`DeltaCatalog` instead of rebuilding from scratch.  Output
         is identical either way; ``False`` rebuilds on every miss (the
         control arm of the bit-identity tests).
-    store:
-        Optional persistent store consulted on a center's *first* miss and
-        written by :meth:`persist`; ignored when ``delta`` is off.
     """
 
-    def __init__(
-        self,
-        delta: bool = True,
-        store: Optional[CatalogStore] = None,
-    ) -> None:
+    def __init__(self, delta: bool = True) -> None:
         self._lock = threading.Lock()
         self._entries: Dict[str, Tuple[Hashable, Optional[float], VDPSCatalog]] = {}
         self._delta = bool(delta)
-        self._store = store
         self._deltas: Dict[str, DeltaCatalog] = {}
         # Serialises builds/refreshes per center: an abandoned (timed-out)
         # solve may still be fetching a catalog when the retry starts, and
         # a DeltaCatalog mutates in place during refresh.
         self._center_locks: Dict[str, threading.Lock] = {}
-        self._store_checked: Dict[str, bool] = {}
         # The round's snapshot (see stage()), whether its batch has run,
         # and the catalogs the batch built that no get has taken yet.
         self._round = None
@@ -102,10 +92,6 @@ class SnapshotCatalogCache:
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
-
-    @property
-    def store(self) -> Optional[CatalogStore]:
-        return self._store
 
     def stage(self, snapshot) -> None:
         """Hand over the round's :class:`~repro.service.state.WorldSnapshot`.
@@ -248,11 +234,11 @@ class SnapshotCatalogCache:
     ) -> List[VDPSCatalog]:
         """Produce each center's catalog (the caller holds their build locks).
 
-        A center with a live delta catalog (or, on its first miss, one
-        from the store) refreshes it when the refresh is a ``delta`` or a
-        ``noop``.  Every other center — cold builds and fallbacks — is
-        built in one :func:`~repro.vdps.catalog.build_batch` call and
-        installed into its delta catalog.
+        A center with a live delta catalog at ``epsilon`` refreshes it
+        when the refresh is a ``delta`` or a ``noop``.  Every other center
+        — cold builds and fallbacks — is built in one
+        :func:`~repro.vdps.catalog.build_batch` call and installed into
+        its delta catalog.
         """
         if not self._delta:
             return [build_catalog(sub, epsilon=epsilon) for sub in subs]
@@ -260,22 +246,14 @@ class SnapshotCatalogCache:
         builds: List[Tuple[SubProblem, Optional[DeltaCatalog]]] = []
         for sub in subs:
             cid = sub.center.center_id
-            delta, restored = self._live_delta(cid, epsilon)
+            with self._lock:
+                delta = self._deltas.get(cid)
+            if delta is not None and delta.epsilon != epsilon:
+                delta = None
             if delta is not None:
-                try:
-                    # A restored delta replays whatever churned since the
-                    # save; it may fall back, never give wrong output.
-                    plan = delta.decide(sub)
-                    if plan[0] != "fallback":
-                        catalogs[cid] = delta.refresh(sub, plan)
-                except Exception:  # noqa: BLE001 — a rotten payload is a miss
-                    if not restored:
-                        raise
-                    METRICS.counter("catalog.delta_store_errors").add(1)
-                    delta = None
-                if cid in catalogs:
-                    with self._lock:
-                        self._deltas[cid] = delta
+                plan = delta.decide(sub)
+                if plan[0] != "fallback":
+                    catalogs[cid] = delta.refresh(sub, plan)
                     continue
             builds.append((sub, delta))
         if builds:
@@ -307,45 +285,6 @@ class SnapshotCatalogCache:
                 catalogs[cid] = catalog
         return [catalogs[sub.center.center_id] for sub in subs]
 
-    def _live_delta(
-        self, center_id: str, epsilon: Optional[float]
-    ) -> Tuple[Optional[DeltaCatalog], bool]:
-        """The center's delta catalog at ``epsilon``, and whether it was
-        just loaded from the store (tried once, on the center's first miss)."""
-        with self._lock:
-            delta = self._deltas.get(center_id)
-        if delta is not None and delta.epsilon == epsilon:
-            return delta, False
-        if self._store is not None and not self._store_checked.get(center_id):
-            self._store_checked[center_id] = True
-            loaded = self._store.load(center_id, epsilon)
-            if loaded is not None:
-                return loaded, True
-        return None, False
-
-    def persist(self) -> int:
-        """Save every live delta catalog to the store; returns the count.
-
-        Called by the engine's drain so a restart warm-starts from disk.
-        No-op (0) without a store or in non-delta mode; save failures are
-        counted (``catalog.delta_store_errors``) but never raised —
-        shutdown must not fail on a full disk.
-        """
-        if self._store is None or not self._delta:
-            return 0
-        with self._lock:
-            deltas = dict(self._deltas)
-            locks = {
-                cid: self._center_locks.setdefault(cid, threading.Lock())
-                for cid in deltas
-            }
-        saved = 0
-        for cid, delta in deltas.items():
-            with locks[cid]:  # never pickle a delta mid-refresh
-                if self._store.save(cid, delta):
-                    saved += 1
-        return saved
-
     def invalidate(self, center_id: str) -> bool:
         """Drop one center's entry *and* its delta state; True if either existed.
 
@@ -357,7 +296,6 @@ class SnapshotCatalogCache:
         with self._lock:
             had_entry = self._entries.pop(center_id, None) is not None
             had_delta = self._deltas.pop(center_id, None) is not None
-            self._store_checked.pop(center_id, None)
             self._prebuilt.pop(center_id, None)
         return had_entry or had_delta
 
@@ -366,5 +304,4 @@ class SnapshotCatalogCache:
         with self._lock:
             self._entries.clear()
             self._deltas.clear()
-            self._store_checked.clear()
             self._prebuilt.clear()

@@ -31,7 +31,11 @@ reproduces the service's committed routes, payoffs, and Equation 2
 With ``verify=True`` every per-center assignment passes the Definition 8 /
 Equations 1-2 checkers of :mod:`repro.verify` (catalog membership
 included) before it is committed.  Every round emits a ``service.round``
-tracer event and feeds the ``service.dispatch_seconds`` latency histogram.
+tracer event and feeds the ``service.dispatch_seconds`` latency histogram
+with its ``duration_seconds``, timed from :meth:`DispatchEngine.dispatch`'s
+entry to the end of the round's telemetry.  Catalogs are derived state of
+the world and live only in the running engine: a restarted or
+journal-recovered engine rebuilds them on its first round.
 
 Fault tolerance (``docs/fault_tolerance.md``): the ladder is the primary
 solver with retries + seeded-jitter backoff, then GTA greedy, then
@@ -77,7 +81,6 @@ from repro.parallel import InstanceSolution, solve_subproblem
 from repro.parallel import solve_instance  # noqa: F401
 from repro.service.breaker import BreakerBoard, BreakerConfig
 from repro.service.cache import SnapshotCatalogCache
-from repro.vdps.store import CatalogStore
 from repro.service.faults import FaultPlan, InjectedFault, resolve_faults
 from repro.service.state import WorldSnapshot, WorldState
 from repro.utils.rng import RngFactory, SeedLike
@@ -241,10 +244,6 @@ class DispatchEngine:
         a rebuild, proven by the differential suites).  ``False`` rebuilds
         on every miss; it exists only as the control arm of the delta and
         batch engine tests, and no serving path sets it.
-    catalog_store:
-        Optional :class:`~repro.vdps.store.CatalogStore` for warm
-        restarts: consulted on each center's first cache miss, written by
-        :meth:`drain`.  Requires ``delta_catalog``.
     equity_mode:
         Solve rounds with ledger-weighted equity utilities
         (``docs/temporal_fairness.md``): each round the solver receives
@@ -276,7 +275,6 @@ class DispatchEngine:
         breaker_clock=time.monotonic,
         faults: Optional[FaultPlan] = None,
         delta_catalog: bool = True,
-        catalog_store: Optional[CatalogStore] = None,
         equity_mode: bool = False,
         equity_strength: float = DEFAULT_EQUITY_STRENGTH,
     ) -> None:
@@ -301,9 +299,7 @@ class DispatchEngine:
         self._verify = verify
         self._trace = trace
         self._rng = RngFactory(seed)
-        self._cache = SnapshotCatalogCache(
-            delta=delta_catalog, store=catalog_store
-        )
+        self._cache = SnapshotCatalogCache(delta=delta_catalog)
         self._dispatch_lock = threading.Lock()
         self._round = 0
         self._history: List[RoundResult] = []
@@ -409,13 +405,16 @@ class DispatchEngine:
         Raises :class:`EngineDraining` once :meth:`begin_drain` has been
         called: shutdown lets the in-flight round finish committing but
         admits no new ones (the half-committed-round race fix).
+
+        The round's ``duration_seconds`` runs from this call's entry to
+        the end of its telemetry (see :meth:`_record`).
         """
+        start = time.perf_counter()
         if self._draining:
             raise EngineDraining(
                 "dispatch engine is draining; no new rounds accepted"
             )
         with self._dispatch_lock:
-            start = time.perf_counter()
             tracer = resolve_tracer(self._trace)
             # Each round belongs to exactly one trace: adopt the ambient
             # context (the HTTP request's, carrying X-Repro-Trace-Id) when
@@ -508,7 +507,6 @@ class DispatchEngine:
                     rolling_gini=rolling_gini,
                 )
 
-        duration = time.perf_counter() - start
         result = RoundResult(
             round_index=index,
             now=snapshot.now,
@@ -527,13 +525,11 @@ class DispatchEngine:
             cache_misses=METRICS.counter("service.catalog_cache.misses").value
             - misses_before,
             verified_centers=verified,
-            duration_seconds=duration,
             degraded=degraded,
             equity_mode=self._equity_mode,
             rolling_gini=rolling_gini,
             rolling_jain=rolling_jain,
         )
-        self._record(result)
         if tracer.enabled:
             round_span.add(
                 round=result.round_index,
@@ -549,7 +545,7 @@ class DispatchEngine:
                     1 for rung in result.degraded.values() if rung != "primary"
                 ),
             )
-        return result
+        return self._record(result, start)
 
     def begin_drain(self) -> None:
         """Refuse new dispatch rounds (in-flight rounds keep committing).
@@ -561,15 +557,9 @@ class DispatchEngine:
         self._draining = True
 
     def drain(self) -> None:
-        """Block until any in-flight dispatch round has finished.
-
-        With a catalog store configured, the quiesced engine then persists
-        every live delta catalog so the next process warm-starts from disk
-        instead of paying cold C-VDPS builds.
-        """
+        """Block until any in-flight dispatch round has finished."""
         with self._dispatch_lock:
             pass
-        self._cache.persist()
 
     # -- the degradation ladder ---------------------------------------------
 
@@ -846,18 +836,16 @@ class DispatchEngine:
 
     # -- internals ----------------------------------------------------------
 
-    def _record(self, result: RoundResult) -> None:
-        self._history.append(result)
-        if len(self._history) > self._history_limit:
-            del self._history[: -self._history_limit]
-        if result.committed:
-            self._last_committed = result
+    def _record(self, result: RoundResult, start: float) -> RoundResult:
+        """Record the round's telemetry, then stamp and keep the result.
+
+        ``duration_seconds`` is read after everything else the round does,
+        so it covers the same work as a timer around :meth:`dispatch`;
+        ``service.dispatch_seconds`` observes it last.
+        """
         METRICS.counter("service.rounds").add(1)
         if result.committed:
             METRICS.counter("service.rounds.committed").add(1)
-        METRICS.histogram("service.dispatch_seconds").observe(
-            result.duration_seconds
-        )
         METRICS.gauge("service.pending_tasks").set(result.pending_tasks)
         METRICS.gauge("service.available_workers").set(result.available_workers)
         METRICS.gauge("service.round.payoff_difference").set(
@@ -869,6 +857,18 @@ class DispatchEngine:
                 METRICS.counter("dispatch.degraded_total").add(1)
                 METRICS.counter(f"dispatch.degraded_{rung}").add(1)
         METRICS.gauge("service.breaker.open").set(self._breakers.open_count())
+        result = dataclasses.replace(
+            result, duration_seconds=time.perf_counter() - start
+        )
+        self._history.append(result)
+        if len(self._history) > self._history_limit:
+            del self._history[: -self._history_limit]
+        if result.committed:
+            self._last_committed = result
+        METRICS.histogram("service.dispatch_seconds").observe(
+            result.duration_seconds
+        )
+        return result
 
     def _record_fairness(self, result: RoundResult) -> None:
         """Rolling per-round fairness telemetry (the temporal-fairness hook).

@@ -24,7 +24,7 @@ Failure model (see :mod:`~repro.service.shards.supervisor`):
   maps to 503 + ``Retry-After``.
 
 Scope (documented divergences from the single-process engine): equity
-mode and catalog stores are not supported in sharded mode, the view's
+mode is not supported in sharded mode, the view's
 ``journal`` is ``None`` (segments live inside the workers), and task-id
 dedupe is shard-local (a duplicate id for the *same* delivery point is
 caught; the same id resubmitted against a dp of another shard is not).
@@ -32,6 +32,7 @@ caught; the same id resubmitted against a dp of another shard is not).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import threading
 import time
@@ -618,7 +619,11 @@ class ShardedDispatchEngine:
         Admission control sheds beyond ``queue_bound`` concurrently
         admitted calls (:class:`ServiceOverloaded` → HTTP 503 +
         ``Retry-After``); admitted calls serialise on the round lock.
+        The round's ``duration_seconds`` runs from this call's entry to
+        the end of its telemetry (see :meth:`_record`), as in the
+        single-process engine.
         """
+        start = time.perf_counter()
         if self._draining:
             raise EngineDraining(
                 "dispatch engine is draining; no new rounds accepted"
@@ -636,12 +641,13 @@ class ShardedDispatchEngine:
                     raise EngineDraining(
                         "dispatch engine is draining; no new rounds accepted"
                     )
-                return self._dispatch_round(float(advance_hours), commit)
+                return self._dispatch_round(float(advance_hours), commit, start)
         finally:
             self._admission.release()
 
-    def _dispatch_round(self, advance_hours: float, commit: bool) -> RoundResult:
-        start = time.perf_counter()
+    def _dispatch_round(
+        self, advance_hours: float, commit: bool, start: float
+    ) -> RoundResult:
         index = self._round
         prev_now = self._now
         target_now = prev_now + advance_hours
@@ -669,13 +675,11 @@ class ShardedDispatchEngine:
                 failed[sid] = exc
         self._round = index + 1
         self._now = target_now
-        result = self._merge(
-            index, target_now, commit, wires, failed,
-            time.perf_counter() - start,
-        )
-        self._record(result)
-        self._supervisor.set_retry_after(2.0 * max(0.05, result.duration_seconds))
         self._invalidate_info()
+        result = self._record(
+            self._merge(index, target_now, commit, wires, failed), start
+        )
+        self._supervisor.set_retry_after(2.0 * max(0.05, result.duration_seconds))
         return result
 
     def _maybe_kill_for_chaos(self, index: int) -> None:
@@ -702,7 +706,6 @@ class ShardedDispatchEngine:
         commit: bool,
         wires: Dict[int, Dict],
         failed: Dict[int, Exception],
-        duration_s: float,
     ) -> RoundResult:
         """Fold the per-shard round results into one global RoundResult.
 
@@ -767,27 +770,21 @@ class ShardedDispatchEngine:
             cache_hits=cache_hits,
             cache_misses=cache_misses,
             verified_centers=verified,
-            duration_seconds=duration_s,
             degraded=degraded,
         )
 
-    def _record(self, result: RoundResult) -> None:
+    def _record(self, result: RoundResult, start: float) -> RoundResult:
         """Mirror of the single-process engine's telemetry contract.
 
         The worker processes feed their *own* metric registries, which
         the facade process cannot see — so the service-level names the
-        dashboards and SLOs consume are re-emitted here.
+        dashboards and SLOs consume are re-emitted here.  As there, the
+        result is stamped with its ``duration_seconds`` after the rest of
+        the telemetry, and ``service.dispatch_seconds`` observes it last.
         """
-        self._history.append(result)
-        if len(self._history) > self._history_limit:
-            del self._history[: -self._history_limit]
         if result.committed:
-            self._last_committed = result
             METRICS.counter("service.rounds.committed").add(1)
         METRICS.counter("service.rounds").add(1)
-        METRICS.histogram("service.dispatch_seconds").observe(
-            result.duration_seconds
-        )
         METRICS.gauge("service.pending_tasks").set(result.pending_tasks)
         METRICS.gauge("service.available_workers").set(result.available_workers)
         METRICS.gauge("service.round.payoff_difference").set(
@@ -804,6 +801,18 @@ class ShardedDispatchEngine:
             if rung != "primary":
                 METRICS.counter("dispatch.degraded_total").add(1)
                 METRICS.counter(f"dispatch.degraded_{rung}").add(1)
+        result = dataclasses.replace(
+            result, duration_seconds=time.perf_counter() - start
+        )
+        self._history.append(result)
+        if len(self._history) > self._history_limit:
+            del self._history[: -self._history_limit]
+        if result.committed:
+            self._last_committed = result
+        METRICS.histogram("service.dispatch_seconds").observe(
+            result.duration_seconds
+        )
+        return result
 
     # -- shutdown ------------------------------------------------------------
 

@@ -13,7 +13,6 @@ from repro.vdps.catalog import (
     worker_offset_factor,
 )
 from repro.vdps.delta import DeltaCatalog, catalog_diff
-from repro.vdps.store import CatalogStore
 
 __all__ = [
     "CVdpsEntry",
@@ -28,6 +27,5 @@ __all__ = [
     "worker_offset_factor",
     "DeltaCatalog",
     "catalog_diff",
-    "CatalogStore",
     "NULL_STRATEGY_ID",
 ]

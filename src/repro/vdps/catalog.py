@@ -577,12 +577,6 @@ class VDPSCatalog:
             METRICS.counter("catalog.strategies_materialised").add(fresh)
         return out
 
-    def __getstate__(self):
-        # The batch holds weak references; a copy builds its own index.
-        state = self.__dict__.copy()
-        state["_batch"] = None
-        return state
-
     def describe(self) -> str:
         """One-line summary used in logs and experiment reports."""
         return (
@@ -626,7 +620,6 @@ def build_catalog(
     sub: SubProblem,
     epsilon: Optional[float] = None,
     strict_revalidation: bool = False,
-    cvdps: Optional[List[CVdpsEntry]] = None,
     tracer: Optional[NullTracer] = None,
 ) -> VDPSCatalog:
     """Build the strategy catalog for every online worker of ``sub``.
@@ -644,9 +637,6 @@ def build_catalog(
         feasible order for that worker; with ``strict_revalidation`` those
         sets are re-solved exactly (Held-Karp) instead of dropped.  Off by
         default to match the paper.
-    cvdps:
-        Pre-generated C-VDPS entries, to share work across algorithm arms
-        that use the same ``epsilon``.
     tracer:
         Structured-event tracer for the build; ``None`` resolves the
         process-wide sink (``REPRO_TRACE`` / :func:`repro.obs.set_tracing`).
@@ -662,7 +652,7 @@ def build_catalog(
         workers=len(sub.online_workers),
     )
     with span, METRICS.timer("catalog.build_seconds"):
-        catalog = _build_catalog(sub, epsilon, strict_revalidation, cvdps, tracer)
+        ((catalog, _),) = build_batch([sub], epsilon, strict_revalidation, tracer)
         if tracer.enabled:
             span.add(
                 cvdps=catalog.cvdps_count,
@@ -803,21 +793,6 @@ def build_batch(
         subs, epsilon, strict_revalidation, [table.arrays for table in tables]
     )
     return list(zip(catalogs, tables))
-
-
-def _build_catalog(
-    sub: SubProblem,
-    epsilon: Optional[float],
-    strict_revalidation: bool,
-    cvdps: Optional[List[CVdpsEntry]],
-    tracer: NullTracer,
-) -> VDPSCatalog:
-    if cvdps is None:
-        return build_batch([sub], epsilon, strict_revalidation, tracer)[0][0]
-    from repro.kernels.validate import EntryArrays
-
-    arrays = EntryArrays.from_entries(cvdps)
-    return _validate_batch([sub], epsilon, strict_revalidation, [arrays])[0]
 
 
 def _validate_batch(

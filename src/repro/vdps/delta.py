@@ -193,19 +193,13 @@ class DeltaCatalog:
         self._entry_arrays = None
         self._center_id = sub.center.center_id
         self._table: Optional[CvdpsTable] = None
-        self._catalog: Optional[VDPSCatalog] = None
         self._last_path = "rebuild"
 
     # -- public surface -----------------------------------------------------
 
     @property
     def catalog(self) -> VDPSCatalog:
-        """The catalog of the last refresh (never ``None`` after init)."""
-        if self._catalog is None:
-            raise RuntimeError(
-                "DeltaCatalog was restored without a materialised catalog; "
-                "call refresh(sub) first"
-            )
+        """The catalog of the last refresh."""
         return self._catalog
 
     @property
@@ -300,19 +294,6 @@ class DeltaCatalog:
             span.add(path=self._last_path)
         return catalog
 
-    def __getstate__(self):
-        # The store pickles the surgery tables, so derive them first.  The
-        # materialised catalog (and its numpy index) is cheap to re-derive
-        # and bloats pickles; the persistent store drops it and the first
-        # refresh() after a restore materialises it again.  The entry table
-        # pickles as its raw columns (see EntryArrays.__reduce__); the
-        # travel-matrix cache is a derived cache too.
-        self._ensure_tables()
-        state = self.__dict__.copy()
-        state["_catalog"] = None
-        state["_layout"] = LayoutMatrix()
-        return state
-
     # -- refresh machinery --------------------------------------------------
 
     def _plan(self, sub: SubProblem):
@@ -337,11 +318,7 @@ class DeltaCatalog:
             if p in self._points and dp != self._points[p]
         ]
         churn = len(added) + len(removed) + len(changed)
-        if (
-            churn == 0
-            and self._catalog is not None
-            and workers == self._catalog.workers
-        ):
+        if churn == 0 and workers == self._catalog.workers:
             return "noop", None
         if churn > self._rebuild_fraction * max(
             len(new_points), len(self._points), 1
@@ -412,9 +389,8 @@ class DeltaCatalog:
 
         Keeps the build's catalog and C-VDPS table.  The surgery tables
         are derived from the table only when a later refresh takes the
-        delta path (or the catalog is pickled, see :meth:`_ensure_tables`):
-        under a moving clock every refresh falls back, so none is ever
-        built.
+        delta path (see :meth:`_ensure_tables`): under a moving clock
+        every refresh falls back, so none is ever built.
         """
         METRICS.counter("catalog.delta_rebuilds").add(1)
         self._travel = sub.travel

@@ -12,11 +12,8 @@ path even when a rule churns a large fraction of a tiny center, so the
 surgery code (not the rebuild fallback) is what gets exercised.
 ``clocked`` keeps the service default: a clock advance shifts every
 relative deadline and sends it to the rebuild fallback, whose surgery
-tables are derived lazily when a later sparse rule takes the delta path
-— or at once, when the fallback is persisted and restored.
+tables are derived lazily when a later sparse rule takes the delta path.
 """
-
-import pickle
 
 import hypothesis.strategies as st
 from hypothesis.stateful import (
@@ -30,7 +27,6 @@ from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, 
 from repro.core.instance import SubProblem
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
-from repro.obs.metrics import METRICS
 from repro.vdps.catalog import build_catalog
 from repro.vdps.delta import DeltaCatalog, catalog_diff
 
@@ -149,13 +145,12 @@ class CatalogChurnMachine(RuleBasedStateMachine):
             dp_id, Point(x, y), (self._task(dp_id, exp),)
         )
 
-    @rule(hours=st.floats(min_value=0.01, max_value=2.0), restore=st.booleans())
-    def clock_advances(self, hours, restore):
+    @rule(hours=st.floats(min_value=0.01, max_value=2.0))
+    def clock_advances(self, hours):
         """Every relative deadline shrinks; tasks that run out drop.
 
-        ``clocked`` refreshes at once.  When that fell back to a rebuild,
-        ``restore`` persists and restores it right away, so the pickle
-        carries the tables derived from the rebuild.
+        ``clocked`` refreshes at once, usually by falling back to a
+        rebuild.
         """
         for dp_id, dp in self.points.items():
             self.points[dp_id] = dp.with_tasks(
@@ -165,14 +160,11 @@ class CatalogChurnMachine(RuleBasedStateMachine):
                     if t.expiry - hours > 0
                 )
             )
-        fallbacks = METRICS.counter("catalog.delta_fallbacks").value
         sub = self._sub()
         diffs = catalog_diff(
             self.clocked.refresh(sub), build_catalog(sub, epsilon=EPSILON)
         )
         assert not diffs, "; ".join(diffs)
-        if restore and METRICS.counter("catalog.delta_fallbacks").value > fallbacks:
-            self.clocked = pickle.loads(pickle.dumps(self.clocked))
 
     # -- worker churn ------------------------------------------------------
 

@@ -5,8 +5,8 @@ refreshed :class:`~repro.vdps.delta.DeltaCatalog`.  These tests drive a
 delta engine and a rebuild-per-miss control engine through identical churn
 sequences and assert every round is bit-identical — payoffs, routes,
 Equation 2 ``P_dif`` — including across a write-ahead-journal crash-recover
-cycle with a persistent catalog store (warm restart), and under injected
-chaos on the fault-tolerant ladder.
+cycle (the recovered engine rebuilds its catalogs, then refreshes them by
+surgery), and under injected chaos on the fault-tolerant ladder.
 """
 
 import shutil
@@ -17,7 +17,6 @@ from repro.service.engine import DispatchEngine
 from repro.service.faults import FaultPlan
 from repro.service.journal import WorldJournal
 from repro.service.state import WorldState
-from repro.vdps.store import CatalogStore
 
 from tests.service.conftest import make_world, task
 
@@ -126,8 +125,8 @@ class TestWorkCounters:
         assert delta_counts == plain_counts
 
 
-class TestCrashRecoverWarmStart:
-    def _journaled_engine(self, journal_path, store, delta=True, seed=5):
+class TestCrashRecover:
+    def _journaled_engine(self, journal_path, seed=5):
         state = make_world(with_tasks=False)
         state.attach_journal(WorldJournal(journal_path))
         state.add_tasks(
@@ -138,42 +137,30 @@ class TestCrashRecoverWarmStart:
             ]
         )
         return DispatchEngine(
-            state,
-            FGTSolver(epsilon=0.8),
-            epsilon=0.8,
-            seed=seed,
-            delta_catalog=delta,
-            catalog_store=store,
+            state, FGTSolver(epsilon=0.8), epsilon=0.8, seed=seed
         )
 
-    def test_recovered_engine_with_store_matches_cold_control(self, tmp_path):
-        store_dir = tmp_path / "catalogs"
+    def test_recovered_engine_matches_cold_control(self, tmp_path):
         journal = tmp_path / "world.jsonl"
 
-        # Phase 1: run, churn, then drain (persists the delta catalogs).
-        # Planning-mode rounds leave workers free, so the recovered world
-        # still has solvable sub-problems after the journal replay.
-        first = self._journaled_engine(journal, CatalogStore(store_dir))
+        # Phase 1: run and churn.  Planning-mode rounds leave workers
+        # free, so the recovered world still has solvable sub-problems
+        # after the journal replay.
+        first = self._journaled_engine(journal)
         first.dispatch(commit=False)
         first.state.add_tasks([task("late", "a3", 1.4)])
         first.dispatch(commit=False)
-        first.begin_drain()
-        first.drain()
-        assert list(store_dir.glob("*.catalog.pkl"))  # the store was written
 
         # Phase 2: "crash" — recover the world from the journal twice over
         # (two identical copies), once per arm.
         control_journal = tmp_path / "world-control.jsonl"
         shutil.copy(journal, control_journal)
 
-        loads_before = METRICS.counter("catalog.delta_store_loads").value
         recovered = DispatchEngine(
             WorldState.recover(journal),
             FGTSolver(epsilon=0.8),
             epsilon=0.8,
             seed=99,
-            delta_catalog=True,
-            catalog_store=CatalogStore(store_dir),
         )
         control = DispatchEngine(
             WorldState.recover(control_journal),
@@ -184,13 +171,13 @@ class TestCrashRecoverWarmStart:
         )
         assert recovered.state.fingerprint() == control.state.fingerprint()
 
+        applies_before = METRICS.counter("catalog.delta_applies").value
         outcomes = []
         for engine in (recovered, control):
             engine.state.add_tasks([task("post_crash", "b2", 1.2)])
-            rounds = [
-                engine.dispatch(commit=False),
-                engine.dispatch(),
-            ]
+            rounds = [engine.dispatch(commit=False)]
+            engine.state.add_tasks([task("post_crash_a", "a1", 1.3)])
+            rounds.append(engine.dispatch())
             outcomes.append(
                 [
                     (r.payoffs, r.assignments, r.payoff_difference)
@@ -198,5 +185,5 @@ class TestCrashRecoverWarmStart:
                 ]
             )
         assert outcomes[0] == outcomes[1]
-        # The recovered engine really warm-started from the store.
-        assert METRICS.counter("catalog.delta_store_loads").value > loads_before
+        # The recovered engine's second round refreshed by surgery.
+        assert METRICS.counter("catalog.delta_applies").value > applies_before

@@ -222,6 +222,26 @@ class TestDispatchRounds:
         assert [r.round_index for r in history] == [2, 3]
         assert engine.rounds_dispatched == 4
 
+    def test_duration_covers_the_round_telemetry(self, monkeypatch):
+        # duration_seconds is read after the round's telemetry, so it
+        # covers what a timer around dispatch() covers.
+        import time
+
+        delay = 0.05
+        engine = _engine(seed=0)
+        record_fairness = engine._record_fairness
+
+        def slow_record_fairness(result):
+            time.sleep(delay)
+            record_fairness(result)
+
+        monkeypatch.setattr(engine, "_record_fairness", slow_record_fairness)
+        begin = time.perf_counter()
+        result = engine.dispatch()
+        outer = time.perf_counter() - begin
+        assert delay <= result.duration_seconds <= outer
+        assert engine.history[-1] is result is engine.last_committed
+
     def test_round_result_as_dict_is_json_shaped(self):
         result = _engine(seed=0).dispatch()
         payload = result.as_dict()

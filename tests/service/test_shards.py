@@ -213,6 +213,45 @@ class TestFacadeSurface:
             engine.drain()
 
 
+class TestRoundTiming:
+    """A round's ``duration_seconds`` covers the same work as a timer
+    around :meth:`ShardedDispatchEngine.dispatch`: the merge and the
+    telemetry after it included."""
+
+    def test_duration_includes_a_slow_merge(self, monkeypatch):
+        delay = 0.05
+        marks = {}
+        dispatch_round = ShardedDispatchEngine._dispatch_round
+        merge = ShardedDispatchEngine._merge
+
+        def marked_round(self, *args):
+            marks["entered"] = time.perf_counter()
+            return dispatch_round(self, *args)
+
+        def slow_merge(self, *args):
+            time.sleep(delay)
+            merged = merge(self, *args)
+            marks["merged"] = time.perf_counter()
+            return merged
+
+        monkeypatch.setattr(ShardedDispatchEngine, "_dispatch_round", marked_round)
+        monkeypatch.setattr(ShardedDispatchEngine, "_merge", slow_merge)
+        engine = make_sharded()
+        try:
+            seed_sharded(engine)
+            begin = time.perf_counter()
+            result = engine.dispatch()
+            outer = time.perf_counter() - begin
+        finally:
+            engine.begin_drain()
+            engine.drain()
+        assert result.committed and result.assigned_tasks > 0
+        covered = marks["merged"] - marks["entered"]
+        assert covered >= delay
+        assert covered <= result.duration_seconds <= outer
+        assert engine.history[-1] is result
+
+
 class TestShardedHTTP:
     """The HTTP layer over a sharded engine: healthz, SLOs, dispatch."""
 

@@ -14,7 +14,6 @@ from repro.obs.metrics import METRICS
 from repro.oracle import available
 from repro.oracle import build_catalog as oracle_build_catalog
 from repro.vdps.catalog import NULL_STRATEGY, WorkerStrategy, build_catalog
-from repro.vdps.generator import generate_cvdps
 
 from tests.conftest import make_center, make_dp, make_worker, unit_speed_travel
 
@@ -86,12 +85,6 @@ class TestBuildCatalog:
         offline = make_worker("off", 0, 0).offline()
         catalog = build_catalog(_line_subproblem([online, offline]))
         assert [w.worker_id for w in catalog.workers] == ["on"]
-
-    def test_shared_cvdps_reused(self):
-        sub = _line_subproblem([make_worker("w", 0, 0)])
-        entries = generate_cvdps(sub.center, sub.travel)
-        catalog = build_catalog(sub, cvdps=entries)
-        assert catalog.cvdps_count == len(entries)
 
     def test_strict_revalidation_recovers_reordered_sets(self):
         # From the center the minimal-time order of {a, b} is (a, b) with b

@@ -5,13 +5,12 @@ the broad churn space; this suite pins the corner cases a random walk may
 miss — an empty center, a center draining to zero tasks and refilling, the
 deadline-rejection boundary, a task id returning with a different deadline
 — plus the non-surgery paths (rebuild fallback, structural fallback, cap
-growth from zero) and the persistent store's failure modes.  Every
-correctness assertion is the same one: :func:`catalog_diff` between the
-maintained catalog and a from-scratch ``build_catalog`` is empty.
+growth from zero).  Every correctness assertion is the same one:
+:func:`catalog_diff` between the maintained catalog and a from-scratch
+``build_catalog`` is empty.
 """
 
 import math
-import pickle
 import random
 
 import pytest
@@ -26,7 +25,6 @@ from repro.kernels.cvdps import LayoutMatrix
 from repro.obs.metrics import METRICS
 from repro.vdps.catalog import build_catalog
 from repro.vdps.delta import DeltaCatalog, catalog_diff
-from repro.vdps.store import STORE_FORMAT, CatalogStore
 
 TRAVEL = TravelModel(speed_kmh=1.0)
 
@@ -540,97 +538,3 @@ class TestMergeByPosition:
         )
         self._refresh(delta, _sub(churned, workers), strict=strict)
 
-
-class TestCatalogStore:
-    def _delta(self):
-        points = [_dp("a", 1.0, 0.0, 5.0), _dp("b", 0.0, 1.0, 6.0)]
-        workers = [_worker("w0", 0.0, 0.0)]
-        return _sub(points, workers), DeltaCatalog(
-            _sub(points, workers), epsilon=2.0, rebuild_fraction=10.0
-        )
-
-    def test_roundtrip_then_refresh(self, tmp_path):
-        sub, delta = self._delta()
-        store = CatalogStore(tmp_path)
-        assert store.save("dc", delta)
-        restored = store.load("dc", 2.0)
-        assert restored is not None
-        # The materialised catalog is dropped from the pickle...
-        with pytest.raises(RuntimeError, match="refresh"):
-            restored.catalog
-        # ...and one refresh restores bit-identity, churn included.
-        churned = _sub(
-            [_dp("a", 1.0, 0.0, 5.0), _dp("c", 0.5, 0.5, 3.0)],
-            [_worker("w0", 0.0, 0.0), _worker("w1", 0.5, 0.0, cap=2)],
-        )
-        refreshed = restored.refresh(churned)
-        assert not catalog_diff(refreshed, build_catalog(churned, epsilon=2.0))
-        # Persist straight after a delta-path refresh: the derived caches
-        # (the entry table's masks, ranks and built objects; the catalog
-        # and its index) stay out of the pickle, and the restored tables
-        # keep applying churn exactly.
-        assert restored._last_path == "delta"
-        assert restored._entry_arrays is not None
-        restored.catalog.index
-        list(restored.catalog.strategies("w0"))
-        assert restored._entry_arrays._built.any()
-        assert store.save("dc", restored)
-        blob = store.path_for("dc").read_bytes()
-        assert b"CatalogIndex" not in blob
-        again = store.load("dc", 2.0)
-        assert again._catalog is None
-        table = again._entry_arrays
-        assert table._entries is None and not table._built.any()
-        more = _sub(
-            [
-                _dp("b", 0.0, 1.0, 6.0),
-                _dp("c", 0.5, 0.5, 4.0),
-                _dp("d", 1.0, 1.0, 7.0),
-            ],
-            [_worker("w0", 0.0, 0.0), _worker("w1", 0.2, 0.3, cap=3)],
-        )
-        refreshed = again.refresh(more)
-        assert again._last_path == "delta"
-        assert not catalog_diff(refreshed, build_catalog(more, epsilon=2.0))
-
-    def test_epsilon_and_center_mismatch_are_misses(self, tmp_path):
-        _, delta = self._delta()
-        store = CatalogStore(tmp_path)
-        store.save("dc", delta)
-        assert store.load("dc", None) is None
-        assert store.load("other", 2.0) is None
-
-    def test_corrupt_file_is_a_miss(self, tmp_path):
-        _, delta = self._delta()
-        store = CatalogStore(tmp_path)
-        store.save("dc", delta)
-        store.path_for("dc").write_bytes(b"\x80\x04garbage")
-        before = METRICS.counter("catalog.delta_store_errors").value
-        assert store.load("dc", 2.0) is None
-        assert METRICS.counter("catalog.delta_store_errors").value == before + 1
-
-    def test_format_skew_is_a_miss(self, tmp_path):
-        _, delta = self._delta()
-        store = CatalogStore(tmp_path)
-        payload = {
-            "format": STORE_FORMAT + 1,
-            "center_id": "dc",
-            "epsilon": 2.0,
-            "delta": delta,
-        }
-        store.path_for("dc").write_bytes(pickle.dumps(payload))
-        assert store.load("dc", 2.0) is None
-
-    def test_clear_removes_files(self, tmp_path):
-        _, delta = self._delta()
-        store = CatalogStore(tmp_path)
-        store.save("dc", delta)
-        store.save("dc2", delta)  # center_id mismatch on load is fine
-        assert store.clear() == 2
-        assert store.load("dc", 2.0) is None
-
-    def test_sanitises_hostile_center_ids(self, tmp_path):
-        store = CatalogStore(tmp_path)
-        path = store.path_for("../evil/center")
-        assert path.parent == tmp_path
-        assert "/" not in path.name
