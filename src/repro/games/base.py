@@ -108,7 +108,7 @@ class GameState:
         packed point by point.  Raises :class:`ValueError`, leaving the
         state unchanged, if the strategy overlaps points claimed by another
         worker (solvers must only offer available strategies) or uses a
-        point the catalog index does not know.
+        point outside the center.
         """
         k = self._slot[worker_id]
         if position is not None:
@@ -120,8 +120,8 @@ class GameState:
                 bits = mask_int(self.catalog.index.mask_of(strategy.point_ids))
             except KeyError as exc:
                 raise ValueError(
-                    f"delivery point {exc.args[0]!r} is in no strategy of the "
-                    "catalog"
+                    f"delivery point {exc.args[0]!r} is not a point of the "
+                    "catalog's center"
                 ) from None
         clash = bits & self._claimed & ~self._words[k]
         if clash:

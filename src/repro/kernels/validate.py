@@ -6,11 +6,12 @@ once as contiguous arrays (:class:`EntryArrays`) and checks every
 (worker, entry-of-its-center) pair of a whole batch of centers in one
 flat pass (:func:`validate_all`).  The arrays come straight from the
 batched layered DP (:meth:`EntryArrays.from_layers`), packed subset masks
-included.  A scan returns columns — the kept entries' rows and payoffs in
-canonical catalog order — and builds no objects: the catalog
-(:class:`~repro.vdps.catalog.VDPSCatalog`) builds a ``Route`` and a
-``WorkerStrategy`` only for the strategies a solver picks, through
-:meth:`EntryArrays.strategy_objects`.
+included.  A scan returns each center's owner-major
+:class:`~repro.vdps.catalog.StrategyTable` — the kept entries' rows and
+payoffs, worker after worker, each in canonical catalog order — and builds
+no objects: the catalog (:class:`~repro.vdps.catalog.VDPSCatalog`) builds a
+``Route`` and a ``WorkerStrategy`` only for the strategies a solver picks,
+through :meth:`EntryArrays.strategy_objects`.
 
 Bit-identity with the per-entry ``validate_entry`` loop holds operation
 for operation:
@@ -31,7 +32,7 @@ So a materialised strategy equals the ``validate_entry`` loop's field for
 field.  Workers with an individual speed (``factor != 1``) and
 ``strict_revalidation`` builds run that loop over
 :attr:`EntryArrays.entries` instead (:func:`validate_tables`); those paths
-re-route per worker, so they return their objects along with the columns.
+re-route per worker, so their objects pre-fill the table's object cache.
 """
 
 from __future__ import annotations
@@ -44,7 +45,12 @@ import numpy as np
 
 from repro.core.routing import Route
 from repro.kernels.cvdps import narrow
-from repro.vdps.catalog import WorkerStrategy, strategy_sort_key, validate_entry
+from repro.vdps.catalog import (
+    StrategyTable,
+    WorkerStrategy,
+    strategy_sort_key,
+    validate_entry,
+)
 from repro.vdps.generator import CVdpsEntry
 
 #: Packed subset words, little-endian like the DP layers' masks.
@@ -62,9 +68,10 @@ class EntryArrays:
     Row ``e`` of every per-entry array describes entry ``e``; the per-visit
     arrays concatenate the entries' visits, entry ``e`` owning
     ``seg_start[e] : seg_start[e] + sizes[e]``.  Points are indexed by
-    position in :attr:`points`, which is sorted by id.  A full build lays
-    entries out in the canonical ``(size, sorted ids)`` order; a spliced
-    table (:meth:`splice`) appends its new entries instead.  No consumer
+    position in :attr:`points`: the center's delivery points sorted by id,
+    which is also the bit space of the catalog's conflict index.  A full
+    build lays entries out in the canonical ``(size, sorted ids)`` order; a
+    spliced table (:meth:`splice`) appends its new entries instead.  No consumer
     depends on the row order: catalogs order strategies by payoff and
     :attr:`ids_rank`.
     """
@@ -237,10 +244,11 @@ class EntryArrays:
         return tables
 
     @classmethod
-    def from_entries(cls, entries: Sequence[CVdpsEntry]) -> "EntryArrays":
-        """One pass over ``entries``; safe for an empty list."""
-        by_id = {dp.dp_id: dp for entry in entries for dp in entry.route.sequence}
-        points = [by_id[dp_id] for dp_id in sorted(by_id)]
+    def from_entries(
+        cls, entries: Sequence[CVdpsEntry], points: Sequence
+    ) -> "EntryArrays":
+        """One pass over ``entries``, laid out over ``points`` (sorted by
+        id, holding every entry's points); safe for an empty list."""
         index = {dp.dp_id: i for i, dp in enumerate(points)}
         path_flat: List[int] = []
         t_flat: List[float] = []
@@ -248,12 +256,13 @@ class EntryArrays:
             path_flat.extend(index[dp.dp_id] for dp in entry.route.sequence)
             t_flat.extend(entry.route.arrival_times)
         arrays = cls(
-            points,
+            list(points),
             np.array([len(entry.point_ids) for entry in entries], dtype=np.int64),
             np.array(path_flat, dtype=np.intp),
             np.array(t_flat, dtype=np.float64),
             np.array([entry.total_reward for entry in entries], dtype=np.float64),
         )
+        arrays._position = index
         arrays._entries = list(entries)
         arrays._sequences = [entry.route.sequence for entry in entries]
         arrays._point_sets = [entry.point_ids for entry in entries]
@@ -500,51 +509,73 @@ def validate_tables(
     scans: Sequence[Sequence[Tuple[object, float, float]]],
     travels: Sequence,
     locations: Sequence,
-    strict_revalidation: bool,
-) -> List[List[Columns]]:
+    strict: bool,
+) -> List[StrategyTable]:
     """Section IV validation of every center's workers against its entries.
 
     ``scans[c]`` lists ``(worker, offset, factor)`` (see
     :func:`~repro.vdps.catalog.worker_offset_factor`) for each worker
     validated against ``tables[c]``, whose center lies at
-    ``locations[c]`` under ``travels[c]``.  Returns, per center and per
-    worker in that order, the worker's columns: kept rows and payoffs
-    sorted by :func:`repro.vdps.catalog.strategy_sort_key` (best payoff
-    first, ties by point ids).  Unit-speed workers (without strict
-    revalidation) are answered by one :func:`validate_all` pass over the
-    whole batch and build no objects.  Speed-scaled workers and strict
-    revalidation run the ``validate_entry`` loop and return its objects
-    too.
+    ``locations[c]`` under ``travels[c]``.  Returns, per center, its
+    owner-major :class:`~repro.vdps.catalog.StrategyTable`: the workers in
+    scan order, each worker's kept rows and payoffs sorted by
+    :func:`repro.vdps.catalog.strategy_sort_key` (best payoff first, ties
+    by point ids).  Unit-speed workers (without ``strict`` revalidation)
+    are answered by one :func:`validate_all` pass over the whole batch and
+    build no objects.  Speed-scaled workers and strict revalidation run
+    the ``validate_entry`` loop, whose objects pre-fill the table's cache.
     """
-    out: List[List[Optional[Columns]]] = []
-    pending: List[List[Tuple[int, float]]] = []
-    for table, scan, travel, location in zip(tables, scans, travels, locations):
-        columns: List[Optional[Columns]] = []
-        array_scan: List[Tuple[int, float]] = []
-        for worker, offset, factor in scan:
-            if factor != 1.0 or strict_revalidation:
-                columns.append(
-                    _scalar_scan(
-                        table,
-                        worker,
-                        offset,
-                        factor,
-                        travel,
-                        location,
-                        strict_revalidation,
-                    )
-                )
+    exact = [[factor != 1.0 or strict for _, _, factor in scan] for scan in scans]
+    found = validate_all(
+        tables,
+        [
+            [(w.max_delivery_points, o) for (w, o, _), x in zip(scan, flags) if not x]
+            for scan, flags in zip(scans, exact)
+        ],
+    )
+    out = []
+    for arrays, scan, flags, travel, location, (rows, payoffs, counts) in zip(
+        tables, scans, exact, travels, locations, found
+    ):
+        offsets = [offset for _, offset, _ in scan]
+        cuts = [0, *accumulate(counts.tolist())]
+        if not any(flags):
+            out.append(
+                StrategyTable(arrays, rows, payoffs, cuts, np.array(offsets), {})
+            )
+            continue
+        # The validate_entry loop's workers between the array scan's.
+        spans = map(slice, cuts, cuts[1:])
+        parts = []
+        for each, loop in zip(scan, flags):
+            if loop:
+                parts.append(_scalar_scan(arrays, *each, travel, location, strict))
             else:
-                columns.append(None)
-                array_scan.append((worker.max_delivery_points, offset))
-        out.append(columns)
-        pending.append(array_scan)
-    for columns, found in zip(out, validate_all(tables, pending)):
-        found = iter(found)
-        for k, column in enumerate(columns):
-            if column is None:
-                columns[k] = (*next(found), None)
+                span = next(spans)
+                parts.append((rows[span], payoffs[span], None))
+        out.append(table_of(arrays, parts, offsets))
     return out
+
+
+def table_of(
+    arrays: EntryArrays, parts: Sequence[Columns], offsets: Sequence[float]
+) -> StrategyTable:
+    """The :class:`~repro.vdps.catalog.StrategyTable` of per-worker
+    ``(rows, payoffs, objects)`` columns, in worker order; ``objects``
+    (``None`` or one per row) pre-fill the table's cache."""
+    starts = [0, *accumulate(rows.size for rows, _, _ in parts)]
+    objects: Dict[int, WorkerStrategy] = {}
+    for start, (_, _, objs) in zip(starts, parts):
+        if objs is not None:
+            objects.update(enumerate(objs, start))
+    return StrategyTable(
+        arrays,
+        _concat([rows for rows, _, _ in parts], np.intp),
+        _concat([payoffs for _, payoffs, _ in parts], np.float64),
+        starts,
+        np.array(offsets, dtype=np.float64),
+        objects,
+    )
 
 
 def _scalar_scan(
@@ -589,23 +620,26 @@ _CHUNK_CELLS = 1 << 14
 def validate_all(
     tables: Sequence[EntryArrays],
     scans: Sequence[Sequence[Tuple[int, float]]],
-) -> List[List[Tuple[np.ndarray, np.ndarray]]]:
+) -> List[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """The array scan of many centers' unit-speed workers, in one pass.
 
     ``scans[c]`` lists ``(max_delivery_points, offset)`` of each worker
-    validated against ``tables[c]``; the result holds, per center and per
-    worker in that order, the kept rows of ``tables[c]`` and their
-    payoffs in canonical catalog order (payoff descending, ties by point
+    validated against ``tables[c]``; the result holds, per center,
+    ``(rows, payoffs, counts)``: the kept rows of ``tables[c]`` and their
+    payoffs owner-major (worker ``k`` owning the next ``counts[k]``), each
+    worker's in canonical catalog order (payoff descending, ties by point
     ids).  Every (worker, entry-of-its-center) pair is checked in one flat
     pass: a visit is on time when ``(t + offset) <= expiry``, a pair when
     all its visits are (one ``reduceat`` over the pair segments), and the
     payoff is ``reward / (last_time + offset)`` — the same IEEE-754
     operations, element for element, as ``validate_entry``.
     """
-    out: List[List[Tuple[np.ndarray, np.ndarray]]] = [[] for _ in tables]
     worker_centers = [c for c, scan in enumerate(scans) for _ in scan]
     if not worker_centers:
-        return out
+        return [
+            (np.empty(0, dtype=np.intp), np.empty(0), np.zeros(0, dtype=np.intp))
+            for _ in tables
+        ]
     n_entries = np.array([t.n_entries for t in tables], dtype=np.int64)
     n_visits = np.array([t.t_flat.size for t in tables], dtype=np.int64)
     t_flat = np.concatenate([t.t_flat for t in tables])
@@ -625,7 +659,7 @@ def validate_all(
     all_centers = np.array(worker_centers, dtype=np.intp)
     all_max_size = np.array([m for scan in scans for m, _ in scan], dtype=np.int64)
     all_offsets = np.array([o for scan in scans for _, o in scan], dtype=np.float64)
-    found: List[Tuple[np.ndarray, np.ndarray]] = []
+    row_parts, payoff_parts, count_parts = [], [], []
     for lo, hi in _chunks(n_visits[all_centers].tolist()):
         worker_center = all_centers[lo:hi]
         max_size = all_max_size[lo:hi]
@@ -676,14 +710,19 @@ def validate_all(
             )
         )
         owners = owners[order]
-        rows = entries[order] - e_start[worker_center[owners]]
-        payoffs = payoffs[order]
-        cuts = np.searchsorted(owners, np.arange(n_workers + 1)).tolist()
-        for k in range(n_workers):
-            found.append((rows[cuts[k] : cuts[k + 1]], payoffs[cuts[k] : cuts[k + 1]]))
-    for c, columns in zip(worker_centers, found):
-        out[c].append(columns)
-    return out
+        row_parts.append(entries[order] - e_start[worker_center[owners]])
+        payoff_parts.append(payoffs[order])
+        count_parts.append(np.bincount(owners, minlength=n_workers))
+    rows = np.concatenate(row_parts)
+    payoffs = np.concatenate(payoff_parts)
+    counts = np.concatenate(count_parts)
+    # Workers are center-major, so each center's rows are one block.
+    worker_cut = [0, *accumulate(map(len, scans))]
+    row_cut = [0, *accumulate(counts.tolist())]
+    return [
+        (rows[row_cut[a] : row_cut[b]], payoffs[row_cut[a] : row_cut[b]], counts[a:b])
+        for a, b in zip(worker_cut, worker_cut[1:])
+    ]
 
 
 def _chunks(cells: List[int]):

@@ -53,12 +53,11 @@ from repro.games.iegt import IEGTSolver
 from repro.games.potential import IAUEvaluator, potential_value
 from repro.games.trace import ConvergenceTrace
 from repro.geo.travel import TravelModel
-from repro.kernels.validate import EntryArrays, _scalar_scan
+from repro.kernels.validate import EntryArrays, _scalar_scan, table_of
 from repro.obs.tracer import NULL_TRACER, NullTracer
 from repro.vdps.catalog import (
     NULL_STRATEGY,
     VDPSCatalog,
-    WorkerStrategies,
     WorkerStrategy,
     worker_offset_factor,
 )
@@ -240,18 +239,31 @@ def build_catalog(
     if cvdps is None:
         cap = max((w.max_delivery_points for w in sub.online_workers), default=0)
         cvdps = generate_cvdps(sub.center, sub.travel, epsilon, cap)
-    arrays = EntryArrays.from_entries(cvdps)
+    arrays = EntryArrays.from_entries(
+        cvdps, sorted(sub.center.delivery_points, key=lambda dp: dp.dp_id)
+    )
     location = sub.center.location
-    columns = {}
+    parts, offsets = [], []
     for worker in sub.online_workers:
         offset, factor = worker_offset_factor(worker, sub.travel, location)
-        rows, payoffs, objects = _scalar_scan(
-            arrays, worker, offset, factor, sub.travel, location, strict_revalidation
+        parts.append(
+            _scalar_scan(
+                arrays,
+                worker,
+                offset,
+                factor,
+                sub.travel,
+                location,
+                strict_revalidation,
+            )
         )
-        columns[worker.worker_id] = WorkerStrategies(
-            arrays, rows, payoffs, offset, objects
-        )
-    return VDPSCatalog(sub.online_workers, arrays, columns, epsilon, arrays.n_entries)
+        offsets.append(offset)
+    return VDPSCatalog(
+        sub.online_workers,
+        table_of(arrays, parts, offsets),
+        epsilon,
+        arrays.n_entries,
+    )
 
 
 # -- Exhaustive references for small inputs ---------------------------------

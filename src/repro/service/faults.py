@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro.utils.rng import RngFactory
-from repro.vdps.catalog import VDPSCatalog, WorkerStrategies
+from repro.vdps.catalog import VDPSCatalog
 from repro.core.routing import Route
 
 #: Environment variable carrying a process-wide fault-plan spec.
@@ -158,13 +158,13 @@ class FaultPlan:
         assignment validation (Definition 8 deadline feasibility) or the
         engine's per-rung :func:`repro.verify` payoff re-derivation must
         reject any solve that picks it.  The copy shares the catalog's
-        columns and conflict index; only its cache differs, pre-filled
-        with the shifted strategy at position 0.
+        table columns and conflict index; only its object cache differs,
+        pre-filled with each worker's shifted strategy at its position 0.
         """
-        tampered: Dict[str, WorkerStrategies] = {}
-        for worker in catalog.workers:
+        table = catalog.table
+        objects = dict(table.objects)
+        for k, worker in enumerate(catalog.workers):
             strategies = catalog.strategies(worker.worker_id)
-            broken = {}
             if strategies:
                 first = strategies[0]
                 broken_route = Route(
@@ -173,13 +173,13 @@ class FaultPlan:
                         t + _CORRUPTION_SHIFT_HOURS for t in first.route.arrival_times
                     ),
                 )
-                broken[0] = dataclasses.replace(first, route=broken_route)
-            tampered[worker.worker_id] = strategies.replaced(broken)
+                objects[table.starts[k]] = dataclasses.replace(
+                    first, route=broken_route
+                )
         # Point sets and payoffs are untouched, so the index is shared.
         return VDPSCatalog(
             catalog.workers,
-            catalog.arrays,
-            tampered,
+            dataclasses.replace(table, objects=objects),
             catalog.epsilon,
             catalog.cvdps_count,
             index=catalog.index,

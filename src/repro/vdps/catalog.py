@@ -6,15 +6,19 @@ times.  The result — every VDPS of every worker, with its minimal-time route
 and precomputed payoff — is the strategy space of both games, so it is built
 once per sub-problem and shared by all solvers.
 
-The catalog is columnar.  Validation keeps, per worker, the rows of the
-center's shared :class:`~repro.kernels.validate.EntryArrays` that pass and
-their payoffs, in canonical catalog order (:class:`WorkerStrategies`); the
-conflict index (:class:`CatalogIndex`) gathers the entries' packed point
-masks by row.  FGT's best response reads only those payoffs and masks, so
-``Route`` and :class:`WorkerStrategy` objects exist only for the strategies
-a solver picks: ``catalog.strategies(wid)[pos]`` builds one on first access
-and caches it.  Solvers that walk whole strategy spaces (GTA, MPTA,
-exhaustive search) get every object of a worker in one batched pass.
+The catalog is one owner-major table (:class:`StrategyTable`).
+Validation keeps, worker after worker, the rows of the center's shared
+:class:`~repro.kernels.validate.EntryArrays` that pass and their payoffs,
+each worker's in canonical catalog order; each worker's
+:class:`WorkerStrategies` is a slice of it.  The conflict index
+(:class:`CatalogIndex`) lives in the entry table's own bit space and
+gathers the entries' packed point masks by the table's rows.  FGT's best
+response reads only those payoffs and masks, so ``Route`` and
+:class:`WorkerStrategy` objects exist only for the strategies a solver
+picks: ``catalog.strategies(wid)[pos]`` builds one on first access and
+caches it in the table.  Solvers that walk whole strategy spaces (GTA,
+MPTA, exhaustive search) get every object of a worker in one batched
+pass.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ from typing import (
     Iterable,
     Iterator,
     List,
-    Mapping,
     Optional,
     Tuple,
 )
@@ -90,47 +93,60 @@ _WORD_BITS = 64
 _WORD_DTYPE = np.dtype("<u8")
 
 
-class WorkerStrategies(Sequence):
-    """One worker's strategies as columns: entry rows and payoffs.
+@dataclass(frozen=True)
+class StrategyTable:
+    """A center's strategies, one owner-major table.
 
-    Position ``r`` is the strategy of entry ``rows[r]`` of the catalog's
-    :class:`~repro.kernels.validate.EntryArrays` with payoff
-    ``payoffs[r]``, in canonical catalog order.  ``self[r]`` builds the
-    :class:`WorkerStrategy` on first access and caches it, so repeated
-    (and concurrent) reads return the same object; iterating builds every
-    missing position in one batched pass.  ``objects``, when given, are
-    the column's strategies, one per position (the ``validate_entry``
-    loop keeps its exact objects: it re-times routes a row cannot describe),
-    and nothing is ever built from the rows.  Compares equal to a tuple
-    of the same strategies.
+    Worker ``k`` (catalog order) owns positions ``starts[k]:starts[k + 1]``;
+    position ``p`` is the strategy of entry ``rows[p]`` of :attr:`arrays`
+    with payoff ``payoffs[p]``, and a worker's positions are in canonical
+    catalog order.  :attr:`objects` is the one object cache, keyed by
+    position: strategies are built into it on first read, and the
+    ``validate_entry`` loop (which re-times routes a row cannot describe)
+    pre-fills its workers' positions with its exact objects, so nothing is
+    ever built from their rows.
     """
 
-    __slots__ = ("arrays", "rows", "payoffs", "offset", "_cache", "_all")
+    #: The shared :class:`~repro.kernels.validate.EntryArrays` the rows index.
+    arrays: object
+    #: ``(N,)`` intp — entry row of each position.
+    rows: np.ndarray
+    #: ``(N,)`` float64 — Equation-1 payoff of each position.
+    payoffs: np.ndarray
+    #: Worker ``k``'s positions start at ``starts[k]``; ``starts[-1] == N``.
+    starts: List[int]
+    #: ``(W,)`` float64 — each worker's start offset (hours), added to
+    #: every arrival time.
+    offsets: np.ndarray
+    #: Strategy objects by position.
+    objects: Dict[int, WorkerStrategy]
 
-    def __init__(
-        self,
-        arrays,
-        rows: np.ndarray,
-        payoffs: np.ndarray,
-        offset: float,
-        objects: Optional[Sequence[WorkerStrategy]] = None,
-    ) -> None:
-        #: The shared entry table the rows index.
-        self.arrays = arrays
-        #: ``(n,)`` intp — entry row of each position.
-        self.rows = rows
-        #: ``(n,)`` float64 — Equation-1 payoff of each position.
-        self.payoffs = payoffs
-        #: The worker's start offset (hours), added to every arrival time.
-        self.offset = offset
-        self._cache: Dict[int, WorkerStrategy] = {}
+
+class WorkerStrategies(Sequence):
+    """One worker's slice of its catalog's :class:`StrategyTable`.
+
+    ``self[r]`` is the strategy at table position ``start + r``: read from
+    the table's object cache, or built on first access and cached there, so
+    repeated (and concurrent) reads return the same object; iterating
+    builds every missing position in one batched pass.  Compares equal to
+    a tuple of the same strategies.
+    """
+
+    __slots__ = ("table", "start", "rows", "payoffs", "offset", "_all")
+
+    def __init__(self, table: StrategyTable, k: int) -> None:
+        a, b = table.starts[k], table.starts[k + 1]
+        #: The catalog's table.
+        self.table = table
+        #: The table position of this worker's first strategy.
+        self.start = a
+        #: ``(n,)`` intp view of the table's rows.
+        self.rows = table.rows[a:b]
+        #: ``(n,)`` float64 view of the table's payoffs.
+        self.payoffs = table.payoffs[a:b]
+        #: The worker's start offset (hours).
+        self.offset = float(table.offsets[k])
         self._all: Optional[Tuple[WorkerStrategy, ...]] = None
-        if objects is not None:
-            if len(objects) != rows.size:
-                raise ValueError(
-                    f"{len(objects)} strategy objects for {rows.size} rows"
-                )
-            self._all = tuple(objects)
 
     def __len__(self) -> int:
         return self.rows.size
@@ -141,18 +157,19 @@ class WorkerStrategies(Sequence):
         pos = operator.index(pos)
         if self._all is not None:
             return self._all[pos]
-        strategy = self._cache.get(pos)
-        if strategy is not None:
-            return strategy
         n = self.rows.size
         if pos < 0:
             pos += n
         if not 0 <= pos < n:
             raise IndexError("strategy position out of range")
-        built = self.arrays.strategy_objects(
+        cache = self.table.objects
+        strategy = cache.get(self.start + pos)
+        if strategy is not None:
+            return strategy
+        built = self.table.arrays.strategy_objects(
             self.rows[pos : pos + 1], self.payoffs[pos : pos + 1], self.offset
         )[0]
-        strategy = self._cache.setdefault(pos, built)
+        strategy = cache.setdefault(self.start + pos, built)
         if strategy is built:
             METRICS.counter("catalog.strategies_materialised").add(1)
         return strategy
@@ -172,42 +189,23 @@ class WorkerStrategies(Sequence):
     def __repr__(self) -> str:
         return f"WorkerStrategies({self._tuple()!r})"
 
-    def cached(self, pos: int) -> Optional[WorkerStrategy]:
-        """The object at ``pos`` if it already exists, else ``None``."""
-        if self._all is not None:
-            return self._all[pos]
-        return self._cache.get(pos)
-
-    def replaced(self, objects: Mapping[int, WorkerStrategy]) -> "WorkerStrategies":
-        """A copy over the same columns whose cache holds ``objects``."""
-        if self._all is not None:
-            merged = list(self._all)
-            for pos, strategy in objects.items():
-                merged[pos] = strategy
-            return WorkerStrategies(
-                self.arrays, self.rows, self.payoffs, self.offset, merged
-            )
-        copy = WorkerStrategies(self.arrays, self.rows, self.payoffs, self.offset)
-        copy._cache.update(self._cache)
-        copy._cache.update(objects)
-        return copy
-
     def _tuple(self) -> Tuple[WorkerStrategy, ...]:
         """Every strategy, the missing ones built in one batched pass."""
         if self._all is None:
-            cache = self._cache
-            missing = [pos for pos in range(self.rows.size) if pos not in cache]
+            cache, start = self.table.objects, self.start
+            keys = range(start, start + self.rows.size)
+            missing = [key for key in keys if key not in cache]
             if missing:
-                idx = np.array(missing, dtype=np.intp)
-                built = self.arrays.strategy_objects(
+                idx = np.array(missing, dtype=np.intp) - start
+                built = self.table.arrays.strategy_objects(
                     self.rows[idx], self.payoffs[idx], self.offset
                 )
                 # setdefault: a racing first build of a position wins.
                 fresh = sum(
-                    cache.setdefault(pos, s) is s for pos, s in zip(missing, built)
+                    cache.setdefault(key, s) is s for key, s in zip(missing, built)
                 )
                 METRICS.counter("catalog.strategies_materialised").add(fresh)
-            self._all = tuple(map(cache.__getitem__, range(self.rows.size)))
+            self._all = tuple(map(cache.__getitem__, keys))
         return self._all
 
 
@@ -282,46 +280,86 @@ def mask_words(bits: int, n_words: int) -> np.ndarray:
 class CatalogIndex:
     """Bitmask conflict index over a catalog's delivery points.
 
-    Every delivery point some strategy uses gets a bit position (assigned
-    in sorted-id order, so the index is deterministic); each strategy
-    becomes a packed uint64 bitmask over those positions.  Solvers then
-    test availability with ``masks & claimed == 0`` over whole strategy
-    lists instead of Python-level set intersections — the backbone of the
-    vectorized best-response engine.
+    Every delivery point of the center has a bit position, in sorted-id
+    order (so the index is deterministic); each strategy becomes a packed
+    uint64 bitmask over those positions.  Solvers then test availability
+    with ``masks & claimed == 0`` over whole strategy lists instead of
+    Python-level set intersections — the backbone of the vectorized
+    best-response engine.
 
-    The masks are not packed here: each entry of the catalog's
+    The bit space is the entry table's own: each entry of the catalog's
     :class:`~repro.kernels.validate.EntryArrays` carries its packed point
-    set (the DP's own subset mask on a full build).  The index gathers the
-    distinct kept entries' masks, compacts their bits to the points some
-    strategy uses, and gathers each worker's rows from that table.
-    :meth:`batch` does that for many catalogs in one pass; each index
-    equals the one built for its catalog alone.
+    set (the DP's own subset mask on a full build), so :attr:`point_bits`
+    is the table's :attr:`~repro.kernels.validate.EntryArrays.position`
+    and :attr:`masks` is the entry masks gathered by the
+    :class:`StrategyTable`'s rows.  Each worker's :class:`WorkerIndex` is
+    a slice of them.  :meth:`batch` builds many catalogs' indexes at once.
     """
 
-    def __init__(self, arrays, columns: Mapping[str, WorkerStrategies]) -> None:
-        ((self.point_bits, self.n_words, self._workers),) = _gather_indexes(
-            [(arrays, columns)]
-        )
+    def __init__(
+        self,
+        point_bits: Dict[str, int],
+        masks: np.ndarray,
+        workers: Dict[str, WorkerIndex],
+    ) -> None:
+        #: ``{dp_id: bit}`` over the center's points (do not mutate: it is
+        #: the entry table's own map).
+        self.point_bits = point_bits
+        #: ``(N, n_words)`` uint64 — the mask of every table position.
+        self.masks = masks
+        self.n_words = masks.shape[1]
+        self._workers = workers
 
     @classmethod
-    def batch(
-        cls, parts: Sequence[Tuple[object, Mapping[str, WorkerStrategies]]]
-    ) -> List["CatalogIndex"]:
-        """The index of every ``(arrays, columns)`` catalog in ``parts``.
+    def batch(cls, catalogs: Sequence["VDPSCatalog"]) -> List["CatalogIndex"]:
+        """The index of every catalog in ``catalogs``.
 
-        One gather, one union and one bit compaction serve the whole
-        batch; only the ``point_bits`` dicts and the per-worker views are
-        made catalog by catalog.
+        Each catalog's masks are one gather of its entry masks; the size-1
+        positions of the whole batch are found in one pass.  Only the
+        per-worker views are made worker by worker.
         """
+        if not catalogs:
+            return []
+        tables = [catalog.table for catalog in catalogs]
+        bases = [0, *accumulate(table.rows.size for table in tables)]
+        bounds = [
+            base + start
+            for table, base in zip(tables, bases)
+            for start in table.starts[:-1]
+        ] + [bases[-1]]
+        # Size-1 positions of the whole batch, each made relative to the
+        # start of its worker's segment.  (Method calls, not ``np.``
+        # functions: on small centers numpy's dispatch overhead is most of
+        # the cost.)
+        singles = np.concatenate(
+            [table.arrays.sizes[table.rows] == 1 for table in tables]
+        ).nonzero()[0]
+        single_cut = singles.searchsorted(bounds).tolist()
+        singles -= np.array(bounds[:-1], dtype=np.intp).repeat(np.diff(single_cut))
         out = []
-        for point_bits, n_words, workers in _gather_indexes(parts):
-            index = cls.__new__(cls)
-            index.point_bits, index.n_words, index._workers = (
-                point_bits,
-                n_words,
-                workers,
+        j = 0
+        for catalog, table in zip(catalogs, tables):
+            masks = table.arrays.masks[table.rows]
+            # Workers without strategies (common on small centers) share
+            # one all-empty view.
+            empty = WorkerIndex(
+                masks=masks[:0], payoffs=table.payoffs[:0], size1=singles[:0]
             )
-            out.append(index)
+            workers: Dict[str, WorkerIndex] = {}
+            starts = table.starts
+            for k, worker in enumerate(catalog.workers):
+                a, b = starts[k], starts[k + 1]
+                workers[worker.worker_id] = (
+                    WorkerIndex(
+                        masks=masks[a:b],
+                        payoffs=table.payoffs[a:b],
+                        size1=singles[single_cut[j + k] : single_cut[j + k + 1]],
+                    )
+                    if a < b
+                    else empty
+                )
+            j += len(starts) - 1
+            out.append(cls(table.arrays.position, masks, workers))
         return out
 
     def worker(self, worker_id: str) -> WorkerIndex:
@@ -336,7 +374,8 @@ class CatalogIndex:
         return np.zeros(self.n_words, dtype=np.uint64)
 
     def mask_of(self, point_ids: Iterable[str]) -> np.ndarray:
-        """The bitmask of an arbitrary point-id set (e.g. one strategy's)."""
+        """The bitmask of an arbitrary point-id set (e.g. one strategy's);
+        raises KeyError for a point outside the center."""
         mask = self.empty_mask()
         for dp_id in point_ids:
             bit = self.point_bits[dp_id]
@@ -344,151 +383,33 @@ class CatalogIndex:
         return mask
 
 
-def _gather_indexes(
-    parts: Sequence[Tuple[object, Mapping[str, WorkerStrategies]]]
-) -> List[Tuple[Dict[str, int], int, Dict[str, WorkerIndex]]]:
-    """``(point_bits, n_words, per-worker views)`` of each catalog in
-    ``parts``, for :class:`CatalogIndex`."""
-    if not parts:
-        return []
-    tables = [arrays for arrays, _ in parts]
-    columns = [list(cols.values()) for _, cols in parts]
-    # Every worker's rows, catalog after catalog, as rows of the
-    # batch's stacked entry table.
-    entry_base = [0, *accumulate(arrays.n_entries for arrays in tables)]
-    row_parts = [c.rows for cols in columns for c in cols]
-    bounds = [0, *accumulate(map(len, row_parts))]
-    col_cut = [0, *accumulate(map(len, columns))]
-    row_cut = [bounds[k] for k in col_cut]
-    rows = (
-        np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.intp)
-    )
-    if len(parts) > 1:
-        rows += np.repeat(entry_base[:-1], np.diff(row_cut))
-    width = max(arrays.masks.shape[1] for arrays in tables)
-    if len(tables) == 1:
-        masks, sizes = tables[0].masks, tables[0].sizes
-    else:
-        if all(arrays.masks.shape[1] == width for arrays in tables):
-            masks = np.concatenate([arrays.masks for arrays in tables])
-        else:
-            masks = np.zeros((entry_base[-1], width), dtype=np.uint64)
-            for arrays, a in zip(tables, entry_base):
-                masks[a : a + arrays.n_entries, : arrays.masks.shape[1]] = (
-                    arrays.masks
-                )
-        sizes = np.concatenate([arrays.sizes for arrays in tables])
-    # The distinct kept entries, each packed once, and each catalog's
-    # union of them.
-    kept = np.zeros(entry_base[-1], dtype=bool)
-    kept[rows] = True
-    distinct = kept.nonzero()[0]
-    table = masks[distinct]
-    cut = distinct.searchsorted(entry_base).tolist()
-    live = [c for c in range(len(parts)) if cut[c] < cut[c + 1]]
-    used_of = [np.empty(0, dtype=np.intp)] * len(parts)
-    if live:
-        union = np.bitwise_or.reduceat(table, [cut[c] for c in live])
-        bits = np.unpackbits(union.view(np.uint8), axis=1, bitorder="little")
-        owner, bit = bits.nonzero()
-        split = owner.searchsorted(np.arange(1, len(live))).tolist()
-        for c, used in zip(live, np.split(bit, split)):
-            used_of[c] = used
-    # ceil, at least one word so masks never degenerate to width 0
-    n_words = [max(1, -(-used.size // _WORD_BITS)) for used in used_of]
-    table = _compact(table, cut, used_of, max(n_words))
-    slot = np.zeros(entry_base[-1], dtype=np.intp)
-    slot[distinct] = np.arange(distinct.size)
-    masks = table[slot[rows]]
-    # Size-1 positions of the whole batch, each made relative to the start
-    # of its worker's segment.  (Method calls, not ``np.`` functions: on
-    # small centers numpy's dispatch overhead is most of the cost.)
-    singles = (sizes[rows] == 1).nonzero()[0]
-    single_cut = singles.searchsorted(bounds).tolist()
-    singles -= np.array(bounds[:-1], dtype=np.intp).repeat(np.diff(single_cut))
-    out = []
-    for c, (arrays, cols) in enumerate(zip(tables, columns)):
-        points = arrays.points
-        point_bits = {
-            points[i].dp_id: bit for bit, i in enumerate(used_of[c].tolist())
-        }
-        lo, hi = row_cut[c], row_cut[c + 1]
-        own = masks[lo:hi, : n_words[c]]
-        if n_words[c] < masks.shape[1]:
-            own = np.ascontiguousarray(own)
-        # Workers without strategies (common on small centers) share
-        # one all-empty view.
-        empty = WorkerIndex(
-            masks=own[:0],
-            payoffs=np.empty(0, dtype=np.float64),
-            size1=singles[:0],
-        )
-        workers: Dict[str, WorkerIndex] = {}
-        for k, (worker_id, column) in enumerate(zip(parts[c][1], cols)):
-            j = col_cut[c] + k
-            a, b = bounds[j], bounds[j + 1]
-            if a == b:
-                workers[worker_id] = empty
-                continue
-            workers[worker_id] = WorkerIndex(
-                masks=own[a - lo : b - lo],
-                payoffs=column.payoffs,
-                size1=singles[single_cut[j] : single_cut[j + 1]],
-            )
-        out.append((point_bits, n_words[c], workers))
-    return out
-
-
-def _compact(
-    table: np.ndarray, cut: List[int], used_of: List[np.ndarray], n_words: int
-) -> np.ndarray:
-    """``table``'s masks re-packed onto each catalog's used bit positions.
-
-    Rows ``cut[c]:cut[c + 1]`` belong to catalog ``c``, whose bit
-    ``used_of[c][k]`` becomes bit ``k``; the result is ``n_words`` wide.
-    When every catalog's used bits are a prefix of the bit positions the
-    words are kept as they are.
-    """
-    if all(not used.size or used[-1] == used.size - 1 for used in used_of):
-        return np.ascontiguousarray(table[:, :n_words], dtype=np.uint64)
-    member = np.unpackbits(table.view(np.uint8), axis=1, bitorder="little")
-    packed = np.zeros((table.shape[0], n_words * 8), dtype=np.uint8)
-    for c, used in enumerate(used_of):
-        if used.size:
-            a, b = cut[c], cut[c + 1]
-            packed[a:b, : -(-used.size // 8)] = np.packbits(
-                member[a:b, used], axis=1, bitorder="little"
-            )
-    return packed.view(np.uint64)
-
-
 class VDPSCatalog:
     """Strategy spaces ``ST_i = VDPS(w_i) ∪ {null}`` for a sub-problem.
 
     Strategies are sorted by descending payoff (ties broken by point ids) so
     iteration order — and therefore every solver's tie-breaking — is
-    deterministic.  The catalog is columnar: one shared
-    :class:`~repro.kernels.validate.EntryArrays` plus, per worker, a
-    :class:`WorkerStrategies` of entry rows and payoffs.  Objects exist
+    deterministic.  The catalog is one owner-major :class:`StrategyTable`
+    over a shared :class:`~repro.kernels.validate.EntryArrays`; each
+    worker's :class:`WorkerStrategies` is a slice of it.  Objects exist
     only for the strategies somebody reads.
     """
 
     def __init__(
         self,
         workers: Tuple[Worker, ...],
-        arrays,
-        columns: Mapping[str, WorkerStrategies],
+        table: StrategyTable,
         epsilon: Optional[float],
         cvdps_count: int,
         index: Optional[CatalogIndex] = None,
     ) -> None:
         self._workers = workers
-        #: The shared entry table every worker's rows index.
-        self.arrays = arrays
-        self._columns: Dict[str, WorkerStrategies] = dict(columns)
+        #: The catalog's strategies, worker ``k`` of :attr:`workers` owning
+        #: slice ``k``.
+        self.table = table
+        self._slot = {worker.worker_id: k for k, worker in enumerate(workers)}
+        self._strategies: Dict[str, WorkerStrategies] = {}
         self.epsilon = epsilon
         self.cvdps_count = cvdps_count
-        self._total_strategy_count = sum(map(len, self._columns.values()))
         self._max_vdps_size: Optional[int] = None
         self._index = index
         #: The catalogs of this one's build batch, whose indexes are built
@@ -499,32 +420,41 @@ class VDPSCatalog:
     def workers(self) -> Tuple[Worker, ...]:
         return self._workers
 
+    @property
+    def arrays(self):
+        """The shared entry table every position's row indexes."""
+        return self.table.arrays
+
     def strategies(self, worker_id: str) -> WorkerStrategies:
         """The worker's non-null strategies, best payoff first."""
-        try:
-            return self._columns[worker_id]
-        except KeyError:
-            raise KeyError(f"no worker {worker_id!r} in catalog") from None
+        strategies = self._strategies.get(worker_id)
+        if strategies is None:
+            try:
+                k = self._slot[worker_id]
+            except KeyError:
+                raise KeyError(f"no worker {worker_id!r} in catalog") from None
+            strategies = self._strategies.setdefault(
+                worker_id, WorkerStrategies(self.table, k)
+            )
+        return strategies
 
     def has_strategies(self, worker_id: str) -> bool:
         """Whether the worker has at least one non-null VDPS."""
-        return bool(self._columns.get(worker_id))
+        k = self._slot.get(worker_id)
+        return k is not None and self.table.starts[k] < self.table.starts[k + 1]
 
     @property
     def max_vdps_size(self) -> int:
         """``|maxVDPS|``: the largest VDPS size across all workers."""
         if self._max_vdps_size is None:
-            sizes = self.arrays.sizes
-            self._max_vdps_size = max(
-                (int(sizes[c.rows].max()) for c in self._columns.values() if len(c)),
-                default=0,
-            )
+            rows = self.table.rows
+            self._max_vdps_size = int(self.arrays.sizes[rows].max()) if rows.size else 0
         return self._max_vdps_size
 
     @property
     def total_strategy_count(self) -> int:
         """Total number of non-null strategies across workers."""
-        return self._total_strategy_count
+        return self.table.rows.size
 
     @property
     def index(self) -> CatalogIndex:
@@ -534,13 +464,11 @@ class VDPSCatalog:
         claim, so a catalog nobody solves never pays the gather.  The
         first read on any catalog of one :func:`build_batch` call builds
         the index of every catalog of that batch still alive, in one
-        :meth:`CatalogIndex.batch` pass.
+        :meth:`CatalogIndex.batch` pass; a catalog outside a batch is a
+        batch of one.
         """
         if self._index is None:
-            if self._batch is not None:
-                self._batch.build()
-            if self._index is None:
-                self._index = CatalogIndex(self.arrays, self._columns)
+            (self._batch or _IndexBatch([self])).build()
         return self._index
 
     def picks(self, positions: Sequence[int]) -> List[WorkerStrategy]:
@@ -549,30 +477,30 @@ class VDPSCatalog:
 
         Objects that exist are reused; the missing ones are built in one
         :meth:`~repro.kernels.validate.EntryArrays.strategy_objects` call
-        and cached in their columns, so ``strategies(wid)[pos]`` returns
-        the same object afterwards.
+        and cached in the table, so ``strategies(wid)[pos]`` returns the
+        same object afterwards.
         """
+        table = self.table
+        cache, starts = table.objects, table.starts
         out = [NULL_STRATEGY] * len(positions)
         missing = []
-        for k, (worker, pos) in enumerate(zip(self._workers, positions)):
+        for k, pos in enumerate(positions):
             if pos < 0:
                 continue
-            column = self._columns[worker.worker_id]
-            strategy = column.cached(pos)
+            strategy = cache.get(starts[k] + pos)
             if strategy is None:
-                missing.append((k, column, pos))
+                missing.append(k)
             else:
                 out[k] = strategy
         if missing:
+            keys = [starts[k] + positions[k] for k in missing]
             built = self.arrays.strategy_objects(
-                np.array([column.rows[pos] for _, column, pos in missing]),
-                np.array([column.payoffs[pos] for _, column, pos in missing]),
-                np.array([column.offset for _, column, _ in missing]),
+                table.rows[keys], table.payoffs[keys], table.offsets[missing]
             )
             fresh = 0
-            for (k, column, pos), strategy in zip(missing, built):
+            for k, key, strategy in zip(missing, keys, built):
                 # setdefault: a racing first build of a position wins.
-                out[k] = column._cache.setdefault(pos, strategy)
+                out[k] = cache.setdefault(key, strategy)
                 fresh += out[k] is strategy
             METRICS.counter("catalog.strategies_materialised").add(fresh)
         return out
@@ -608,10 +536,7 @@ class _IndexBatch:
             if catalog is not None and catalog._index is None
         ]
         self._catalogs = []
-        indexes = CatalogIndex.batch(
-            [(catalog.arrays, catalog._columns) for catalog in catalogs]
-        )
-        for catalog, index in zip(catalogs, indexes):
+        for catalog, index in zip(catalogs, CatalogIndex.batch(catalogs)):
             catalog._index = index
             catalog._batch = None
 
@@ -818,25 +743,21 @@ def _validate_batch(
                 for worker in sub.online_workers
             ]
         )
-    validated = validate_tables(
-        tables,
-        scans,
-        [sub.travel for sub in subs],
-        [sub.center.location for sub in subs],
-        strict_revalidation,
-    )
-    catalogs = []
-    built = 0
-    for sub, arrays, scan, found in zip(subs, tables, scans, validated):
-        columns = {
-            worker.worker_id: WorkerStrategies(arrays, rows, payoffs, offset, objects)
-            for (worker, offset, _), (rows, payoffs, objects) in zip(scan, found)
-        }
-        catalog = VDPSCatalog(
-            sub.online_workers, arrays, columns, epsilon, arrays.n_entries
+    catalogs = [
+        VDPSCatalog(sub.online_workers, table, epsilon, table.arrays.n_entries)
+        for sub, table in zip(
+            subs,
+            validate_tables(
+                tables,
+                scans,
+                [sub.travel for sub in subs],
+                [sub.center.location for sub in subs],
+                strict_revalidation,
+            ),
         )
-        built += catalog.total_strategy_count
-        catalogs.append(catalog)
+    ]
     _IndexBatch(catalogs)
-    METRICS.counter("catalog.strategies_built").add(built)
+    METRICS.counter("catalog.strategies_built").add(
+        sum(catalog.total_strategy_count for catalog in catalogs)
+    )
     return catalogs

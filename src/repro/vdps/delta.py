@@ -40,27 +40,29 @@ to ``build_catalog`` on the same sub-problem.  The differential suites
 ``tests/properties/test_catalog_delta.py``) assert exactly that after every
 step of randomised churn.
 
-The entry table is the catalog's own columnar
-:class:`~repro.kernels.validate.EntryArrays`.  A refresh splices it: the
-rows whose point set meets a removed point are dropped (one mask test) and
-the added subsets' entries — laid out straight from the new rows' best
-states (:meth:`EntryArrays.from_layers`) — are appended
-(:meth:`EntryArrays.splice`), which yields an old→new row map.
-Worker-level revalidation is restricted the same way: a worker is fully
-revalidated only when its own content changed (location → start offset,
-``maxDP``, speed); every untouched worker's rows are remapped through the
-row map, the added entries are scanned for all of them at once by the
-same validation a full revalidation uses, and each added row is placed
-among the survivors by position (surviving rows keep their canonical
+The surgery state is the catalog itself: its entry table (the columnar
+:class:`~repro.kernels.validate.EntryArrays`) and its owner-major
+:class:`~repro.vdps.catalog.StrategyTable`.  A refresh splices the entry
+table: the rows whose point set meets a removed point are dropped (one
+mask test) and the added subsets' entries — laid out straight from the
+new rows' best states (:meth:`EntryArrays.from_layers`) — are appended
+(:meth:`EntryArrays.splice`), which yields an old→new row map.  The
+splice also runs when only the center's point ids changed, since those
+points are the conflict index's bit space.  Worker-level revalidation is
+restricted the same way: a worker is fully revalidated only when its own
+content changed (location → start offset, ``maxDP``, speed); every
+untouched worker's rows are remapped through the row map, the added
+entries are scanned for all of them at once by the same validation a full
+revalidation uses, and every scanned row is placed among the survivors of
+the whole table by one searchsorted (surviving rows keep their canonical
 ``(-payoff, ids_rank)`` order through the row map).  No strategy object
 is built.  Structural changes no delta can express (center moved,
 travel model swapped) and churn above ``rebuild_fraction`` (e.g. a clock
 advance rewriting every relative deadline) fall back to a full rebuild —
 the same array-native build as ``build_catalog``, at the same price.  A
-fallback keeps only that build's catalog and C-VDPS table; the surgery
-tables (DP layers, per-worker rows) are derived from them when a later
-refresh takes the delta path, so a clock-advancing loop never pays for
-them.
+fallback keeps only that build's catalog and C-VDPS table; the DP layers
+are derived from the table when a later refresh takes the delta path, so
+a clock-advancing loop never pays for them.
 
 Everything lands on the ``catalog.delta_*`` metrics surface
 (:data:`repro.obs.metrics.CATALOG_DELTA_METRICS`).
@@ -88,8 +90,9 @@ from repro.kernels.cvdps import (
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import resolve_tracer
 from repro.vdps.catalog import (
+    StrategyTable,
     VDPSCatalog,
-    WorkerStrategies,
+    WorkerStrategy,
     build_batch,
     build_catalog,
     worker_offset_factor,
@@ -97,7 +100,7 @@ from repro.vdps.catalog import (
 from repro.vdps.generator import CvdpsTable, DPStats, chain_adjacency
 
 if TYPE_CHECKING:
-    from repro.kernels.validate import Columns, EntryArrays
+    from repro.kernels.validate import EntryArrays
 
 
 class DeltaCatalog:
@@ -190,9 +193,8 @@ class DeltaCatalog:
         self._strict = bool(strict_revalidation)
         self._rebuild_fraction = float(rebuild_fraction)
         self._verify = bool(verify)
-        self._entry_arrays = None
         self._center_id = sub.center.center_id
-        self._table: Optional[CvdpsTable] = None
+        self._cvdps: Optional[CvdpsTable] = None
         self._last_path = "rebuild"
 
     # -- public surface -----------------------------------------------------
@@ -362,10 +364,10 @@ class DeltaCatalog:
         )
 
         workers = sub.online_workers
-        self._apply_worker_churn(
+        table = self._apply_worker_churn(
             workers, set(removed) | set(changed), added_entries, points
         )
-        return self._materialize(workers)
+        return self._materialize(workers, table)
 
     def _full_rebuild(self, sub: SubProblem) -> None:
         """Rebuild from scratch (init and the fallback path).
@@ -402,19 +404,18 @@ class DeltaCatalog:
         self._cap_built = max(
             (w.max_delivery_points for w in sub.online_workers), default=0
         )
-        self._catalog, self._table = catalog, table
-        self._entry_arrays = None
+        self._catalog, self._cvdps = catalog, table
 
     def _ensure_tables(self) -> Optional[Tuple[List[str], list, object]]:
-        """Derive the surgery tables from the last rebuild, once.
+        """Derive the DP layers from the last rebuild, once.
 
-        The DP layers are laid out from the rebuild's table (its visit
-        orders, re-timed over the center's travel matrix); the entry table
-        and the per-worker columns are the rebuilt catalog's own.  Returns
-        ``(ids, locations, matrix)`` of that travel matrix, or ``None``
-        when the tables already existed.
+        The layers are laid out from the rebuild's C-VDPS table (its visit
+        orders, re-timed over the center's travel matrix); the strategy
+        table is the rebuilt catalog's own.  Returns ``(ids, locations,
+        matrix)`` of that travel matrix, or ``None`` when the layers
+        already existed.
         """
-        table = self._table
+        table = self._cvdps
         if table is None:
             return None
         ids = sorted(self._points)
@@ -424,23 +425,13 @@ class DeltaCatalog:
             ids, locations, self._travel, self._center_location
         )
         self._layers: List[Layer] = layers_from_paths(table.paths, points, matrix)
-        catalog = self._catalog
-        self._entry_arrays = catalog.arrays
-        self._workers: Dict[str, Worker] = {}
-        self._offsets: Dict[str, Tuple[float, float]] = {}
-        self._columns: Dict[str, Columns] = {}
-        for worker in catalog.workers:
-            wid = worker.worker_id
-            self._workers[wid] = worker
-            self._offsets[wid] = worker_offset_factor(
+        self._offsets: Dict[str, Tuple[float, float]] = {
+            worker.worker_id: worker_offset_factor(
                 worker, self._travel, self._center_location
             )
-            column = catalog.strategies(wid)
-            # validate_entry-loop columns carry their exact objects (the
-            # column holds them, so reading them builds nothing).
-            objects = list(column) if self._exact(wid) else None
-            self._columns[wid] = (column.rows, column.payoffs, objects)
-        self._table = None
+            for worker in self._catalog.workers
+        }
+        self._cvdps = None
         return ids, locations, matrix
 
     # -- DP surgery ---------------------------------------------------------
@@ -526,22 +517,16 @@ class DeltaCatalog:
         """Whether the worker's strategies come from the ``validate_entry``
         loop (speed-scaled workers, strict revalidation).
 
-        Those columns carry the loop's objects (see
+        Their table positions hold the loop's objects (see
         :func:`~repro.kernels.validate.validate_tables`).
         """
         return self._strict or self._offsets[wid][1] != 1.0
 
-    def _scan(self, workers: Sequence[Worker], arrays) -> List[Columns]:
-        """Section IV validation of ``workers`` against ``arrays``' entries.
-
-        One array pass answers every unit-speed worker; returns each
-        worker's canonical-order columns, in order.  Columns from the
-        ``validate_entry`` loop also carry objects.
-        """
+    def _scan(self, workers: Sequence[Worker], arrays) -> StrategyTable:
+        """Section IV validation of ``workers`` against ``arrays``' entries,
+        as one table (see :func:`~repro.kernels.validate.validate_tables`)."""
         from repro.kernels.validate import validate_tables
 
-        if not workers:
-            return []
         return validate_tables(
             [arrays],
             [[(worker, *self._offsets[worker.worker_id]) for worker in workers]],
@@ -556,102 +541,120 @@ class DeltaCatalog:
         removed_points: Set[str],
         added: Optional["EntryArrays"],
         points: Sequence[DeliveryPoint],
-    ) -> None:
-        """Splice the entry table; revalidate changed workers, remap the rest.
+    ) -> StrategyTable:
+        """The strategy table of ``workers`` over the spliced entry table.
 
-        The table drops every entry over a removed point and appends the
-        ``added`` entries (over ``points``, the center's points in sorted-id
-        order).  Every unchanged worker's rows go through the old→new row
-        map, the added entries are scanned for all of them at once like a
-        full revalidation, and the added rows are placed by position into
-        each worker's canonical order.
+        The entry table drops every entry over a removed point and appends
+        the ``added`` entries, laid out over ``points`` (the center's
+        points in sorted-id order, the index's bit space, so the table is
+        re-laid whenever their ids change).  A worker whose content
+        changed is revalidated from scratch; every other worker keeps its
+        rows through the old→new row map, and the added entries are
+        scanned for all of them at once like a full revalidation.
         """
-        live = {worker.worker_id: worker for worker in workers}
-        for wid in [wid for wid in self._columns if wid not in live]:
-            del self._columns[wid]
-            self._offsets.pop(wid, None)
-            self._workers.pop(wid, None)
-        arrays = self._entry_arrays
+        old = self._catalog
+        table = old.table
+        arrays = table.arrays
         keep = ~arrays.touching(removed_points)
         dropped = arrays.n_entries - int(np.count_nonzero(keep))
         METRICS.counter("catalog.delta_entries_removed").add(dropped)
+        base = arrays.n_entries - dropped
         old_to_new = None
-        if dropped or added is not None:
-            base = arrays.n_entries - dropped
+        if (
+            dropped
+            or added is not None
+            or [dp.dp_id for dp in arrays.points] != [dp.dp_id for dp in points]
+        ):
             arrays, old_to_new = arrays.splice(keep, added, points)
-            self._entry_arrays = arrays
-        changed: List[Worker] = []
-        kept: List[Worker] = []
-        for wid, worker in live.items():
-            known = self._workers.get(wid)
-            if known is None or known != worker:
+        live = {worker.worker_id for worker in workers}
+        for wid in [wid for wid in self._offsets if wid not in live]:
+            del self._offsets[wid]
+        # The new slot of each old worker kept as it was, -1 for the rest.
+        slot_of_old = np.full(len(old.workers), -1, dtype=np.intp)
+        changed: List[int] = []
+        kept: List[int] = []
+        for k, worker in enumerate(workers):
+            j = old._slot.get(worker.worker_id)
+            if j is None or old.workers[j] != worker:
                 # New worker, or content changed (location shifts the start
                 # offset, maxDP the size filter, speed the scale factor):
                 # nothing incremental survives, validate from scratch.
-                self._workers[wid] = worker
-                self._offsets[wid] = worker_offset_factor(
+                self._offsets[worker.worker_id] = worker_offset_factor(
                     worker, self._travel, self._center_location
                 )
-                changed.append(worker)
-            elif old_to_new is not None:
-                kept.append(worker)
-        built = 0
-        for worker, columns in zip(changed, self._scan(changed, arrays)):
-            self._columns[worker.worker_id] = columns
-            built += columns[0].size
-        if kept:
-            new = self._scan(kept, added) if added is not None else None
-            built += self._merge_columns(kept, old_to_new, base, new, arrays)
-        METRICS.counter("catalog.strategies_built").add(built)
+                changed.append(k)
+            else:
+                slot_of_old[j] = k
+                kept.append(k)
+        if old_to_new is None and not changed and workers == old.workers:
+            return table
+        scans = []
         if changed:
             METRICS.counter("catalog.delta_workers_revalidated").add(len(changed))
+            revalidated = self._scan([workers[k] for k in changed], arrays)
+            scans.append((changed, revalidated, 0))
+        if added is not None and kept:
+            scans.append((kept, self._scan([workers[k] for k in kept], added), base))
+        return self._merge_columns(workers, slot_of_old, old_to_new, scans, arrays)
 
     def _merge_columns(
         self,
-        kept: Sequence[Worker],
-        old_to_new: np.ndarray,
-        base: int,
-        new: Optional[List[Columns]],
+        workers: Tuple[Worker, ...],
+        slot_of_old: np.ndarray,
+        old_to_new: Optional[np.ndarray],
+        scans: List[Tuple[Sequence[int], StrategyTable, int]],
         arrays: "EntryArrays",
-    ) -> int:
-        """Remap ``kept`` workers' columns into the spliced table ``arrays``
-        and merge in their ``new`` columns over the added entries (rows
-        ``base`` on), every worker in one pass.
+    ) -> StrategyTable:
+        """The old table's surviving rows merged with the ``scans``' rows,
+        as the table of ``workers`` over the spliced entry table ``arrays``.
 
-        The row map preserves order and a surviving entry keeps its payoff
-        and point ids, so each worker's surviving rows stay in canonical
-        ``(-payoff, ids_rank)`` order; so do its ``new`` rows, scanned in
-        that order.  Only the new rows need placing: one searchsorted over
-        order-preserving byte keys ``(worker, -payoff, ids_rank)`` finds
-        where each lands among the survivors.  Keys are unique per worker,
-        so no new row ties a surviving one.
-
-        Returns how many strategies the added entries gave them.
+        Old worker ``j``'s rows survive, remapped through ``old_to_new``
+        (``None``: unchanged), as new worker ``slot_of_old[j]``'s (``-1``:
+        none do).  Each scan is ``(slots, table, shift)``: its worker ``i``
+        is new worker ``slots[i]``, its rows index ``arrays`` from row
+        ``shift`` on.  The row map preserves order and a surviving entry
+        keeps its payoff and point ids, so each worker's survivors stay in
+        canonical ``(-payoff, ids_rank)`` order; so do its scanned rows.
+        One searchsorted over order-preserving byte keys ``(worker,
+        -payoff, ids_rank)`` places every scanned row among the
+        survivors; keys are unique per worker, so no row ties another.
+        The objects of ``validate_entry``-loop workers move with their
+        rows.  Counts the scanned rows as ``catalog.strategies_built``.
         """
-        old = [self._columns[worker.worker_id] for worker in kept]
-        old_counts = np.array([columns[0].size for columns in old], dtype=np.intp)
-        n_old = int(old_counts.sum())
-        rows = old_to_new[np.concatenate([columns[0] for columns in old])]
-        payoffs = np.concatenate([columns[1] for columns in old])
-        # Positions into the old columns' concatenation (then the new
-        # ones'), in merged order: first the rows that survive the splice.
-        order = np.flatnonzero(rows >= 0)
-        owner = np.repeat(np.arange(len(kept)), old_counts)[order]
-        counts = np.bincount(owner, minlength=len(kept))
-        n_new = 0
-        if new is not None:
-            new_counts = np.array([columns[0].size for columns in new], dtype=np.intp)
-            n_new = int(new_counts.sum())
+        old = self._catalog.table
+        n_old = old.rows.size
+        owner = slot_of_old.repeat(np.diff(old.starts))
+        rows = old.rows if old_to_new is None else old_to_new[old.rows]
+        # Positions in the old table (then in the scans'), in merged order:
+        # first the rows that survive.
+        order = np.flatnonzero((owner >= 0) & (rows >= 0))
+        kept_slots = slot_of_old[slot_of_old >= 0]
+        if (kept_slots[1:] < kept_slots[:-1]).any():
+            order = order[owner[order].argsort(kind="stable")]
+        n_new = sum(scan.rows.size for _, scan, _ in scans)
+        METRICS.counter("catalog.strategies_built").add(n_new)
+        new_objects: Dict[int, WorkerStrategy] = {}
         if n_new:
-            new_rows = np.concatenate([columns[0] for columns in new]) + base
-            new_payoffs = np.concatenate([columns[1] for columns in new])
+            new_owner = np.concatenate(
+                [np.repeat(slots, np.diff(scan.starts)) for slots, scan, _ in scans]
+            )
+            new_rows = np.concatenate([scan.rows + shift for _, scan, shift in scans])
+            new_payoffs = np.concatenate([scan.payoffs for _, scan, _ in scans])
+            done = 0
+            for _, scan, _ in scans:
+                new_objects.update(
+                    (done + pos, strategy) for pos, strategy in scan.objects.items()
+                )
+                done += scan.rows.size
+            # The scans' workers are disjoint, each scan owner-major.
+            by_owner = new_owner.argsort(kind="stable")
             ids_rank = arrays.ids_rank
             landed = np.searchsorted(
-                _column_keys(owner, payoffs[order], ids_rank[rows[order]]),
+                _column_keys(owner[order], old.payoffs[order], ids_rank[rows[order]]),
                 _column_keys(
-                    np.repeat(np.arange(len(kept)), new_counts),
-                    new_payoffs,
-                    ids_rank[new_rows],
+                    new_owner[by_owner],
+                    new_payoffs[by_owner],
+                    ids_rank[new_rows[by_owner]],
                 ),
             )
             landed += np.arange(n_new)
@@ -659,61 +662,49 @@ class DeltaCatalog:
             stays = np.ones(merged.size, dtype=bool)
             stays[landed] = False
             merged[stays] = order
-            merged[landed] = n_old + np.arange(n_new)
+            merged[landed] = n_old + by_owner
             order = merged
+            owner = np.concatenate((owner, new_owner))
             rows = np.concatenate((rows, new_rows))
-            payoffs = np.concatenate((payoffs, new_payoffs))
-            counts += new_counts
-        rows, payoffs = rows[order], payoffs[order]
-        cuts = [0, *np.cumsum(counts).tolist()]
-        old_starts = (np.cumsum(old_counts) - old_counts).tolist()
-        new_starts = (np.cumsum(new_counts) - new_counts).tolist() if n_new else []
-        for k, worker in enumerate(kept):
-            a, b = cuts[k], cuts[k + 1]
-            objects = old[k][2]
-            if objects is not None:
-                # validate_entry-loop columns carry their objects along: an old
-                # position indexes the old objects, an added one the
-                # worker's new objects after them.
-                picked = order[a:b]
-                local = picked - old_starts[k]
-                pool = objects
-                if n_new:
-                    pool = objects + new[k][2]
-                    local = np.where(
-                        picked < n_old,
-                        local,
-                        picked - n_old - new_starts[k] + len(objects),
+            payoffs = np.concatenate((old.payoffs, new_payoffs))
+        else:
+            payoffs = old.payoffs
+        counts = np.bincount(owner[order], minlength=len(workers))
+        starts = [0, *counts.cumsum().tolist()]
+        objects: Dict[int, WorkerStrategy] = {}
+        for k, worker in enumerate(workers):
+            if self._exact(worker.worker_id):
+                sources = order[starts[k] : starts[k + 1]].tolist()
+                for pos, source in enumerate(sources, starts[k]):
+                    objects[pos] = (
+                        old.objects[source]
+                        if source < n_old
+                        else new_objects[source - n_old]
                     )
-                objects = [pool[i] for i in local.tolist()]
-            self._columns[worker.worker_id] = (rows[a:b], payoffs[a:b], objects)
-        return n_new
+        return StrategyTable(
+            arrays,
+            rows[order],
+            payoffs[order],
+            starts,
+            np.array([self._offsets[w.worker_id][0] for w in workers]),
+            objects,
+        )
 
     # -- materialisation ----------------------------------------------------
 
-    def _materialize(self, workers: Tuple[Worker, ...]) -> VDPSCatalog:
-        """Assemble the :class:`VDPSCatalog` a from-scratch build would return.
+    def _materialize(
+        self, workers: Tuple[Worker, ...], table: StrategyTable
+    ) -> VDPSCatalog:
+        """The :class:`VDPSCatalog` a from-scratch build would return.
 
-        Per-worker columns are kept in the canonical catalog order, so they
-        are the catalog's columns as they stand; ``cvdps_count`` filters
-        the entry table by the *current* cap so a shrunk worker pool
-        reports what its own build would generate.  The conflict index
-        stays lazy, exactly like ``build_catalog``: equal columns build
-        equal indexes on demand.
+        ``cvdps_count`` filters the entry table by the *current* cap so a
+        shrunk worker pool reports what its own build would generate.  The
+        conflict index stays lazy, exactly like ``build_catalog``: equal
+        tables build equal indexes on demand.
         """
-        arrays = self._entry_arrays
         cap_now = max((w.max_delivery_points for w in workers), default=0)
-        columns = {}
-        for worker in workers:
-            wid = worker.worker_id
-            rows, payoffs, objects = self._columns[wid]
-            columns[wid] = WorkerStrategies(
-                arrays, rows, payoffs, self._offsets[wid][0], objects
-            )
-        cvdps_count = int(np.count_nonzero(arrays.sizes <= cap_now))
-        self._catalog = VDPSCatalog(
-            workers, arrays, columns, self.epsilon, cvdps_count
-        )
+        cvdps_count = int(np.count_nonzero(table.arrays.sizes <= cap_now))
+        self._catalog = VDPSCatalog(workers, table, self.epsilon, cvdps_count)
         return self._catalog
 
 

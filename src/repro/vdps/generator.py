@@ -167,7 +167,14 @@ def generate_tables(
         n = len(points)
         if n == 0 or cap <= 0:
             # No DP runs, so no state ever chains through a neighbourhood.
-            tables.append(CvdpsTable([], EntryArrays.from_entries([])))
+            tables.append(
+                CvdpsTable(
+                    [],
+                    EntryArrays.from_entries(
+                        [], sorted(points, key=lambda dp: dp.dp_id)
+                    ),
+                )
+            )
             continue
         points_by_id = {dp.dp_id: dp for dp in points}
         ids, matrix = center_matrix(points_by_id, travel, center.location, layout)

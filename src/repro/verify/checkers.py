@@ -131,7 +131,7 @@ def check_catalog_membership(
 
     Looked up through the catalog's conflict index: the chosen point set's
     mask must equal one of the worker's strategy masks exactly, and a
-    point the index does not know is no member.  No strategy object is
+    point outside the center is no member.  No strategy object is
     built.
     """
     index = catalog.index
@@ -151,7 +151,7 @@ def check_catalog_membership(
             ) from None
         try:
             mask = index.mask_of(pair.delivery_point_ids)
-        except KeyError:  # a point no strategy of the catalog uses
+        except KeyError:  # a point outside the center
             mask = None
         position = -1 if mask is None else worker_index.position_of(mask)
         if position < 0:

@@ -323,9 +323,10 @@ def test_random_batches_match_per_center_builds(world):
 
 
 def _standalone(catalog):
-    """The index :class:`CatalogIndex` builds for ``catalog`` alone."""
-    columns = {w.worker_id: catalog.strategies(w.worker_id) for w in catalog.workers}
-    return CatalogIndex(catalog.arrays, columns)
+    """The index :class:`CatalogIndex` builds for ``catalog`` alone (a
+    batch of one)."""
+    (index,) = CatalogIndex.batch([catalog])
+    return index
 
 
 class TestBatchIndex:

@@ -259,15 +259,11 @@ class TestLazyStrategies:
         assert strategies[-1] is objects[-1]
         assert all(strategies[pos] is s for pos, s in enumerate(objects))
         assert materialised.value == before
-        copy = strategies.replaced({0: objects[1]})
-        assert copy[0] is objects[1] and tuple(copy)[1:] == objects[1:]
+        # The loop's objects pre-fill the table's one cache at the
+        # worker's own positions.
+        cache = catalog.table.objects
+        assert all(
+            cache[strategies.start + pos] is s for pos, s in enumerate(objects)
+        )
         with pytest.raises(IndexError):
             strategies[len(objects)]
-        with pytest.raises(ValueError, match="strategy objects"):
-            type(strategies)(
-                strategies.arrays,
-                strategies.rows,
-                strategies.payoffs,
-                strategies.offset,
-                objects[1:],
-            )

@@ -141,6 +141,28 @@ class TestDegradedTraces:
         # Back across the boundary: exactly reachable again.
         _assert_equal(delta, _sub(reachable, workers), None)
 
+    def test_points_no_entry_uses_leave_and_arrive(self):
+        # "z" and "0" lie too far out for their deadlines, so no C-VDPS
+        # holds either.  Removing "z" (or adding "0") drops and adds no
+        # entry, yet the index's bit space, the center's points, changes:
+        # the entry table must be re-laid over the new points.
+        workers = [_worker("w0", 0.0, 0.0, cap=1)]
+        near = _dp("a", 1.0, 0.0, 5.0)
+        delta = DeltaCatalog(
+            _sub([near, _dp("z", 9.0, 0.0, 1.0)], workers), rebuild_fraction=10.0
+        )
+        assert delta.catalog.cvdps_count == 1
+        for points, bits in (
+            ([near], {"a": 0}),
+            ([_dp("0", -9.0, 0.0, 1.0), near], {"0": 0, "a": 1}),
+        ):
+            sub = _sub(points, workers)
+            refreshed = delta.refresh(sub)
+            assert delta._last_path == "delta"
+            diffs = catalog_diff(refreshed, build_catalog(sub), check_index=True)
+            assert not diffs, "; ".join(diffs)
+            assert refreshed.index.point_bits == bits
+
     def test_task_returns_same_id_changed_deadline(self):
         # The chained churn script on the largest center of a 30-point
         # gMission-like city ends the same way, at the default rebuild
@@ -510,6 +532,19 @@ class TestMergeByPosition:
         refreshed = self._refresh(delta, _sub(new, workers))
         assert self._order(refreshed, "w1") == []
         assert self._order(refreshed, "w2") == [("y",), ("w",)]
+
+    def test_kept_workers_in_a_new_order(self):
+        # The table is owner-major in the sub-problem's worker order: when
+        # that order changes, the survivors move with their workers, and
+        # the added rows still land among them.
+        workers = [
+            _worker("w0", 0.0, 0.0, cap=2),
+            _worker("w1", 0.0, -1.0, cap=1),
+            _worker("w2", 0.5, 0.0, cap=1),
+        ]
+        old = self._ring("b", "d") + [_dp("far", 2.0, 0.0, 50.0)]
+        delta = DeltaCatalog(_sub(old, workers), rebuild_fraction=10.0)
+        self._refresh(delta, _sub(old + self._ring("a", "c"), workers[::-1]))
 
     @pytest.mark.parametrize("strict", [False, True])
     def test_validate_entry_loop_columns_carry_their_objects(self, strict):

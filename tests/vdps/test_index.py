@@ -9,7 +9,7 @@ from repro.core.instance import SubProblem
 from repro.core.routing import Route
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.games.base import GameState
-from repro.vdps.catalog import WorkerStrategy, build_catalog
+from repro.vdps.catalog import WorkerStrategy, build_batch, build_catalog
 from repro.vdps.delta import DeltaCatalog
 
 from tests.conftest import (
@@ -48,20 +48,19 @@ def catalog(sub):
     return build_catalog(sub)
 
 
-def _reference_index(catalog):
+def _reference_index(catalog, sub):
     """The conflict index packed from frozensets, independently of the
     entry masks the catalog gathers: ``(point_bits, n_words, masks)``.
 
-    Every point some strategy uses gets a bit in sorted-id order; each
-    strategy's point set becomes one Python integer (the sum of its
-    points' bit values), split into 64-bit words, lowest word first.
+    Every delivery point of ``sub``'s center gets a bit in sorted-id
+    order; each strategy's point set becomes one Python integer (the sum
+    of its points' bit values), split into 64-bit words, lowest word
+    first.
     """
     strategies = {
         w.worker_id: tuple(catalog.strategies(w.worker_id)) for w in catalog.workers
     }
-    point_ids = sorted(
-        set().union(*(s.point_ids for each in strategies.values() for s in each))
-    )
+    point_ids = sorted(dp.dp_id for dp in sub.center.delivery_points)
     point_bits = {dp_id: bit for bit, dp_id in enumerate(point_ids)}
     n_words = max(1, -(-len(point_ids) // 64))
     value = {dp_id: 1 << bit for dp_id, bit in point_bits.items()}
@@ -74,7 +73,7 @@ def _reference_index(catalog):
     return point_bits, n_words, masks
 
 
-def _line_catalog(epsilon=0.15):
+def _line_sub():
     """70 points in a row (bits past 63), a worker too far away for any
     deadline between two that share every subset."""
     points = [make_dp(f"p{i:02d}", 0.1 * (i + 1), 0.0) for i in range(70)]
@@ -83,21 +82,24 @@ def _line_catalog(epsilon=0.15):
         make_worker("far", 500, 0),
         make_worker("twin", 0, 0),
     )
-    return build_catalog(
-        SubProblem(make_center(points), row_workers, unit_speed_travel()),
-        epsilon=epsilon,
-    )
+    return SubProblem(make_center(points), row_workers, unit_speed_travel())
 
 
-def _oracle_catalogs(catalog):
-    """``catalog`` plus the shapes the packed index must also get right.
+def _line_catalog(epsilon=0.15):
+    return build_catalog(_line_sub(), epsilon=epsilon)
+
+
+def _oracle_catalogs(catalog, sub):
+    """``(catalog, sub)`` plus the shapes the packed index must also get
+    right, each with its sub-problem.
 
     * 70 points in a row, so strategies reach bits past 63 (two words);
     * a worker too far away to meet any deadline (zero strategies)
       between workers that share every subset;
     * the catalog a ``DeltaCatalog`` refresh returns after churn.
     """
-    wide = _line_catalog()
+    line = _line_sub()
+    wide = build_catalog(line, epsilon=0.15)
     assert wide.index.n_words >= 2
     assert not wide.strategies("far") and wide.strategies("near")
     assert {s.point_ids for s in wide.strategies("near")} == {
@@ -112,11 +114,10 @@ def _oracle_catalogs(catalog):
         rebuild_fraction=10,
     )
     churned = base[1:] + [make_dp("e", 2.5, 0.5), make_dp("a", 1, 0, n_tasks=3)]
-    refreshed = delta.refresh(
-        SubProblem(make_center(churned), workers, unit_speed_travel())
-    )
+    churned_sub = SubProblem(make_center(churned), workers, unit_speed_travel())
+    refreshed = delta.refresh(churned_sub)
     assert delta._last_path == "delta"
-    return [catalog, wide, refreshed]
+    return [(catalog, sub), (wide, line), (refreshed, churned_sub)]
 
 
 class TestCatalogIndex:
@@ -141,14 +142,14 @@ class TestCatalogIndex:
         )
         assert not catalog.strategies("w")
         index = catalog.index
-        assert index.point_bits == {}
+        assert index.point_bits == {"a": 0}
         assert index.n_words == 1
         assert index.empty_mask().shape == (1,)
         assert index.worker("w").n_strategies == 0
         assert index.worker("w").masks.shape == (0, 1)
 
-    def test_masks_align_with_strategy_positions(self, catalog):
-        for each in _oracle_catalogs(catalog):
+    def test_masks_align_with_strategy_positions(self, catalog, sub):
+        for each, _ in _oracle_catalogs(catalog, sub):
             index = each.index
             for worker in each.workers:
                 wi = index.worker(worker.worker_id)
@@ -163,8 +164,8 @@ class TestCatalogIndex:
                     )
                     assert wi.payoffs[row] == strategy.payoff
 
-    def test_size1_positions_in_catalog_order(self, catalog):
-        for each in _oracle_catalogs(catalog):
+    def test_size1_positions_in_catalog_order(self, catalog, sub):
+        for each, _ in _oracle_catalogs(catalog, sub):
             for worker in each.workers:
                 wi = each.index.worker(worker.worker_id)
                 expected = [
@@ -220,11 +221,11 @@ class TestCatalogIndex:
 
 
 class TestReferenceIndex:
-    """The gathered, compacted index equals the frozenset packer."""
+    """The gathered index equals the frozenset packer."""
 
     @staticmethod
-    def _assert_matches_reference(catalog):
-        point_bits, n_words, masks = _reference_index(catalog)
+    def _assert_matches_reference(catalog, sub):
+        point_bits, n_words, masks = _reference_index(catalog, sub)
         index = catalog.index
         assert index.point_bits == point_bits
         assert index.n_words == n_words
@@ -242,15 +243,15 @@ class TestReferenceIndex:
     @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_gmission_centers_match_reference(self, kernel, seed):
-        # 80 C-VDPS points (two entry words) of which only some are used:
-        # the index compacts onto one word.
+        # 80 points (two words), of which only some are used.
         inst = generate_gmission_like(
             GMissionConfig(n_tasks=120, n_workers=12, n_delivery_points=80),
             seed=seed,
         )
-        catalog = BUILDS[kernel](inst.subproblems()[0], epsilon=0.8)
+        sub = inst.subproblems()[0]
+        catalog = BUILDS[kernel](sub, epsilon=0.8)
         assert catalog.total_strategy_count
-        self._assert_matches_reference(catalog)
+        self._assert_matches_reference(catalog, sub)
 
     @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
     def test_multiword_gmission_center_matches_reference(self, kernel):
@@ -266,15 +267,17 @@ class TestReferenceIndex:
             ),
             seed=0,
         )
-        catalog = BUILDS[kernel](inst.subproblems()[0], epsilon=0.5)
+        sub = inst.subproblems()[0]
+        catalog = BUILDS[kernel](sub, epsilon=0.5)
         assert catalog.index.n_words >= 2
-        self._assert_matches_reference(catalog)
+        self._assert_matches_reference(catalog, sub)
 
     @pytest.mark.parametrize("kernel", ["scalar", "vectorized"])
-    def test_points_without_a_kept_strategy_are_compacted_out(self, kernel):
+    def test_points_without_a_kept_strategy_keep_their_bit(self, kernel):
         # "a" is a C-VDPS on its own (reachable from the center in time),
-        # but no worker, all starting 1 km out, meets its deadline: its bit
-        # precedes every used bit, so the index must compact it away.
+        # but no worker, all starting 1 km out, meets its deadline: no
+        # strategy uses it, yet the index's bit space is the center's
+        # points, so it keeps bit 0 and the others follow it.
         center = make_center(
             [
                 make_dp("a", 1, 0, expiry=1.5),
@@ -283,14 +286,50 @@ class TestReferenceIndex:
             ]
         )
         workers = (make_worker("w1", -1, 0), make_worker("w2", 0, -1))
-        catalog = BUILDS[kernel](SubProblem(center, workers, unit_speed_travel()))
+        sub = SubProblem(center, workers, unit_speed_travel())
+        catalog = BUILDS[kernel](sub)
         assert any("a" in entry.point_ids for entry in catalog.arrays.entries)
-        assert catalog.index.point_bits == {"b": 0, "c": 1}
-        self._assert_matches_reference(catalog)
+        assert not any(
+            "a" in s.point_ids
+            for w in workers
+            for s in catalog.strategies(w.worker_id)
+        )
+        assert catalog.index.point_bits == {"a": 0, "b": 1, "c": 2}
+        self._assert_matches_reference(catalog, sub)
 
-    def test_oracle_catalogs_match_reference(self, catalog):
-        for each in _oracle_catalogs(catalog):
-            self._assert_matches_reference(each)
+    def test_oracle_catalogs_match_reference(self, catalog, sub):
+        for each, each_sub in _oracle_catalogs(catalog, sub):
+            self._assert_matches_reference(each, each_sub)
+
+
+class TestOneTable:
+    """Each worker's strategy columns and index masks are views of its
+    catalog's one owner-major table, never per-worker copies."""
+
+    @staticmethod
+    def _assert_views(catalog):
+        table, index = catalog.table, catalog.index
+        assert index.masks.shape == (table.rows.size, index.n_words)
+        served = [
+            w.worker_id
+            for w in catalog.workers
+            if catalog.has_strategies(w.worker_id)
+        ]
+        assert served
+        for wid in served:
+            strategies = catalog.strategies(wid)
+            assert np.shares_memory(strategies.rows, table.rows)
+            assert np.shares_memory(strategies.payoffs, table.payoffs)
+            assert np.shares_memory(index.worker(wid).masks, index.masks)
+
+    def test_after_a_batch_build(self, sub):
+        catalogs = [catalog for catalog, _ in build_batch([sub, _line_sub()], 0.15)]
+        for catalog in catalogs:
+            self._assert_views(catalog)
+
+    def test_after_a_delta_refresh(self, catalog, sub):
+        ((refreshed, _),) = _oracle_catalogs(catalog, sub)[2:]
+        self._assert_views(refreshed)
 
 
 class TestAvailabilityEquivalence:
@@ -358,8 +397,8 @@ class TestGameStateMasks:
             assert state.available_strategies(wid) == list(catalog.strategies(wid))
 
     def test_foreign_strategy_is_rejected(self, catalog):
-        # A hand-built strategy over a point unknown to the catalog index
-        # has no mask: set_strategy refuses it and leaves the state as it
+        # A hand-built strategy over a point outside the center has no
+        # mask: set_strategy refuses it and leaves the state as it
         # was, so availability stays correct.
         state = GameState(catalog)
         s_a = next(s for s in catalog.strategies("w2") if s.point_ids == {"a"})
