@@ -140,10 +140,8 @@ def best_route(
     layer proves infeasibility outright (the old ``range(1, 2^n)`` scan
     touched all ``2^n`` masks even when the first layer already died).
 
-    Routes over 2 to 62 points run the array kernel
-    (:func:`~repro.kernels.routing.best_route_vectorized`); the dict DP
-    (:func:`_held_karp`) serves one point and more than 62, and the
-    differential suite checks the two bit for bit where both apply.
+    The differential suite checks it against brute force
+    (:func:`repro.oracle.brute_force_best_route`).
 
     The returned :class:`Route` reports arrival times that *include*
     ``start_offset``.
@@ -155,21 +153,6 @@ def best_route(
     if len({dp.dp_id for dp in pts}) != n:
         raise ValueError("points must not contain duplicate delivery point ids")
 
-    if 2 <= n <= 62:
-        from repro.kernels.routing import best_route_vectorized
-
-        return best_route_vectorized(center_location, pts, travel, start_offset)
-    return _held_karp(center_location, pts, travel, start_offset)
-
-
-def _held_karp(
-    center_location: Point,
-    pts: List[DeliveryPoint],
-    travel: TravelModel,
-    start_offset: float,
-) -> Optional[Route]:
-    """:func:`best_route`'s dict Held-Karp DP over distinct ``pts``."""
-    n = len(pts)
     # dp_table[(mask, j)] = minimal arrival time at pts[j] having visited mask.
     dp_table: Dict[Tuple[int, int], float] = {}
     parent: Dict[Tuple[int, int], int] = {}

@@ -1,6 +1,6 @@
 """Batched numpy kernels for the subset-DP hot paths.
 
-Three kernels run the catalog pipeline as array passes, each bit-identical
+Two kernels run the catalog pipeline as array passes, each bit-identical
 to a dict-loop reference in :mod:`repro.oracle` (the differential suites
 in ``tests/kernels/`` assert exact equality):
 
@@ -8,9 +8,10 @@ in ``tests/kernels/`` assert exact equality):
   (:func:`~repro.kernels.cvdps.compute_layers`), kept in arrays per layer;
 * :mod:`repro.kernels.validate` — the Section-IV per-worker validation
   scan (:class:`~repro.kernels.validate.EntryArrays`), fed by those
-  layers directly;
-* :mod:`repro.kernels.routing` — the Held-Karp routing DP
-  (:func:`~repro.kernels.routing.best_route_vectorized`).
+  layers directly.
+
+The Held-Karp routing DP (:func:`repro.core.routing.best_route`) stays a
+dict loop: its only production caller is ``strict_revalidation``.
 
 There is one tier: production always runs these kernels.  See
 ``docs/performance.md`` for the representation and the

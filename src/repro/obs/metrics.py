@@ -412,8 +412,8 @@ METRICS = MetricsRegistry()
 #:   by state surgery vs. recognised as no-change.
 #: * ``catalog.delta_fallbacks`` — refreshes that fell back to a rebuild
 #:   (churn above ``rebuild_fraction`` or a structural change).
-#: * ``catalog.delta_rebuilds`` — full builds, including ``__init__`` and
-#:   every fallback.
+#: * ``catalog.delta_rebuilds`` — full builds: every cold build and every
+#:   fallback.
 #: * ``catalog.delta_points_added`` / ``catalog.delta_points_removed`` —
 #:   delivery-point churn applied as deltas (a changed point counts once in
 #:   each).
@@ -422,8 +422,9 @@ METRICS = MetricsRegistry()
 #: * ``catalog.delta_workers_revalidated`` — workers whose own content
 #:   changed and were re-validated against the full entry table (untouched
 #:   workers get patched incrementally).
-#: * ``catalog.delta_refresh_seconds`` — histogram of refresh wall-clock
-#:   (both the delta and the fallback path).
+#: * ``catalog.delta_refresh_seconds`` — histogram of each center's
+#:   refresh wall-clock: its surgery, or the hand-over of its full build
+#:   (the build itself is timed by the refresh's ``catalog.batch`` span).
 CATALOG_DELTA_METRICS = (
     "catalog.delta_applies",
     "catalog.delta_noops",

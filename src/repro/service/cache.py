@@ -16,23 +16,25 @@ minted per world: a cache serves the one world whose snapshots it is fed.
 A changed key no longer means a from-scratch rebuild, though: in
 delta mode (the default) each center keeps a
 :class:`~repro.vdps.delta.DeltaCatalog` alive between rounds and a miss is
-served by ``refresh(sub)`` — state surgery over whatever actually churned,
+served by a refresh of it — state surgery over whatever actually churned,
 with the rebuild fallback handled inside the delta layer.  Catalogs live
 only in the running process: they are derived state of the world, and a
 restarted service (or one recovered from its journal) rebuilds each
 center's catalog on its first round.
 
-A round's misses share one build.  The engine hands the cache its round
+A round's misses share one refresh.  The engine hands the cache its round
 snapshot (:meth:`SnapshotCatalogCache.stage`); the round's first miss
-then refreshes every stale center of the snapshot.  Deltas and noops run
-per center; every center that needs a full build (a cold build or a
-fallback) joins one stacked :func:`~repro.vdps.catalog.build_batch`
-call.  Each stale center's own get then takes its prebuilt catalog.  A
-miss outside a staged round is the same refresh over one center.  Hits,
-misses and everything a get returns stay per center.
+then refreshes every stale center of the snapshot in one
+:func:`~repro.vdps.delta.refresh_all` call, which runs every full build
+(a cold build or a fallback) in one stacked
+:func:`~repro.vdps.catalog.build_batch`.  Each stale center's own get then
+takes its catalog, still counted as a miss.  A miss outside a staged
+round is the same refresh over one center.  Hits, misses and everything a
+get returns stay per center.
 
-Either way a hit returns the *identical* catalog a cold build would produce
-(equal keys imply equal sub-problems, which the snapshot state machine in
+However a center was refreshed, a hit returns the *identical* catalog a
+cold build would produce (equal keys imply equal sub-problems, which the
+snapshot state machine in
 ``tests/properties/test_snapshot_incremental.py`` checks against the
 content hash :func:`repro.oracle._fingerprint`, and the delta layer's
 refresh is proven bit-identical to ``build_catalog`` by the differential
@@ -40,19 +42,22 @@ suites), which is what makes warm-cache service rounds bit-identical to
 cold-cache runs.  Hits and misses are recorded in :data:`repro.obs.METRICS`
 under ``service.catalog_cache.*``; the delta layer's own activity lands on
 :data:`~repro.obs.metrics.CATALOG_DELTA_METRICS`.
+
+Delta catalogs mutate in place, so one non-blocking refresh lock guards
+them.  The lock is only ever busy while an abandoned (timed-out) solve is
+still refreshing: a miss that finds it busy builds its center on the side
+with :func:`~repro.vdps.catalog.build_catalog` rather than wait.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Optional, Set, Tuple
 
 from repro.core.instance import SubProblem
-from repro.kernels.cvdps import LayoutMatrix
 from repro.obs.metrics import METRICS
-from repro.obs.tracer import resolve_tracer
-from repro.vdps.catalog import VDPSCatalog, build_batch, build_catalog
-from repro.vdps.delta import DeltaCatalog
+from repro.vdps.catalog import VDPSCatalog, build_catalog
+from repro.vdps.delta import DeltaCatalog, refresh_all
 
 
 class SnapshotCatalogCache:
@@ -77,17 +82,15 @@ class SnapshotCatalogCache:
         self._entries: Dict[str, Tuple[Hashable, Optional[float], VDPSCatalog]] = {}
         self._delta = bool(delta)
         self._deltas: Dict[str, DeltaCatalog] = {}
-        # Serialises builds/refreshes per center: an abandoned (timed-out)
-        # solve may still be fetching a catalog when the retry starts, and
-        # a DeltaCatalog mutates in place during refresh.
-        self._center_locks: Dict[str, threading.Lock] = {}
-        # The round's snapshot (see stage()), whether its batch has run,
-        # and the catalogs the batch built that no get has taken yet.
+        # Held by whichever get refreshes delta catalogs: an abandoned
+        # (timed-out) solve may still be refreshing when the retry starts,
+        # and a DeltaCatalog mutates in place during refresh.
+        self._refresh_lock = threading.Lock()
+        # The round's snapshot (see stage()), whether its refresh has run,
+        # and the centers it refreshed that no get has taken yet.
         self._round = None
         self._batched = False
-        self._prebuilt: Dict[str, Tuple[Hashable, Optional[float], VDPSCatalog]] = {}
-        # Centers whose build lock a running batch holds.
-        self._claimed: Set[str] = set()
+        self._prebuilt: Set[str] = set()
 
     def __len__(self) -> int:
         with self._lock:
@@ -97,11 +100,11 @@ class SnapshotCatalogCache:
         """Hand over the round's :class:`~repro.service.state.WorldSnapshot`.
 
         In delta mode the round's first miss then refreshes every stale
-        center of ``snapshot``, the full builds in one
-        :func:`~repro.vdps.catalog.build_batch` call, inside that
-        :meth:`get_with_status` call; each center's own get later takes
-        its prebuilt catalog, still counted as a miss.  ``None`` ends the
-        round and drops whatever the batch built that no get took.
+        center of ``snapshot`` in one :func:`~repro.vdps.delta.refresh_all`
+        call, inside that :meth:`get_with_status` call; each center's own
+        get later takes its catalog, still counted as a miss.  ``None``
+        ends the round, and a refresh that finishes after its round ended
+        marks no center of the next one.
         """
         with self._lock:
             self._round = snapshot
@@ -130,160 +133,91 @@ class SnapshotCatalogCache:
         """
         center_id = sub.center.center_id
         with self._lock:
-            entry = self._entries.get(center_id)
-            build_lock = self._center_locks.setdefault(center_id, threading.Lock())
-        if entry is not None and entry[0] == key and entry[1] == epsilon:
-            METRICS.counter("service.catalog_cache.hits").add(1)
-            return entry[2], True
+            cached = self._fresh(center_id, key, epsilon)
+            # Built by the round's refresh: this get is still its miss.
+            hit = center_id not in self._prebuilt
+            self._prebuilt.discard(center_id)
+        if cached is not None:
+            METRICS.counter(
+                "service.catalog_cache.hits" if hit else "service.catalog_cache.misses"
+            ).add(1)
+            return cached, hit
         METRICS.counter("service.catalog_cache.misses").add(1)
-        with self._lock:
-            snapshot = self._round
-            batch = (
-                self._delta
-                and not self._batched
-                and snapshot is not None
-                and snapshot.keys.get(center_id) == key
-            )
-            if batch:
-                self._batched = True
-            claimed = center_id in self._claimed
-        if claimed:
-            # A batch still running (its solve timed out) holds this
-            # center: build on the side rather than wait for that batch.
-            with METRICS.timer("service.catalog_build_seconds"):
+        with METRICS.timer("service.catalog_build_seconds"):
+            if self._delta and self._refresh_lock.acquire(blocking=False):
+                try:
+                    catalog = self._refresh(sub, key, epsilon)
+                finally:
+                    self._refresh_lock.release()
+            else:
+                # Rebuild mode, or an abandoned refresh is still running:
+                # build on the side rather than wait for it.
                 catalog = build_catalog(sub, epsilon=epsilon)
-            with self._lock:
-                self._entries[center_id] = (key, epsilon, catalog)
-            return catalog, False
-        with build_lock:
-            with METRICS.timer("service.catalog_build_seconds"):
-                if batch:
-                    self._refresh_stale(snapshot, center_id, epsilon)
-                with self._lock:
-                    prebuilt = self._prebuilt.pop(center_id, None)
-                if prebuilt is not None and prebuilt[:2] == (key, epsilon):
-                    catalog = prebuilt[2]
-                else:
-                    (catalog,) = self._refresh([sub], epsilon)
-            with self._lock:
-                self._entries[center_id] = (key, epsilon, catalog)
+        with self._lock:
+            self._entries[center_id] = (key, epsilon, catalog)
         return catalog, False
 
-    def _refresh_stale(
-        self, snapshot, center_id: str, epsilon: Optional[float]
-    ) -> None:
-        """Refresh every stale center of ``snapshot`` in one :meth:`_refresh`.
-
-        The caller holds ``center_id``'s build lock; the other centers'
-        locks are tried without blocking, in sorted center-id order.  A
-        center whose lock is busy (an abandoned solve still refreshing
-        it) or whose catalog is already fresh is left to its own get;
-        freshness is checked under the center's lock, so no center is
-        refreshed twice.  The batch holds the locks of exactly the
-        centers it refreshes, and marks them claimed while it runs.
-        Results wait in ``_prebuilt`` for each center's get.
-        """
-        held = []
-        subs = []
-        try:
-            # A snapshot lists its centers in center-id order.
-            for sub in snapshot.subproblems:
-                cid = sub.center.center_id
-                own = cid == center_id
-                with self._lock:
-                    lock = self._center_locks.setdefault(cid, threading.Lock())
-                if not own and not lock.acquire(blocking=False):
-                    continue
-                with self._lock:
-                    entry = self._entries.get(cid)
-                    stale = entry is None or entry[:2] != (
-                        snapshot.keys[cid],
-                        epsilon,
-                    )
-                    if stale:
-                        self._claimed.add(cid)
-                if not stale:
-                    if not own:
-                        lock.release()
-                    continue
-                if not own:
-                    held.append(lock)
-                subs.append(sub)
-            if not subs:
-                return
-            catalogs = self._refresh(subs, epsilon)
-            with self._lock:
-                if self._round is snapshot:
-                    for sub, catalog in zip(subs, catalogs):
-                        cid = sub.center.center_id
-                        self._prebuilt[cid] = (
-                            snapshot.keys[cid],
-                            epsilon,
-                            catalog,
-                        )
-        finally:
-            with self._lock:
-                self._claimed.difference_update(
-                    sub.center.center_id for sub in subs
-                )
-            for lock in held:
-                lock.release()
+    def _fresh(
+        self, center_id: str, key: Hashable, epsilon: Optional[float]
+    ) -> Optional[VDPSCatalog]:
+        """The center's cached catalog if it holds for ``key`` and
+        ``epsilon`` (the caller holds ``_lock``)."""
+        entry = self._entries.get(center_id)
+        if entry is None or entry[:2] != (key, epsilon):
+            return None
+        return entry[2]
 
     def _refresh(
-        self, subs: Sequence[SubProblem], epsilon: Optional[float]
-    ) -> List[VDPSCatalog]:
-        """Produce each center's catalog (the caller holds their build locks).
+        self, sub: SubProblem, key: Hashable, epsilon: Optional[float]
+    ) -> VDPSCatalog:
+        """Refresh ``sub``'s delta catalog (the caller holds the refresh lock).
 
-        A center with a live delta catalog at ``epsilon`` refreshes it
-        when the refresh is a ``delta`` or a ``noop``.  Every other center
-        — cold builds and fallbacks — is built in one
-        :func:`~repro.vdps.catalog.build_batch` call and installed into
-        its delta catalog.
+        The round's first refresh takes every stale center of the staged
+        snapshot along and marks their entries prebuilt for their own
+        gets — unless the round ended meanwhile (its solve timed out and
+        was abandoned).  All of them go through one
+        :func:`~repro.vdps.delta.refresh_all` call, with an unbuilt catalog
+        for a center that has none at ``epsilon``.
         """
-        if not self._delta:
-            return [build_catalog(sub, epsilon=epsilon) for sub in subs]
-        catalogs: Dict[str, VDPSCatalog] = {}
-        builds: List[Tuple[SubProblem, Optional[DeltaCatalog]]] = []
-        for sub in subs:
-            cid = sub.center.center_id
-            with self._lock:
-                delta = self._deltas.get(cid)
-            if delta is not None and delta.epsilon != epsilon:
-                delta = None
-            if delta is not None:
-                plan = delta.decide(sub)
-                if plan[0] != "fallback":
-                    catalogs[cid] = delta.refresh(sub, plan)
-                    continue
-            builds.append((sub, delta))
-        if builds:
-            layouts = [
-                LayoutMatrix() if delta is None else delta.layout
-                for _, delta in builds
-            ]
-            tracer = resolve_tracer(False)
-            with tracer.span("catalog.batch", centers=len(builds)):
-                built = build_batch(
-                    [sub for sub, _ in builds], epsilon, layouts=layouts
-                )
-            for (sub, delta), layout, (catalog, table) in zip(
-                builds, layouts, built
+        center_id = sub.center.center_id
+        with self._lock:
+            snapshot = self._round
+            subs = [sub]
+            if (
+                not self._batched
+                and snapshot is not None
+                and snapshot.keys.get(center_id) == key
             ):
-                if delta is None:
-                    delta = DeltaCatalog.from_build(
-                        sub,
-                        catalog,
-                        table,
-                        layout,
-                        epsilon=epsilon,
+                self._batched = True
+                # A snapshot lists its centers in center-id order.
+                subs = [
+                    other
+                    for other in snapshot.subproblems
+                    if other.center.center_id == center_id
+                    or self._fresh(
+                        other.center.center_id,
+                        snapshot.keys[other.center.center_id],
+                        epsilon,
                     )
-                else:
-                    delta.adopt(sub, catalog, table)
-                cid = sub.center.center_id
-                with self._lock:
-                    self._deltas[cid] = delta
-                catalogs[cid] = catalog
-        return [catalogs[sub.center.center_id] for sub in subs]
+                    is None
+                ]
+            deltas = []
+            for other in subs:
+                delta = self._deltas.get(other.center.center_id)
+                if delta is None or delta.epsilon != epsilon:
+                    delta = DeltaCatalog.cold(other, epsilon)
+                    self._deltas[other.center.center_id] = delta
+                deltas.append(delta)
+        catalogs = dict(
+            zip([other.center.center_id for other in subs], refresh_all(deltas, subs))
+        )
+        with self._lock:
+            if self._round is snapshot:
+                for cid, catalog in catalogs.items():
+                    if cid != center_id:
+                        self._entries[cid] = (snapshot.keys[cid], epsilon, catalog)
+                        self._prebuilt.add(cid)
+        return catalogs[center_id]
 
     def invalidate(self, center_id: str) -> bool:
         """Drop one center's entry *and* its delta state; True if either existed.
@@ -296,7 +230,7 @@ class SnapshotCatalogCache:
         with self._lock:
             had_entry = self._entries.pop(center_id, None) is not None
             had_delta = self._deltas.pop(center_id, None) is not None
-            self._prebuilt.pop(center_id, None)
+            self._prebuilt.discard(center_id)
         return had_entry or had_delta
 
     def clear(self) -> None:

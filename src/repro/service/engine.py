@@ -221,10 +221,10 @@ class DispatchEngine:
         Per-center wall-clock budget for each solve attempt, run on its
         own thread; ``None`` runs every attempt inline.  The round's
         first catalog miss refreshes every stale center in one batch, so
-        that attempt's budget covers the whole batch.  If it times out, a
-        center the abandoned batch still holds builds its catalog on the
-        side within its own budget, so a slow batch degrades only the
-        center whose attempt ran it.
+        that attempt's budget covers the whole batch.  If it times out,
+        every miss while the abandoned refresh still runs builds its
+        catalog on the side within its own budget, so a slow batch
+        degrades only the center whose attempt ran it.
     solve_retries:
         Extra attempts of the *primary* rung after its first failure,
         separated by exponential backoff with seeded jitter.
@@ -316,10 +316,10 @@ class DispatchEngine:
         self._greedy = GTASolver(epsilon=epsilon)
         # Which accepted rungs are re-verified.  Two hazards make a rung's
         # output untrustworthy: a timed-out attempt is abandoned, not
-        # killed, and keeps running against the center's DeltaCatalog while
-        # the retry refreshes it; and injected faults tamper with cache
-        # hits.  An inline solve without faults has neither, so it pays
-        # for verification only when ``verify=True`` asks for it.
+        # killed, and keeps running (its catalog refresh included) while
+        # the retry solves the same center; and injected faults tamper
+        # with cache hits.  An inline solve without faults has neither, so
+        # it pays for verification only when ``verify=True`` asks for it.
         self._verify_rungs = (
             verify or solve_deadline_s is not None or self._faults is not None
         )

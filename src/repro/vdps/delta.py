@@ -64,6 +64,15 @@ fallback keeps only that build's catalog and C-VDPS table; the DP layers
 are derived from the table when a later refresh takes the delta path, so
 a clock-advancing loop never pays for them.
 
+Every refresh goes through one function, :func:`refresh_all`: it plans
+each center of the call, runs all of the call's full builds (cold builds
+of unbuilt catalogs and fallbacks) in one
+:func:`~repro.vdps.catalog.build_batch`, and then applies each center.
+``DeltaCatalog(sub, ...)`` and :meth:`DeltaCatalog.refresh` are that
+function over one center; the dispatch service's catalog cache passes a
+round's stale centers to it together, with :meth:`DeltaCatalog.cold` for
+the centers it has no catalog for yet.
+
 Everything lands on the ``catalog.delta_*`` metrics surface
 (:data:`repro.obs.metrics.CATALOG_DELTA_METRICS`).
 """
@@ -109,7 +118,8 @@ class DeltaCatalog:
     Parameters
     ----------
     sub:
-        The initial sub-problem; ``__init__`` performs one full build.
+        The initial sub-problem; ``__init__`` performs one full build
+        (:meth:`cold` makes the catalog without building it).
     epsilon:
         Distance-constrained pruning threshold, fixed for the catalog's
         lifetime (a changed threshold is a new catalog, as in the cache).
@@ -138,52 +148,26 @@ class DeltaCatalog:
         verify: bool = False,
     ) -> None:
         self._configure(sub, epsilon, strict_revalidation, rebuild_fraction, verify)
-        self._layout = LayoutMatrix()
-
-        def build() -> VDPSCatalog:
-            self._full_rebuild(sub)
-            return self._catalog
-
-        self._timed(build)
+        refresh_all([self], [sub])
 
     @classmethod
-    def from_build(
-        cls,
-        sub: SubProblem,
-        catalog: VDPSCatalog,
-        table: CvdpsTable,
-        layout: LayoutMatrix,
-        epsilon: Optional[float] = None,
-        strict_revalidation: bool = False,
-        rebuild_fraction: float = 0.5,
+    def cold(
+        cls, sub: SubProblem, epsilon: Optional[float] = None, **options
     ) -> "DeltaCatalog":
-        """A catalog whose initial build was made elsewhere, in a batch.
-
-        ``catalog`` and ``table`` are :func:`~repro.vdps.catalog.build_batch`
-        output for ``sub`` at the same ``epsilon`` and strictness, built
-        with ``layout`` as the center's travel-matrix cache, which
-        the new catalog keeps.  Equal to ``DeltaCatalog(sub, ...)``, and
-        traced the same way (a ``catalog.refresh`` span with ``path``
-        ``rebuild``).
-        """
+        """An unbuilt catalog for ``sub``'s center: its first refresh
+        (through :func:`refresh_all`, in a batch with other centers) is its
+        cold build.  ``options`` are ``__init__``'s."""
         self = cls.__new__(cls)
-        self._configure(sub, epsilon, strict_revalidation, rebuild_fraction, False)
-        self._layout = layout
-
-        def install() -> VDPSCatalog:
-            self._install(sub, catalog, table)
-            return catalog
-
-        self._timed(install)
+        self._configure(sub, epsilon, **options)
         return self
 
     def _configure(
         self,
         sub: SubProblem,
         epsilon: Optional[float],
-        strict_revalidation: bool,
-        rebuild_fraction: float,
-        verify: bool,
+        strict_revalidation: bool = False,
+        rebuild_fraction: float = 0.5,
+        verify: bool = False,
     ) -> None:
         if rebuild_fraction < 0:
             raise ValueError(
@@ -194,14 +178,15 @@ class DeltaCatalog:
         self._rebuild_fraction = float(rebuild_fraction)
         self._verify = bool(verify)
         self._center_id = sub.center.center_id
+        self._layout = LayoutMatrix()
+        self._catalog: Optional[VDPSCatalog] = None
         self._cvdps: Optional[CvdpsTable] = None
-        self._last_path = "rebuild"
 
     # -- public surface -----------------------------------------------------
 
     @property
-    def catalog(self) -> VDPSCatalog:
-        """The catalog of the last refresh."""
+    def catalog(self) -> Optional[VDPSCatalog]:
+        """The catalog of the last refresh (``None`` before the first)."""
         return self._catalog
 
     @property
@@ -213,21 +198,15 @@ class DeltaCatalog:
         """The ``maxDP`` bound the DP state table is complete up to."""
         return self._cap_built
 
-    def refresh(self, sub: SubProblem, plan=None) -> VDPSCatalog:
+    def refresh(self, sub: SubProblem) -> VDPSCatalog:
         """Bring the catalog up to date with ``sub`` and return it.
 
         Equal — strategy for strategy, bit for bit — to
         ``build_catalog(sub, epsilon=...)``, whether the refresh applied
-        deltas or fell back to a rebuild.  ``plan``, when given, is
-        :meth:`decide`'s answer for this ``sub`` with nothing refreshed
-        in between; it spares deciding twice.
-
-        Traced as a ``catalog.refresh`` span whose ``path`` field names
-        the outcome — ``delta``, ``noop``, ``fallback``, or ``rebuild`` —
-        so round critical paths attribute catalog time to the decision
-        that caused it.
+        deltas or fell back to a rebuild: :func:`refresh_all` over this
+        one center.
         """
-        catalog = self._timed(lambda: self._refresh(sub, plan))
+        (catalog,) = refresh_all([self], [sub])
         if self._verify:
             diffs = catalog_diff(
                 catalog,
@@ -243,56 +222,16 @@ class DeltaCatalog:
                 )
         return catalog
 
-    @property
-    def layout(self) -> LayoutMatrix:
-        """The center's cross-round travel-matrix cache (for batch builds)."""
-        return self._layout
-
-    def decide(self, sub: SubProblem):
-        """How :meth:`refresh` would bring the catalog to ``sub``, doing
-        nothing: a plan whose first item is the path (``noop``, ``delta``
-        or ``fallback``).
-
-        A ``fallback`` can be built elsewhere (in a batch with other
-        centers) and handed over with :meth:`adopt`; otherwise pass the
-        plan on to :meth:`refresh`.
-        """
-        return self._plan(sub)
-
-    def adopt(
-        self, sub: SubProblem, catalog: VDPSCatalog, table: CvdpsTable
-    ) -> VDPSCatalog:
-        """Complete a ``fallback`` refresh with a build made elsewhere.
-
-        ``catalog`` and ``table`` are :func:`~repro.vdps.catalog.build_batch`
-        output for ``sub`` at this catalog's epsilon and strictness, built
-        with :attr:`layout`.  The result, the counters
-        (``catalog.delta_fallbacks``, ``catalog.delta_rebuilds``) and the
-        state left behind are those of ``refresh(sub)`` taking its
-        fallback.
-        """
-
-        def install() -> VDPSCatalog:
-            METRICS.counter("catalog.delta_fallbacks").add(1)
-            self._install(sub, catalog, table)
-            self._last_path = "fallback"
-            return catalog
-
-        return self._timed(install)
-
-    def _timed(self, run) -> VDPSCatalog:
-        """``run()`` under the refresh timer and a ``catalog.refresh`` span.
-
-        The span's ``path`` field names the outcome — ``delta``, ``noop``,
-        ``fallback``, or ``rebuild``.
-        """
+    def _apply(self, sub: SubProblem, plan, build) -> VDPSCatalog:
+        """:meth:`_refresh` under the refresh timer and a ``catalog.refresh``
+        span whose ``path`` field names the outcome."""
         tracer = resolve_tracer(False)
         if not tracer.enabled:
             with METRICS.timer("catalog.delta_refresh_seconds"):
-                return run()
+                return self._refresh(sub, plan, build)
         with tracer.span("catalog.refresh", center=self._center_id) as span:
             with METRICS.timer("catalog.delta_refresh_seconds"):
-                catalog = run()
+                catalog = self._refresh(sub, plan, build)
             span.add(path=self._last_path)
         return catalog
 
@@ -301,6 +240,8 @@ class DeltaCatalog:
     def _plan(self, sub: SubProblem):
         """``(path, churn)``: the refresh path for ``sub`` and, for a delta,
         ``(new points, added, removed, changed, new cap)``."""
+        if self._catalog is None:
+            return "rebuild", None
         travel = sub.travel
         if (
             sub.center.center_id != self._center_id
@@ -328,12 +269,15 @@ class DeltaCatalog:
             return "fallback", None
         return "delta", (new_points, added, removed, changed, new_cap)
 
-    def _refresh(self, sub: SubProblem, plan=None) -> VDPSCatalog:
-        path, churn = self._plan(sub) if plan is None else plan
-        if path == "fallback":
-            METRICS.counter("catalog.delta_fallbacks").add(1)
-            self._full_rebuild(sub)
-            self._last_path = "fallback"
+    def _refresh(self, sub: SubProblem, plan, build) -> VDPSCatalog:
+        """Apply ``plan`` (:meth:`_plan`'s answer for ``sub``); ``build``
+        is the ``(catalog, table)`` of a ``rebuild`` or ``fallback``."""
+        path, churn = plan
+        if build is not None:
+            if path == "fallback":
+                METRICS.counter("catalog.delta_fallbacks").add(1)
+            self._install(sub, *build)
+            self._last_path = path
             return self._catalog
         # Same geometry and parameters: adopt the live travel model (its
         # memoised distances are shared with the rest of the service).
@@ -369,25 +313,12 @@ class DeltaCatalog:
         )
         return self._materialize(workers, table)
 
-    def _full_rebuild(self, sub: SubProblem) -> None:
-        """Rebuild from scratch (init and the fallback path).
-
-        Runs the same build as :func:`~repro.vdps.catalog.build_catalog`
-        (a batch of one), with the travel matrix gathered from the
-        center's :class:`~repro.kernels.cvdps.LayoutMatrix`.
-        """
-        ((catalog, table),) = build_batch(
-            [sub],
-            self.epsilon,
-            self._strict,
-            layouts=[self._layout],
-        )
-        self._install(sub, catalog, table)
-
     def _install(
         self, sub: SubProblem, catalog: VDPSCatalog, table: CvdpsTable
     ) -> None:
-        """Make a full build of ``sub`` the catalog's state.
+        """Make a full build of ``sub`` (:func:`refresh_all`'s batch, with
+        the travel matrix gathered from the center's
+        :class:`~repro.kernels.cvdps.LayoutMatrix`) the catalog's state.
 
         Keeps the build's catalog and C-VDPS table.  The surgery tables
         are derived from the table only when a later refresh takes the
@@ -706,6 +637,57 @@ class DeltaCatalog:
         cvdps_count = int(np.count_nonzero(table.arrays.sizes <= cap_now))
         self._catalog = VDPSCatalog(workers, table, self.epsilon, cvdps_count)
         return self._catalog
+
+
+def refresh_all(
+    deltas: Sequence[DeltaCatalog], subs: Sequence[SubProblem]
+) -> List[VDPSCatalog]:
+    """Bring each of ``deltas`` up to date with its entry of ``subs``.
+
+    The one refresh path: ``DeltaCatalog(sub, ...)`` and
+    :meth:`DeltaCatalog.refresh` are this function over one center, and
+    the dispatch service's catalog cache calls it over every stale center
+    of a round.  Each center is planned first: ``noop``, ``delta``, or a
+    full build — ``rebuild`` for an unbuilt catalog
+    (:meth:`DeltaCatalog.cold`), ``fallback`` for a built one.  Every full
+    build of the call runs in one
+    :func:`~repro.vdps.catalog.build_batch` inside one ``catalog.batch``
+    span, each center with its own
+    :class:`~repro.kernels.cvdps.LayoutMatrix`.  Then each center is
+    applied in order under its ``catalog.refresh`` span and the
+    ``catalog.delta_refresh_seconds`` timer, which time that center's own
+    work: its surgery, or the hand-over of its batch-built catalog.
+
+    The catalogs must share epsilon and strictness (one batch builds
+    them); each catalog's result equals ``build_catalog`` on its ``sub``.
+    """
+    if not deltas:
+        return []
+    epsilon, strict = deltas[0].epsilon, deltas[0]._strict
+    if any((delta.epsilon, delta._strict) != (epsilon, strict) for delta in deltas):
+        raise ValueError("refresh_all needs one epsilon and strictness")
+    plans = [delta._plan(sub) for delta, sub in zip(deltas, subs)]
+    builds = [
+        k for k, (path, _) in enumerate(plans) if path in ("rebuild", "fallback")
+    ]
+    built = {}
+    if builds:
+        with resolve_tracer(False).span("catalog.batch", centers=len(builds)):
+            built = dict(
+                zip(
+                    builds,
+                    build_batch(
+                        [subs[k] for k in builds],
+                        epsilon,
+                        strict,
+                        layouts=[deltas[k]._layout for k in builds],
+                    ),
+                )
+            )
+    return [
+        delta._apply(sub, plan, built.get(k))
+        for k, (delta, sub, plan) in enumerate(zip(deltas, subs, plans))
+    ]
 
 
 def _column_keys(

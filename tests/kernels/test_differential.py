@@ -5,9 +5,9 @@ Bit-identity — not approximate equality — is the kernels' contract
 :func:`repro.oracle.compute_states` value for value (arrival times compared
 via ``float.hex``, so ``-0.0`` or a 1-ulp drift fails), the ``CVdpsEntry``
 lists and catalogs must equal the oracle's via ``==`` and
-:func:`catalog_diff`, the Held–Karp routes must equal the dict DP *and*
-brute force, and :class:`DeltaCatalog` surgery must stay identical to
-oracle rebuilds under churn. Each comparison keeps a ``scalar`` arm (the
+:func:`catalog_diff`, the Held–Karp routes must match brute force, and
+:class:`DeltaCatalog` surgery must stay identical to oracle rebuilds under
+churn. Each comparison keeps a ``scalar`` arm (the
 oracle) and a ``vectorized`` arm (production). The sweep deliberately
 covers the axes where the kernels take different code paths: epsilon
 pruning on/off, ``service_hours > 0`` (exercises the ``(t + service) +
@@ -30,7 +30,7 @@ from repro.core.entities import (
     Worker,
 )
 from repro.core.instance import SubProblem
-from repro.core.routing import _held_karp, best_route
+from repro.core.routing import best_route
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
@@ -214,28 +214,28 @@ class TestCvdpsDifferential:
 
 
 class TestBestRouteDifferential:
+    @staticmethod
+    def _assert_matches_brute_force(sub, pts, offset):
+        route = best_route(sub.center.location, pts, sub.travel, offset)
+        brute = oracle.brute_force_best_route(
+            sub.center.location, pts, sub.travel, offset
+        )
+        assert (brute is None) == (route is None)
+        if brute is not None:
+            assert brute.completion_time == route.completion_time
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("offset", [0.0, 0.1])
     def test_matches_scalar_and_brute_force(self, seed, offset):
+        # ``best_route`` is the scalar (dict) Held–Karp DP.
         sub = _gm_sub(seed)
-        for size in (2, 4, 6):
+        for size in (1, 2, 4, 6):
             pts = sub.center.delivery_points[:size]
-            scalar = _held_karp(sub.center.location, list(pts), sub.travel, offset)
-            vector = best_route(sub.center.location, pts, sub.travel, offset)
-            assert scalar == vector
-            brute = oracle.brute_force_best_route(
-                sub.center.location, pts, sub.travel, offset
-            )
-            assert (brute is None) == (vector is None)
-            if brute is not None:
-                assert brute.completion_time == vector.completion_time
+            self._assert_matches_brute_force(sub, pts, offset)
 
     def test_service_hours_routes(self):
         sub = _service_hours_sub()
-        pts = sub.center.delivery_points[:5]
-        scalar = _held_karp(sub.center.location, list(pts), sub.travel, 0.0)
-        vector = best_route(sub.center.location, pts, sub.travel, 0.0)
-        assert scalar == vector
+        self._assert_matches_brute_force(sub, sub.center.delivery_points[:5], 0.0)
 
 
 # -- DeltaCatalog surgery vs oracle rebuilds ----------------------------------

@@ -1,11 +1,12 @@
 """The batched catalog build through the dispatch engine, clock advancing.
 
 In delta mode the round's first catalog miss builds every stale center of
-the snapshot in one :func:`~repro.vdps.catalog.build_batch` call; each
-center's own catalog get then takes its prebuilt catalog (still counted as
-a miss).  These tests drive a six-center world through arrivals, clock
-advances, planning rounds and commits, and hold the batched engine to the
-per-center contracts:
+the snapshot in one :func:`~repro.vdps.catalog.build_batch` call (through
+:func:`~repro.vdps.delta.refresh_all`); each center's own catalog get
+then takes its prebuilt catalog (still counted as a miss).  These tests
+drive a six-center world through arrivals, clock advances, planning
+rounds and commits, and hold the batched engine to the per-center
+contracts:
 
 * round for round it equals a ``delta_catalog=False`` engine, whose cache
   builds each center on its own — routes, payoffs, ``cache_hits`` /
@@ -17,8 +18,9 @@ per-center contracts:
   arm (corruption fires on true hits only);
 * under ``solve_deadline_s`` the batch runs inside the first missing
   attempt's budgeted thread, injected delays never make a round raise,
-  and a batch too slow for that budget degrades only the center whose
-  attempt ran it.
+  a batch too slow for that budget degrades only the center whose
+  attempt ran it, and a refresh that outlives its round marks nothing in
+  the next one.
 """
 
 import random
@@ -33,12 +35,12 @@ from repro.games.fgt import FGTSolver
 from repro.geo.travel import TravelModel
 from repro.obs.metrics import METRICS
 from repro.parallel import solve_instance
-from repro.service import cache as cache_module
 from repro.service.engine import LADDER, DispatchEngine
 from repro.service.cache import SnapshotCatalogCache
 from repro.service.faults import FaultPlan
 from repro.service.state import WorldState
 from repro.vdps import catalog as catalog_module
+from repro.vdps import delta as delta_module
 from repro.vdps.catalog import build_catalog
 from repro.vdps.delta import catalog_diff
 
@@ -122,15 +124,15 @@ def _drive(engine, rounds=ROUNDS, on_snapshot=None):
 
 
 def _batch_sizes():
-    """Patch the cache's batch build to record how many centers each built."""
+    """Patch the refresh's batch build to record how many centers each built."""
     sizes = []
-    real = cache_module.build_batch
+    real = delta_module.build_batch
 
     def recording(subs, *args, **kwargs):
         sizes.append(len(subs))
         return real(subs, *args, **kwargs)
 
-    return sizes, mock.patch.object(cache_module, "build_batch", recording)
+    return sizes, mock.patch.object(delta_module, "build_batch", recording)
 
 
 def _join_detached_solves():
@@ -297,3 +299,65 @@ class TestConcurrentGets:
             catalog, hit = got[sub.center.center_id]
             assert not hit
             assert not catalog_diff(catalog, build_catalog(sub, epsilon=0.8))
+
+
+class TestRoundBoundary:
+    def test_a_refresh_finishing_after_its_round_marks_nothing_in_the_next(self):
+        # Round 0's refresh blocks in its batch build until round 1 is
+        # staged.  Its attempt times out, every center builds on the side,
+        # and the abandoned refresh finishes inside round 1.  Round 1 holds
+        # the clock after a planning round, so every center hits, as in
+        # the inline control: the late refresh must not turn those hits
+        # into misses.
+        gate = threading.Event()
+        sizes = []
+        real = catalog_module.generate_tables
+
+        def gated(centers, *args, **kwargs):
+            sizes.append(len(centers))
+            if len(sizes) == 1:
+                gate.wait(timeout=60.0)
+            return real(centers, *args, **kwargs)
+
+        def script(engine):
+            now = engine.state.now
+            engine.state.add_tasks(
+                [task(f"t{c}", f"c{c}p0", now + 1.0) for c in range(N_CENTERS)]
+            )
+            return [engine.dispatch(commit=False) for _ in range(2)]
+
+        engine = _engine(solve_deadline_s=1.0, backoff_base_s=0.0)
+        real_stage = engine.cache.stage
+        staged = []
+
+        def stage(snapshot):
+            real_stage(snapshot)
+            if snapshot is not None:
+                staged.append(snapshot)
+                if len(staged) == 2:
+                    # Round 1 is staged: let round 0's refresh finish now.
+                    gate.set()
+                    _join_detached_solves()
+
+        before = METRICS.counter("dispatch.solve_timeouts").value
+        try:
+            with mock.patch.object(
+                catalog_module, "generate_tables", gated
+            ), mock.patch.object(engine.cache, "stage", stage):
+                late = script(engine)
+        finally:
+            gate.set()
+            _join_detached_solves()
+        assert sizes[0] == N_CENTERS
+        assert METRICS.counter("dispatch.solve_timeouts").value == before + 1
+        assert len(staged) == 2
+        inline = script(_engine())
+        assert [(r.cache_hits, r.cache_misses) for r in inline] == [
+            (0, N_CENTERS),
+            (N_CENTERS, 0),
+        ]
+        assert (late[1].cache_hits, late[1].cache_misses) == (
+            inline[1].cache_hits,
+            inline[1].cache_misses,
+        )
+        assert late[1].assignments == inline[1].assignments

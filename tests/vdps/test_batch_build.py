@@ -14,8 +14,11 @@ than one 64-bit mask word, no pruning, a non-Euclidean metric,
 speed-scaled workers and strict revalidation.
 """
 
+from unittest import mock
+
 import hypothesis.strategies as st
 import numpy as np
+import pytest
 from hypothesis import given
 
 from repro.baselines.gta import GTASolver
@@ -24,11 +27,11 @@ from repro.core.instance import SubProblem
 from repro.games.base import GameState
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
-from repro.kernels.cvdps import LayoutMatrix
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import MemoryTracer
 from repro.vdps.catalog import CatalogIndex, build_batch, build_catalog
-from repro.vdps.delta import DeltaCatalog, catalog_diff
+from repro.vdps import delta as delta_module
+from repro.vdps.delta import DeltaCatalog, catalog_diff, refresh_all
 
 COUNTERS = (
     "cvdps.states_expanded",
@@ -237,19 +240,27 @@ class TestSeededBatches:
             _assert_batch_matches(subs, 1.5)
 
     def test_batched_table_serves_delta_surgery(self):
-        # A DeltaCatalog adopting a batch-built table (not the batch's
-        # first center) must derive the same surgery state as its own
-        # build: a sparse refresh afterwards equals a rebuild.
+        # An unbuilt DeltaCatalog built in a batch with another center (not
+        # as the batch's first center) must derive the same surgery state
+        # as its own build: a sparse refresh afterwards equals a rebuild.
         subs = [
             _plain("a", (0, 0), 5, [3]),
             _plain("b", (5, 0), 6, [3]),
         ]
-        layouts = [LayoutMatrix(), LayoutMatrix()]
-        built = build_batch(subs, 1.5, layouts=layouts)
-        catalog, table = built[1]
-        delta = DeltaCatalog.from_build(
-            subs[1], catalog, table, layouts[1], epsilon=1.5, rebuild_fraction=10.0
-        )
+        deltas = [
+            DeltaCatalog.cold(sub, 1.5, rebuild_fraction=10.0) for sub in subs
+        ]
+        sizes = []
+        real = delta_module.build_batch
+
+        def recording(batch, *args, **kwargs):
+            sizes.append(len(batch))
+            return real(batch, *args, **kwargs)
+
+        with mock.patch.object(delta_module, "build_batch", recording):
+            refresh_all(deltas, subs)
+        assert sizes == [2]
+        delta = deltas[1]
         points = list(subs[1].center.delivery_points)
         points[2] = _dp(points[2].dp_id, *points[2].location, 1.0, 7.5)
         churned = _sub("b", (5, 0), points, subs[1].workers, TRAVEL)
@@ -258,6 +269,14 @@ class TestSeededBatches:
         assert METRICS.counter("catalog.delta_applies").value == before + 1
         diffs = catalog_diff(refreshed, build_catalog(churned, epsilon=1.5))
         assert not diffs, "; ".join(diffs)
+
+
+    def test_refresh_all_refuses_mixed_thresholds(self):
+        # One batch builds every center, at one epsilon and strictness.
+        subs = [_plain("a", (0, 0), 3, [2]), _plain("b", (5, 0), 3, [2])]
+        deltas = [DeltaCatalog.cold(subs[0], 1.5), DeltaCatalog.cold(subs[1], None)]
+        with pytest.raises(ValueError):
+            refresh_all(deltas, subs)
 
 
 # -- Hypothesis: random multi-center worlds ----------------------------------
