@@ -41,6 +41,7 @@ from repro.experiments.figures import ConvergenceStudy
 from repro.experiments.registry import get_experiment, list_experiments
 from repro.experiments.report import format_series_table, format_sweep
 from repro.games import FGTSolver, IEGTSolver
+from repro.games.base import equity_copy
 
 _SOLVERS = {
     "gta": lambda eps: GTASolver(epsilon=eps),
@@ -404,7 +405,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     instance = load_instance(args.input)
     solver = _SOLVERS[args.algorithm](args.epsilon)
     if args.equity_mode:
-        solver = _equity_solver(solver, args.equity_strength)
+        solver = equity_copy(solver, args.equity_strength)
         if solver is None:
             print(
                 f"ERROR: --equity-mode is not supported by "
@@ -438,21 +439,6 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             writer.writerows(rows)
         print(f"assignment written to {args.output}")
     return 0
-
-
-def _equity_solver(solver, strength: Optional[float]):
-    """An equity-mode copy of ``solver``, or ``None`` if unsupported."""
-    import dataclasses
-
-    if not dataclasses.is_dataclass(solver):
-        return None
-    names = {f.name for f in dataclasses.fields(solver)}
-    if "equity_mode" not in names:
-        return None
-    changes = {"equity_mode": True}
-    if strength is not None and "equity_strength" in names:
-        changes["equity_strength"] = strength
-    return dataclasses.replace(solver, **changes)
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:

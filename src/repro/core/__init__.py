@@ -7,7 +7,7 @@ from repro.core.entities import (
     Worker,
 )
 from repro.core.instance import ProblemInstance, SubProblem
-from repro.core.routing import Route, arrival_times, best_route, route_is_valid
+from repro.core.routing import Route, arrival_times, route_is_valid
 from repro.core.payoff import (
     average_payoff,
     payoff_difference,
@@ -39,7 +39,6 @@ __all__ = [
     "SubProblem",
     "Route",
     "arrival_times",
-    "best_route",
     "route_is_valid",
     "worker_payoff",
     "average_payoff",

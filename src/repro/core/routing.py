@@ -1,17 +1,16 @@
-"""Routing: delivery-point sequences, arrival times, and optimal orders.
+"""Routing: delivery-point sequences and their arrival times.
 
-Implements Definition 5 (arrival-time recurrence) and the minimal-travel-time
-sequence selection the paper applies to every VDPS ("among these, we consider
-only the one with the minimal travel time").  :func:`best_route` is an exact
-Held-Karp-style subset dynamic program with deadline feasibility folded in;
+Implements Definition 5 (arrival-time recurrence) and the :class:`Route`
+a worker drives.  The minimal-travel-time sequence the paper keeps for every
+VDPS ("among these, we consider only the one with the minimal travel time")
+is the one the C-VDPS subset DP records (:mod:`repro.vdps.generator`);
 :func:`repro.oracle.brute_force_best_route` is its exhaustive reference.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.core.entities import DeliveryPoint
 from repro.geo.point import Point
@@ -118,98 +117,3 @@ def route_is_valid(
         if t > dp.earliest_expiry:
             return False
     return True
-
-
-def best_route(
-    center_location: Point,
-    points: Sequence[DeliveryPoint],
-    travel: TravelModel,
-    start_offset: float = 0.0,
-) -> Optional[Route]:
-    """The minimal-completion-time deadline-feasible visit of ``points``.
-
-    Returns ``None`` when no feasible order exists.  Uses a Held-Karp subset
-    DP over (visited-set, last-point) states.  Keeping only the minimal
-    arrival time per state is safe because an earlier arrival dominates: any
-    feasible extension of a later arrival is also feasible from an earlier
-    one.
-
-    Masks are enumerated layer by layer from feasible predecessors only —
-    a feasible state over ``s + 1`` points extends a feasible state over
-    ``s`` of them, so unreachable subsets are never visited and an empty
-    layer proves infeasibility outright (the old ``range(1, 2^n)`` scan
-    touched all ``2^n`` masks even when the first layer already died).
-
-    The differential suite checks it against brute force
-    (:func:`repro.oracle.brute_force_best_route`).
-
-    The returned :class:`Route` reports arrival times that *include*
-    ``start_offset``.
-    """
-    pts = list(points)
-    n = len(pts)
-    if n == 0:
-        return Route((), ())
-    if len({dp.dp_id for dp in pts}) != n:
-        raise ValueError("points must not contain duplicate delivery point ids")
-
-    # dp_table[(mask, j)] = minimal arrival time at pts[j] having visited mask.
-    dp_table: Dict[Tuple[int, int], float] = {}
-    parent: Dict[Tuple[int, int], int] = {}
-    layer: List[int] = []
-    for j, dp in enumerate(pts):
-        t = start_offset + travel.time(center_location, dp.location)
-        if t <= dp.earliest_expiry:
-            dp_table[(1 << j, j)] = t
-            parent[(1 << j, j)] = -1
-            layer.append(1 << j)
-
-    full = (1 << n) - 1
-    for _ in range(1, n):
-        if not layer:
-            return None  # nothing feasible at this size, so nothing above
-        next_layer: Dict[int, None] = {}  # insertion-ordered mask set
-        for prev_mask in layer:
-            feasible = [
-                i for i in range(n) if (prev_mask, i) in dp_table
-            ]
-            for j in range(n):
-                bit = 1 << j
-                if prev_mask & bit:
-                    continue
-                best_t = math.inf
-                best_i = -1
-                for i in feasible:
-                    t = (
-                        dp_table[(prev_mask, i)]
-                        + pts[i].service_hours
-                        + travel.time(pts[i].location, pts[j].location)
-                    )
-                    if t < best_t:
-                        best_t, best_i = t, i
-                if best_i >= 0 and best_t <= pts[j].earliest_expiry:
-                    mask = prev_mask | bit
-                    dp_table[(mask, j)] = best_t
-                    parent[(mask, j)] = best_i
-                    next_layer[mask] = None
-        layer = list(next_layer)
-
-    end = min(
-        (j for j in range(n) if (full, j) in dp_table),
-        key=lambda j: dp_table[(full, j)],
-        default=None,
-    )
-    if end is None:
-        return None
-
-    order: List[int] = []
-    mask, j = full, end
-    while j != -1:
-        order.append(j)
-        i = parent[(mask, j)]
-        mask ^= 1 << j
-        j = i
-    order.reverse()
-    sequence = tuple(pts[k] for k in order)
-    times = tuple(arrival_times(center_location, sequence, travel, start_offset))
-    return Route(sequence, times)

@@ -9,8 +9,9 @@ solvers stay small.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -258,6 +259,34 @@ def random_initial_state(
             pick = candidates[int(rng.integers(0, len(candidates)))]
             state.switch(k, int(pick))
     return state
+
+
+def equity_copy(
+    solver,
+    strength: Optional[float] = None,
+    baselines: Optional[Mapping[str, float]] = None,
+):
+    """An equity-mode copy of ``solver``, or ``None`` if it has no equity
+    mode (``docs/temporal_fairness.md``).
+
+    Only solvers with an ``equity_mode`` field (FGT, IEGT) have one; the
+    others (GTA, MPTA, the random baseline) stay equity-blind.
+    ``baselines`` (``None``: the solver's own, by default an all-zero
+    base) become its ``equity_baselines``.  ``strength`` (``None``: the
+    solver's own) sets ``equity_strength`` where that field exists: IEGT
+    has none, since its replicator gate needs no amplification.
+    """
+    if not dataclasses.is_dataclass(solver):
+        return None
+    names = {f.name for f in dataclasses.fields(solver)}
+    if "equity_mode" not in names:
+        return None
+    changes: Dict[str, object] = {"equity_mode": True}
+    if baselines is not None:
+        changes["equity_baselines"] = baselines
+    if strength is not None and "equity_strength" in names:
+        changes["equity_strength"] = strength
+    return dataclasses.replace(solver, **changes)
 
 
 @dataclass(frozen=True)

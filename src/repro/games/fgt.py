@@ -10,7 +10,6 @@ stops when a full round changes nobody's strategy.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Mapping, Optional
@@ -112,14 +111,6 @@ class FGTSolver:
         target, then ``REPRO_TRACE=path.jsonl``, then the shared in-memory
         tracer) or a tracer instance.  Off by default with zero hot-path
         overhead via the shared no-op tracer.
-    deadline_s:
-        Optional cooperative wall-clock budget: the round loop stops after
-        the first best-response pass that crosses it, reporting
-        ``converged=False``.  The dispatch service's degradation ladder
-        (``docs/fault_tolerance.md``) uses it so a degraded solve
-        self-terminates instead of blowing the round budget.  ``None``
-        (default) plays to the fixed point; note this changes *which*
-        assignment is returned only when the budget actually trips.
     equity_mode, equity_baselines, equity_strength:
         Ledger-weighted temporal fairness (``docs/temporal_fairness.md``).
         When ``equity_mode`` is on, utilities become the amplified IAU of
@@ -146,16 +137,11 @@ class FGTSolver:
     priorities: Optional["PriorityModel"] = None
     verify: bool = False
     trace: object = False
-    deadline_s: Optional[float] = None
     equity_mode: bool = False
     equity_baselines: Optional[Mapping[str, float]] = None
     equity_strength: float = DEFAULT_EQUITY_STRENGTH
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and not self.deadline_s > 0:
-            raise ValueError(
-                f"deadline_s must be > 0 or None, got {self.deadline_s!r}"
-            )
         if self.trace_granularity not in ("round", "update"):
             raise ValueError(
                 f"trace_granularity must be 'round' or 'update', "
@@ -237,9 +223,6 @@ class FGTSolver:
         # Vectorized-filter batch statistics, flushed to METRICS once per
         # solve: [batches, strategies screened, candidates surviving].
         batch_stats = [0, 0, 0]
-        deadline_at = (
-            None if self.deadline_s is None else time.monotonic() + self.deadline_s
-        )
         with METRICS.timer("fgt.solve_seconds"):
             for rounds in range(1, self.max_rounds + 1):
                 switches = self._best_response_round(
@@ -261,9 +244,6 @@ class FGTSolver:
                     )
                 if switches == 0:
                     converged = True
-                    break
-                if deadline_at is not None and time.monotonic() >= deadline_at:
-                    METRICS.counter("fgt.deadline_stops").add(1)
                     break
                 if self.early_stop_patience is not None:
                     if potential - last_potential < self.early_stop_tol:

@@ -10,8 +10,8 @@ in ``tests/kernels/`` assert exact equality):
   scan (:class:`~repro.kernels.validate.EntryArrays`), fed by those
   layers directly.
 
-The Held-Karp routing DP (:func:`repro.core.routing.best_route`) stays a
-dict loop: its only production caller is ``strict_revalidation``.
+Speed-scaled workers, whose routes are re-timed per worker, run the
+per-entry ``validate_entry`` loop instead of the array scan.
 
 There is one tier: production always runs these kernels.  See
 ``docs/performance.md`` for the representation and the

@@ -29,10 +29,10 @@ for operation:
   one IEEE-754 division either way.
 
 So a materialised strategy equals the ``validate_entry`` loop's field for
-field.  Workers with an individual speed (``factor != 1``) and
-``strict_revalidation`` builds run that loop over
-:attr:`EntryArrays.entries` instead (:func:`validate_tables`); those paths
-re-route per worker, so their objects pre-fill the table's object cache.
+field.  Workers with an individual speed (``factor != 1``) run that loop
+over :attr:`EntryArrays.entries` instead (:func:`validate_tables`): their
+routes are re-timed per worker, so their objects pre-fill the table's
+object cache.
 """
 
 from __future__ import annotations
@@ -509,7 +509,6 @@ def validate_tables(
     scans: Sequence[Sequence[Tuple[object, float, float]]],
     travels: Sequence,
     locations: Sequence,
-    strict: bool,
 ) -> List[StrategyTable]:
     """Section IV validation of every center's workers against its entries.
 
@@ -520,12 +519,12 @@ def validate_tables(
     owner-major :class:`~repro.vdps.catalog.StrategyTable`: the workers in
     scan order, each worker's kept rows and payoffs sorted by
     :func:`repro.vdps.catalog.strategy_sort_key` (best payoff first, ties
-    by point ids).  Unit-speed workers (without ``strict`` revalidation)
-    are answered by one :func:`validate_all` pass over the whole batch and
-    build no objects.  Speed-scaled workers and strict revalidation run
-    the ``validate_entry`` loop, whose objects pre-fill the table's cache.
+    by point ids).  Unit-speed workers are answered by one
+    :func:`validate_all` pass over the whole batch and build no objects.
+    Speed-scaled workers run the ``validate_entry`` loop, whose objects
+    pre-fill the table's cache.
     """
-    exact = [[factor != 1.0 or strict for _, _, factor in scan] for scan in scans]
+    exact = [[factor != 1.0 for _, _, factor in scan] for scan in scans]
     found = validate_all(
         tables,
         [
@@ -549,7 +548,7 @@ def validate_tables(
         parts = []
         for each, loop in zip(scan, flags):
             if loop:
-                parts.append(_scalar_scan(arrays, *each, travel, location, strict))
+                parts.append(_scalar_scan(arrays, *each, travel, location))
             else:
                 span = next(spans)
                 parts.append((rows[span], payoffs[span], None))
@@ -585,19 +584,12 @@ def _scalar_scan(
     factor: float,
     travel_model,
     center_location,
-    strict_revalidation: bool,
 ) -> Columns:
     """The reference ``validate_entry`` loop over one worker, as columns."""
     found = []
     for row, entry in enumerate(arrays.entries):
         strategy = validate_entry(
-            entry,
-            worker,
-            offset,
-            factor,
-            travel_model,
-            center_location,
-            strict_revalidation,
+            entry, worker, offset, factor, travel_model, center_location
         )
         if strategy is not None:
             found.append((strategy_sort_key(strategy), row, strategy))

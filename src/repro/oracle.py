@@ -231,7 +231,6 @@ def generate_cvdps(
 def build_catalog(
     sub: SubProblem,
     epsilon: Optional[float] = None,
-    strict_revalidation: bool = False,
     cvdps: Optional[List[CVdpsEntry]] = None,
 ) -> VDPSCatalog:
     """:func:`repro.vdps.catalog.build_catalog` through the dict DP, with
@@ -247,15 +246,7 @@ def build_catalog(
     for worker in sub.online_workers:
         offset, factor = worker_offset_factor(worker, sub.travel, location)
         parts.append(
-            _scalar_scan(
-                arrays,
-                worker,
-                offset,
-                factor,
-                sub.travel,
-                location,
-                strict_revalidation,
-            )
+            _scalar_scan(arrays, worker, offset, factor, sub.travel, location)
         )
         offsets.append(offset)
     return VDPSCatalog(
@@ -330,9 +321,10 @@ def brute_force_best_route(
     travel: TravelModel,
     start_offset: float = 0.0,
 ) -> Optional[Route]:
-    """Exhaustive counterpart of :func:`repro.core.routing.best_route`.
-
-    Enumerates every permutation, so only suitable for very small inputs.
+    """The minimal-completion-time deadline-feasible visit of ``points``
+    (``None`` if none is feasible), by enumerating every permutation: the
+    exhaustive reference for the minimal times the C-VDPS DP records.
+    Only suitable for very small inputs.
     """
     pts = list(points)
     if not pts:

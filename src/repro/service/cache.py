@@ -4,13 +4,13 @@ Building the C-VDPS catalog (Algorithm 1 + Section IV validation) dominates
 a round's cost, yet between two service rounds many centers are unchanged:
 no new tasks landed, nobody's deadline moved, the same couriers are idle.
 This cache keys each center's catalog by its snapshot key
-``(center version, now)`` (see :mod:`repro.service.state`) plus the
-pruning threshold, so a round only refreshes the centers whose content
-actually changed.  :class:`~repro.service.state.WorldState` bumps a
-center's version on every mutation that touches it — task arrival,
-expiry or delivery at one of its points, a worker joining it or taking a
-route — and a clock advance moves ``now``, which shifts every relative
-deadline; either changes the key and invalidates the entry.  Keys are
+``(center version, now)`` (see :mod:`repro.service.state`), at the one
+pruning threshold it is made with, so a round only refreshes the centers
+whose content actually changed.  :class:`~repro.service.state.WorldState`
+bumps a center's version on every mutation that touches it — task
+arrival, expiry or delivery at one of its points, a worker joining it or
+taking a route — and a clock advance moves ``now``, which shifts every
+relative deadline; either changes the key and invalidates the entry.  Keys are
 minted per world: a cache serves the one world whose snapshots it is fed.
 
 A changed key no longer means a from-scratch rebuild, though: in
@@ -70,6 +70,9 @@ class SnapshotCatalogCache:
 
     Parameters
     ----------
+    epsilon:
+        The pruning threshold of every catalog the cache builds (the
+        engine's, fixed for its lifetime).
     delta:
         Serve misses by incrementally refreshing a per-center
         :class:`DeltaCatalog` instead of rebuilding from scratch.  Output
@@ -77,9 +80,10 @@ class SnapshotCatalogCache:
         control arm of the bit-identity tests).
     """
 
-    def __init__(self, delta: bool = True) -> None:
+    def __init__(self, epsilon: Optional[float] = None, delta: bool = True) -> None:
         self._lock = threading.Lock()
-        self._entries: Dict[str, Tuple[Hashable, Optional[float], VDPSCatalog]] = {}
+        self._epsilon = epsilon
+        self._entries: Dict[str, Tuple[Hashable, VDPSCatalog]] = {}
         self._delta = bool(delta)
         self._deltas: Dict[str, DeltaCatalog] = {}
         # Held by whichever get refreshes delta catalogs: an abandoned
@@ -111,18 +115,16 @@ class SnapshotCatalogCache:
             self._batched = False
             self._prebuilt.clear()
 
-    def get(
-        self, sub: SubProblem, key: Hashable, epsilon: Optional[float]
-    ) -> VDPSCatalog:
+    def get(self, sub: SubProblem, key: Hashable) -> VDPSCatalog:
         """The catalog for ``sub``, rebuilt only when its ``key`` changed.
 
         ``key`` is the center's :attr:`WorldSnapshot.keys` entry, or any
         value that changes whenever ``sub`` does.
         """
-        return self.get_with_status(sub, key, epsilon)[0]
+        return self.get_with_status(sub, key)[0]
 
     def get_with_status(
-        self, sub: SubProblem, key: Hashable, epsilon: Optional[float]
+        self, sub: SubProblem, key: Hashable
     ) -> Tuple[VDPSCatalog, bool]:
         """Like :meth:`get`, also reporting whether it was a hit.
 
@@ -133,7 +135,7 @@ class SnapshotCatalogCache:
         """
         center_id = sub.center.center_id
         with self._lock:
-            cached = self._fresh(center_id, key, epsilon)
+            cached = self._fresh(center_id, key)
             # Built by the round's refresh: this get is still its miss.
             hit = center_id not in self._prebuilt
             self._prebuilt.discard(center_id)
@@ -146,30 +148,26 @@ class SnapshotCatalogCache:
         with METRICS.timer("service.catalog_build_seconds"):
             if self._delta and self._refresh_lock.acquire(blocking=False):
                 try:
-                    catalog = self._refresh(sub, key, epsilon)
+                    catalog = self._refresh(sub, key)
                 finally:
                     self._refresh_lock.release()
             else:
                 # Rebuild mode, or an abandoned refresh is still running:
                 # build on the side rather than wait for it.
-                catalog = build_catalog(sub, epsilon=epsilon)
+                catalog = build_catalog(sub, epsilon=self._epsilon)
         with self._lock:
-            self._entries[center_id] = (key, epsilon, catalog)
+            self._entries[center_id] = (key, catalog)
         return catalog, False
 
-    def _fresh(
-        self, center_id: str, key: Hashable, epsilon: Optional[float]
-    ) -> Optional[VDPSCatalog]:
-        """The center's cached catalog if it holds for ``key`` and
-        ``epsilon`` (the caller holds ``_lock``)."""
+    def _fresh(self, center_id: str, key: Hashable) -> Optional[VDPSCatalog]:
+        """The center's cached catalog if it holds for ``key`` (the caller
+        holds ``_lock``)."""
         entry = self._entries.get(center_id)
-        if entry is None or entry[:2] != (key, epsilon):
+        if entry is None or entry[0] != key:
             return None
-        return entry[2]
+        return entry[1]
 
-    def _refresh(
-        self, sub: SubProblem, key: Hashable, epsilon: Optional[float]
-    ) -> VDPSCatalog:
+    def _refresh(self, sub: SubProblem, key: Hashable) -> VDPSCatalog:
         """Refresh ``sub``'s delta catalog (the caller holds the refresh lock).
 
         The round's first refresh takes every stale center of the staged
@@ -177,7 +175,7 @@ class SnapshotCatalogCache:
         gets — unless the round ended meanwhile (its solve timed out and
         was abandoned).  All of them go through one
         :func:`~repro.vdps.delta.refresh_all` call, with an unbuilt catalog
-        for a center that has none at ``epsilon``.
+        for a center that has none yet.
         """
         center_id = sub.center.center_id
         with self._lock:
@@ -195,17 +193,15 @@ class SnapshotCatalogCache:
                     for other in snapshot.subproblems
                     if other.center.center_id == center_id
                     or self._fresh(
-                        other.center.center_id,
-                        snapshot.keys[other.center.center_id],
-                        epsilon,
+                        other.center.center_id, snapshot.keys[other.center.center_id]
                     )
                     is None
                 ]
             deltas = []
             for other in subs:
                 delta = self._deltas.get(other.center.center_id)
-                if delta is None or delta.epsilon != epsilon:
-                    delta = DeltaCatalog.cold(other, epsilon)
+                if delta is None:
+                    delta = DeltaCatalog.cold(other, self._epsilon)
                     self._deltas[other.center.center_id] = delta
                 deltas.append(delta)
         catalogs = dict(
@@ -215,7 +211,7 @@ class SnapshotCatalogCache:
             if self._round is snapshot:
                 for cid, catalog in catalogs.items():
                     if cid != center_id:
-                        self._entries[cid] = (snapshot.keys[cid], epsilon, catalog)
+                        self._entries[cid] = (snapshot.keys[cid], catalog)
                         self._prebuilt.add(cid)
         return catalogs[center_id]
 
@@ -234,7 +230,8 @@ class SnapshotCatalogCache:
         return had_entry or had_delta
 
     def clear(self) -> None:
-        """Drop every entry (e.g. on an epsilon reconfiguration)."""
+        """Drop every entry and its delta state: each center's next get
+        pays one full rebuild."""
         with self._lock:
             self._entries.clear()
             self._deltas.clear()

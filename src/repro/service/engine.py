@@ -68,6 +68,7 @@ from repro.core.fairness import (
     jain_index,
 )
 from repro.core.instance import SubProblem
+from repro.games.base import equity_copy
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import (
     NullTracer,
@@ -299,7 +300,7 @@ class DispatchEngine:
         self._verify = verify
         self._trace = trace
         self._rng = RngFactory(seed)
-        self._cache = SnapshotCatalogCache(delta=delta_catalog)
+        self._cache = SnapshotCatalogCache(epsilon, delta=delta_catalog)
         self._dispatch_lock = threading.Lock()
         self._round = 0
         self._history: List[RoundResult] = []
@@ -564,28 +565,17 @@ class DispatchEngine:
     # -- the degradation ladder ---------------------------------------------
 
     def _with_equity(self, solver, baselines):
-        """An equity-mode copy of ``solver``, or ``solver`` unchanged.
+        """The :func:`~repro.games.base.equity_copy` of ``solver`` with
+        ``baselines`` (``None``: no equity round), or ``solver`` unchanged.
 
         Solvers without equity fields (the GTA greedy rung) stay
         equity-blind: a degraded center falls back to exactly the same
-        fairness-blind greedy it would without equity mode.  IEGT carries
-        no ``equity_strength`` field (its replicator gate needs no
-        amplification), so the strength is set only where it exists.
+        fairness-blind greedy it would without equity mode.
         """
-        if baselines is None or solver is None:
+        if baselines is None:
             return solver
-        if not dataclasses.is_dataclass(solver):
-            return solver
-        names = {f.name for f in dataclasses.fields(solver)}
-        if "equity_mode" not in names:
-            return solver
-        changes: Dict[str, object] = {
-            "equity_mode": True,
-            "equity_baselines": baselines,
-        }
-        if "equity_strength" in names:
-            changes["equity_strength"] = self._equity_strength
-        return dataclasses.replace(solver, **changes)
+        copy = equity_copy(solver, self._equity_strength, baselines)
+        return solver if copy is None else copy
 
     def _solve_centers(
         self,
@@ -748,9 +738,7 @@ class DispatchEngine:
                     )
                 METRICS.counter("dispatch.injected_delays").add(1)
                 time.sleep(seconds)
-            catalog, hit = self._cache.get_with_status(
-                sub, snapshot.keys[cid], self._epsilon
-            )
+            catalog, hit = self._cache.get_with_status(sub, snapshot.keys[cid])
             if (
                 hit
                 and self._faults is not None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import operator
 import weakref
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -45,7 +46,7 @@ import numpy as np
 from repro.core.entities import Worker
 from repro.core.instance import SubProblem
 from repro.core.payoff import worker_payoff
-from repro.core.routing import Route, arrival_times, best_route
+from repro.core.routing import Route, arrival_times
 from repro.obs.metrics import METRICS
 from repro.obs.tracer import NULL_TRACER, NullTracer, resolve_tracer
 from repro.vdps.generator import CVdpsEntry, CvdpsTable, generate_tables
@@ -101,10 +102,11 @@ class StrategyTable:
     position ``p`` is the strategy of entry ``rows[p]`` of :attr:`arrays`
     with payoff ``payoffs[p]``, and a worker's positions are in canonical
     catalog order.  :attr:`objects` is the one object cache, keyed by
-    position: strategies are built into it on first read, and the
-    ``validate_entry`` loop (which re-times routes a row cannot describe)
-    pre-fills its workers' positions with its exact objects, so nothing is
-    ever built from their rows.
+    position: :meth:`materialise` builds strategies into it on first read,
+    and the ``validate_entry`` loop (which re-times the routes of
+    speed-scaled workers, which a row cannot describe) pre-fills its
+    workers' positions with its exact objects, so nothing is ever built
+    from their rows.
     """
 
     #: The shared :class:`~repro.kernels.validate.EntryArrays` the rows index.
@@ -121,18 +123,40 @@ class StrategyTable:
     #: Strategy objects by position.
     objects: Dict[int, WorkerStrategy]
 
+    def materialise(self, keys: Sequence[int]) -> List[WorkerStrategy]:
+        """The strategies at table positions ``keys``.
+
+        Cached objects are reused; the missing ones are built in one
+        :meth:`~repro.kernels.validate.EntryArrays.strategy_objects` call,
+        each with its owner's start offset, and cached with
+        ``setdefault``: a racing first build of a position wins, so every
+        read returns the same object.  Counts the objects it added as
+        ``catalog.strategies_materialised``.
+        """
+        cache = self.objects
+        missing = [key for key in keys if key not in cache]
+        if missing:
+            idx = np.array(missing, dtype=np.intp)
+            owners = [bisect_right(self.starts, key) - 1 for key in missing]
+            built = self.arrays.strategy_objects(
+                self.rows[idx], self.payoffs[idx], self.offsets[owners]
+            )
+            fresh = sum(cache.setdefault(key, s) is s for key, s in zip(missing, built))
+            METRICS.counter("catalog.strategies_materialised").add(fresh)
+        return list(map(cache.__getitem__, keys))
+
 
 class WorkerStrategies(Sequence):
     """One worker's slice of its catalog's :class:`StrategyTable`.
 
-    ``self[r]`` is the strategy at table position ``start + r``: read from
-    the table's object cache, or built on first access and cached there, so
-    repeated (and concurrent) reads return the same object; iterating
-    builds every missing position in one batched pass.  Compares equal to
-    a tuple of the same strategies.
+    ``self[r]`` is the strategy at table position ``start + r``, through
+    :meth:`StrategyTable.materialise`, so repeated (and concurrent) reads
+    return the same object; iterating materialises every position of the
+    worker in one batched pass.  Compares equal to a tuple of the same
+    strategies.
     """
 
-    __slots__ = ("table", "start", "rows", "payoffs", "offset", "_all")
+    __slots__ = ("table", "start", "rows", "payoffs", "_all")
 
     def __init__(self, table: StrategyTable, k: int) -> None:
         a, b = table.starts[k], table.starts[k + 1]
@@ -144,8 +168,6 @@ class WorkerStrategies(Sequence):
         self.rows = table.rows[a:b]
         #: ``(n,)`` float64 view of the table's payoffs.
         self.payoffs = table.payoffs[a:b]
-        #: The worker's start offset (hours).
-        self.offset = float(table.offsets[k])
         self._all: Optional[Tuple[WorkerStrategy, ...]] = None
 
     def __len__(self) -> int:
@@ -162,17 +184,7 @@ class WorkerStrategies(Sequence):
             pos += n
         if not 0 <= pos < n:
             raise IndexError("strategy position out of range")
-        cache = self.table.objects
-        strategy = cache.get(self.start + pos)
-        if strategy is not None:
-            return strategy
-        built = self.table.arrays.strategy_objects(
-            self.rows[pos : pos + 1], self.payoffs[pos : pos + 1], self.offset
-        )[0]
-        strategy = cache.setdefault(self.start + pos, built)
-        if strategy is built:
-            METRICS.counter("catalog.strategies_materialised").add(1)
-        return strategy
+        return self.table.materialise([self.start + pos])[0]
 
     def __iter__(self) -> Iterator[WorkerStrategy]:
         return iter(self._tuple())
@@ -192,20 +204,10 @@ class WorkerStrategies(Sequence):
     def _tuple(self) -> Tuple[WorkerStrategy, ...]:
         """Every strategy, the missing ones built in one batched pass."""
         if self._all is None:
-            cache, start = self.table.objects, self.start
-            keys = range(start, start + self.rows.size)
-            missing = [key for key in keys if key not in cache]
-            if missing:
-                idx = np.array(missing, dtype=np.intp) - start
-                built = self.table.arrays.strategy_objects(
-                    self.rows[idx], self.payoffs[idx], self.offset
-                )
-                # setdefault: a racing first build of a position wins.
-                fresh = sum(
-                    cache.setdefault(key, s) is s for key, s in zip(missing, built)
-                )
-                METRICS.counter("catalog.strategies_materialised").add(fresh)
-            self._all = tuple(map(cache.__getitem__, keys))
+            start = self.start
+            self._all = tuple(
+                self.table.materialise(range(start, start + self.rows.size))
+            )
         return self._all
 
 
@@ -473,36 +475,17 @@ class VDPSCatalog:
 
     def picks(self, positions: Sequence[int]) -> List[WorkerStrategy]:
         """The strategy at ``positions[k]`` of every worker ``k`` (catalog
-        order; ``-1`` is null).
-
-        Objects that exist are reused; the missing ones are built in one
-        :meth:`~repro.kernels.validate.EntryArrays.strategy_objects` call
-        and cached in the table, so ``strategies(wid)[pos]`` returns the
-        same object afterwards.
+        order; ``-1`` is null), all materialised in one
+        :meth:`StrategyTable.materialise` call, so ``strategies(wid)[pos]``
+        returns the same objects afterwards.
         """
-        table = self.table
-        cache, starts = table.objects, table.starts
+        starts = self.table.starts
+        picked = [k for k, pos in enumerate(positions) if pos >= 0]
         out = [NULL_STRATEGY] * len(positions)
-        missing = []
-        for k, pos in enumerate(positions):
-            if pos < 0:
-                continue
-            strategy = cache.get(starts[k] + pos)
-            if strategy is None:
-                missing.append(k)
-            else:
-                out[k] = strategy
-        if missing:
-            keys = [starts[k] + positions[k] for k in missing]
-            built = self.arrays.strategy_objects(
-                table.rows[keys], table.payoffs[keys], table.offsets[missing]
-            )
-            fresh = 0
-            for k, key, strategy in zip(missing, keys, built):
-                # setdefault: a racing first build of a position wins.
-                out[k] = cache.setdefault(key, strategy)
-                fresh += out[k] is strategy
-            METRICS.counter("catalog.strategies_materialised").add(fresh)
+        for k, strategy in zip(
+            picked, self.table.materialise([starts[k] + positions[k] for k in picked])
+        ):
+            out[k] = strategy
         return out
 
     def describe(self) -> str:
@@ -544,7 +527,6 @@ class _IndexBatch:
 def build_catalog(
     sub: SubProblem,
     epsilon: Optional[float] = None,
-    strict_revalidation: bool = False,
     tracer: Optional[NullTracer] = None,
 ) -> VDPSCatalog:
     """Build the strategy catalog for every online worker of ``sub``.
@@ -555,13 +537,6 @@ def build_catalog(
         The per-center sub-problem.
     epsilon:
         Distance-constrained pruning threshold; ``None`` disables pruning.
-    strict_revalidation:
-        The paper validates a C-VDPS per worker by shifting its recorded
-        minimal-time sequence by the worker's start offset.  A set whose
-        recorded sequence misses a deadline might still admit *another*
-        feasible order for that worker; with ``strict_revalidation`` those
-        sets are re-solved exactly (Held-Karp) instead of dropped.  Off by
-        default to match the paper.
     tracer:
         Structured-event tracer for the build; ``None`` resolves the
         process-wide sink (``REPRO_TRACE`` / :func:`repro.obs.set_tracing`).
@@ -577,7 +552,7 @@ def build_catalog(
         workers=len(sub.online_workers),
     )
     with span, METRICS.timer("catalog.build_seconds"):
-        ((catalog, _),) = build_batch([sub], epsilon, strict_revalidation, tracer)
+        ((catalog, _),) = build_batch([sub], epsilon, tracer)
         if tracer.enabled:
             span.add(
                 cvdps=catalog.cvdps_count,
@@ -613,16 +588,19 @@ def validate_entry(
     factor: float,
     travel_model,
     center_location,
-    strict_revalidation: bool = False,
 ) -> Optional[WorkerStrategy]:
     """Section IV validation of one C-VDPS for one worker.
 
-    Returns the worker's :class:`WorkerStrategy` for ``entry``, or ``None``
-    when the set is infeasible (deadline miss after the start offset) or
-    degenerate (non-positive completion time, non-finite payoff).  Shared
-    verbatim by the full catalog build and :mod:`repro.vdps.delta`, which is
-    what makes an incrementally revalidated strategy bit-identical to the
-    rebuilt one.
+    The entry's recorded minimal-time sequence, delayed by the worker's
+    start ``offset`` (and re-timed at the worker's own speed when
+    ``factor != 1``), must meet every deadline.  Returns the worker's
+    :class:`WorkerStrategy` for ``entry``, or ``None`` when the set is
+    infeasible that way (even if another order would be feasible: the
+    paper keeps one sequence per set) or degenerate (non-positive
+    completion time, non-finite payoff).  The array scan
+    (:func:`repro.kernels.validate.validate_all`) makes the same
+    operations for unit-speed workers; this loop serves the speed-scaled
+    ones.
     """
     if entry.size > worker.max_delivery_points:
         return None
@@ -640,22 +618,9 @@ def validate_entry(
         )
     else:
         base = entry.route.scaled(factor)
-    if base.is_valid_with_offset(offset):
-        route = base.shifted(offset)
-    elif strict_revalidation:
-        worker_travel = (
-            travel_model if factor == 1.0 else travel_model.with_speed(worker.speed_kmh)
-        )
-        route = best_route(
-            center_location,
-            entry.route.sequence,
-            worker_travel,
-            start_offset=offset,
-        )
-        if route is None:
-            return None
-    else:
+    if not base.is_valid_with_offset(offset):
         return None
+    route = base.shifted(offset)
     if route.completion_time <= 0:
         # Degenerate geometry: delivery point co-located with both
         # center and worker.  Equation 1's payoff is undefined
@@ -683,7 +648,6 @@ def strategy_sort_key(strategy: WorkerStrategy):
 def build_batch(
     subs: Sequence[SubProblem],
     epsilon: Optional[float],
-    strict_revalidation: bool = False,
     tracer: NullTracer = NULL_TRACER,
     layouts: Optional[Sequence] = None,
 ) -> List[Tuple[VDPSCatalog, CvdpsTable]]:
@@ -714,16 +678,13 @@ def build_batch(
         tracer,
         layouts,
     )
-    catalogs = _validate_batch(
-        subs, epsilon, strict_revalidation, [table.arrays for table in tables]
-    )
+    catalogs = _validate_batch(subs, epsilon, [table.arrays for table in tables])
     return list(zip(catalogs, tables))
 
 
 def _validate_batch(
     subs: Sequence[SubProblem],
     epsilon: Optional[float],
-    strict_revalidation: bool,
     tables: Sequence,
 ) -> List[VDPSCatalog]:
     """Section IV validation of every entry for every online worker.
@@ -752,7 +713,6 @@ def _validate_batch(
                 scans,
                 [sub.travel for sub in subs],
                 [sub.center.location for sub in subs],
-                strict_revalidation,
             ),
         )
     ]

@@ -56,10 +56,12 @@ entries are scanned for all of them at once by the same validation a full
 revalidation uses, and every scanned row is placed among the survivors of
 the whole table by one searchsorted (surviving rows keep their canonical
 ``(-payoff, ids_rank)`` order through the row map).  No strategy object
-is built.  Structural changes no delta can express (center moved,
-travel model swapped) and churn above ``rebuild_fraction`` (e.g. a clock
-advance rewriting every relative deadline) fall back to a full rebuild —
-the same array-native build as ``build_catalog``, at the same price.  A
+is built, except by the ``validate_entry`` loop that validates
+speed-scaled workers; their objects move with their rows.  Structural
+changes no delta can express (center moved, travel model swapped) and
+churn above ``rebuild_fraction`` (e.g. a clock advance rewriting every
+relative deadline) fall back to a full rebuild — the same array-native
+build as ``build_catalog``, at the same price.  A
 fallback keeps only that build's catalog and C-VDPS table; the DP layers
 are derived from the table when a later refresh takes the delta path, so
 a clock-advancing loop never pays for them.
@@ -103,7 +105,6 @@ from repro.vdps.catalog import (
     VDPSCatalog,
     WorkerStrategy,
     build_batch,
-    build_catalog,
     worker_offset_factor,
 )
 from repro.vdps.generator import CvdpsTable, DPStats, chain_adjacency
@@ -122,10 +123,7 @@ class DeltaCatalog:
         (:meth:`cold` makes the catalog without building it).
     epsilon:
         Distance-constrained pruning threshold, fixed for the catalog's
-        lifetime (a changed threshold is a new catalog, as in the cache).
-    strict_revalidation:
-        Forwarded to Section IV validation, see
-        :func:`~repro.vdps.catalog.build_catalog`.
+        lifetime (a changed threshold is a new catalog).
     rebuild_fraction:
         Fall back to a full rebuild when more than this fraction of the
         center's delivery points changed in one refresh.  Deltas win when
@@ -133,50 +131,40 @@ class DeltaCatalog:
         and is cheaper rebuilt.  ``0.0`` rebuilds on any churn; values
         above 1 never fall back (used by the differential tests to force
         the delta paths).
-    verify:
-        After every refresh, rebuild from scratch and assert equality
-        (:func:`catalog_diff`).  Defeats the purpose in production; the
-        differential tests run on it.
     """
 
     def __init__(
         self,
         sub: SubProblem,
         epsilon: Optional[float] = None,
-        strict_revalidation: bool = False,
         rebuild_fraction: float = 0.5,
-        verify: bool = False,
     ) -> None:
-        self._configure(sub, epsilon, strict_revalidation, rebuild_fraction, verify)
+        self._configure(sub, epsilon, rebuild_fraction)
         refresh_all([self], [sub])
 
     @classmethod
     def cold(
-        cls, sub: SubProblem, epsilon: Optional[float] = None, **options
+        cls,
+        sub: SubProblem,
+        epsilon: Optional[float] = None,
+        rebuild_fraction: float = 0.5,
     ) -> "DeltaCatalog":
         """An unbuilt catalog for ``sub``'s center: its first refresh
         (through :func:`refresh_all`, in a batch with other centers) is its
-        cold build.  ``options`` are ``__init__``'s."""
+        cold build."""
         self = cls.__new__(cls)
-        self._configure(sub, epsilon, **options)
+        self._configure(sub, epsilon, rebuild_fraction)
         return self
 
     def _configure(
-        self,
-        sub: SubProblem,
-        epsilon: Optional[float],
-        strict_revalidation: bool = False,
-        rebuild_fraction: float = 0.5,
-        verify: bool = False,
+        self, sub: SubProblem, epsilon: Optional[float], rebuild_fraction: float
     ) -> None:
         if rebuild_fraction < 0:
             raise ValueError(
                 f"rebuild_fraction must be >= 0, got {rebuild_fraction!r}"
             )
         self.epsilon = epsilon
-        self._strict = bool(strict_revalidation)
         self._rebuild_fraction = float(rebuild_fraction)
-        self._verify = bool(verify)
         self._center_id = sub.center.center_id
         self._layout = LayoutMatrix()
         self._catalog: Optional[VDPSCatalog] = None
@@ -207,19 +195,6 @@ class DeltaCatalog:
         one center.
         """
         (catalog,) = refresh_all([self], [sub])
-        if self._verify:
-            diffs = catalog_diff(
-                catalog,
-                build_catalog(
-                    sub,
-                    epsilon=self.epsilon,
-                    strict_revalidation=self._strict,
-                ),
-            )
-            if diffs:
-                raise AssertionError(
-                    "delta catalog diverged from rebuild: " + "; ".join(diffs)
-                )
         return catalog
 
     def _apply(self, sub: SubProblem, plan, build) -> VDPSCatalog:
@@ -446,12 +421,12 @@ class DeltaCatalog:
 
     def _exact(self, wid: str) -> bool:
         """Whether the worker's strategies come from the ``validate_entry``
-        loop (speed-scaled workers, strict revalidation).
+        loop (a speed-scaled worker).
 
         Their table positions hold the loop's objects (see
         :func:`~repro.kernels.validate.validate_tables`).
         """
-        return self._strict or self._offsets[wid][1] != 1.0
+        return self._offsets[wid][1] != 1.0
 
     def _scan(self, workers: Sequence[Worker], arrays) -> StrategyTable:
         """Section IV validation of ``workers`` against ``arrays``' entries,
@@ -463,7 +438,6 @@ class DeltaCatalog:
             [[(worker, *self._offsets[worker.worker_id]) for worker in workers]],
             [self._travel],
             [self._center_location],
-            self._strict,
         )[0]
 
     def _apply_worker_churn(
@@ -658,14 +632,14 @@ def refresh_all(
     ``catalog.delta_refresh_seconds`` timer, which time that center's own
     work: its surgery, or the hand-over of its batch-built catalog.
 
-    The catalogs must share epsilon and strictness (one batch builds
-    them); each catalog's result equals ``build_catalog`` on its ``sub``.
+    The catalogs must share epsilon (one batch builds them); each
+    catalog's result equals ``build_catalog`` on its ``sub``.
     """
     if not deltas:
         return []
-    epsilon, strict = deltas[0].epsilon, deltas[0]._strict
-    if any((delta.epsilon, delta._strict) != (epsilon, strict) for delta in deltas):
-        raise ValueError("refresh_all needs one epsilon and strictness")
+    epsilon = deltas[0].epsilon
+    if any(delta.epsilon != epsilon for delta in deltas):
+        raise ValueError("refresh_all needs one epsilon")
     plans = [delta._plan(sub) for delta, sub in zip(deltas, subs)]
     builds = [
         k for k, (path, _) in enumerate(plans) if path in ("rebuild", "fallback")
@@ -679,7 +653,6 @@ def refresh_all(
                     build_batch(
                         [subs[k] for k in builds],
                         epsilon,
-                        strict,
                         layouts=[deltas[k]._layout for k in builds],
                     ),
                 )

@@ -32,6 +32,7 @@ from repro import (
     Worker,
     generate_gmission_like,
 )
+from repro.vdps.generator import generate_cvdps
 
 _TASK_COUNTER = [0]
 
@@ -100,6 +101,23 @@ def claimed_words(state, except_worker: Optional[str] = None):
     if except_worker is not None:
         claimed &= ~state._words[state._slot[except_worker]]
     return mask_words(claimed, index.n_words)
+
+
+def minimal_route(
+    points: Sequence[DeliveryPoint],
+    travel: TravelModel,
+    origin: Point = Point(0.0, 0.0),
+    generate=generate_cvdps,
+):
+    """The best route of ``points`` from a center at ``origin``: the
+    minimal-time deadline-feasible order that the C-VDPS DP (``generate``:
+    production's, or the oracle's) records for the full set, or ``None``
+    when no order of it is feasible."""
+    center = DistributionCenter("dc", origin, tuple(points))
+    full = frozenset(dp.dp_id for dp in points)
+    return next(
+        (e.route for e in generate(center, travel) if e.point_ids == full), None
+    )
 
 
 def unit_speed_travel() -> TravelModel:

@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core.routing import Route, arrival_times, best_route, route_is_valid
+from repro.core.instance import SubProblem
+from repro.core.routing import Route, arrival_times, route_is_valid
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
 from repro.oracle import brute_force_best_route
+from repro.vdps.catalog import build_catalog
+from repro.vdps.generator import generate_cvdps
 
-from tests.conftest import make_dp, unit_speed_travel
+from tests.conftest import (
+    make_center,
+    make_dp,
+    make_worker,
+    minimal_route,
+    unit_speed_travel,
+)
 
 
 @pytest.fixture
@@ -89,20 +98,22 @@ class TestRouteObject:
 
 
 class TestBestRoute:
+    """The best route of a point set is the minimal-time feasible order the
+    C-VDPS DP records for it (:func:`tests.conftest.minimal_route`)."""
+
     def test_orders_by_travel_time(self, travel):
         # Optimal open path from origin visits a (1,0) then b (2,0).
         points = [make_dp("b", 2, 0), make_dp("a", 1, 0)]
-        route = best_route(ORIGIN, points, travel)
+        route = minimal_route(points, travel)
         assert [dp.dp_id for dp in route.sequence] == ["a", "b"]
         assert route.completion_time == pytest.approx(2.0)
 
     def test_empty_input(self, travel):
-        route = best_route(ORIGIN, [], travel)
-        assert len(route) == 0
+        assert generate_cvdps(make_center([]), travel) == []
 
     def test_infeasible_returns_none(self, travel):
         points = [make_dp("far", 100, 0, expiry=1.0)]
-        assert best_route(ORIGIN, points, travel) is None
+        assert minimal_route(points, travel) is None
 
     def test_deadline_forces_detour(self, travel):
         # b expires early, so it must be visited first even though a is nearer.
@@ -110,20 +121,23 @@ class TestBestRoute:
             make_dp("a", 1, 0, expiry=100.0),
             make_dp("b", 2, 0, expiry=2.0),
         ]
-        route = best_route(ORIGIN, points, travel)
+        route = minimal_route(points, travel)
         assert route is not None
         assert [dp.dp_id for dp in route.sequence][0] in {"a", "b"}
         assert route.is_valid_with_offset(0.0)
 
-    def test_duplicate_ids_rejected(self, travel):
+    def test_duplicate_ids_rejected(self):
         points = [make_dp("a", 1, 0), make_dp("a", 2, 0)]
         with pytest.raises(ValueError, match="duplicate"):
-            best_route(ORIGIN, points, travel)
+            make_center(points)
 
     def test_respects_start_offset(self, travel):
-        points = [make_dp("a", 1, 0, expiry=1.5)]
-        assert best_route(ORIGIN, points, travel, start_offset=0.4) is not None
-        assert best_route(ORIGIN, points, travel, start_offset=0.6) is None
+        # A worker 0.4 h from the center reaches a at 1.4 <= 1.5; one
+        # 0.6 h out would arrive at 1.6, so its catalog drops the set.
+        center = make_center([make_dp("a", 1, 0, expiry=1.5)])
+        for x, kept in ((-0.4, True), (-0.6, False)):
+            sub = SubProblem(center, (make_worker("w", x, 0),), travel)
+            assert build_catalog(sub).has_strategies("w") is kept
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_brute_force(self, travel, seed):
@@ -138,7 +152,7 @@ class TestBestRoute:
             )
             for i in range(n)
         ]
-        fast = best_route(ORIGIN, points, travel)
+        fast = minimal_route(points, travel)
         slow = brute_force_best_route(ORIGIN, points, travel)
         if slow is None:
             assert fast is None

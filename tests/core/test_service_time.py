@@ -9,13 +9,19 @@ import pytest
 
 from repro.core.entities import DeliveryPoint
 from repro.core.instance import SubProblem
-from repro.core.routing import arrival_times, best_route
+from repro.core.routing import arrival_times
 from repro.geo.point import Point
 from repro.oracle import brute_force_best_route, generate_cvdps_reference
 from repro.vdps.catalog import build_catalog
 from repro.vdps.generator import generate_cvdps
 
-from tests.conftest import make_center, make_tasks, make_worker, unit_speed_travel
+from tests.conftest import (
+    make_center,
+    make_tasks,
+    make_worker,
+    minimal_route,
+    unit_speed_travel,
+)
 
 ORIGIN = Point(0.0, 0.0)
 
@@ -68,7 +74,7 @@ class TestRouting:
             make_service_dp("a", 1, 0, service=5.0, expiry=100.0),
             make_service_dp("b", 2, 0, service=0.0, expiry=2.5),
         ]
-        route = best_route(ORIGIN, points, travel)
+        route = minimal_route(points, travel)
         assert route is not None
         assert [dp.dp_id for dp in route.sequence] == ["b", "a"]
 
@@ -78,11 +84,11 @@ class TestRouting:
             make_service_dp("b", 1.5, 0, service=0.0, expiry=2.0),
         ]
         # Visiting b first: b at 1.5 OK, a at 1.5+0+0.5? a expiry large: OK.
-        route = best_route(ORIGIN, points, travel)
+        route = minimal_route(points, travel)
         assert route is not None
         # Now make b unreachable either way.
         points[1] = make_service_dp("b2", 50, 0, service=0.0, expiry=2.0)
-        assert best_route(ORIGIN, points, travel) is None
+        assert minimal_route(points, travel) is None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_brute_force_with_services(self, travel, seed):
@@ -99,7 +105,7 @@ class TestRouting:
             )
             for i in range(int(rng.integers(2, 5)))
         ]
-        fast = best_route(ORIGIN, points, travel)
+        fast = minimal_route(points, travel)
         slow = brute_force_best_route(ORIGIN, points, travel)
         if slow is None:
             assert fast is None

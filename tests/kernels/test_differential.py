@@ -5,7 +5,7 @@ Bit-identity — not approximate equality — is the kernels' contract
 :func:`repro.oracle.compute_states` value for value (arrival times compared
 via ``float.hex``, so ``-0.0`` or a 1-ulp drift fails), the ``CVdpsEntry``
 lists and catalogs must equal the oracle's via ``==`` and
-:func:`catalog_diff`, the Held–Karp routes must match brute force, and
+:func:`catalog_diff`, each set's recorded route must match brute force, and
 :class:`DeltaCatalog` surgery must stay identical to oracle rebuilds under
 churn. Each comparison keeps a ``scalar`` arm (the
 oracle) and a ``vectorized`` arm (production). The sweep deliberately
@@ -30,7 +30,6 @@ from repro.core.entities import (
     Worker,
 )
 from repro.core.instance import SubProblem
-from repro.core.routing import best_route
 from repro.datasets.gmission import GMissionConfig, generate_gmission_like
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
@@ -50,6 +49,8 @@ from repro.vdps.generator import (
     generate_tables,
     neighbor_id_map,
 )
+
+from tests.conftest import minimal_route
 
 SEEDS = [0, 1, 7, 42]
 EPSILONS = [0.8, None]
@@ -214,20 +215,36 @@ class TestCvdpsDifferential:
 
 
 class TestBestRouteDifferential:
+    """A set's best route is the order the C-VDPS DP records for it, which
+    Section IV delays by a worker's start offset."""
+
     @staticmethod
     def _assert_matches_brute_force(sub, pts, offset):
-        route = best_route(sub.center.location, pts, sub.travel, offset)
+        scalar, vectorized = (
+            minimal_route(pts, sub.travel, sub.center.location, generate)
+            for generate in (oracle.generate_cvdps, generate_cvdps)
+        )
+        assert scalar == vectorized
+        route = vectorized
         brute = oracle.brute_force_best_route(
             sub.center.location, pts, sub.travel, offset
         )
-        assert (brute is None) == (route is None)
         if brute is not None:
-            assert brute.completion_time == route.completion_time
+            # Feasible with a delay, so feasible without one.
+            assert route is not None
+        if offset == 0.0:
+            assert (brute is None) == (route is None)
+            if brute is not None:
+                assert brute.completion_time == route.completion_time
+        elif route is not None and route.is_valid_with_offset(offset):
+            # The delayed recorded order is feasible, so no order beats it.
+            assert brute.completion_time == pytest.approx(
+                route.completion_time + offset
+            )
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("offset", [0.0, 0.1])
     def test_matches_scalar_and_brute_force(self, seed, offset):
-        # ``best_route`` is the scalar (dict) Held–Karp DP.
         sub = _gm_sub(seed)
         for size in (1, 2, 4, 6):
             pts = sub.center.delivery_points[:size]
@@ -360,7 +377,7 @@ class TestDeltaOverVectorizedBase:
 # -- The array-native catalog build vs the oracle ---------------------------
 
 
-def _assert_array_native_matches_scalar(sub, epsilon, strict=False):
+def _assert_array_native_matches_scalar(sub, epsilon):
     """Both array-native builds ≡ :func:`repro.oracle.build_catalog`.
 
     The array-native path serves ``build_catalog`` and ``DeltaCatalog``'s
@@ -368,15 +385,14 @@ def _assert_array_native_matches_scalar(sub, epsilon, strict=False):
     surgery path (:func:`_assert_delta_churn_matches_scalar`), whose first
     delta derives the surgery tables from that rebuild.
     """
-    options = dict(epsilon=epsilon, strict_revalidation=strict)
-    expected = oracle.build_catalog(sub, **options)
+    expected = oracle.build_catalog(sub, epsilon=epsilon)
     for catalog in (
-        build_catalog(sub, **options),
-        DeltaCatalog(sub, **options).catalog,
+        build_catalog(sub, epsilon=epsilon),
+        DeltaCatalog(sub, epsilon=epsilon).catalog,
     ):
         diffs = catalog_diff(catalog, expected, check_index=True)
         assert not diffs, diffs
-    _assert_delta_churn_matches_scalar(sub, epsilon, strict)
+    _assert_delta_churn_matches_scalar(sub, epsilon)
     return expected
 
 
@@ -415,19 +431,19 @@ def _churn_step(sub, rng, step):
     return SubProblem(center, sub.workers, sub.travel)
 
 
-def _assert_delta_churn_matches_scalar(sub, epsilon, strict, steps=4):
+def _assert_delta_churn_matches_scalar(sub, epsilon, steps=4):
     """Surgery refreshes ≡ oracle (``scalar``) and production
     (``vectorized``) rebuilds at every step.
 
     ``rebuild_fraction=10`` keeps every churned refresh on the delta path,
     so the added entries of each step go through the unchanged workers'
-    scan — the array scan, or its speed-scaled and strict fallbacks.
+    scan — the array scan, or the speed-scaled workers' ``validate_entry``
+    loop.
     """
     if not sub.center.delivery_points:
         return
-    options = dict(epsilon=epsilon, strict_revalidation=strict)
     rng = np.random.default_rng(len(sub.center.delivery_points))
-    delta = DeltaCatalog(sub, rebuild_fraction=10, **options)
+    delta = DeltaCatalog(sub, epsilon=epsilon, rebuild_fraction=10)
     current = sub
     for step in range(steps):
         current = _churn_step(current, rng, step)
@@ -438,7 +454,7 @@ def _assert_delta_churn_matches_scalar(sub, epsilon, strict, steps=4):
             ("vectorized", build_catalog),
         ):
             diffs = catalog_diff(
-                refreshed, build(current, **options), check_index=True
+                refreshed, build(current, epsilon=epsilon), check_index=True
             )
             assert not diffs, (tier, step, diffs)
 
@@ -498,12 +514,6 @@ class TestArrayNativeBuild:
         sub = _with_speeds(_with_service_hours(_gm_sub(seed), seed), seed)
         _assert_array_native_matches_scalar(sub, 0.8)
         _assert_array_native_matches_scalar(_with_speeds(_gm_sub(seed), seed), None)
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_strict_revalidation(self, seed):
-        sub = _gm_sub(seed)
-        _assert_array_native_matches_scalar(sub, 0.8, strict=True)
-        _assert_array_native_matches_scalar(_with_speeds(sub, seed), None, strict=True)
 
     def test_empty_center(self):
         center = DistributionCenter("dc", Point(0.0, 0.0), ())

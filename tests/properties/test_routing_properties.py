@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask
-from repro.core.routing import best_route
 from repro.geo.point import Point
 from repro.geo.travel import TravelModel
 from repro.oracle import brute_force_best_route, generate_cvdps_reference
 from repro.vdps.generator import generate_cvdps
+
+from tests.conftest import minimal_route
 
 TRAVEL = TravelModel(speed_kmh=1.0)
 ORIGIN = Point(0.0, 0.0)
@@ -35,10 +36,13 @@ def delivery_points(draw, max_points=5):
 
 
 class TestBestRouteProperties:
+    """The best route of a set is the order the C-VDPS DP records for it
+    (:func:`tests.conftest.minimal_route`)."""
+
     @given(points=delivery_points())
     @settings(max_examples=40, deadline=None)
     def test_matches_brute_force(self, points):
-        fast = best_route(ORIGIN, points, TRAVEL)
+        fast = minimal_route(points, TRAVEL)
         slow = brute_force_best_route(ORIGIN, points, TRAVEL)
         if slow is None:
             assert fast is None
@@ -50,16 +54,23 @@ class TestBestRouteProperties:
     @settings(max_examples=40, deadline=None)
     def test_offset_monotone(self, points, offset):
         # If a set is feasible with a delay it is feasible without one.
-        with_offset = best_route(ORIGIN, points, TRAVEL, start_offset=offset)
-        without = best_route(ORIGIN, points, TRAVEL)
+        with_offset = brute_force_best_route(ORIGIN, points, TRAVEL, offset)
+        without = minimal_route(points, TRAVEL)
         if with_offset is not None:
             assert without is not None
             assert without.completion_time <= with_offset.completion_time + 1e-9
+        # Section IV delays the recorded order: when that stays feasible,
+        # no other order finishes earlier at this delay.
+        if without is not None and without.is_valid_with_offset(offset):
+            assert with_offset is not None
+            assert with_offset.completion_time == pytest.approx(
+                without.completion_time + offset
+            )
 
     @given(points=delivery_points())
     @settings(max_examples=40, deadline=None)
     def test_route_visits_all_points_feasibly(self, points):
-        route = best_route(ORIGIN, points, TRAVEL)
+        route = minimal_route(points, TRAVEL)
         if route is None:
             return
         assert {dp.dp_id for dp in route.sequence} == {dp.dp_id for dp in points}

@@ -269,12 +269,12 @@ class TestConcurrentGets:
             state.add_tasks(arrivals(i, 0.0))
         snapshot = state.snapshot()
         assert len(snapshot.subproblems) > 2
-        cache = SnapshotCatalogCache()
+        cache = SnapshotCatalogCache(0.8)
         got = {}
 
         def get(sub):
             key = snapshot.keys[sub.center.center_id]
-            got[sub.center.center_id] = cache.get_with_status(sub, key, 0.8)
+            got[sub.center.center_id] = cache.get_with_status(sub, key)
 
         before = METRICS.counter("catalog.delta_rebuilds").value
         interval = sys.getswitchinterval()

@@ -7,6 +7,10 @@ import time
 import pytest
 
 from repro.cli import main
+from repro.datasets.io import load_instance
+from repro.games import FGTSolver
+from repro.games.base import equity_copy
+from repro.parallel import solve_instance
 
 
 class TestListExperiments:
@@ -117,6 +121,40 @@ class TestSolve:
         main(["solve", str(instance_dir), "--algorithm", "iegt", "--seed", "5"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_equity_mode_solves_the_equity_copy(self, instance_dir, tmp_path, capsys):
+        # FGT writes the routes solve_instance finds with the equity copy
+        # of the solver (zero baselines, the given amplification).
+        target = tmp_path / "equity.csv"
+        args = ["solve", str(instance_dir), "--algorithm", "fgt", "--epsilon", "0.6"]
+        args += ["--seed", "3", "--equity-mode", "--equity-strength", "4.0"]
+        assert main(args + ["--output", str(target)]) == 0
+        solver = equity_copy(FGTSolver(epsilon=0.6), 4.0)
+        assert solver.equity_mode and solver.equity_strength == 4.0
+
+        def routes(solver):
+            solution = solve_instance(
+                load_instance(instance_dir), solver, epsilon=0.6, seed=3
+            )
+            return [
+                [pair.worker.worker_id, cid, "|".join(pair.delivery_point_ids)]
+                for cid in sorted(solution.assignments)
+                for pair in solution.assignments[cid]
+            ]
+
+        with target.open(newline="") as fh:
+            rows = [list(row.values())[:3] for row in csv.DictReader(fh)]
+        assert rows == routes(solver)
+        # The flag reaches the game: the plain solve routes differently.
+        assert rows != routes(FGTSolver(epsilon=0.6))
+
+    @pytest.mark.parametrize("algorithm", ["gta", "mpta", "random"])
+    def test_equity_mode_refused_without_an_equity_game(
+        self, instance_dir, capsys, algorithm
+    ):
+        args = ["solve", str(instance_dir), "--algorithm", algorithm, "--equity-mode"]
+        assert main(args) == 2
+        assert "not supported" in capsys.readouterr().err
 
 
 class TestCompare:

@@ -10,8 +10,8 @@ bit-identical to the center's own ``build_catalog``: an empty
 ``cvdps.layer`` tracer events.  Hypothesis draws random multi-center
 worlds; the seeded cases pin what a random draw may miss: centers with
 different ``maxDP`` caps, a center with no feasible state, a center wider
-than one 64-bit mask word, no pruning, a non-Euclidean metric,
-speed-scaled workers and strict revalidation.
+than one 64-bit mask word, no pruning, a non-Euclidean metric and
+speed-scaled workers.
 """
 
 from unittest import mock
@@ -55,20 +55,17 @@ def _layer_events(tracer):
     ]
 
 
-def _assert_batch_matches(subs, epsilon, strict=False):
+def _assert_batch_matches(subs, epsilon):
     """Build ``subs`` as one batch and one by one; both must agree exactly."""
     batch_tracer = MemoryTracer()
     before = _counts()
-    built = build_batch(subs, epsilon, strict, tracer=batch_tracer)
+    built = build_batch(subs, epsilon, tracer=batch_tracer)
     batch_counts = {k: v - before[k] for k, v in _counts().items()}
 
     single_tracer = MemoryTracer()
     before = _counts()
     singles = [
-        build_catalog(
-            sub, epsilon=epsilon, strict_revalidation=strict, tracer=single_tracer
-        )
-        for sub in subs
+        build_catalog(sub, epsilon=epsilon, tracer=single_tracer) for sub in subs
     ]
     single_counts = {k: v - before[k] for k, v in _counts().items()}
 
@@ -205,19 +202,6 @@ class TestSeededBatches:
         ]
         _assert_batch_matches(subs, 1.5)
 
-    def test_strict_revalidation(self):
-        subs = [
-            _sub(
-                "a",
-                (0, 0),
-                _ring("a", (0, 0), 6, expiry=2.5),
-                _fleet("a", (0, 0), [3, 3]),
-                TRAVEL,
-            ),
-            _plain("b", (5, 0), 4, [2]),
-        ]
-        _assert_batch_matches(subs, 1.5, strict=True)
-
     def test_centers_without_points_or_workers(self):
         subs = [
             _sub("empty", (0, 0), [], _fleet("empty", (0, 0), [2]), TRAVEL),
@@ -272,7 +256,7 @@ class TestSeededBatches:
 
 
     def test_refresh_all_refuses_mixed_thresholds(self):
-        # One batch builds every center, at one epsilon and strictness.
+        # One batch builds every center, at one epsilon.
         subs = [_plain("a", (0, 0), 3, [2]), _plain("b", (5, 0), 3, [2])]
         deltas = [DeltaCatalog.cold(subs[0], 1.5), DeltaCatalog.cold(subs[1], None)]
         with pytest.raises(ValueError):
@@ -332,13 +316,12 @@ def worlds(draw):
         )
     ]
     epsilon = draw(st.one_of(st.none(), st.floats(min_value=0.3, max_value=3.0)))
-    return subs, epsilon, draw(st.booleans())
+    return subs, epsilon
 
 
 @given(worlds())
 def test_random_batches_match_per_center_builds(world):
-    subs, epsilon, strict = world
-    _assert_batch_matches(subs, epsilon, strict)
+    _assert_batch_matches(*world)
 
 
 def _standalone(catalog):

@@ -1,5 +1,6 @@
 """Tests for repro.vdps.catalog (per-worker strategy spaces)."""
 
+import dataclasses
 import sys
 import threading
 
@@ -11,7 +12,7 @@ from repro.games.base import random_initial_state
 from repro.games.fgt import FGTSolver
 from repro.geo.travel import TravelModel
 from repro.obs.metrics import METRICS
-from repro.oracle import available
+from repro.oracle import available, brute_force_best_route
 from repro.oracle import build_catalog as oracle_build_catalog
 from repro.vdps.catalog import NULL_STRATEGY, WorkerStrategy, build_catalog
 
@@ -86,11 +87,12 @@ class TestBuildCatalog:
         catalog = build_catalog(_line_subproblem([online, offline]))
         assert [w.worker_id for w in catalog.workers] == ["on"]
 
-    def test_strict_revalidation_recovers_reordered_sets(self):
+    def test_validation_delays_the_recorded_order(self):
         # From the center the minimal-time order of {a, b} is (a, b) with b
         # reached at 1.306 < 1.4; with a 0.15 start offset that order misses
         # b's deadline (1.456 > 1.4) while (b, a) still makes it (b at
-        # 1.15).  Only strict revalidation re-solves the order per worker.
+        # 1.15).  Section IV delays the recorded order alone, so the set is
+        # not the worker's VDPS.
         center = make_center(
             [
                 make_dp("a", 0.5, 0.0, expiry=10.0),
@@ -98,13 +100,13 @@ class TestBuildCatalog:
             ]
         )
         worker = make_worker("w", -0.15, 0)  # offset 0.15
-        sub = SubProblem(center, (worker,), unit_speed_travel())
-        lax = build_catalog(sub, strict_revalidation=False)
-        strict = build_catalog(sub, strict_revalidation=True)
-        lax_sets = {s.point_ids for s in lax.strategies("w")}
-        strict_sets = {s.point_ids for s in strict.strategies("w")}
-        assert frozenset({"a", "b"}) not in lax_sets
-        assert frozenset({"a", "b"}) in strict_sets
+        travel = unit_speed_travel()
+        sub = SubProblem(center, (worker,), travel)
+        sets = {s.point_ids for s in build_catalog(sub).strategies("w")}
+        assert frozenset({"a", "b"}) not in sets
+        assert brute_force_best_route(
+            center.location, center.delivery_points, travel, 0.15
+        ) is not None
 
 
 class TestCatalogQueries:
@@ -196,6 +198,32 @@ class TestLazyStrategies:
             )
             assert strategies == exact.strategies(wid)
 
+    def test_picks_indexing_and_iteration_share_one_object(self):
+        # picks, strategies(wid)[pos] and iteration all read the table's
+        # one object cache: whichever reads a position first builds it,
+        # the others return that object, and each position counts once.
+        sub = _gmission_sub()
+        catalog = build_catalog(sub, epsilon=0.8)
+        exact = oracle_build_catalog(sub, epsilon=0.8)
+        wids = [w.worker_id for w in catalog.workers]
+        positions = [len(catalog.strategies(wid)) // 2 - 1 for wid in wids]
+        assert any(pos < 0 for pos in positions)
+        materialised = METRICS.counter("catalog.strategies_materialised")
+        before = materialised.value
+        picked = catalog.picks(positions)
+        assert materialised.value - before == sum(pos >= 0 for pos in positions)
+        for wid, pos, pick in zip(wids, positions, picked):
+            walk = tuple(catalog.strategies(wid))
+            if pos < 0:
+                assert pick is NULL_STRATEGY
+                continue
+            assert pick == exact.strategies(wid)[pos]
+            assert catalog.strategies(wid)[pos] is pick
+            assert walk[pos] is pick
+        assert materialised.value - before == catalog.total_strategy_count
+        assert all(a is b for a, b in zip(catalog.picks(positions), picked))
+        assert materialised.value - before == catalog.total_strategy_count
+
     def test_concurrent_reads_return_identical_objects(self):
         # More threads than cores, a short switch interval, and each
         # thread walking the positions in its own order: a racing first
@@ -242,12 +270,17 @@ class TestLazyStrategies:
         assert all(a is b for a, b in zip(seen[0], catalog.strategies(wid)))
 
     def test_scalar_columns_never_build_from_rows(self):
-        # The validate_entry loop (speed-scaled workers, strict
-        # revalidation) re-times routes a row's unit-speed times cannot
-        # describe, so its columns hold the loop's objects and every read
-        # returns one of those.
+        # The validate_entry loop (speed-scaled workers) re-times routes a
+        # row's unit-speed times cannot describe, so its columns hold the
+        # loop's objects and every read returns one of those.
         sub = _gmission_sub()
-        catalog = build_catalog(sub, epsilon=0.8, strict_revalidation=True)
+        fast = tuple(
+            dataclasses.replace(w, speed_kmh=1.5 * sub.travel.speed_kmh)
+            for w in sub.workers
+        )
+        catalog = build_catalog(
+            SubProblem(sub.center, fast, sub.travel), epsilon=0.8
+        )
         wid = max(
             (w.worker_id for w in catalog.workers),
             key=lambda w: len(catalog.strategies(w)),

@@ -299,16 +299,14 @@ class TestFallbacks:
 
 
 class TestRandomTraces:
-    """Longer seeded walks with verify=True (the internal oracle)."""
+    """Longer seeded walks, every refresh checked against a rebuild."""
 
     @pytest.mark.parametrize("reference", ["scalar", "vectorized"])
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_scalar_path_columns_survive_churn(self, reference, strict):
-        # A speed-scaled worker (with strict revalidation, every worker)
-        # is validated by the validate_entry loop; its column carries that
-        # loop's objects through the row remap and the merge of every
-        # refresh.  Each step is checked against the oracle's rebuild
-        # (scalar) or production's (vectorized).
+    def test_scalar_path_columns_survive_churn(self, reference):
+        # A speed-scaled worker is validated by the validate_entry loop;
+        # its column carries that loop's objects through the row remap and
+        # the merge of every refresh.  Each step is checked against the
+        # oracle's rebuild (scalar) or production's (vectorized).
         rebuild = REBUILDS[reference]
         rng = random.Random(5)
         points = {
@@ -323,10 +321,7 @@ class TestRandomTraces:
             _worker("w2", 0.5, 0.5, cap=2),
         ]
         delta = DeltaCatalog(
-            _sub(points.values(), workers),
-            epsilon=2.5,
-            strict_revalidation=strict,
-            rebuild_fraction=10.0,
+            _sub(points.values(), workers), epsilon=2.5, rebuild_fraction=10.0
         )
         for step in range(12):
             victim = rng.choice(sorted(points))
@@ -344,7 +339,7 @@ class TestRandomTraces:
             sub = _sub(points.values(), workers)
             refreshed = delta.refresh(sub)
             assert delta._last_path == "delta"
-            rebuilt = rebuild(sub, epsilon=2.5, strict_revalidation=strict)
+            rebuilt = rebuild(sub, epsilon=2.5)
             diffs = catalog_diff(refreshed, rebuilt)
             assert not diffs, "; ".join(diffs)
             assert refreshed.has_strategies("slow")
@@ -368,8 +363,7 @@ REBUILDS = {"scalar": oracle.build_catalog, "vectorized": build_catalog}
 
 def _churn_walk(seed, n_points, side, reference):
     """A seeded churn walk whose every refresh equals a rebuild: the
-    oracle's (``scalar``), or production's through ``verify=True``
-    (``vectorized``)."""
+    oracle's (``scalar``) or production's (``vectorized``)."""
     rng = random.Random(seed)
     points = {
         f"p{i}": _dp(f"p{i}", rng.uniform(-side, side), rng.uniform(-side, side), 6.0)
@@ -405,19 +399,14 @@ def _churn_walk(seed, n_points, side, reference):
         else {3: add_first, 6: add_middle, 9: raise_cap, 12: reject_own_singleton}
     )
     delta = DeltaCatalog(
-        _sub(points.values(), workers.values()),
-        epsilon=2.0,
-        rebuild_fraction=10.0,
-        # asserts delta == rebuild inside every refresh
-        verify=reference == "vectorized",
+        _sub(points.values(), workers.values()), epsilon=2.0, rebuild_fraction=10.0
     )
 
     def refresh():
         sub = _sub(points.values(), workers.values())
         refreshed = delta.refresh(sub)
-        if reference == "scalar":
-            diffs = catalog_diff(refreshed, oracle.build_catalog(sub, epsilon=2.0))
-            assert not diffs, "; ".join(diffs)
+        diffs = catalog_diff(refreshed, REBUILDS[reference](sub, epsilon=2.0))
+        assert not diffs, "; ".join(diffs)
 
     for step in range(25):
         if step in script:
@@ -470,10 +459,10 @@ class TestMergeByPosition:
     def _order(catalog, wid):
         return [tuple(sorted(s.point_ids)) for s in catalog.strategies(wid)]
 
-    def _refresh(self, delta, sub, epsilon=None, strict=False):
+    def _refresh(self, delta, sub, epsilon=None):
         refreshed = delta.refresh(sub)
         assert delta._last_path == "delta"
-        rebuilt = build_catalog(sub, epsilon=epsilon, strict_revalidation=strict)
+        rebuilt = build_catalog(sub, epsilon=epsilon)
         diffs = catalog_diff(refreshed, rebuilt)
         assert not diffs, "; ".join(diffs)
         return refreshed
@@ -546,23 +535,18 @@ class TestMergeByPosition:
         delta = DeltaCatalog(_sub(old, workers), rebuild_fraction=10.0)
         self._refresh(delta, _sub(old + self._ring("a", "c"), workers[::-1]))
 
-    @pytest.mark.parametrize("strict", [False, True])
-    def test_validate_entry_loop_columns_carry_their_objects(self, strict):
+    def test_validate_entry_loop_columns_carry_their_objects(self):
         # A speed-scaled worker's column comes from the validate_entry loop
-        # (with strict revalidation, every worker's does) and carries its
-        # objects; the by-position merge must move each object with its row.
+        # and carries its objects; the by-position merge must move each
+        # object with its row.
         workers = [
             _worker("w0", 0.0, 0.0, cap=2),
             Worker("slow", Point(0.0, 0.0), 2, "dc", speed_kmh=0.5),
         ]
         old = self._ring("b", "d") + [_dp("far", 2.0, 0.0, 50.0)]
-        delta = DeltaCatalog(
-            _sub(old, workers), strict_revalidation=strict, rebuild_fraction=10.0
-        )
+        delta = DeltaCatalog(_sub(old, workers), rebuild_fraction=10.0)
         added = self._ring("a", "c", "e") + [_dp("near", 0.5, 0.0, 50.0)]
-        refreshed = self._refresh(
-            delta, _sub(old + added, workers), strict=strict
-        )
+        refreshed = self._refresh(delta, _sub(old + added, workers))
         singles = [
             ids for ids in self._order(refreshed, "slow") if len(ids) == 1
         ]
@@ -571,5 +555,5 @@ class TestMergeByPosition:
         churned = [dp for dp in old + added if dp.dp_id != "c"] + self._ring(
             "bb", radius=1.0
         )
-        self._refresh(delta, _sub(churned, workers), strict=strict)
+        self._refresh(delta, _sub(churned, workers))
 
