@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.geo.point import Point
+
+if TYPE_CHECKING:
+    from repro.core.columns import PointColumns
 
 
 @dataclass(frozen=True, order=True)
@@ -161,6 +164,18 @@ class DistributionCenter:
     def task_count(self) -> int:
         """Total number of tasks distributed by this center."""
         return sum(dp.task_count for dp in self.delivery_points)
+
+    @property
+    def columns(self) -> "PointColumns":
+        """The delivery points as :class:`~repro.core.columns.PointColumns`
+        in sorted-id order (the kernels' index space), made once."""
+        columns = self.__dict__.get("_columns")
+        if columns is None:
+            from repro.core.columns import PointColumns
+
+            columns = PointColumns.of(self.delivery_points)
+            object.__setattr__(self, "_columns", columns)
+        return columns
 
     def delivery_point(self, dp_id: str) -> DeliveryPoint:
         """Look up a delivery point by id; raises :class:`KeyError` if absent."""

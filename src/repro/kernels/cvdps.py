@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -101,8 +101,9 @@ class CenterDP:
     """One center's share of a batched DP (:func:`compute_layers`)."""
 
     center_id: str
-    #: The center's delivery points in sorted-id order (the index space).
-    points: Sequence[object]
+    #: The center's :class:`~repro.core.columns.PointColumns`, sorted-id
+    #: order (the index space).
+    points: object
     #: ``(n, n)`` bool — ``adjacency[j, q]``: the DP may chain ``j -> q``.
     adjacency: np.ndarray
     #: The sorted-id :func:`center_matrix` of ``points``.
@@ -114,22 +115,20 @@ class CenterDP:
 
 
 def center_matrix(
-    points_by_id: Mapping[str, object],
+    points,
     travel: TravelModel,
     center_location,
     layout: Optional["LayoutMatrix"] = None,
-) -> Tuple[List[str], TravelMatrix]:
-    """Sorted dp ids plus their travel matrix (kernel index space).
+) -> TravelMatrix:
+    """The travel matrix of a center's :class:`~repro.core.columns.PointColumns`.
 
     The kernels index everything by position in the sorted-id order, which
     is also the order the dict DP seeds in.  ``layout`` serves the
     matrix from a center's cross-round cache instead of refilling it.
     """
-    ids = sorted(points_by_id)
-    locations = [points_by_id[dp_id].location for dp_id in ids]
     if layout is None:
-        return ids, travel.matrix(locations, origin=center_location)
-    return ids, layout.matrix(ids, locations, travel, center_location)
+        return travel.matrix(points.locations, origin=center_location)
+    return layout.matrix(points.ids, points.locations, travel, center_location)
 
 
 class LayoutMatrix:
@@ -310,23 +309,20 @@ def _stack(centers: Sequence[CenterDP]) -> _Stack:
     n_centers = len(centers)
     sizes = [len(job.points) for job in centers]
     width = max(sizes)
-    service_list: List[float] = []
-    deadline_list: List[float] = []
-    for job, n in zip(centers, sizes):
-        service_list.extend([dp.service_hours for dp in job.points])
-        deadline_list.extend([dp.earliest_expiry for dp in job.points])
-        service_list.extend([0.0] * (width - n))
-        deadline_list.extend([-np.inf] * (width - n))
+    service = np.zeros((n_centers, width), dtype=np.float64)
+    deadline = np.full((n_centers, width), -np.inf)
     origin = np.full((n_centers, width), np.inf)
     times = np.zeros((n_centers, width, width), dtype=np.float64)
     adjacency = np.zeros((n_centers, width, width), dtype=bool)
     for c, (job, n) in enumerate(zip(centers, sizes)):
+        service[c, :n] = job.points.service
+        deadline[c, :n] = job.points.deadline
         origin[c, :n] = job.matrix.origin_times
         times[c, :n, :n] = job.matrix.times
         adjacency[c, :n, :n] = job.adjacency
     return _Stack(
-        service=np.array(service_list, dtype=np.float64).reshape(n_centers, width),
-        deadline=np.array(deadline_list, dtype=np.float64).reshape(n_centers, width),
+        service=service,
+        deadline=deadline,
         origin=origin,
         times=times,
         adjacency=adjacency,
@@ -742,16 +738,17 @@ def deepen_layers(layers: List[Layer], job: CenterDP, built: int) -> None:
 
 
 def layers_from_paths(
-    paths: Sequence[np.ndarray], points: Sequence[object], matrix: TravelMatrix
+    paths: Sequence[np.ndarray], points, matrix: TravelMatrix
 ) -> List[Layer]:
     """One center's DP as layers, from each layer's path-lex visit orders.
 
-    ``points`` are the center's points in sorted-id order and ``matrix``
-    their travel matrix.  Prefix arrival times are re-chained along each
-    path with the DP's own float operations — ``(t + service) + travel``
-    from the center leg on — so they are the floats the DP produced.
+    ``points`` are the center's :class:`~repro.core.columns.PointColumns`
+    and ``matrix`` their travel matrix.  Prefix arrival times are
+    re-chained along each path with the DP's own float operations —
+    ``(t + service) + travel`` from the center leg on — so they are the
+    floats the DP produced.
     """
-    service = np.array([dp.service_hours for dp in points], dtype=np.float64)
+    service = points.service
     n_words = max(1, -(-len(points) // 64))
     layers = []
     for rows in paths:

@@ -68,17 +68,18 @@ class EntryArrays:
     Row ``e`` of every per-entry array describes entry ``e``; the per-visit
     arrays concatenate the entries' visits, entry ``e`` owning
     ``seg_start[e] : seg_start[e] + sizes[e]``.  Points are indexed by
-    position in :attr:`points`: the center's delivery points sorted by id,
-    which is also the bit space of the catalog's conflict index.  A full
-    build lays entries out in the canonical ``(size, sorted ids)`` order; a
-    spliced table (:meth:`splice`) appends its new entries instead.  No consumer
+    position in :attr:`points`: the center's
+    :class:`~repro.core.columns.PointColumns`, sorted by id, which is also
+    the bit space of the catalog's conflict index.  A full build lays
+    entries out in the canonical ``(size, sorted ids)`` order; a spliced
+    table (:meth:`splice`) appends its new entries instead.  No consumer
     depends on the row order: catalogs order strategies by payoff and
     :attr:`ids_rank`.
     """
 
     def __init__(
         self,
-        points: Sequence,
+        points,
         sizes: np.ndarray,
         path_flat: np.ndarray,
         t_flat: np.ndarray,
@@ -86,7 +87,6 @@ class EntryArrays:
     ) -> None:
         seg_start = np.zeros(sizes.size, dtype=np.intp)
         np.cumsum(sizes[:-1], out=seg_start[1:])
-        deadline = np.array([dp.earliest_expiry for dp in points], dtype=np.float64)
         self._set_columns(
             points,
             sizes,
@@ -94,7 +94,7 @@ class EntryArrays:
             t_flat,
             rewards,
             _pack_paths(sizes, seg_start, path_flat, len(points)),
-            deadline[path_flat],
+            points.deadline[path_flat],
             seg_start,
             t_flat[seg_start + sizes - 1] if sizes.size else t_flat[:0],
             _ids_rank(sizes, seg_start, path_flat),
@@ -115,7 +115,9 @@ class EntryArrays:
         ids_rank,
         built,
     ) -> None:
-        #: The center's delivery points, sorted by id (the index space).
+        #: The center's points, sorted by id (the index space): a
+        #: :class:`~repro.core.columns.PointColumns`, whose objects are
+        #: built only for the entries materialised.
         self.points = points
         #: ``(E,)`` int64 — points per entry (always >= 1).
         self.sizes = sizes
@@ -142,7 +144,6 @@ class EntryArrays:
         self._point_sets: List[Optional[frozenset]] = [None] * sizes.size
         self._built = built
         self._entries: Optional[List[CVdpsEntry]] = None
-        self._position: Optional[Dict[str, int]] = None
 
     @classmethod
     def from_layers(
@@ -151,11 +152,13 @@ class EntryArrays:
         """Each subset's canonical state, straight from a batched DP.
 
         ``layers`` are :func:`repro.kernels.cvdps.compute_layers` output
-        over the centers whose points (sorted by id) ``centers_points``
-        lists, in batch order.  Returns one table per center, each laid
-        out in the canonical ``(size, sorted ids)`` order.  Every column is
-        computed once for the whole batch and sliced per center; the
-        layers' packed subset masks are gathered as they are.
+        over the centers whose :class:`~repro.core.columns.PointColumns`
+        ``centers_points`` lists, in batch order.  Returns one table per
+        center, each laid out in the canonical ``(size, sorted ids)``
+        order.  Every column is computed once for the whole batch and
+        sliced per center; the layers' packed subset masks are gathered as
+        they are, and each point's reward and earliest expiry come from
+        its center's columns.
         """
         n_centers = len(centers_points)
         width = max(map(len, centers_points))
@@ -185,16 +188,14 @@ class EntryArrays:
         )
         seg_start = np.zeros(sizes.size, dtype=np.intp)
         np.cumsum(sizes[:-1], out=seg_start[1:])
-        # Each visit's batch-wide point slot; only visited points are read.
+        # Each visit's batch-wide point slot.
         slots = np.repeat(center, sizes) * width + path_flat
         reward_of = [0.0] * (n_centers * width)
         deadline_of = np.zeros(n_centers * width, dtype=np.float64)
-        seen = np.zeros(n_centers * width, dtype=bool)
-        seen[slots] = True
-        for slot in np.flatnonzero(seen).tolist():
-            dp = centers_points[slot // width][slot % width]
-            reward_of[slot] = dp.total_reward
-            deadline_of[slot] = dp.earliest_expiry
+        for c, points in enumerate(centers_points):
+            base = c * width
+            reward_of[base : base + len(points)] = points.reward
+            deadline_of[base : base + len(points)] = points.deadline
         # sum() accumulates 0 + r0 + r1 + ... exactly as the
         # Route.total_reward property does (compensated on 3.12+).
         slot_list = slots.tolist()
@@ -245,24 +246,24 @@ class EntryArrays:
 
     @classmethod
     def from_entries(
-        cls, entries: Sequence[CVdpsEntry], points: Sequence
+        cls, entries: Sequence[CVdpsEntry], points
     ) -> "EntryArrays":
-        """One pass over ``entries``, laid out over ``points`` (sorted by
-        id, holding every entry's points); safe for an empty list."""
-        index = {dp.dp_id: i for i, dp in enumerate(points)}
+        """One pass over ``entries``, laid out over ``points`` (a
+        :class:`~repro.core.columns.PointColumns` holding every entry's
+        points); safe for an empty list."""
+        index = points.position
         path_flat: List[int] = []
         t_flat: List[float] = []
         for entry in entries:
             path_flat.extend(index[dp.dp_id] for dp in entry.route.sequence)
             t_flat.extend(entry.route.arrival_times)
         arrays = cls(
-            list(points),
+            points,
             np.array([len(entry.point_ids) for entry in entries], dtype=np.int64),
             np.array(path_flat, dtype=np.intp),
             np.array(t_flat, dtype=np.float64),
             np.array([entry.total_reward for entry in entries], dtype=np.float64),
         )
-        arrays._position = index
         arrays._entries = list(entries)
         arrays._sequences = [entry.route.sequence for entry in entries]
         arrays._point_sets = [entry.point_ids for entry in entries]
@@ -367,10 +368,8 @@ class EntryArrays:
 
     @property
     def position(self) -> Dict[str, int]:
-        """``{dp_id: index}`` of :attr:`points`, built on first access."""
-        if self._position is None:
-            self._position = {dp.dp_id: i for i, dp in enumerate(self.points)}
-        return self._position
+        """``{dp_id: index}`` of :attr:`points`."""
+        return self.points.position
 
     def touching(self, point_ids) -> np.ndarray:
         """``(E,)`` bool — entries whose point set meets ``point_ids``."""
@@ -386,11 +385,12 @@ class EntryArrays:
         self,
         keep: np.ndarray,
         added: Optional["EntryArrays"],
-        points: Sequence,
+        points,
     ) -> Tuple["EntryArrays", np.ndarray]:
         """The table of rows ``keep`` followed by ``added``'s entries.
 
-        ``points``, sorted by id, is the new table's index space: it holds
+        ``points`` (:class:`~repro.core.columns.PointColumns`) is the new
+        table's index space: it holds
         every kept and added entry's points, and ``added`` (or ``None``)
         is laid out over it.  Returns the new table and the old→new row
         map (``-1`` for dropped rows); ``added``'s row ``k`` becomes row
@@ -399,9 +399,9 @@ class EntryArrays:
         """
         kept = np.flatnonzero(keep)
         flat, _ = self.segments(kept)
-        position = {dp.dp_id: k for k, dp in enumerate(points)}
+        position = points.position
         remap = np.array(
-            [position.get(dp.dp_id, -1) for dp in self.points], dtype=np.intp
+            [position.get(dp_id, -1) for dp_id in self.points.ids], dtype=np.intp
         )
         parts = [
             (
@@ -431,7 +431,7 @@ class EntryArrays:
         np.cumsum(sizes[:-1], out=seg_start[1:])
         spliced = EntryArrays.__new__(EntryArrays)
         spliced._set_columns(
-            list(points),
+            points,
             sizes,
             path_flat,
             t_flat,
@@ -443,7 +443,6 @@ class EntryArrays:
             _ids_rank(sizes, seg_start, path_flat),
             np.zeros(sizes.size, dtype=bool),
         )
-        spliced._position = position
         old_to_new = np.full(self.n_entries, -1, dtype=np.intp)
         old_to_new[kept] = np.arange(kept.size)
         return spliced, old_to_new

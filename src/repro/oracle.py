@@ -238,9 +238,7 @@ def build_catalog(
     if cvdps is None:
         cap = max((w.max_delivery_points for w in sub.online_workers), default=0)
         cvdps = generate_cvdps(sub.center, sub.travel, epsilon, cap)
-    arrays = EntryArrays.from_entries(
-        cvdps, sorted(sub.center.delivery_points, key=lambda dp: dp.dp_id)
-    )
+    arrays = EntryArrays.from_entries(cvdps, sub.center.columns)
     location = sub.center.location
     parts, offsets = [], []
     for worker in sub.online_workers:
@@ -551,7 +549,6 @@ def scratch_snapshot(state):
     with state.lock:
         now = state.now
         by_center: Dict[str, Dict[str, List[SpatialTask]]] = {}
-        ids_by_center: Dict[str, List[str]] = {}
         for arrival in sorted(state._pending.values(), key=lambda a: a.task_id):
             remaining = arrival.remaining(now)
             if remaining <= 0:
@@ -566,7 +563,6 @@ def scratch_snapshot(state):
             by_center.setdefault(center_id, {}).setdefault(arrival.dp_id, []).append(
                 SpatialTask(arrival.task_id, arrival.dp_id, remaining, arrival.reward)
             )
-            ids_by_center.setdefault(center_id, []).append(arrival.task_id)
         available: Dict[str, list] = {}
         for wid in sorted(state._workers):
             center_id = state._worker_center[wid]
@@ -575,7 +571,6 @@ def scratch_snapshot(state):
                 available.setdefault(center_id, []).append(worker.snapshot())
         subs = []
         keys: Dict[str, str] = {}
-        task_ids: Dict[str, Tuple[str, ...]] = {}
         for center_id in sorted(by_center):
             if center_id not in available:
                 continue
@@ -591,12 +586,10 @@ def scratch_snapshot(state):
             )
             subs.append(sub)
             keys[center_id] = _fingerprint(sub)
-            task_ids[center_id] = tuple(ids_by_center[center_id])
         return WorldSnapshot(
             now=now,
             subproblems=tuple(subs),
             keys=keys,
-            task_ids=task_ids,
             pending_tasks=len(state._pending),
             available_workers=sum(
                 1 for w in state._workers.values() if w.is_available(now)

@@ -35,11 +35,13 @@ get returns stay per center.
 However a center was refreshed, a hit returns the *identical* catalog a
 cold build would produce (equal keys imply equal sub-problems, which the
 snapshot state machine in
-``tests/properties/test_snapshot_incremental.py`` checks against the
-content hash :func:`repro.oracle._fingerprint`, and the delta layer's
-refresh is proven bit-identical to ``build_catalog`` by the differential
-suites), which is what makes warm-cache service rounds bit-identical to
-cold-cache runs.  Hits and misses are recorded in :data:`repro.obs.METRICS`
+``tests/properties/test_snapshot_incremental.py`` checks: its
+``snapshot_equals_scratch`` invariant holds every snapshot against the
+from-scratch :func:`repro.oracle.scratch_snapshot`, and its
+``keys_imply_equal_content`` invariant holds every key to one content
+hash; the delta layer's refresh is proven bit-identical to
+``build_catalog`` by the differential suites), which is what makes
+warm-cache service rounds bit-identical to cold-cache runs.  Hits and misses are recorded in :data:`repro.obs.METRICS`
 under ``service.catalog_cache.*``; the delta layer's own activity lands on
 :data:`~repro.obs.metrics.CATALOG_DELTA_METRICS`.
 

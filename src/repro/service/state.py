@@ -9,7 +9,7 @@ times are hours on one logical service clock (``now``); task expiries are
 *absolute* (:class:`TaskArrival`), and each snapshot converts them to the
 relative deadlines (Definition 3) the solvers consume.
 
-A :class:`WorldSnapshot` is an immutable, per-round view: the materialised
+A :class:`WorldSnapshot` is an immutable, per-round view: the
 :class:`~repro.core.instance.SubProblem` of every active center plus a
 catalog key per center.  The key is ``(center version, now)``: every
 mutation bumps an in-memory version counter of exactly the centers it
@@ -20,16 +20,27 @@ positions, capacities and availability, task deadlines and rewards — is a
 function of those two, so equal keys prove a center unchanged and the
 engine's catalog cache can skip the C-VDPS refresh.
 
-The snapshot is incremental on the same grounds.  Pending tasks are kept
-grouped by delivery point, and a point's materialised
-:class:`~repro.core.entities.DeliveryPoint` (and its task ids) is reused
-while ``now`` and its pending set are unchanged.  A round that only adds a
-few tasks rebuilds only the points they landed on; a clock advance
-re-materialises every point, each from its own tasks.
-:func:`repro.oracle.scratch_snapshot` is the from-scratch reference the
-property suite holds this against.  The version counters live in memory
-only: they are neither journaled nor part of :meth:`WorldState.fingerprint`,
-and a recovered world starts with fresh counters and a fresh cache.
+Pending tasks live in one columnar table (:class:`_TaskTable`): task id,
+point slot, absolute expiry and reward, in (point slot, task id) order,
+where every center's points hold one contiguous run of slots in sorted-id
+order.  Ingest only queues arrivals; the next read files them into the
+table.  A snapshot is then a few vector passes over the whole table: the
+relative deadlines ``expiry - now`` (Definition 3, the same IEEE
+subtraction as a scalar loop), the filter that drops expired tasks and
+tasks hopeless even from the center (Definition 6), each point's earliest
+deadline, and each point's reward total — a Python ``sum`` in task-id
+order, so it equals ``DeliveryPoint.total_reward``.  Each center's slice
+becomes its :class:`~repro.core.columns.PointColumns`, which the catalog
+kernels read directly; ``sub.center.delivery_points`` is the same tuple
+of :class:`~repro.core.entities.DeliveryPoint` objects as ever, but each
+point object is built on first read (by the picked routes, the verifier,
+:meth:`WorldSnapshot.instance`), once per snapshot.  While the clock
+stands still a point whose tasks did not change keeps its object from the
+previous snapshot.  :func:`repro.oracle.scratch_snapshot` is the
+from-scratch reference the property suite holds this against.  The
+version counters live in memory only: they are neither journaled nor part
+of :meth:`WorldState.fingerprint`, and a recovered world starts with fresh
+counters.
 
 Durability: attaching a :class:`~repro.service.journal.WorldJournal` makes
 every mutation write-ahead — the record is fsynced *before* the in-memory
@@ -45,9 +56,9 @@ import dataclasses
 import hashlib
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
-from itertools import chain
-from operator import attrgetter
+from dataclasses import dataclass, field
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import (
     Dict,
     Iterable,
@@ -56,12 +67,14 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
+import numpy as np
+
 from repro.core.assignment import Assignment
-from repro.core.entities import DeliveryPoint, DistributionCenter, SpatialTask, Worker
+from repro.core.columns import ColumnCenter, PointColumns
+from repro.core.entities import DeliveryPoint, DistributionCenter, Worker
 from repro.core.instance import ProblemInstance, SubProblem
 from repro.equity.ledger import EquityLedger
 from repro.geo.point import Point
@@ -97,8 +110,8 @@ class WorkerState:
 
     The core entities are immutable; the world tracks each worker's
     evolving position, availability, and cumulative earnings here and
-    materialises a fresh :class:`~repro.core.entities.Worker` for every
-    snapshot.
+    hands snapshots a :class:`~repro.core.entities.Worker` at the current
+    position, the same object until the template or location changes.
     """
 
     template: Worker
@@ -108,6 +121,9 @@ class WorkerState:
     working_hours: float = 0.0
     deliveries: int = 0
     assignments: int = 0
+    _snapshot: Optional[Tuple[Worker, Point, Worker]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @classmethod
     def from_worker(cls, worker: Worker) -> "WorkerState":
@@ -122,15 +138,24 @@ class WorkerState:
         return self.template.online and self.available_at <= now
 
     def snapshot(self) -> Worker:
-        """An immutable Worker at the current location."""
-        return Worker(
-            self.template.worker_id,
-            self.location,
-            self.template.max_delivery_points,
-            self.template.center_id,
-            online=True,
-            speed_kmh=self.template.speed_kmh,
-        )
+        """An immutable Worker at the current location (cached while the
+        template and location stay the same objects)."""
+        cached = self._snapshot
+        if (
+            cached is None
+            or cached[0] is not self.template
+            or cached[1] is not self.location
+        ):
+            worker = Worker(
+                self.template.worker_id,
+                self.location,
+                self.template.max_delivery_points,
+                self.template.center_id,
+                online=True,
+                speed_kmh=self.template.speed_kmh,
+            )
+            cached = self._snapshot = (self.template, self.location, worker)
+        return cached[2]
 
     def commit_route(
         self, now: float, completion_time: float, reward: float,
@@ -194,28 +219,95 @@ class Rejection:
         return {"id": self.item_id, "reason": self.reason}
 
 
+class _TaskTable:
+    """Every pending task as columns, in (point slot, task id) order.
+
+    Arrivals queue in ``_incoming`` and are filed into the sorted columns
+    on the next read, so ingest costs one append per task.  The arrays a
+    snapshot reads are rebuilt only after the table changed.
+    """
+
+    def __init__(self, slot_of: Mapping[str, int]) -> None:
+        self._slot_of = slot_of
+        self._keys: List[Tuple[int, str]] = []  # (slot, task id), sorted
+        self._expiry: List[float] = []
+        self._reward: List[float] = []
+        self._incoming: List[TaskArrival] = []
+        self._arrays: Optional[Tuple[np.ndarray, ...]] = None
+
+    def add(self, arrivals: Sequence[TaskArrival]) -> None:
+        """Queue ``arrivals`` for filing."""
+        self._incoming.extend(arrivals)
+
+    def remove(self, arrivals: Iterable[TaskArrival]) -> None:
+        """Drop pending ``arrivals`` from the table."""
+        self._file()
+        keys, expiry, reward = self._keys, self._expiry, self._reward
+        for arrival in arrivals:
+            i = bisect.bisect_left(
+                keys, (self._slot_of[arrival.dp_id], arrival.task_id)
+            )
+            del keys[i], expiry[i], reward[i]
+        self._arrays = None
+
+    def arrays(self) -> Tuple[np.ndarray, ...]:
+        """``(slot, expiry, task id, reward)``, one entry per pending task."""
+        self._file()
+        if self._arrays is None:
+            keys, n = self._keys, len(self._keys)
+            self._arrays = (
+                np.fromiter(map(itemgetter(0), keys), np.intp, n),
+                np.array(self._expiry, dtype=np.float64),
+                np.fromiter(map(itemgetter(1), keys), object, n),
+                np.fromiter(self._reward, object, n),
+            )
+        return self._arrays
+
+    def _file(self) -> None:
+        """Insert the queued arrivals at their sorted positions."""
+        if not self._incoming:
+            return
+        keys, expiry, reward = self._keys, self._expiry, self._reward
+        for arrival in self._incoming:
+            key = (self._slot_of[arrival.dp_id], arrival.task_id)
+            i = bisect.bisect_left(keys, key)
+            keys.insert(i, key)
+            expiry.insert(i, arrival.expiry)
+            reward.insert(i, arrival.reward)
+        self._incoming = []
+        self._arrays = None
+
+
 @dataclass(frozen=True)
 class WorldSnapshot:
     """One round's frozen view of the world.
 
     ``subproblems`` holds only *active* centers — at least one available
-    worker and one materialised (non-hopeless) delivery point — in center-id
-    order; ``keys`` maps each to its ``(center version, now)`` catalog key
-    (see the module doc); ``task_ids`` maps each active center to the
-    pending task ids its materialised points carry, in task-id order, so a
-    commit removes exactly the tasks the round could deliver.
+    worker and one delivery point with a dispatchable (unexpired, not
+    hopeless) task — in center-id order; ``keys`` maps each to its
+    ``(center version, now)`` catalog key (see the module doc).  Each
+    center's dispatchable tasks are its columns'
+    (``sub.center.columns``), so a commit removes exactly the tasks the
+    round could deliver.
     """
 
     now: float
     subproblems: Tuple[SubProblem, ...]
     keys: Mapping[str, Tuple[int, float]]
-    task_ids: Mapping[str, Tuple[str, ...]]
     pending_tasks: int
     available_workers: int
 
     @property
     def center_ids(self) -> List[str]:
         return [sub.center.center_id for sub in self.subproblems]
+
+    @property
+    def task_ids(self) -> Dict[str, Tuple[str, ...]]:
+        """Each active center's dispatchable task ids, in task-id order."""
+        return {
+            sub.center.center_id: tuple(sorted(sub.center.columns.task_ids))
+            for sub in self.subproblems
+        }
 
     def instance(self) -> ProblemInstance:
         """The snapshot as a solvable :class:`ProblemInstance`.
@@ -258,9 +350,6 @@ class WorldState:
         self._centers: Dict[str, DistributionCenter] = {}
         self._layout: Dict[str, DeliveryPoint] = {}  # dp_id -> bare point
         self._dp_center: Dict[str, str] = {}  # dp_id -> center_id
-        # dp_id -> travel time from its center; the layout and the travel
-        # model are fixed, so each leg is computed once, on first use.
-        self._center_leg: Dict[str, float] = {}
         for center in centers:
             if center.center_id in self._centers:
                 raise ValueError(f"duplicate center id {center.center_id!r}")
@@ -283,23 +372,39 @@ class WorldState:
         self._worker_center: Dict[str, str] = {}
         self._pending: Dict[str, TaskArrival] = {}  # task_id -> arrival
         self._seen_tasks: set = set()
-        # The incremental snapshot's bookkeeping (see the module doc).
-        # Pending tasks by point (only points holding some), each center's
-        # point ids and worker ids in sorted order, and its version.
-        self._by_dp: Dict[str, Dict[str, TaskArrival]] = {}
-        self._center_dps: Dict[str, Tuple[str, ...]] = {
-            cid: tuple(sorted(dp.dp_id for dp in center.delivery_points))
-            for cid, center in self._centers.items()
+        # The snapshot's layout (see the module doc): centers in id order,
+        # each a run of point slots [_center_cut[c], _center_cut[c + 1])
+        # in sorted-id order, with each slot's bare point and travel time
+        # from its center (the layout and the travel model are fixed).
+        self._center_order: List[str] = sorted(self._centers)
+        self._slot_points: List[DeliveryPoint] = []
+        for cid in self._center_order:
+            self._slot_points.extend(
+                sorted(self._centers[cid].delivery_points, key=lambda dp: dp.dp_id)
+            )
+        self._slot_of: Dict[str, int] = {
+            dp.dp_id: k for k, dp in enumerate(self._slot_points)
         }
+        sizes = [len(self._centers[cid].delivery_points) for cid in self._center_order]
+        self._center_cut = np.cumsum([0, *sizes])
+        self._slot_leg = np.array(
+            [
+                self._travel.time(
+                    self._centers[self._dp_center[dp.dp_id]].location, dp.location
+                )
+                for dp in self._slot_points
+            ],
+            dtype=np.float64,
+        )
+        self._tasks = _TaskTable(self._slot_of)
         self._center_workers: Dict[str, List[str]] = {
             cid: [] for cid in self._centers
         }
         self._center_version: Dict[str, int] = dict.fromkeys(self._centers, 0)
-        # A point's materialised DeliveryPoint and task ids at one ``now``,
-        # dropped when its pending set changes.
-        self._dp_view: Dict[
-            str, Tuple[float, Optional[DeliveryPoint], Tuple[str, ...]]
-        ] = {}
+        # The last snapshot's columns and clock: point objects built on
+        # them carry over while the clock stands still.
+        self._last_columns: Dict[str, PointColumns] = {}
+        self._last_now: Optional[float] = None
         self._journal: Optional[WorldJournal] = None
         self._equity: Optional[EquityLedger] = None
         self._last_round: Optional[Dict] = None
@@ -573,88 +678,79 @@ class WorldState:
         """Freeze the dispatchable world at ``now`` (see the module doc)."""
         with self._lock:
             now = self.now
+            slots, expiry, task_ids, rewards = self._tasks.arrays()
+            # Relative deadlines; keep what is neither expired nor hopeless
+            # even from the center (Definition 6).
+            remaining = expiry - now
+            kept = np.flatnonzero(
+                (remaining > 0) & (remaining > self._slot_leg[slots])
+            )
+            kept_slots = slots[kept]
+            # Each kept point's run of tasks, and each center's run of points.
+            first = np.ones(kept.size, dtype=bool)
+            np.not_equal(kept_slots[1:], kept_slots[:-1], out=first[1:])
+            starts = np.flatnonzero(first)
+            point_slots = kept_slots[starts]
+            deadlines = (
+                np.minimum.reduceat(remaining[kept], starts)
+                if starts.size
+                else remaining[:0]
+            )
+            kept_rewards = rewards[kept].tolist()
+            bounds = [*starts.tolist(), kept.size]
+            totals = [sum(kept_rewards[a:b]) for a, b in zip(bounds, bounds[1:])]
+            kept_expiry = remaining[kept].tolist()
+            kept_ids = task_ids[kept].tolist()
+            point_slot_list = point_slots.tolist()
+            cuts = np.searchsorted(point_slots, self._center_cut).tolist()
+            carry = self._last_now == now
             subs: List[SubProblem] = []
             keys: Dict[str, Tuple[int, float]] = {}
-            task_ids: Dict[str, Tuple[str, ...]] = {}
-            for center_id in sorted(self._centers):
-                sub, ids = self._materialise_center(center_id, now)
-                if sub is not None:
-                    subs.append(sub)
-                    keys[center_id] = (self._center_version[center_id], now)
-                    task_ids[center_id] = ids
+            columns_of: Dict[str, PointColumns] = {}
+            available_workers = 0
+            for c, center_id in enumerate(self._center_order):
+                available = [
+                    state
+                    for state in map(
+                        self._workers.__getitem__, self._center_workers[center_id]
+                    )
+                    if state.is_available(now)
+                ]
+                available_workers += len(available)
+                pa, pb = cuts[c], cuts[c + 1]
+                if not available or pa == pb:
+                    continue
+                ta = bounds[pa]
+                columns = PointColumns(
+                    [self._slot_points[k] for k in point_slot_list[pa:pb]],
+                    deadlines[pa:pb],
+                    totals[pa:pb],
+                    [b - ta for b in bounds[pa : pb + 1]],
+                    kept_ids[ta : bounds[pb]],
+                    kept_expiry[ta : bounds[pb]],
+                    kept_rewards[ta : bounds[pb]],
+                )
+                previous = self._last_columns.get(center_id)
+                if carry and previous is not None:
+                    columns.adopt(previous)
+                columns_of[center_id] = columns
+                center = self._centers[center_id]
+                subs.append(
+                    SubProblem(
+                        ColumnCenter(center_id, center.location, columns),
+                        tuple(state.snapshot() for state in available),
+                        self._travel,
+                    )
+                )
+                keys[center_id] = (self._center_version[center_id], now)
+            self._last_columns, self._last_now = columns_of, now
             return WorldSnapshot(
                 now=now,
                 subproblems=tuple(subs),
                 keys=keys,
-                task_ids=task_ids,
                 pending_tasks=len(self._pending),
-                available_workers=sum(
-                    1 for w in self._workers.values() if w.is_available(now)
-                ),
+                available_workers=available_workers,
             )
-
-    def _materialise_center(
-        self, center_id: str, now: float
-    ) -> Tuple[Optional[SubProblem], Tuple[str, ...]]:
-        """The center's sub-problem at ``now`` and its task ids in task-id
-        order; ``None`` when it has no available worker or no point with a
-        dispatchable (unexpired, not hopeless) task."""
-        states = [self._workers[wid] for wid in self._center_workers[center_id]]
-        available = [state for state in states if state.is_available(now)]
-        if not available:
-            return None, ()
-        points: List[DeliveryPoint] = []
-        id_runs: List[Tuple[str, ...]] = []
-        for dp_id in self._center_dps[center_id]:
-            if dp_id not in self._by_dp:
-                continue
-            view = self._dp_view.get(dp_id)
-            if view is None or view[0] != now:
-                view = self._dp_view[dp_id] = (
-                    now,
-                    *self._materialise_point(dp_id, now),
-                )
-            if view[1] is not None:
-                points.append(view[1])
-                id_runs.append(view[2])
-        if not points:
-            return None, ()
-        center = self._centers[center_id]
-        sub = SubProblem(
-            DistributionCenter(center_id, center.location, tuple(points)),
-            tuple(state.snapshot() for state in available),
-            self._travel,
-        )
-        # Each point's ids are a sorted run; timsort merges the runs.
-        ids = id_runs[0] if len(id_runs) == 1 else tuple(sorted(chain(*id_runs)))
-        return sub, ids
-
-    def _materialise_point(
-        self, dp_id: str, now: float
-    ) -> Tuple[Optional[DeliveryPoint], Tuple[str, ...]]:
-        """The point with its dispatchable tasks at ``now`` (relative
-        deadlines, task-id order) and their ids; ``None`` when none is."""
-        arrivals = sorted(self._by_dp[dp_id].values(), key=attrgetter("task_id"))
-        leg = self._center_leg.get(dp_id)
-        if leg is None:
-            leg = self._center_leg[dp_id] = self._travel.time(
-                self._centers[self._dp_center[dp_id]].location,
-                self._layout[dp_id].location,
-            )
-        tasks = []
-        for arrival in arrivals:
-            remaining = arrival.expiry - now
-            # Expired, or hopeless even from the center (Definition 6).
-            if remaining > 0 and remaining > leg:
-                tasks.append(
-                    SpatialTask(arrival.task_id, dp_id, remaining, arrival.reward)
-                )
-        if not tasks:
-            return None, ()
-        return (
-            self._layout[dp_id].with_tasks(tuple(tasks)),
-            tuple(task.task_id for task in tasks),
-        )
 
     # -- incremental bookkeeping ----------------------------------------------
 
@@ -663,36 +759,24 @@ class WorldState:
         for center_id in set(center_ids):
             self._center_version[center_id] += 1
 
-    def _touch_points(self, dp_ids: Set[str]) -> None:
-        """Forget the view of each point whose pending set changed, and
-        bump their centers."""
-        for dp_id in dp_ids:
-            self._dp_view.pop(dp_id, None)
-        self._touch([self._dp_center[dp_id] for dp_id in dp_ids])
-
     def _insert_tasks(self, arrivals: Iterable[TaskArrival]) -> None:
         """Enqueue validated arrivals (live churn and journal replay)."""
-        touched = set()
+        arrivals = list(arrivals)
         for arrival in arrivals:
             self._pending[arrival.task_id] = arrival
             self._seen_tasks.add(arrival.task_id)
-            self._by_dp.setdefault(arrival.dp_id, {})[arrival.task_id] = arrival
-            touched.add(arrival.dp_id)
-        self._touch_points(touched)
+        self._tasks.add(arrivals)
+        self._touch([self._dp_center[arrival.dp_id] for arrival in arrivals])
 
     def _drop_tasks(self, task_ids: Iterable[str]) -> None:
         """Dequeue tasks; ids no longer pending are ignored."""
-        touched = set()
-        for tid in task_ids:
-            arrival = self._pending.pop(tid, None)
-            if arrival is None:
-                continue
-            tasks = self._by_dp[arrival.dp_id]
-            del tasks[tid]
-            if not tasks:
-                del self._by_dp[arrival.dp_id]
-            touched.add(arrival.dp_id)
-        self._touch_points(touched)
+        gone = [
+            arrival
+            for arrival in map(self._pending.pop, task_ids, repeat(None))
+            if arrival is not None
+        ]
+        self._tasks.remove(gone)
+        self._touch([self._dp_center[arrival.dp_id] for arrival in gone])
 
     def _insert_workers(self, states: Iterable[WorkerState]) -> None:
         """Register worker states (live churn, journal replay, checkpoint)."""
@@ -720,6 +804,7 @@ class WorldState:
             # removed task id without mutating, journal the round, then apply.
             routes: List[Dict[str, object]] = []
             removed: List[str] = []
+            subs = {sub.center.center_id: sub for sub in snapshot.subproblems}
             for center_id, assignment in assignments.items():
                 delivered_dps: set = set()
                 for pair in assignment:
@@ -738,10 +823,20 @@ class WorldState:
                         }
                     )
                     delivered_dps.update(pair.delivery_point_ids)
-                for tid in snapshot.task_ids.get(center_id, ()):
-                    arrival = self._pending.get(tid)
-                    if arrival is not None and arrival.dp_id in delivered_dps:
-                        removed.append(tid)
+                sub = subs.get(center_id)
+                if sub is None or not delivered_dps:
+                    continue
+                # The delivered points' task ids, each a sorted run of the
+                # snapshot's columns, merged into task-id order.
+                columns = sub.center.columns
+                delivered = [
+                    columns.tasks_of(i)
+                    for i, dp_id in enumerate(columns.ids)
+                    if dp_id in delivered_dps
+                ]
+                removed.extend(
+                    tid for tid in sorted(chain(*delivered)) if tid in self._pending
+                )
             if routes or removed:
                 self._journal_append(
                     "commit",
@@ -1147,11 +1242,12 @@ class WorldState:
             self.now = float(data["now"])
             self.version = int(data["version"])
             # A checkpoint replaces the whole dynamic state.
-            self._pending, self._by_dp = {}, {}
+            self._pending = {}
+            self._tasks = _TaskTable(self._slot_of)
+            self._last_columns = {}
             self._workers, self._worker_center = {}, {}
             for workers in self._center_workers.values():
                 workers.clear()
-            self._dp_view.clear()
             self._insert_tasks(map(self._arrival_from_dict, data["pending"]))
             self._seen_tasks = set(data["seen_tasks"])
             states = []

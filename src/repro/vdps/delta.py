@@ -24,7 +24,9 @@ order — and applies churn as array passes over it:
   parent rank)`` relaxation, which merges the new rows into each layer in
   path-lex order.
 * **A changed point** (new task, expired task, moved deadline) is a removal
-  followed by an addition.
+  followed by an addition.  Added, removed and changed points are decided
+  from the centers' :class:`~repro.core.columns.PointColumns`, so planning
+  builds no point object.
 * **Cap growth** (a joining worker raises ``maxDP``) resumes the same loop
   from the top layer (:func:`~repro.kernels.cvdps.deepen_layers`).
 
@@ -86,7 +88,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.core.entities import DeliveryPoint, Worker
+from repro.core.columns import PointColumns
+from repro.core.entities import Worker
 from repro.core.instance import SubProblem
 from repro.kernels.cvdps import (
     CenterDP,
@@ -214,7 +217,13 @@ class DeltaCatalog:
 
     def _plan(self, sub: SubProblem):
         """``(path, churn)``: the refresh path for ``sub`` and, for a delta,
-        ``(new points, added, removed, changed, new cap)``."""
+        ``(new points, added, removed, changed, new cap)``.
+
+        Points are compared column by column (:meth:`PointColumns.same_point
+        <repro.core.columns.PointColumns.same_point>`), so no point object
+        is built, and the comparison stops as soon as the churn calls for a
+        fallback (a clock advance changes every point's deadlines).
+        """
         if self._catalog is None:
             return "rebuild", None
         travel = sub.travel
@@ -225,22 +234,26 @@ class DeltaCatalog:
             or travel.distance_fn is not self._travel.distance_fn
         ):
             return "fallback", None
-        new_points = {dp.dp_id: dp for dp in sub.center.delivery_points}
+        new_points, old_points = sub.center.columns, self._points
+        old_position, new_position = old_points.position, new_points.position
+        added = [p for p in new_points.ids if p not in old_position]
+        removed = [p for p in old_points.ids if p not in new_position]
+        limit = self._rebuild_fraction * max(len(new_points), len(old_points), 1)
+        changed: List[str] = []
+        churn = len(added) + len(removed)
+        if new_points is not old_points:
+            for i, p in enumerate(new_points.ids):
+                j = old_position.get(p)
+                if j is not None and not new_points.same_point(i, old_points, j):
+                    changed.append(p)
+                    churn += 1
+                    if churn > limit:
+                        return "fallback", None
         workers = sub.online_workers
         new_cap = max((w.max_delivery_points for w in workers), default=0)
-        added = [p for p in new_points if p not in self._points]
-        removed = [p for p in self._points if p not in new_points]
-        changed = [
-            p
-            for p, dp in new_points.items()
-            if p in self._points and dp != self._points[p]
-        ]
-        churn = len(added) + len(removed) + len(changed)
         if churn == 0 and workers == self._catalog.workers:
             return "noop", None
-        if churn > self._rebuild_fraction * max(
-            len(new_points), len(self._points), 1
-        ) or (new_cap > self._cap_built and self._cap_built == 0):
+        if churn > limit or (new_cap > self._cap_built and self._cap_built == 0):
             return "fallback", None
         return "delta", (new_points, added, removed, changed, new_cap)
 
@@ -272,7 +285,7 @@ class DeltaCatalog:
         )
 
         stats = DPStats()
-        points, added_entries = self._splice_states(
+        added_entries = self._splice_states(
             new_points, added, removed, changed, new_cap, stats, retimed
         )
         METRICS.counter("cvdps.states_expanded").add(stats.states_expanded)
@@ -284,7 +297,7 @@ class DeltaCatalog:
 
         workers = sub.online_workers
         table = self._apply_worker_churn(
-            workers, set(removed) | set(changed), added_entries, points
+            workers, set(removed) | set(changed), added_entries, new_points
         )
         return self._materialize(workers, table)
 
@@ -304,9 +317,7 @@ class DeltaCatalog:
         self._travel = sub.travel
         self._center_id = sub.center.center_id
         self._center_location = sub.center.location
-        self._points: Dict[str, DeliveryPoint] = {
-            dp.dp_id: dp for dp in sub.center.delivery_points
-        }
+        self._points: PointColumns = sub.center.columns
         self._cap_built = max(
             (w.max_delivery_points for w in sub.online_workers), default=0
         )
@@ -324,9 +335,8 @@ class DeltaCatalog:
         table = self._cvdps
         if table is None:
             return None
-        ids = sorted(self._points)
-        points = [self._points[dp_id] for dp_id in ids]
-        locations = [dp.location for dp in points]
+        points = self._points
+        ids, locations = points.ids, points.locations
         matrix = self._layout.matrix(
             ids, locations, self._travel, self._center_location
         )
@@ -344,44 +354,44 @@ class DeltaCatalog:
 
     def _splice_states(
         self,
-        new_points: Dict[str, DeliveryPoint],
+        points: PointColumns,
         added: List[str],
         removed: List[str],
         changed: List[str],
         new_cap: int,
         stats: DPStats,
         retimed=None,
-    ) -> Tuple[List[DeliveryPoint], Optional["EntryArrays"]]:
-        """Bring the DP layers to ``new_points`` and ``new_cap``.
+    ) -> Optional["EntryArrays"]:
+        """Bring the DP layers to ``points`` (the new index space) and
+        ``new_cap``.
 
-        Returns the new points in sorted-id order (the index space) and
-        the entries of every subset the surgery added, ``None`` if none.
-        ``retimed`` is :meth:`_ensure_tables`'s travel matrix, reused when
+        Returns the entries of every subset the surgery added, ``None`` if
+        none.  ``retimed`` is :meth:`_ensure_tables`'s travel matrix, reused when
         the points kept their ids and locations (new tasks at old points).
         """
         from repro.kernels.validate import EntryArrays
 
-        old_ids = sorted(self._points)
-        ids = sorted(new_points)
-        position = {dp_id: k for k, dp_id in enumerate(ids)}
+        ids = points.ids
+        position = points.position
         gone = sorted(removed) + sorted(changed)
-        old_position = {dp_id: k for k, dp_id in enumerate(old_ids)}
+        old_position = self._points.position
         self._layers = layers_without(
             self._layers,
             [old_position[p] for p in gone],
-            np.array([position.get(p, -1) for p in old_ids], dtype=np.intp),
+            np.array(
+                [position.get(p, -1) for p in self._points.ids], dtype=np.intp
+            ),
             max(1, -(-len(ids) // 64)),
         )
-        self._points = new_points
-        points = [new_points[dp_id] for dp_id in ids]
+        self._points = points
         arrivals = [position[p] for p in sorted(changed) + sorted(added)]
         built = self._cap_built
         # A cap that shrank needs no surgery: materialisation filters by
         # the current cap.
         self._cap_built = max(built, new_cap)
         if not ids or (not arrivals and new_cap <= built):
-            return points, None
-        locations = [dp.location for dp in points]
+            return None
+        locations = points.locations
         if retimed is not None and retimed[:2] == (ids, locations):
             matrix = retimed[2]
         else:
@@ -414,8 +424,8 @@ class DeltaCatalog:
             for layer in self._layers
         ]
         if not any(layer.best.size for layer in fresh):
-            return points, None
-        return points, EntryArrays.from_layers(fresh, [points])[0]
+            return None
+        return EntryArrays.from_layers(fresh, [points])[0]
 
     # -- worker-level revalidation ------------------------------------------
 
@@ -445,17 +455,17 @@ class DeltaCatalog:
         workers: Tuple[Worker, ...],
         removed_points: Set[str],
         added: Optional["EntryArrays"],
-        points: Sequence[DeliveryPoint],
+        points: PointColumns,
     ) -> StrategyTable:
         """The strategy table of ``workers`` over the spliced entry table.
 
         The entry table drops every entry over a removed point and appends
         the ``added`` entries, laid out over ``points`` (the center's
-        points in sorted-id order, the index's bit space, so the table is
-        re-laid whenever their ids change).  A worker whose content
-        changed is revalidated from scratch; every other worker keeps its
-        rows through the old→new row map, and the added entries are
-        scanned for all of them at once like a full revalidation.
+        columns, the index's bit space, so the table is re-laid whenever
+        their ids change).  A worker whose content changed is revalidated
+        from scratch; every other worker keeps its rows through the
+        old→new row map, and the added entries are scanned for all of them
+        at once like a full revalidation.
         """
         old = self._catalog
         table = old.table
@@ -465,11 +475,7 @@ class DeltaCatalog:
         METRICS.counter("catalog.delta_entries_removed").add(dropped)
         base = arrays.n_entries - dropped
         old_to_new = None
-        if (
-            dropped
-            or added is not None
-            or [dp.dp_id for dp in arrays.points] != [dp.dp_id for dp in points]
-        ):
+        if dropped or added is not None or arrays.points.ids != points.ids:
             arrays, old_to_new = arrays.splice(keep, added, points)
         live = {worker.worker_id for worker in workers}
         for wid in [wid for wid in self._offsets if wid not in live]:
@@ -480,7 +486,8 @@ class DeltaCatalog:
         kept: List[int] = []
         for k, worker in enumerate(workers):
             j = old._slot.get(worker.worker_id)
-            if j is None or old.workers[j] != worker:
+            # Snapshots hand over the same Worker while it is unchanged.
+            if j is None or (old.workers[j] is not worker and old.workers[j] != worker):
                 # New worker, or content changed (location shifts the start
                 # offset, maxDP the size filter, speed the scale factor):
                 # nothing incremental survives, validate from scratch.

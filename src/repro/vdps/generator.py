@@ -101,12 +101,13 @@ class CvdpsTable:
 
 
 def chain_adjacency(
-    points: Sequence[DeliveryPoint],
+    points,
     matrix,
     travel: TravelModel,
     epsilon: Optional[float],
 ) -> np.ndarray:
-    """The DP's ``(n, n)`` chaining matrix over ``points`` (sorted by id).
+    """The DP's ``(n, n)`` chaining matrix over ``points``, a center's
+    :class:`~repro.core.columns.PointColumns`.
 
     ``adjacency[j, q]``: a route may go from ``points[j]`` straight on to
     ``points[q]`` — every other point without pruning, else the
@@ -122,9 +123,7 @@ def chain_adjacency(
         adjacency = matrix.distances <= epsilon
         np.fill_diagonal(adjacency, False)
         return adjacency
-    return _adjacency(
-        [dp.dp_id for dp in points], neighbor_id_map(points, epsilon)
-    )
+    return _adjacency(points.ids, neighbor_id_map(points.bare, epsilon))
 
 
 def generate_tables(
@@ -140,8 +139,9 @@ def generate_tables(
     Center ``c`` is generated under ``travels[c]`` up to ``caps[c]``
     points.  The one generation path behind :func:`generate_cvdps` and
     :func:`repro.vdps.catalog.build_batch` (so behind ``build_catalog``
-    and the delta layer's rebuilds too).  Builds each center's travel
-    matrix (from ``layouts[c]``, a
+    and the delta layer's rebuilds too).  Reads each center's points as
+    :attr:`~repro.core.entities.DistributionCenter.columns`, builds its
+    travel matrix (from ``layouts[c]``, a
     :class:`~repro.kernels.cvdps.LayoutMatrix`, when the caller keeps one
     across rounds), takes the pruning neighbourhood from its
     (Euclidean-metric) distances, runs one stacked DP over all centers
@@ -163,31 +163,20 @@ def generate_tables(
     tables: List[Optional[CvdpsTable]] = []
     jobs = []
     for center, travel, cap, layout in zip(centers, travels, caps, layouts):
-        points = center.delivery_points
+        points = center.columns
         n = len(points)
         if n == 0 or cap <= 0:
             # No DP runs, so no state ever chains through a neighbourhood.
-            tables.append(
-                CvdpsTable(
-                    [],
-                    EntryArrays.from_entries(
-                        [], sorted(points, key=lambda dp: dp.dp_id)
-                    ),
-                )
-            )
+            tables.append(CvdpsTable([], EntryArrays.from_entries([], points)))
             continue
-        points_by_id = {dp.dp_id: dp for dp in points}
-        ids, matrix = center_matrix(points_by_id, travel, center.location, layout)
-        sorted_points = [points_by_id[dp_id] for dp_id in ids]
-        adjacency = chain_adjacency(sorted_points, matrix, travel, epsilon)
+        matrix = center_matrix(points, travel, center.location, layout)
+        adjacency = chain_adjacency(points, matrix, travel, epsilon)
         # One DPStats per center: a center's cvdps.layer events report its
         # own running totals.
         jobs.append(
             (
                 len(tables),
-                CenterDP(
-                    center.center_id, sorted_points, adjacency, matrix, cap, DPStats()
-                ),
+                CenterDP(center.center_id, points, adjacency, matrix, cap, DPStats()),
             )
         )
         tables.append(None)
@@ -251,7 +240,7 @@ def generate_cvdps(
     order is deterministic.
     """
     tracer = resolve_tracer(False) if tracer is None else tracer
-    n = len(center.delivery_points)
+    n = len(center.columns)
     cap = n if max_size is None else max(0, min(max_size, n))
     return generate_tables([center], [travel], [cap], epsilon, tracer)[0].arrays.entries
 

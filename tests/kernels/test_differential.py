@@ -108,8 +108,9 @@ def _state_tables(sub, epsilon, cap):
         NULL_TRACER,
         center.center_id,
     )
-    ids, matrix = center_matrix(points_by_id, sub.travel, location)
-    points = [points_by_id[dp_id] for dp_id in ids]
+    points = center.columns
+    ids = points.ids
+    matrix = center_matrix(points, sub.travel, location)
     job = CenterDP(
         center.center_id,
         points,

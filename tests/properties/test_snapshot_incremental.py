@@ -1,15 +1,22 @@
-"""Hypothesis stateful tests: incremental snapshot ≡ from-scratch snapshot.
+"""Hypothesis stateful tests: columnar snapshot ≡ from-scratch snapshot.
 
-:meth:`WorldState.snapshot` reuses each delivery point's materialised view
-while ``now`` and its pending set hold, and keys each center's catalog by
-``(center version, now)``.  The machine below churns one
-journaled world — task and worker arrivals (with rejected items among
-them), clock advances, expiry, committed rounds, previews and journal
-recovery — and checks two invariants after every rule:
+:meth:`WorldState.snapshot` computes each center's point columns in vector
+passes over the world's pending-task table, builds point objects only when
+they are read (keeping a point's object while the clock stands still and
+its tasks are unchanged), and keys each center's catalog by ``(center
+version, now)``.  The machine below churns one journaled world — task and
+worker arrivals (with rejected items among them), clock advances, expiry,
+committed rounds, previews, reads of some point objects before the clock
+moves, and journal recovery — and checks three invariants after every
+rule:
 
 * the snapshot equals :func:`repro.oracle.scratch_snapshot`, which
   re-sorts and re-materialises every pending task: the same sub-problems,
   ``task_ids`` in the same order, and the same counts;
+* each center's columns hold the reference's points field by field —
+  ids, locations, service hours, earliest deadlines and reward totals,
+  and every task's id, relative deadline and reward, floats compared
+  bitwise — and the point objects built from them are the reference's;
 * equal keys imply equal content: every ``(center, version, now)`` key the
   world ever hands out maps to one :func:`repro.oracle._fingerprint`,
   which is what lets the catalog cache trust a key hit.  Two worlds built
@@ -164,6 +171,23 @@ class SnapshotChurnMachine(RuleBasedStateMachine):
         if commit:
             self.state.commit(snapshot, solution.assignments)
 
+    @rule(hours=st.sampled_from([0.0, 0.05, 0.3]), data=st.data())
+    def read_then_advance(self, hours, data):
+        """Build some centers' point objects, move the clock (or not) and
+        snapshot again: no object built for one ``now`` may reach a
+        snapshot at another."""
+        for sub in self.state.snapshot().subproblems:
+            columns = sub.center.columns
+            read = data.draw(
+                st.sampled_from(["none", "one", "all"]), label=sub.center.center_id
+            )
+            if read == "one":
+                columns[data.draw(st.integers(0, len(columns) - 1), label="point")]
+            elif read == "all":
+                sub.center.delivery_points
+        self.advance(hours)
+        self.columns_equal_scratch()
+
     @rule()
     def recover(self):
         """Crash and recover from the journal: a fresh world, same content."""
@@ -188,6 +212,35 @@ class SnapshotChurnMachine(RuleBasedStateMachine):
         assert set(snap.keys) == set(ref.keys) == set(snap.center_ids)
 
     @invariant()
+    def columns_equal_scratch(self):
+        if self.state is None:
+            return
+        snap = self.state.snapshot()
+        ref = scratch_snapshot(self.state)
+        assert snap.center_ids == ref.center_ids
+        for sub, want in zip(snap.subproblems, ref.subproblems):
+            columns = sub.center.columns
+            points = want.center.delivery_points  # sorted by id
+            assert columns.ids == [dp.dp_id for dp in points]
+            assert columns.locations == [dp.location for dp in points]
+            assert columns.service.tolist() == [dp.service_hours for dp in points]
+            assert _hex(columns.deadline.tolist()) == _hex(
+                dp.earliest_expiry for dp in points
+            )
+            assert _hex(columns.reward) == _hex(dp.total_reward for dp in points)
+            for i, dp in enumerate(points):
+                a, b = columns.starts[i], columns.starts[i + 1]
+                assert columns.task_ids[a:b] == [t.task_id for t in dp.tasks]
+                assert _hex(columns.expiry[a:b]) == _hex(t.expiry for t in dp.tasks)
+                assert _hex(columns.rewards[a:b]) == _hex(t.reward for t in dp.tasks)
+            built = sub.center.delivery_points
+            assert built == points
+            for got, expected in zip(built, points):
+                assert _hex(t.expiry for t in got.tasks) == _hex(
+                    t.expiry for t in expected.tasks
+                )
+
+    @invariant()
     def keys_imply_equal_content(self):
         if self.state is None:
             return
@@ -196,6 +249,11 @@ class SnapshotChurnMachine(RuleBasedStateMachine):
             cid = sub.center.center_id
             key = (cid, *snap.keys[cid])
             assert self.contents.setdefault(key, _fingerprint(sub)) == _fingerprint(sub)
+
+
+def _hex(values):
+    """Floats as their exact hex spellings (a bitwise comparison)."""
+    return [float(value).hex() for value in values]
 
 
 # Budget comes from the active Hypothesis profile (tests/conftest.py):

@@ -1,5 +1,7 @@
 """Tests for repro.service.state (the mutable service world)."""
 
+import math
+
 import pytest
 
 from repro.baselines.gta import GTASolver
@@ -190,6 +192,111 @@ class TestSnapshot:
         assert snap.task_ids == {"A": ("fine",)}
         assert snap.pending_tasks == 2  # still queued, just not offered
 
+    def test_filter_boundaries(self):
+        # Kept exactly when remaining > 0 and remaining > the center leg.
+        state = make_world(with_tasks=False)
+        leg = state.travel.time(Point(0.0, 0.0), Point(1.0, 0.0))  # A -> a1
+        state.add_tasks(
+            [
+                task("at-leg", "a1", leg),
+                task("past-leg", "a1", math.nextafter(leg, math.inf)),
+                task("at-now", "a2", 0.5),
+                task("later", "a2", 2.0),
+            ]
+        )
+        assert state.snapshot().task_ids == {"A": ("at-now", "later", "past-leg")}
+        state.advance(0.5)  # "at-now" has 0.0 left, not yet expired
+        snap = state.snapshot()
+        assert snap.task_ids == {"A": ("later",)}
+        assert snap.pending_tasks == 4
+
+    def test_point_at_the_center_has_a_zero_leg(self):
+        center = make_center([make_dp("here", 0.0, 0.0)], center_id="A")
+        workers = [make_worker("w", 0.0, 0.0, center_id="A")]
+        state = WorldState([center], workers=workers)
+        state.add_tasks([task("tiny", "here", 5e-324), task("soon", "here", 0.25)])
+        (sub,) = state.snapshot().subproblems
+        (dp,) = sub.center.delivery_points
+        assert [(t.task_id, t.expiry) for t in dp.tasks] == [
+            ("soon", 0.25),
+            ("tiny", 5e-324),
+        ]
+        assert sub.center.columns.deadline.tolist() == [5e-324]
+        state.advance(0.25)  # "soon" has 0.0 left, "tiny" less
+        assert state.snapshot().subproblems == ()
+
+    def test_reward_total_sums_in_task_id_order(self):
+        # 1e16 + 1.0 + 1.0 rounds differently from 1.0 + 1.0 + 1e16 under
+        # plain left-to-right summation; the total follows task-id order,
+        # not arrival order, and equals the built point's total_reward.
+        state = make_world(with_tasks=False)
+        state.add_tasks(
+            [
+                task("c", "a1", 2.0, reward=1.0),
+                task("b", "a1", 2.0, reward=1.0),
+                task("a", "a1", 2.0, reward=1e16),
+            ]
+        )
+        (sub,) = state.snapshot().subproblems
+        columns = sub.center.columns
+        total = columns.reward[columns.ids.index("a1")]
+        assert total.hex() == sum([1e16, 1.0, 1.0]).hex()
+        (dp,) = sub.center.delivery_points
+        assert [t.task_id for t in dp.tasks] == ["a", "b", "c"]
+        assert dp.total_reward.hex() == total.hex()
+
+    def test_clock_moving_snapshot_builds_points_only_when_read(self, monkeypatch):
+        from repro.core.entities import DeliveryPoint
+
+        built = []
+        post_init = DeliveryPoint.__post_init__
+
+        def counting(self):
+            built.append(self.dp_id)
+            post_init(self)
+
+        state = make_world()
+        state.snapshot().subproblems[0].center.delivery_points
+        state.advance(0.1)
+        monkeypatch.setattr(DeliveryPoint, "__post_init__", counting)
+        snap = state.snapshot()
+        assert built == []
+        sub = snap.subproblems[0]
+        first, last = sub.center.columns[0], sub.center.columns[-1]
+        assert built == [first.dp_id, last.dp_id]
+        assert last.dp_id == sub.center.columns.ids[-1]
+        assert sub.center.delivery_points[0] is first
+        assert sub.center.delivery_points[-1] is last
+        assert len(built) == len(sub.center.delivery_points)
+        sub.center.delivery_points
+        assert len(built) == len(sub.center.columns)
+
+    def test_snapshot_center_pickles_as_a_plain_center(self):
+        import pickle
+
+        from repro.core.entities import DistributionCenter
+
+        (sub, _) = make_world().snapshot().subproblems
+        copy = pickle.loads(pickle.dumps(sub))
+        assert type(copy.center) is DistributionCenter
+        assert copy.center == sub.center and copy.workers == sub.workers
+        assert copy.center.columns.ids == sub.center.columns.ids
+
+    def test_still_clock_keeps_unchanged_point_objects(self):
+        def points_of_a(state):
+            center = state.snapshot().subproblems[0].center
+            return {dp.dp_id: dp for dp in center.delivery_points}
+
+        state = make_world()
+        before = points_of_a(state)
+        state.add_tasks([task("extra", "a1", 1.3)])
+        after = points_of_a(state)
+        assert after["a1"] is not before["a1"] and after["a1"] != before["a1"]
+        assert after["a2"] is before["a2"] and after["a3"] is before["a3"]
+        state.advance(0.1)
+        moved = points_of_a(state)
+        assert all(moved[p] is not after[p] for p in moved)
+
     def test_empty_snapshot_has_no_instance(self):
         snap = make_world(with_tasks=False).snapshot()
         assert snap.subproblems == ()
@@ -301,6 +408,41 @@ class TestFingerprints:
 
 
 class TestCommit:
+    def test_commit_record_lists_removed_ids_in_task_id_order(self, tmp_path):
+        # Point-major order (a1: t2, t4; a2: t1, t3) differs from task-id
+        # order; the journaled commit removes them in task-id order.
+        from repro.service.journal import WorldJournal
+
+        state = make_world(with_tasks=False)
+        state.attach_journal(WorldJournal(tmp_path / "w.journal", fsync=False))
+        state.add_tasks(
+            [
+                task("t4", "a1", 3.0),
+                task("t3", "a2", 3.0),
+                task("t2", "a1", 3.0),
+                task("t1", "a2", 3.0),
+                task("t5", "a3", 3.0),
+            ]
+        )
+        snap = state.snapshot()
+        solution = solve_instance(snap.instance(), GTASolver(), seed=0)
+        delivered = {
+            dp_id
+            for pair in solution.assignments["A"]
+            for dp_id in pair.delivery_point_ids
+        }
+        assert {"a1", "a2"} <= delivered
+        state.commit(snap, solution.assignments)
+        records, _, _ = WorldJournal.read(tmp_path / "w.journal")
+        (commit,) = [r for r in records if r.kind == "commit"]
+        expected = sorted(
+            tid
+            for tid, dp in [("t1", "a2"), ("t2", "a1"), ("t3", "a2"),
+                            ("t4", "a1"), ("t5", "a3")]
+            if dp in delivered
+        )
+        assert commit.data["removed"] == expected
+
     def test_commit_applies_routes_like_the_simulator(self):
         state = make_world()
         snap = state.snapshot()
